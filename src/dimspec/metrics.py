@@ -32,9 +32,10 @@ import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import ConfigError, DegenerateScales, NumericError
+
+# numpy (about 13 MB resident) is imported inside the functions that
+# use it, so solving and constructing never load it.
 
 MAX_SCALES = 60
 JUMP_RATIO = 4.0
@@ -104,6 +105,8 @@ class ScaleProfile:
 
 
 def _fit_loglog(scales, counts):
+    import numpy as np
+
     sl = slice(1, -1) if len(scales) >= 5 else slice(None)
     xs = np.log([1.0 / e for e in scales[sl]])
     ys = np.log(counts[sl])
@@ -186,6 +189,8 @@ def _scalar_window_radius(pts, x, jump_ratio=JUMP_RATIO):
     stops inside it (geometric mean of the straddling distances).
     Without a boundary the window holds half the sample.
     """
+    import numpy as np
+
     d = np.sort(np.abs(pts - x))
     d = d[d > 0]
     n = len(d)
@@ -199,6 +204,8 @@ def _scalar_window_radius(pts, x, jump_ratio=JUMP_RATIO):
 
 def _candidate_radii(pts, x, jump_ratio=JUMP_RATIO):
     """All lacunarity-boundary radii plus dyadic nearest-neighbour radii."""
+    import numpy as np
+
     d = np.sort(np.abs(pts - x))
     d = d[d > 0]
     radii = []
@@ -250,6 +257,8 @@ def local_dimension_profile(points, n_centers=9) -> LocalProfile:
     Each gets a scalar from its own window plus the nested series; a
     degenerate window yields an empty record rather than an error.
     """
+    import numpy as np
+
     if n_centers < 1:
         raise ConfigError(f"n_centers must be positive, got {n_centers}")
     pts = np.asarray(sorted(set(float(x) for x in points)))
@@ -297,6 +306,8 @@ def fit_reciprocal_band(centers, scalars):
     Returns (c, rms_residual) over an 8000-point grid spanning
     (1e-3, 2*max(centers)).
     """
+    import numpy as np
+
     xs = np.asarray(centers, dtype=float)
     es = np.asarray(scalars, dtype=float)
     if len(xs) < 2:
@@ -383,6 +394,8 @@ class GapReport:
 
 
 def uniform_perfectness_gaps(points) -> GapReport:
+    import numpy as np
+
     pts = np.asarray(sorted(set(float(x) for x in points)))
     if len(pts) < 3:
         raise DegenerateScales(f"gap statistic needs >= 3 points, got {len(pts)}")

@@ -13,11 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigError, DegenerateScales, InsufficientPrecision
 from .solver import DEFAULT_TOL, pressure_derivative, solve_dimension
 from .words import SubsetSelector
+
+# numpy (about 13 MB resident) is imported inside the functions that
+# use it, so solving and constructing never load it.
 
 
 def _explicit_indices(subset) -> tuple[int, ...]:
@@ -128,6 +129,8 @@ def exponent_fit(family, base_subset, b_range, tol=None) -> PerturbationReport:
     ratio(b)**delta itself).  Also reports min and max of
     increment / ratio(b)**delta across the sweep.
     """
+    import numpy as np
+
     base = _explicit_indices(base_subset)
     bs = [family.check_index(int(b)) for b in b_range]
     if not bs:
@@ -185,6 +188,8 @@ def derivative_comparability(family, base_subset, b, s_range=None, n_grid=64):
     increments to ratio(b)**delta.  Defaults: delta = dim(F) midpoint,
     s_max = 3.
     """
+    import numpy as np
+
     base = _explicit_indices(base_subset)
     b = family.check_index(int(b))
     extended = tuple(sorted(set(base + (b,))))

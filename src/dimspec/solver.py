@@ -5,20 +5,30 @@ the root s of
 
     sum over a in F of ratio(a)**s  =  1.
 
-The sum is strictly decreasing in s, so bisection works, but we want an
-interval that provably brackets the root rather than a float that is
-probably close.  The trick is one-sided sums: a truncated partial sum
-rounded down can only underestimate, the partial sum plus a closed-form
-tail majorant rounded up can only overestimate.  If the pessimistic
-lower sum at lo still reaches 1 and the pessimistic upper sum at hi
-stays at or below 1, the true root is inside [lo, hi] no matter what
-rounding did.
+We want an interval that provably brackets the root rather than a float
+that is probably close.  The trick is one-sided sums: a truncated
+partial sum rounded down can only underestimate, the partial sum plus a
+closed-form tail majorant rounded up can only overestimate.  If the
+pessimistic lower sum at lo still reaches 1 and the pessimistic upper
+sum at hi stays at or below 1, the true root is inside [lo, hi] no
+matter what rounding did.  One evaluator, moran_bounds, returns both
+sums together with the slope of the sum.
+
+Solving is split from proving (solve, then certify).  The log of the
+sum, the pressure, is convex and decreasing in s, so Newton's method
+started left of the root climbs to it monotonically.  The Newton
+iterate x is only a guess: the returned endpoints are the floats just
+outside x -/+ 0.4 tol, and they are accepted only once the two
+one-sided sums at exactly those floats certify them.  Bisection of
+[0, 1] remains as the fallback, for roots above the ambient bound 1
+(ratio sums above 1) and for any bracket the sums fail to certify.
 
 Two arithmetic tiers exist: plain doubles with a generous relative
 slack, and mpmath with a working precision chosen from the requested
-tolerance.  The double tier escalates automatically when its dead zone
-(where neither one-sided test is conclusive) is wider than the
-tolerance.
+tolerance.  The mpmath tier polishes the double Newton iterate with
+Newton steps at working precision.  The double tier escalates
+automatically when its dead zone (where neither one-sided test is
+conclusive) is wider than the tolerance.
 """
 
 from __future__ import annotations
@@ -50,6 +60,11 @@ MAX_TERMS = 1 << 20
 
 DEFAULT_TOL = 1e-10
 
+# Newton iterations allowed per tier before falling back to bisection.
+NEWTON_STEPS = 64
+
+LN2 = math.log(2.0)
+
 
 def _as_selector(subset) -> SubsetSelector:
     if isinstance(subset, SubsetSelector):
@@ -73,14 +88,40 @@ def _selected_indices(family: ContractionFamily, selector: SubsetSelector):
     return selector.indices
 
 
-def _truncation_point(family: ContractionFamily, s: float, tol: float) -> int:
-    """Grow the cutoff until the tail majorant is negligible at scale tol."""
-    n_cut = 8
-    while n_cut < MAX_TERMS:
-        if family.tail_majorant(n_cut, s) < tol / 4.0:
-            break
-        n_cut *= 2
-    return n_cut
+def moran_bounds(family, indices, s, tol, prec=None):
+    """Certified (lower, upper) Moran sums at s, and the sum's slope.
+
+    indices is an explicit index tuple, or None for the full infinite
+    selector, whose partial sum grows until the tail majorant drops
+    below tol/4.  prec None evaluates in doubles with relative slack
+    SLACK_DOUBLE; an integer evaluates in mpmath at prec bits with slack
+    2**-(prec-8).  The slope d/ds of the partial sum is an estimate for
+    Newton steps, not a bound.  At s <= theta the full selector
+    diverges: (inf, inf, -inf).
+    """
+    if prec is None:
+        return _bounds(family, indices, s, tol, math.fsum, family.term_double,
+                       family.tail_majorant, SLACK_DOUBLE)
+    with mpmath.workprec(prec):
+        return _bounds(family, indices, mpmath.mpf(s), tol, mpmath.fsum, family.term_mp,
+                       family.tail_majorant_mp, mpmath.ldexp(1, 8 - prec))
+
+
+def _bounds(family, indices, s, tol, fsum, term, tail_majorant, slack):
+    tail = 0
+    if indices is None:
+        if s <= family.theta:
+            return math.inf, math.inf, -math.inf
+        n_cut = 8
+        tail = tail_majorant(n_cut, s)
+        while n_cut < MAX_TERMS and not tail < tol / 4:
+            n_cut *= 2
+            tail = tail_majorant(n_cut, s)
+        indices = range(1, n_cut + 1)
+    terms = [term(a, s) for a in indices]
+    total = fsum(terms)
+    slope = LN2 * fsum(t * family.log2_ratio(a) for t, a in zip(terms, indices))
+    return total * (1 - slack), (total + tail) * (1 + slack), slope
 
 
 def moran_sum(family, subset, s, mode="mid", tol=1e-13):
@@ -88,74 +129,34 @@ def moran_sum(family, subset, s, mode="mid", tol=1e-13):
 
     mode 'lower' returns a certified lower bound of the true sum,
     'upper' a certified upper bound (partial sum plus tail majorant),
-    'mid' the midpoint of the two without directional slack.  Returns
-    math.inf when the defining series diverges (full selector of an
-    infinite family with s <= theta).
+    'mid' the midpoint of the two.  Returns math.inf when the defining
+    series diverges (full selector of an infinite family with
+    s <= theta).
     """
     if mode not in ("lower", "upper", "mid"):
         raise ConfigError(f"unknown moran_sum mode {mode!r}")
     if s < 0:
         raise ConfigError(f"moran_sum needs s >= 0, got {s}")
-    selector = _as_selector(subset)
-    indices = _selected_indices(family, selector)
-
-    if indices is not None:
-        if not indices:
-            return 0.0
-        total = math.fsum(family.term_double(a, s) for a in indices)
-        tail = 0.0
-    else:
-        if s <= family.theta:
-            return math.inf
-        n_cut = _truncation_point(family, s, tol)
-        total = math.fsum(family.term_double(a, s) for a in range(1, n_cut + 1))
-        tail = family.tail_majorant(n_cut, s)
-
+    indices = _selected_indices(family, _as_selector(subset))
+    lower, upper, _ = moran_bounds(family, indices, s, tol)
     if mode == "lower":
-        return total * (1.0 - SLACK_DOUBLE)
+        return lower
     if mode == "upper":
-        return (total + tail) * (1.0 + SLACK_DOUBLE)
-    return total + 0.5 * tail
-
-
-def _moran_sum_mp(family, indices, s, mode, tol, prec):
-    """mpmath analogue of moran_sum for an explicit index tuple or full
-    infinite selector (indices None).  s is an mpf; runs at precision
-    prec with outward slack 2**-(prec-8)."""
-    with mpmath.workprec(prec):
-        if indices is not None:
-            if not indices:
-                return mpmath.mpf(0)
-            total = mpmath.fsum(family.term_mp(a, s) for a in indices)
-            tail = mpmath.mpf(0)
-        else:
-            if s <= family.theta:
-                return mpmath.inf
-            n_cut = 8
-            while n_cut < MAX_TERMS:
-                if family.tail_majorant_mp(n_cut, s) < tol / 4:
-                    break
-                n_cut *= 2
-            total = mpmath.fsum(family.term_mp(a, s) for a in range(1, n_cut + 1))
-            tail = family.tail_majorant_mp(n_cut, s)
-        slack = mpmath.mpf(2) ** (-(prec - 8))
-        if mode == "lower":
-            return total * (1 - slack)
-        if mode == "upper":
-            return (total + tail) * (1 + slack)
-        return total + tail / 2
+        return upper
+    return 0.5 * (lower + upper)
 
 
 @dataclass(frozen=True)
 class DimensionInterval:
     """Certified enclosure [lo, hi] of a Moran root.
 
-    cert_lo is the certified lower-mode sum at lo (>= 1), cert_hi the
-    certified upper-mode sum at hi (<= 1) or None when hi is the
-    ambient bound 1 (the attractor lives in the unit interval, so its
-    dimension never exceeds 1; that bound needs no arithmetic).  exact
-    marks the degenerate empty/singleton cases where the root is 0 by
-    inspection.
+    cert_lo is the certified lower-mode sum at the float lo (>= 1),
+    cert_hi the certified upper-mode sum at the float hi (<= 1) or None
+    when hi is the ambient bound 1 (the attractor lives in the unit
+    interval, so its dimension never exceeds 1; that bound needs no
+    arithmetic).  Both are evaluated at the reported tier and precision.
+    exact marks the degenerate empty/singleton cases where the root is
+    0 by inspection.
     """
 
     lo: float
@@ -189,137 +190,106 @@ class DimensionInterval:
         }
 
 
-def _bisect_double(family, indices, tol):
-    """Certified bisection in the double tier.
+def _newton(family, indices, x, tol, prec=None):
+    """Newton's method on the pressure log(sum) from x, or None.
 
-    Returns (lo, hi, cert_lo, cert_hi, hi_ambient) or None when the
-    dead zone blocks progress before reaching tol.
+    The pressure is convex and decreasing, so from a start left of the
+    root the iterates climb monotonically.  Stops once a step is below
+    tol/1000 or no longer moves x; in doubles also once the sum at x no
+    longer exceeds 1, which is the root up to rounding.
     """
+    log = math.log if prec is None else mpmath.log
+    for _ in range(NEWTON_STEPS):
+        lower, upper, slope = moran_bounds(family, indices, x, tol, prec)
+        if not (slope < 0 and upper < math.inf):
+            return None
+        mid = (lower + upper) / 2
+        step = mid * log(mid) / slope
+        if prec is None and step >= 0:
+            return x
+        x, previous = x - step, x
+        if abs(step) < tol / 1000 or x == previous:
+            return x
+    return None
 
-    def lower(s):
-        if indices is None:
-            if s <= family.theta:
-                return math.inf
-            n_cut = _truncation_point(family, s, tol)
-            total = math.fsum(family.term_double(a, s) for a in range(1, n_cut + 1))
-            return total * (1.0 - SLACK_DOUBLE)
-        total = math.fsum(family.term_double(a, s) for a in indices)
-        return total * (1.0 - SLACK_DOUBLE)
 
-    def upper(s):
-        if indices is None:
-            if s <= family.theta:
-                return math.inf
-            n_cut = _truncation_point(family, s, tol)
-            total = math.fsum(family.term_double(a, s) for a in range(1, n_cut + 1))
-            return (total + family.tail_majorant(n_cut, s)) * (1.0 + SLACK_DOUBLE)
-        total = math.fsum(family.term_double(a, s) for a in indices)
-        return total * (1.0 + SLACK_DOUBLE)
+def _outward(lo, hi):
+    """Floats enclosing [lo, hi]; exact for float input."""
+    lo_f, hi_f = float(lo), float(hi)
+    if lo_f > lo:
+        lo_f = math.nextafter(lo_f, -math.inf)
+    if hi_f < hi:
+        hi_f = math.nextafter(hi_f, math.inf)
+    return lo_f, hi_f
 
-    lo, hi = 0.0, 1.0
-    cert_lo = lower(lo)  # infinite at s=0 for full selectors, count >= 2 else
-    cert_hi = None
-    hi_ambient = True
 
-    u1 = upper(1.0)
-    if u1 <= 1.0:
-        cert_hi = u1
-        hi_ambient = False
+def _bisect(family, indices, tol, prec=None):
+    """Certified bisection of [0, 1], returning float endpoints.
 
-    for _ in range(200):
+    hi stays at 1 until an upper sum certifies a smaller value, which
+    covers roots above the ambient bound.  Returns None when the dead
+    zone blocks progress before the width reaches tol.
+    """
+    lo, hi = (0.0, 1.0) if prec is None else (mpmath.mpf(0), mpmath.mpf(1))
+    for _ in range(200 if prec is None else prec + 60):
         if hi - lo <= tol:
-            return lo, hi, cert_lo, cert_hi, hi_ambient
-        mid = 0.5 * (lo + hi)
-        val = lower(mid)
-        if val >= 1.0:
-            lo, cert_lo = mid, val
+            return _outward(lo, hi)
+        mid = (lo + hi) / 2
+        lower, upper, _ = moran_bounds(family, indices, mid, tol, prec)
+        if lower >= 1:
+            lo = mid
             continue
-        val = upper(mid)
-        if val <= 1.0:
-            hi, cert_hi, hi_ambient = mid, val, False
+        if upper <= 1:
+            hi = mid
             continue
         # Dead zone at mid: try to certify flanking points instead.
-        step = 0.25 * (hi - lo)
+        step = (hi - lo) / 4
         moved = False
-        p = mid - step
-        if p > lo:
-            val = lower(p)
-            if val >= 1.0:
-                lo, cert_lo, moved = p, val, True
-        q = mid + step
-        if q < hi:
-            val = upper(q)
-            if val <= 1.0:
-                hi, cert_hi, hi_ambient, moved = q, val, False, True
+        if mid - step > lo and moran_bounds(family, indices, mid - step, tol, prec)[0] >= 1:
+            lo, moved = mid - step, True
+        if mid + step < hi and moran_bounds(family, indices, mid + step, tol, prec)[1] <= 1:
+            hi, moved = mid + step, True
         if not moved:
-            return None  # dead zone spans the bracket; tier too coarse
-    return lo, hi, cert_lo, cert_hi, hi_ambient
+            return None
+    return None
 
 
-def _bisect_mp(family, indices, tol, prec):
-    with mpmath.workprec(prec):
-        tol_mp = mpmath.mpf(tol)
+def _certify(family, indices, lo, hi, tol, prec):
+    """(lo, hi, cert_lo, cert_hi, hi_is_ambient) for float endpoints
+    whose one-sided sums bracket the root, else None."""
+    cert_lo = moran_bounds(family, indices, lo, tol, prec)[0]
+    if not cert_lo >= 1:
+        return None
+    cert_hi = moran_bounds(family, indices, hi, tol, prec)[1]
+    if cert_hi <= 1:
+        return lo, hi, float(cert_lo), float(cert_hi), False
+    if hi == 1.0:
+        return lo, hi, float(cert_lo), None, True
+    return None
 
-        def lower(s):
-            return _moran_sum_mp(family, indices, s, "lower", tol_mp, prec)
 
-        def upper(s):
-            return _moran_sum_mp(family, indices, s, "upper", tol_mp, prec)
+def _solve(family, indices, tol, prec=None):
+    """Solve, then certify; bisection when that fails.
 
-        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
-        cert_lo = lower(lo)
-        cert_hi = None
-        hi_ambient = True
-        u1 = upper(hi)
-        if u1 <= 1:
-            cert_hi = u1
-            hi_ambient = False
-
-        for _ in range(prec + 60):
-            if hi - lo <= tol_mp:
-                break
-            mid = (lo + hi) / 2
-            val = lower(mid)
-            if val >= 1:
-                lo, cert_lo = mid, val
-                continue
-            val = upper(mid)
-            if val <= 1:
-                hi, cert_hi, hi_ambient = mid, val, False
-                continue
-            step = (hi - lo) / 4
-            moved = False
-            p = mid - step
-            if p > lo and lower(p) >= 1:
-                lo, moved = p, True
-            q = mid + step
-            if q < hi and upper(q) <= 1:
-                hi, hi_ambient, moved = q, False, True
-            if not moved:
-                raise ToleranceNotReachable(
-                    f"tol {tol} is below the resolution of {prec}-bit arithmetic"
-                )
-        else:
-            raise ToleranceNotReachable(
-                f"bisection did not reach tol {tol} at {prec} bits"
-            )
-
-        # Round the enclosure outward when converting to floats.
-        lo_f = float(lo)
-        if lo_f > lo:
-            lo_f = math.nextafter(lo_f, -math.inf)
-        hi_f = float(hi)
-        if hi_f < hi:
-            hi_f = math.nextafter(hi_f, math.inf)
-        lo_f = max(lo_f, 0.0)
-        hi_f = min(hi_f, 1.0) if hi_ambient else hi_f
-        return (
-            lo_f,
-            hi_f,
-            float(cert_lo) if cert_lo is not None else None,
-            float(cert_hi) if cert_hi is not None else None,
-            hi_ambient,
-        )
+    Returns _certify's tuple, or None when the dead zone stops the
+    bisection.  With prec set, the caller runs this at that mpmath
+    working precision.
+    """
+    # The sum is at least 2 at s = 0 for two or more symbols; the full
+    # root of every named family lies above 1/2.
+    x = _newton(family, indices, 0.0 if indices is not None else 0.5, tol)
+    if x is not None and prec is not None:
+        x = _newton(family, indices, mpmath.mpf(x), tol, prec)
+    if x is not None:
+        lo, hi = _outward(x - 0.4 * tol, x + 0.4 * tol)
+        if lo <= 1.0:
+            result = _certify(family, indices, max(lo, 0.0), min(hi, 1.0), tol, prec)
+            if result is not None:
+                return result
+    bracket = _bisect(family, indices, tol, prec)
+    if bracket is None:
+        return None
+    return _certify(family, indices, *bracket, tol, prec)
 
 
 def solve_dimension(family, subset="full", tol=DEFAULT_TOL, precision_bits=None):
@@ -327,9 +297,12 @@ def solve_dimension(family, subset="full", tol=DEFAULT_TOL, precision_bits=None)
 
     The empty subset and singletons yield the exact interval [0, 0]
     (no equation to solve in the first case, root at s = 0 in the
-    second).  Otherwise bisection tightens a [0, 1] bracket while
-    maintaining the one-sided certificates; precision escalates from
-    doubles to mpmath automatically unless precision_bits pins a tier.
+    second).  Otherwise Newton's method finds the root and the floats
+    just outside root -/+ 0.4 tol are certified by one lower and one
+    upper sum, evaluated at exactly those floats.  Bisection of [0, 1]
+    is the fallback when the root lies above 1 or certification fails.
+    Precision escalates from doubles to mpmath automatically unless
+    precision_bits pins a tier.
     """
     if tol <= 0:
         raise ConfigError(f"tolerance must be positive, got {tol}")
@@ -350,23 +323,24 @@ def solve_dimension(family, subset="full", tol=DEFAULT_TOL, precision_bits=None)
             raise ToleranceNotReachable(
                 f"tol {tol} is below the resolution of {prec}-bit arithmetic"
             )
-        lo, hi, cert_lo, cert_hi, amb = _bisect_mp(family, indices, tol, prec)
-        return DimensionInterval(
-            lo=lo, hi=hi, width_budget=tol, cert_lo=cert_lo, cert_hi=cert_hi,
-            hi_is_ambient=amb, tier="mpmath", precision_bits=prec,
+    else:
+        if tol >= TOL_MIN_DOUBLE:
+            result = _solve(family, indices, tol)
+            if result is not None:
+                lo, hi, cert_lo, cert_hi, amb = result
+                return DimensionInterval(
+                    lo=lo, hi=hi, width_budget=tol, cert_lo=cert_lo, cert_hi=cert_hi,
+                    hi_is_ambient=amb, tier="double", precision_bits=53,
+                )
+        prec = max(96, int(math.ceil(-math.log2(tol))) + 50)
+
+    with mpmath.workprec(prec):
+        result = _solve(family, indices, tol, prec)
+    if result is None:
+        raise ToleranceNotReachable(
+            f"tol {tol} is below the resolution of {prec}-bit arithmetic"
         )
-
-    if tol >= TOL_MIN_DOUBLE:
-        result = _bisect_double(family, indices, tol)
-        if result is not None:
-            lo, hi, cert_lo, cert_hi, amb = result
-            return DimensionInterval(
-                lo=lo, hi=hi, width_budget=tol, cert_lo=cert_lo, cert_hi=cert_hi,
-                hi_is_ambient=amb, tier="double", precision_bits=53,
-            )
-
-    prec = max(96, int(math.ceil(-math.log2(tol))) + 50)
-    lo, hi, cert_lo, cert_hi, amb = _bisect_mp(family, indices, tol, prec)
+    lo, hi, cert_lo, cert_hi, amb = result
     return DimensionInterval(
         lo=lo, hi=hi, width_budget=tol, cert_lo=cert_lo, cert_hi=cert_hi,
         hi_is_ambient=amb, tier="mpmath", precision_bits=prec,
@@ -399,17 +373,17 @@ def pressure_derivative(family, subset, s):
     indices = _selected_indices(family, selector)
     if indices is not None and not indices:
         raise ConfigError("pressure derivative of the empty subset is undefined")
-    ln2 = math.log(2.0)
     if indices is not None:
         num = math.fsum(
             family.term_double(a, s) * family.log2_ratio(a) for a in indices
-        ) * ln2
+        ) * LN2
         den = math.fsum(family.term_double(a, s) for a in indices)
         return num / den
     if s <= family.theta:
         raise DivergentSum(f"moran sum diverges at s={s}")
     num_terms = []
     den_terms = []
+    running = 0.0
     a = 1
     quiet = 0
     while a < MAX_TERMS:
@@ -417,14 +391,15 @@ def pressure_derivative(family, subset, s):
         w = family.log2_ratio(a)
         num_terms.append(t * w)
         den_terms.append(t)
-        if abs(t * w) < 1e-18 * max(1e-300, abs(math.fsum(num_terms))):
+        running += t * w
+        if abs(t * w) < 1e-18 * max(1e-300, abs(running)):
             quiet += 1
             if quiet >= 3:
                 break
         else:
             quiet = 0
         a += 1
-    num = math.fsum(num_terms) * ln2
+    num = math.fsum(num_terms) * LN2
     den = math.fsum(den_terms)
     if den == 0.0 or math.isinf(den):
         raise DivergentSum(f"moran sum not summable at s={s}")

@@ -124,7 +124,7 @@ def _auto_tol(family, depth: int, base_symbols) -> float:
     """Pick a tolerance resolving the finest expected gap at this depth.
 
     The deepest toggled symbol contributes about ratio(depth)**s, with s
-    near the dimension of the full selection; an eighth of that keeps
+    near the dimension of the full selection; a sixteenth of that keeps
     adjacent cloud points certified apart.
     """
     full_word = "1" * depth

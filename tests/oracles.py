@@ -58,6 +58,17 @@ def sqexp_full_sum(s, cutoff_bits=260):
         a += 1
 
 
+def geometric_full_sum(s):
+    """sum over a >= 1 of 2**(-a*s), in closed form."""
+    return 1 / (mpmath.power(2, s) - 1)
+
+
+def type_three_full_sum(s):
+    """2 * 3**(-s) plus the geometric series over a >= 3 of 3**((1-a)*s)."""
+    x = mpmath.power(3, -s)
+    return 2 * x + x * x / (1 - x)
+
+
 def ratio_sum(ratios):
     fracs = [Fraction(r) for r in ratios]
     return lambda s: mpmath.fsum(

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import pytest
@@ -7,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from dimspec import solver
 from dimspec.errors import ConfigError, DivergentSum, ToleranceNotReachable
 from dimspec.families import ContractionFamily
 from dimspec.solver import (
     DEFAULT_TOL,
+    moran_bounds,
     moran_sum,
     pressure,
     pressure_derivative,
@@ -141,6 +144,104 @@ def test_enclosure_contains_oracle_root(indices):
     iv = solve_dimension(SQEXP, subset, tol=1e-11)
     root = oracles.sqexp_root(subset)
     assert iv.lo <= root <= iv.hi
+
+
+# --- solve, then certify ---------------------------------------------------------
+
+FULL_SUMS = {
+    "square-exponent": oracles.sqexp_full_sum,
+    "geometric": oracles.geometric_full_sum,
+    "type-three": oracles.type_three_full_sum,
+}
+
+selections = st.one_of(
+    st.tuples(
+        st.sampled_from(["square-exponent", "geometric"]),
+        st.sets(st.integers(min_value=1, max_value=12), min_size=2, max_size=8)
+        .map(lambda s: tuple(sorted(s))),
+    ),
+    st.tuples(st.sampled_from(sorted(FULL_SUMS)), st.just("full")),
+)
+# log-uniform from 1e-8 (double tier) down to 1e-30 (mpmath tier)
+tolerances = st.floats(min_value=-30.0, max_value=-8.0).map(lambda e: 10.0**e)
+
+
+def _oracle_root(kind, subset):
+    if subset == "full":
+        return oracles.bisect_root(FULL_SUMS[kind])
+    if kind == "square-exponent":
+        return oracles.bisect_root(oracles.sqexp_sum(subset))
+    return oracles.bisect_root(oracles.ratio_sum([Fraction(1, 2**a) for a in subset]))
+
+
+def _recomputed_certificates(fam, subset, iv):
+    """Lower sum at the reported lo and upper sum at the reported hi, at
+    the reported tier and precision."""
+    if iv.tier == "double":
+        return (moran_sum(fam, subset, iv.lo, mode="lower", tol=iv.width_budget),
+                moran_sum(fam, subset, iv.hi, mode="upper", tol=iv.width_budget))
+    indices = None if subset == "full" else subset
+    lower = moran_bounds(fam, indices, iv.lo, iv.width_budget, iv.precision_bits)[0]
+    upper = moran_bounds(fam, indices, iv.hi, iv.width_budget, iv.precision_bits)[1]
+    return float(lower), float(upper)
+
+
+@settings(max_examples=80, deadline=None)
+@given(selections, tolerances)
+def test_enclosure_contains_root_within_newton_width(selection, tol):
+    kind, subset = selection
+    fam = ContractionFamily(kind)
+    with mock.patch.object(solver, "_bisect", wraps=solver._bisect) as fallback:
+        iv = solve_dimension(fam, subset, tol=tol)
+    if tol < solver.TOL_MIN_DOUBLE:
+        assert iv.tier == "mpmath"
+    assert iv.lo <= _oracle_root(kind, subset) <= iv.hi
+    # The certified Newton bracket is x -/+ 0.4 tol rounded outward; the
+    # bisection fallback (dead zone near the double-tier floor, root at
+    # the ambient bound) keeps its own budget of tol.
+    budget = tol if fallback.called else 0.8 * tol
+    assert iv.width <= budget + 2 * math.ulp(iv.hi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(selections, tolerances)
+def test_certificates_sit_at_the_reported_endpoints(selection, tol):
+    kind, subset = selection
+    fam = ContractionFamily(kind)
+    iv = solve_dimension(fam, subset, tol=tol)
+    lower, upper = _recomputed_certificates(fam, subset, iv)
+    assert iv.cert_lo == lower and iv.cert_lo >= 1.0
+    if iv.hi_is_ambient:
+        assert iv.hi == 1.0 and iv.cert_hi is None
+    else:
+        assert iv.cert_hi == upper and iv.cert_hi <= 1.0
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-13, 1e-22])
+@pytest.mark.parametrize("subset", [(1, 2, 5), "full"])
+def test_bisection_fallback_certifies_when_newton_fails(monkeypatch, subset, tol):
+    # A Newton iterate far from the root: its bracket fails certification.
+    monkeypatch.setattr(solver, "_newton", lambda family, indices, x, tol, prec=None: x + 0.25)
+    fallback = mock.Mock(wraps=solver._bisect)
+    monkeypatch.setattr(solver, "_bisect", fallback)
+    iv = solve_dimension(SQEXP, subset, tol=tol)
+    assert fallback.called
+    root = _oracle_root("square-exponent", subset)
+    assert iv.lo <= root <= iv.hi
+    assert iv.width <= tol + 2 * math.ulp(iv.hi)
+    assert (iv.cert_lo, iv.cert_hi) == _recomputed_certificates(SQEXP, subset, iv)
+    assert iv.cert_lo >= 1.0 >= iv.cert_hi
+
+
+def test_ratio_sum_above_one_keeps_the_ambient_bound():
+    # Three copies of 0.9: the Moran root ln 3 / ln(10/9) ~ 10.4 lies
+    # above the ambient bound, so the enclosure ends at 1.
+    iv = solve_dimension(ContractionFamily.explicit(["0.9"] * 3), tol=1e-10)
+    assert iv.hi_is_ambient
+    assert iv.hi == 1.0 and iv.cert_hi is None
+    assert 1.0 - 1e-10 <= iv.lo < 1.0
+    assert iv.cert_lo == pytest.approx(2.7, rel=1e-9)
+    assert iv.tier == "double"
 
 
 # --- precision control --------------------------------------------------------
