@@ -55,7 +55,11 @@ class CriterionResult:
 
 
 class CloudCache:
-    """Memoises spectrum clouds shared between the spectrum checks."""
+    """Memoises spectrum clouds shared between the spectrum checks.
+
+    A cache lives as long as its holder: run_all and criteria 6 and 8
+    make a fresh one per call unless one is passed in.
+    """
 
     def __init__(self):
         self._clouds = {}
@@ -66,9 +70,6 @@ class CloudCache:
             fam = ContractionFamily.from_name(family_name)
             self._clouds[key] = expand_spectrum(fam, depth, base_symbols=(1, 2))
         return self._clouds[key]
-
-
-_CACHE = CloudCache()
 
 
 def _sweep_family():
@@ -239,9 +240,10 @@ def criterion_5() -> CriterionResult:
     return CriterionResult(5, "branch increment band", passed, details, elapsed)
 
 
-def criterion_6(cache: CloudCache = _CACHE) -> CriterionResult:
+def criterion_6(cache: CloudCache | None = None) -> CriterionResult:
     """Spectrum cloud profile shrinks; gap ratios grow (depths 6..10)."""
     t0 = time.perf_counter()
+    cache = cache if cache is not None else CloudCache()
     slopes = {}
     gap_ratios = {}
     for depth in range(6, 11):
@@ -303,9 +305,10 @@ def criterion_7() -> CriterionResult:
     return CriterionResult(7, "exact separation construction", passed, details, elapsed)
 
 
-def criterion_8(cache: CloudCache = _CACHE) -> CriterionResult:
+def criterion_8(cache: CloudCache | None = None) -> CriterionResult:
     """Type taxonomy: geometric I, square-exponent II, type-three III."""
     t0 = time.perf_counter()
+    cache = cache if cache is not None else CloudCache()
     outcomes = {}
     for name, depth, want in (
         ("geometric", 12, "Type I"),
@@ -383,7 +386,10 @@ ALL_CRITERIA = (
 )
 
 
-def run_all(cache: CloudCache = _CACHE, numbers=None):
+def run_all(cache: CloudCache | None = None, numbers=None):
+    """Run the numbered criteria (all by default); criteria 6 and 8
+    share cache, a fresh CloudCache when none is given."""
+    cache = cache if cache is not None else CloudCache()
     if numbers is None:
         numbers = range(1, len(ALL_CRITERIA) + 1)
     results = []

@@ -23,12 +23,23 @@ all boundary and dyadic nearest-neighbour windows is attached for trend
 checks.  Classification into the three qualitative types follows from
 the scalars: all near 1, all near 0, or a reciprocal-shaped middle band
 fitted by min(1, c/x).
+
+Costs, for n distinct points.  A covering count is one binary search
+per interval it places.  The gap statistic is O(n^2): each center
+merges its two sorted runs of distances (left and right neighbours) in
+O(n) with a stable sort, and a center whose cheap upper bound cannot
+beat the running best is skipped (the bound is proven conservative in
+uniform_perfectness_gaps).  The reciprocal fit is one vectorised pass
+over its 8000-point grid.  Every public metric raises ConfigError on a
+non-finite point.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
+import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,18 +53,35 @@ JUMP_RATIO = 4.0
 MIN_FIT_SCALES = 3
 
 
+def _exact(x) -> Fraction:
+    """x as an exact Fraction; ConfigError for NaN and infinities."""
+    try:
+        return Fraction(x)
+    except (OverflowError, ValueError):
+        raise ConfigError(f"metrics need finite values, got {x!r}") from None
+
+
+def _distinct_sorted(points) -> list[float]:
+    """Sorted distinct float values of points; ConfigError on a
+    non-finite one (NaN would break the sort, inf every distance)."""
+    vals = set(float(x) for x in points)
+    if not all(map(math.isfinite, vals)):
+        raise ConfigError("metrics need finite points, got a NaN or infinity")
+    return sorted(vals)
+
+
 def box_count(points, eps) -> int:
     """Number of occupied grid cells [k*eps, (k+1)*eps), exactly.
 
     Points and eps are converted to Fractions (floats convert exactly),
     so ties on cell walls resolve by arithmetic rather than rounding.
     """
-    f_eps = Fraction(eps)
+    f_eps = _exact(eps)
     if f_eps <= 0:
         raise ConfigError(f"box_count needs eps > 0, got {eps}")
     cells = set()
     for x in points:
-        q = Fraction(x) / f_eps
+        q = _exact(x) / f_eps
         k = q.numerator // q.denominator  # true floor
         cells.add(k)
     return len(cells)
@@ -61,15 +89,28 @@ def box_count(points, eps) -> int:
 
 def covering_count(sorted_pts, eps) -> int:
     """Greedy minimal number of half-open length-eps intervals covering
-    the sorted points.  Translation invariant."""
+    the sorted points.  Translation invariant; one binary search per
+    interval placed.  ConfigError for eps <= 0 or a non-finite point."""
+    if not eps > 0:
+        raise ConfigError(f"covering_count needs eps > 0, got {eps}")
+    if not all(map(math.isfinite, sorted_pts)):
+        raise ConfigError("metrics need finite points, got a NaN or infinity")
+    return _covering_count(sorted_pts, eps)
+
+
+def _covering_count(pts, eps) -> int:
+    """covering_count on checked input.  Each interval [p, p + eps)
+    ends at the first point >= p + eps, found by bisection; the search
+    starts past p, so the count always moves forward, also when p + eps
+    rounds back to p (then the interval holds the copies of p only)."""
     n = 0
     i = 0
-    m = len(sorted_pts)
+    m = len(pts)
     while i < m:
-        lim = sorted_pts[i] + eps
+        p = pts[i]
+        lim = p + eps
         n += 1
-        while i < m and sorted_pts[i] < lim:
-            i += 1
+        i = bisect_left(pts, lim, i + 1) if lim > p else bisect_right(pts, p, i + 1)
     return n
 
 
@@ -116,10 +157,10 @@ def _fit_loglog(scales, counts):
     return float(coef[0]), resid
 
 
-def _profile(points, floor_rule="min", scale_range=None):
-    """Shared profile core; returns None when fewer than MIN_FIT_SCALES
-    scales survive (callers decide whether that is an error)."""
-    pts = sorted(set(float(x) for x in points))
+def _profile(pts, floor_rule="min", scale_range=None):
+    """Shared profile core on sorted distinct finite floats; returns
+    None when fewer than MIN_FIT_SCALES scales survive (callers decide
+    whether that is an error)."""
     n = len(pts)
     if n < 2:
         return None
@@ -148,7 +189,7 @@ def _profile(points, floor_rule="min", scale_range=None):
             break
         scales.append(diam * 2.0 ** (-k))
         k += 1
-    counts = [covering_count(pts, e) for e in scales]
+    counts = [_covering_count(pts, e) for e in scales]
     while len(counts) >= 2 and counts[-1] == n and counts[-2] == n:
         counts.pop()
         scales.pop()
@@ -173,12 +214,34 @@ def box_dimension_estimate(points, scale_range=None) -> ScaleProfile:
     gap; raises DegenerateScales when fewer than three scales fit
     between those bounds (too few points, or a near-arithmetic set).
     """
-    prof = _profile(points, floor_rule="min", scale_range=scale_range)
+    pts = _distinct_sorted(points)
+    prof = _profile(pts, floor_rule="min", scale_range=scale_range)
     if prof is None:
         raise DegenerateScales(
             f"{len(set(points))} points leave fewer than {MIN_FIT_SCALES} usable scales"
         )
     return prof
+
+
+def _distances(pts, x):
+    """Sorted positive distances from x to the sorted array pts.
+
+    The points left of x give a descending run and those right of it
+    an ascending one; a stable sort (timsort) merges the two runs in
+    O(n) instead of sorting from scratch.
+    """
+    import numpy as np
+
+    d = np.sort(np.abs(pts - x), kind="stable")
+    return d[d > 0]
+
+
+def _boundaries(d, jump_ratio):
+    """Indices i >= 2 with d[i + 1] > jump_ratio * d[i]: the lacunarity
+    boundaries of the sorted distances d, in one vectorised pass."""
+    import numpy as np
+
+    return np.flatnonzero(d[3:] > jump_ratio * d[2:-1]) + 2
 
 
 def _scalar_window_radius(pts, x, jump_ratio=JUMP_RATIO):
@@ -189,29 +252,21 @@ def _scalar_window_radius(pts, x, jump_ratio=JUMP_RATIO):
     stops inside it (geometric mean of the straddling distances).
     Without a boundary the window holds half the sample.
     """
-    import numpy as np
-
-    d = np.sort(np.abs(pts - x))
-    d = d[d > 0]
+    d = _distances(pts, x)
     n = len(d)
     if n < 2:
         return None, "empty"
-    for i in range(2, n - 1):
-        if d[i + 1] > jump_ratio * d[i]:
-            return math.sqrt(d[i] * d[i + 1]), "boundary"
+    hits = _boundaries(d, jump_ratio)
+    if len(hits):
+        i = hits[0]
+        return math.sqrt(d[i] * d[i + 1]), "boundary"
     return float(d[min(n - 1, len(pts) // 2)]), "half-sample"
 
 
 def _candidate_radii(pts, x, jump_ratio=JUMP_RATIO):
     """All lacunarity-boundary radii plus dyadic nearest-neighbour radii."""
-    import numpy as np
-
-    d = np.sort(np.abs(pts - x))
-    d = d[d > 0]
-    radii = []
-    for i in range(2, len(d) - 1):
-        if d[i + 1] > jump_ratio * d[i]:
-            radii.append(math.sqrt(d[i] * d[i + 1]))
+    d = _distances(pts, x)
+    radii = [math.sqrt(d[i] * d[i + 1]) for i in _boundaries(d, jump_ratio)]
     m = 4
     while m < len(d):
         radii.append(float(d[m]))
@@ -261,7 +316,7 @@ def local_dimension_profile(points, n_centers=9) -> LocalProfile:
 
     if n_centers < 1:
         raise ConfigError(f"n_centers must be positive, got {n_centers}")
-    pts = np.asarray(sorted(set(float(x) for x in points)))
+    pts = np.asarray(_distinct_sorted(points))
     n = len(pts)
     if n < 2:
         raise DegenerateScales(f"local profile needs at least 2 points, got {n}")
@@ -276,14 +331,14 @@ def local_dimension_profile(points, n_centers=9) -> LocalProfile:
         scalar = None
         size = 0
         if radius is not None:
-            sel = list(pts[np.abs(pts - x) <= radius])
+            sel = pts[np.abs(pts - x) <= radius].tolist()
             size = len(sel)
             prof = _profile(sel, floor_rule="median")
             if prof is not None:
                 scalar = prof.slope
         series = []
         for r in _candidate_radii(pts, x):
-            sel = list(pts[np.abs(pts - x) <= r])
+            sel = pts[np.abs(pts - x) <= r].tolist()
             prof = _profile(sel, floor_rule="median")
             if prof is not None:
                 series.append((float(r), len(sel), prof.slope))
@@ -304,7 +359,8 @@ def fit_reciprocal_band(centers, scalars):
     """Best constant c for the profile min(1, c/x) by grid search.
 
     Returns (c, rms_residual) over an 8000-point grid spanning
-    (1e-3, 2*max(centers)).
+    (1e-3, 2*max(centers)), evaluated in one vectorised pass over the
+    grid x centers residual matrix; ties keep the smallest c.
     """
     import numpy as np
 
@@ -312,14 +368,17 @@ def fit_reciprocal_band(centers, scalars):
     es = np.asarray(scalars, dtype=float)
     if len(xs) < 2:
         raise NumericError("reciprocal fit needs at least 2 centers")
+    if not (np.isfinite(xs).all() and np.isfinite(es).all()):
+        raise ConfigError("reciprocal fit needs finite centers and scalars")
     grid = np.linspace(1e-3, 2 * xs.max(), 8000)
-    best_c, best_r = None, None
-    for c in grid:
-        pred = np.minimum(1.0, c / xs)
-        r = float(np.sqrt(np.mean((es - pred) ** 2)))
-        if best_r is None or r < best_r:
-            best_c, best_r = float(c), r
-    return best_c, best_r
+    # Row j is (es - min(1, grid[j]/xs))**2, computed in place.
+    sq = grid[:, None] / xs
+    np.minimum(sq, 1.0, out=sq)
+    np.subtract(es, sq, out=sq)
+    np.square(sq, out=sq)
+    rms = np.sqrt(np.mean(sq, axis=1))
+    j = int(np.argmin(rms))
+    return float(grid[j]), float(rms[j])
 
 
 @dataclass(frozen=True)
@@ -394,15 +453,39 @@ class GapReport:
 
 
 def uniform_perfectness_gaps(points) -> GapReport:
+    """The GapReport of the distinct points; O(n^2) time, O(n) memory.
+
+    Each center costs an O(n) stable-sort merge of its distances d, as
+    in _distances; repeated distances are dropped.  A center is
+    skipped when its bound (1 + max d[k+1]/d[k])/2 * (1 + 1e-12) is at
+    most the best ratio found so far.  The bound is conservative: with
+    a = d[k], b = d[k+1] and u = 2**-53, the computed ratio
+    ((a+b)/2)/a carries two roundings (the halving is exact) and is at
+    most ((a+b)/2a)(1+u)^2, while the computed bound carries four and
+    the rounded factor 1 + 1e-12 - 2u, so it is at least
+    ((a+b)/2a)(1-u)^4(1 + 1e-12 - 2u).  The bound is thus strictly
+    larger, and a skipped center could never have replaced the best,
+    which only a strictly larger ratio does.  This needs a + b to stay
+    finite and (a+b)/2 normal; when the diameter or the smallest gap
+    leaves that range, no center is skipped.
+    """
     import numpy as np
 
-    pts = np.asarray(sorted(set(float(x) for x in points)))
+    pts = np.asarray(_distinct_sorted(points))
     if len(pts) < 3:
         raise DegenerateScales(f"gap statistic needs >= 3 points, got {len(pts)}")
+    # Every distance lies between the smallest gap and the diameter.
+    may_skip = (float(np.min(np.diff(pts))) >= sys.float_info.min
+                and pts[-1] - pts[0] <= 2.0**1022)
     best = None
     for x in pts:
-        d = np.unique(np.abs(pts - x))
-        d = d[d > 0]
+        # Sorted distances with the center's own zero in front; repeated
+        # distances only add ratios of 1, so the bound may see them.
+        d = np.sort(np.abs(pts - x), kind="stable")
+        if (best is not None and may_skip
+                and (1 + float(np.max(d[2:] / d[1:-1]))) / 2 * (1 + 1e-12) <= best[0]):
+            continue
+        d = d[1:][d[1:] != d[:-1]]
         if len(d) < 2:
             continue
         rmid = (d[:-1] + d[1:]) / 2

@@ -34,7 +34,10 @@ conclusive) is wider than the tolerance.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import islice
+from operator import mul
 
 import mpmath
 
@@ -100,28 +103,59 @@ def moran_bounds(family, indices, s, tol, prec=None):
     diverges: (inf, inf, -inf).
     """
     if prec is None:
-        return _bounds(family, indices, s, tol, math.fsum, family.term_double,
-                       family.tail_majorant, SLACK_DOUBLE)
+        return _double_bounds(family, indices, tol)(s)
     with mpmath.workprec(prec):
-        return _bounds(family, indices, mpmath.mpf(s), tol, mpmath.fsum, family.term_mp,
-                       family.tail_majorant_mp, mpmath.ldexp(1, 8 - prec))
+        s = mpmath.mpf(s)
+        tail = 0
+        if indices is None:
+            if s <= family.theta:
+                return math.inf, math.inf, -math.inf
+            n_cut, tail = _truncation(family.tail_majorant_mp, s, tol)
+            indices = range(1, n_cut + 1)
+        terms = [family.term_mp(a, s) for a in indices]
+        total = mpmath.fsum(terms)
+        slope = LN2 * mpmath.fsum(t * family.log2_ratio(a) for t, a in zip(terms, indices))
+        slack = mpmath.ldexp(1, 8 - prec)
+        return total * (1 - slack), (total + tail) * (1 + slack), slope
 
 
-def _bounds(family, indices, s, tol, fsum, term, tail_majorant, slack):
-    tail = 0
-    if indices is None:
-        if s <= family.theta:
-            return math.inf, math.inf, -math.inf
-        n_cut = 8
+def _truncation(tail_majorant, s, tol):
+    """(n_cut, tail): the first n_cut = 8 * 2**k whose tail majorant is
+    below tol/4, or MAX_TERMS."""
+    n_cut = 8
+    tail = tail_majorant(n_cut, s)
+    while n_cut < MAX_TERMS and not tail < tol / 4:
+        n_cut *= 2
         tail = tail_majorant(n_cut, s)
-        while n_cut < MAX_TERMS and not tail < tol / 4:
-            n_cut *= 2
-            tail = tail_majorant(n_cut, s)
-        indices = range(1, n_cut + 1)
-    terms = [term(a, s) for a in indices]
-    total = fsum(terms)
-    slope = LN2 * fsum(t * family.log2_ratio(a) for t, a in zip(terms, indices))
-    return total * (1 - slack), (total + tail) * (1 + slack), slope
+    return n_cut, tail
+
+
+def _double_bounds(family, indices, tol):
+    """moran_bounds(family, indices, s, tol) in doubles, as a function
+    of s for the length of one solve.
+
+    Each symbol's log2 ratio w is looked up once here, not once per
+    term of every evaluation; a term is 2.0 ** (s * w), the expression
+    family.term_double evaluates, so every sum is the same float.  For
+    the full selector the weights grow with the largest n_cut seen, up
+    to MAX_TERMS, so they are packed 8 bytes each.
+    """
+    weights = array("d") if indices is None else [family.log2_ratio(a) for a in indices]
+
+    def bounds(s):
+        n = len(weights)
+        tail = 0.0
+        if indices is None:
+            if s <= family.theta:
+                return math.inf, math.inf, -math.inf
+            n, tail = _truncation(family.tail_majorant, s, tol)
+            weights.extend(family.log2_ratio(a) for a in range(len(weights) + 1, n + 1))
+        terms = [2.0 ** (s * w) for w in islice(weights, n)]
+        total = math.fsum(terms)
+        slope = LN2 * math.fsum(map(mul, terms, weights))
+        return total * (1 - SLACK_DOUBLE), (total + tail) * (1 + SLACK_DOUBLE), slope
+
+    return bounds
 
 
 def moran_sum(family, subset, s, mode="mid", tol=1e-13):
@@ -190,9 +224,10 @@ class DimensionInterval:
         }
 
 
-def _newton(family, indices, x, tol, prec=None):
+def _newton(bounds, x, tol, prec=None):
     """Newton's method on the pressure log(sum) from x, or None.
 
+    bounds(s) returns moran_bounds at s in the tier that prec names.
     The pressure is convex and decreasing, so from a start left of the
     root the iterates climb monotonically.  Stops once a step is below
     tol/1000 or no longer moves x; in doubles also once the sum at x no
@@ -200,7 +235,7 @@ def _newton(family, indices, x, tol, prec=None):
     """
     log = math.log if prec is None else mpmath.log
     for _ in range(NEWTON_STEPS):
-        lower, upper, slope = moran_bounds(family, indices, x, tol, prec)
+        lower, upper, slope = bounds(x)
         if not (slope < 0 and upper < math.inf):
             return None
         mid = (lower + upper) / 2
@@ -223,7 +258,7 @@ def _outward(lo, hi):
     return lo_f, hi_f
 
 
-def _bisect(family, indices, tol, prec=None):
+def _bisect(bounds, tol, prec=None):
     """Certified bisection of [0, 1], returning float endpoints.
 
     hi stays at 1 until an upper sum certifies a smaller value, which
@@ -235,7 +270,7 @@ def _bisect(family, indices, tol, prec=None):
         if hi - lo <= tol:
             return _outward(lo, hi)
         mid = (lo + hi) / 2
-        lower, upper, _ = moran_bounds(family, indices, mid, tol, prec)
+        lower, upper, _ = bounds(mid)
         if lower >= 1:
             lo = mid
             continue
@@ -245,22 +280,22 @@ def _bisect(family, indices, tol, prec=None):
         # Dead zone at mid: try to certify flanking points instead.
         step = (hi - lo) / 4
         moved = False
-        if mid - step > lo and moran_bounds(family, indices, mid - step, tol, prec)[0] >= 1:
+        if mid - step > lo and bounds(mid - step)[0] >= 1:
             lo, moved = mid - step, True
-        if mid + step < hi and moran_bounds(family, indices, mid + step, tol, prec)[1] <= 1:
+        if mid + step < hi and bounds(mid + step)[1] <= 1:
             hi, moved = mid + step, True
         if not moved:
             return None
     return None
 
 
-def _certify(family, indices, lo, hi, tol, prec):
+def _certify(bounds, lo, hi):
     """(lo, hi, cert_lo, cert_hi, hi_is_ambient) for float endpoints
     whose one-sided sums bracket the root, else None."""
-    cert_lo = moran_bounds(family, indices, lo, tol, prec)[0]
+    cert_lo = bounds(lo)[0]
     if not cert_lo >= 1:
         return None
-    cert_hi = moran_bounds(family, indices, hi, tol, prec)[1]
+    cert_hi = bounds(hi)[1]
     if cert_hi <= 1:
         return lo, hi, float(cert_lo), float(cert_hi), False
     if hi == 1.0:
@@ -275,21 +310,28 @@ def _solve(family, indices, tol, prec=None):
     bisection.  With prec set, the caller runs this at that mpmath
     working precision.
     """
+    double = _double_bounds(family, indices, tol)
+
+    def bounds(s):
+        if prec is None:
+            return double(s)
+        return moran_bounds(family, indices, s, tol, prec)
+
     # The sum is at least 2 at s = 0 for two or more symbols; the full
     # root of every named family lies above 1/2.
-    x = _newton(family, indices, 0.0 if indices is not None else 0.5, tol)
+    x = _newton(double, 0.0 if indices is not None else 0.5, tol)
     if x is not None and prec is not None:
-        x = _newton(family, indices, mpmath.mpf(x), tol, prec)
+        x = _newton(bounds, mpmath.mpf(x), tol, prec)
     if x is not None:
         lo, hi = _outward(x - 0.4 * tol, x + 0.4 * tol)
         if lo <= 1.0:
-            result = _certify(family, indices, max(lo, 0.0), min(hi, 1.0), tol, prec)
+            result = _certify(bounds, max(lo, 0.0), min(hi, 1.0))
             if result is not None:
                 return result
-    bracket = _bisect(family, indices, tol, prec)
+    bracket = _bisect(bounds, tol, prec)
     if bracket is None:
         return None
-    return _certify(family, indices, *bracket, tol, prec)
+    return _certify(bounds, *bracket)
 
 
 def solve_dimension(family, subset="full", tol=DEFAULT_TOL, precision_bits=None):
@@ -374,10 +416,10 @@ def pressure_derivative(family, subset, s):
     if indices is not None and not indices:
         raise ConfigError("pressure derivative of the empty subset is undefined")
     if indices is not None:
-        num = math.fsum(
-            family.term_double(a, s) * family.log2_ratio(a) for a in indices
-        ) * LN2
-        den = math.fsum(family.term_double(a, s) for a in indices)
+        weights = [family.log2_ratio(a) for a in indices]
+        terms = [2.0 ** (s * w) for w in weights]
+        num = math.fsum(map(mul, terms, weights)) * LN2
+        den = math.fsum(terms)
         return num / den
     if s <= family.theta:
         raise DivergentSum(f"moran sum diverges at s={s}")
@@ -387,8 +429,8 @@ def pressure_derivative(family, subset, s):
     a = 1
     quiet = 0
     while a < MAX_TERMS:
-        t = family.term_double(a, s)
         w = family.log2_ratio(a)
+        t = 2.0 ** (s * w)
         num_terms.append(t * w)
         den_terms.append(t)
         running += t * w

@@ -101,3 +101,106 @@ def oracle_f_fraction(word: str) -> Fraction:
         if bit == "1":
             total += Fraction(1, 2 ** oracle_g_exponent(word[:i]))
     return total
+
+
+# --- reference metric kernels ----------------------------------------------
+#
+# The straightforward kernels the fast ones in dimspec.metrics replaced:
+# a full np.unique sort per gap center, a Python loop over the reciprocal
+# fit grid, a linear covering walk and Python loops over the distance
+# jumps.  The fast kernels must agree with these exactly (==).
+
+def ref_covering_count(sorted_pts, eps):
+    n = 0
+    i = 0
+    m = len(sorted_pts)
+    while i < m:
+        lim = sorted_pts[i] + eps
+        n += 1
+        while i < m and sorted_pts[i] < lim:
+            i += 1
+    return n
+
+
+def ref_scalar_window_radius(pts, x, jump_ratio=4.0):
+    import numpy as np
+
+    d = np.sort(np.abs(pts - x))
+    d = d[d > 0]
+    n = len(d)
+    if n < 2:
+        return None, "empty"
+    for i in range(2, n - 1):
+        if d[i + 1] > jump_ratio * d[i]:
+            return math.sqrt(d[i] * d[i + 1]), "boundary"
+    return float(d[min(n - 1, len(pts) // 2)]), "half-sample"
+
+
+def ref_candidate_radii(pts, x, jump_ratio=4.0):
+    import numpy as np
+
+    d = np.sort(np.abs(pts - x))
+    d = d[d > 0]
+    radii = []
+    for i in range(2, len(d) - 1):
+        if d[i + 1] > jump_ratio * d[i]:
+            radii.append(math.sqrt(d[i] * d[i + 1]))
+    m = 4
+    while m < len(d):
+        radii.append(float(d[m]))
+        m *= 2
+    return sorted(set(radii))
+
+
+def ref_fit_reciprocal_band(centers, scalars):
+    import numpy as np
+
+    xs = np.asarray(centers, dtype=float)
+    es = np.asarray(scalars, dtype=float)
+    grid = np.linspace(1e-3, 2 * xs.max(), 8000)
+    best_c, best_r = None, None
+    for c in grid:
+        pred = np.minimum(1.0, c / xs)
+        r = float(np.sqrt(np.mean((es - pred) ** 2)))
+        if best_r is None or r < best_r:
+            best_c, best_r = float(c), r
+    return best_c, best_r
+
+
+def ref_uniform_perfectness_gaps(points):
+    """(max_ratio, center, inner_distance, radius), or None without a
+    usable center."""
+    import numpy as np
+
+    pts = np.asarray(sorted(set(float(x) for x in points)))
+    best = None
+    for x in pts:
+        d = np.unique(np.abs(pts - x))
+        d = d[d > 0]
+        if len(d) < 2:
+            continue
+        rmid = (d[:-1] + d[1:]) / 2
+        ratios = rmid / d[:-1]
+        j = int(np.argmax(ratios))
+        c = float(ratios[j])
+        if best is None or c > best[0]:
+            best = (c, float(x), float(d[j]), float(rmid[j]))
+    return best
+
+
+def term_by_term_bounds(family, indices, s, tol, slack=2.0**-43, max_terms=1 << 20):
+    """Double-tier (lower, upper, slope) built from family.term_double
+    one symbol at a time, with the solver's truncation rule for the
+    full selector (indices None)."""
+    tail = 0.0
+    if indices is None:
+        n_cut = 8
+        tail = family.tail_majorant(n_cut, s)
+        while n_cut < max_terms and not tail < tol / 4:
+            n_cut *= 2
+            tail = family.tail_majorant(n_cut, s)
+        indices = range(1, n_cut + 1)
+    terms = [family.term_double(a, s) for a in indices]
+    total = math.fsum(terms)
+    slope = math.log(2.0) * math.fsum(t * family.log2_ratio(a) for t, a in zip(terms, indices))
+    return total * (1 - slack), (total + tail) * (1 + slack), slope

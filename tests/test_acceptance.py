@@ -1,9 +1,9 @@
 """Acceptance gate: one test per numbered criterion.
 
-Each test delegates to the shared criterion implementation and asserts
-its verdict, so `pytest -v tests/test_acceptance.py` prints exactly one
-pass/fail line per criterion and the failure message carries the
-measured numbers.
+Each criterion test delegates to the shared criterion implementation
+and asserts its verdict, so `pytest -v tests/test_acceptance.py` prints
+one pass/fail line per criterion and the failure message carries the
+measured numbers.  The last test checks run_all's cloud cache.
 
 Criteria 3 and 4 fail by design on this finite sweep: the fitted
 exponent lands 3.36% from its limit against a 3% gate, and the per-b
@@ -54,3 +54,23 @@ def test_criterion_8_type_taxonomy(cloud_cache):
 
 def test_criterion_9_worker_determinism():
     _check(acceptance.criterion_9())
+
+
+def test_run_all_makes_a_fresh_cache_per_call(monkeypatch):
+    seen = []
+
+    def record(cache=None):
+        seen.append(cache)
+        return acceptance.CriterionResult(6, "recorder", True, "", 0.0)
+
+    monkeypatch.setattr(acceptance, "criterion_6", record)
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA",
+                        acceptance.ALL_CRITERIA[:5] + (record,) + acceptance.ALL_CRITERIA[6:])
+    acceptance.run_all(numbers=[6])
+    acceptance.run_all(numbers=[6])
+    mine = acceptance.CloudCache()
+    acceptance.run_all(mine, numbers=[6])
+    assert all(isinstance(cache, acceptance.CloudCache) for cache in seen)
+    assert seen[0] is not seen[1]
+    assert seen[2] is mine
+    assert not hasattr(acceptance, "_CACHE")

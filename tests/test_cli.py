@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import oracles
 from dimspec import cli
 
 
@@ -117,6 +118,36 @@ def test_localdim_series_in_structured_output(capsys):
     assert code == 0
     assert doc["n_points"] == 128
     assert len(doc["series"]) == 9
+
+
+# --- fast kernels keep every byte ---------------------------------------------
+
+METRIC_COMMANDS = [
+    [cmd, "--family", "cantor-pair", "--depth", "9"]
+    for cmd in ("boxdim", "localdim", "gaps", "classify")
+] + [
+    ["classify", "--family", fam, "--depth", "9"] for fam in ("geometric", "type-three")
+]
+
+
+def test_metric_documents_match_the_reference_kernels(monkeypatch, capsys):
+    from dimspec import metrics
+
+    fast = [run(argv + ["--no-timestamp"], capsys) for argv in METRIC_COMMANDS]
+
+    def reference_gaps(points):
+        best = oracles.ref_uniform_perfectness_gaps(points)
+        return metrics.GapReport(*best)
+
+    monkeypatch.setattr(metrics, "_covering_count", oracles.ref_covering_count)
+    monkeypatch.setattr(metrics, "_scalar_window_radius", oracles.ref_scalar_window_radius)
+    monkeypatch.setattr(metrics, "_candidate_radii", oracles.ref_candidate_radii)
+    monkeypatch.setattr(metrics, "fit_reciprocal_band", oracles.ref_fit_reciprocal_band)
+    monkeypatch.setattr(metrics, "uniform_perfectness_gaps", reference_gaps)
+    monkeypatch.setattr(cli, "uniform_perfectness_gaps", reference_gaps)
+    reference = [run(argv + ["--no-timestamp"], capsys) for argv in METRIC_COMMANDS]
+    assert all(code == 0 for code, _ in fast)
+    assert fast == reference
 
 
 # --- error handling -----------------------------------------------------------

@@ -221,7 +221,7 @@ def test_certificates_sit_at_the_reported_endpoints(selection, tol):
 @pytest.mark.parametrize("subset", [(1, 2, 5), "full"])
 def test_bisection_fallback_certifies_when_newton_fails(monkeypatch, subset, tol):
     # A Newton iterate far from the root: its bracket fails certification.
-    monkeypatch.setattr(solver, "_newton", lambda family, indices, x, tol, prec=None: x + 0.25)
+    monkeypatch.setattr(solver, "_newton", lambda bounds, x, tol, prec=None: x + 0.25)
     fallback = mock.Mock(wraps=solver._bisect)
     monkeypatch.setattr(solver, "_bisect", fallback)
     iv = solve_dimension(SQEXP, subset, tol=tol)
