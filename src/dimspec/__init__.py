@@ -8,14 +8,12 @@ underlying dyadic construction.
 """
 
 from .construction import (
-    ExactDyadic,
     f_exponents,
     f_tail_bound,
     f_value,
     g_exponent,
     g_value,
     k_set_cloud,
-    nonosc_example,
     separation_check,
     sparse_compare,
 )
@@ -43,7 +41,6 @@ from .perturbation import (
     derivative_comparability,
     exponent_fit,
     increment,
-    ratio_bounds,
 )
 from .solver import (
     DimensionInterval,
@@ -65,7 +62,6 @@ __all__ = [
     "DimensionInterval",
     "DimspecError",
     "DivergentSum",
-    "ExactDyadic",
     "ExponentBudgetError",
     "InsufficientPrecision",
     "NumericError",
@@ -90,11 +86,9 @@ __all__ = [
     "local_dimension_profile",
     "longest_common_prefix",
     "moran_sum",
-    "nonosc_example",
     "parse_ratio",
     "pressure",
     "pressure_derivative",
-    "ratio_bounds",
     "separation_check",
     "solve_dimension",
     "sparse_compare",

@@ -30,7 +30,7 @@ import mpmath
 
 from .construction import k_set_cloud
 from .errors import ConfigError, DimspecError
-from .families import ContractionFamily
+from .families import NAMED_FAMILIES, ContractionFamily
 from .metrics import (
     box_dimension_estimate,
     cantor_truncation,
@@ -41,7 +41,7 @@ from .metrics import (
 from .perturbation import exponent_fit
 from .solver import DEFAULT_TOL, solve_dimension
 
-FAMILY_NAMES = ("square-exponent", "geometric", "type-three", "cantor-pair")
+FAMILY_NAMES = (*NAMED_FAMILIES, "cantor-pair")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -13,10 +13,9 @@ enumeration index.  A word omega is then mapped to
 These are finite sums of distinct powers 2**(-2*n!), which supports two
 exact representations:
 
-* ``ExactDyadic``: an explicit odd-numerator-times-power-of-two value.
-  Fine while the enumeration indexes stay small; the exponent 2*n!
-  already has 80640 bits at n = 8, so materialisation is gated by an
-  index budget.
+* a ``Fraction``.  Fine while the enumeration indexes stay small; the
+  denominator 2**(2*n!) already has 80640 bits at n = 8, so
+  materialisation is gated by an index budget and a hard ceiling.
 * a sparse form, just the ascending tuple of exponents: the binary
   expansion has a 1 exactly at those positions, so ordering two values
   is a lexicographic walk and no huge integer is ever built.
@@ -39,10 +38,14 @@ import mpmath
 from .errors import CapExceeded, ConfigError, ExponentBudgetError, InsufficientPrecision
 from .words import MAX_WORD_LENGTH, longest_common_prefix, validate_word
 
-# Largest enumeration index whose weight may be materialised as an
-# ExactDyadic.  2 * 8! = 80640-bit numerators are still cheap; the next
-# index already needs ~725k bits and it only gets worse factorially.
+# Largest enumeration index whose weight is materialised by default.
+# 2 * 8! = 80640-bit denominators are still cheap; the next index
+# already needs ~725k bits and it only gets worse factorially.
 DEFAULT_INDEX_BUDGET = 8
+
+# No budget admits an index above this: 2 * 10! is about 7.3 Mbit,
+# while index 12 would allocate about 120 MB and index 15 about 330 GB.
+MAX_INDEX = 10
 
 # Depth cap for exact clouds (2**depth points, prefix indexes < 2**depth).
 DEFAULT_CLOUD_DEPTH_CAP = 8
@@ -75,76 +78,9 @@ def g_exponent(word: str) -> int:
     return 2 * math.factorial(word_index(word))
 
 
-@dataclass(frozen=True)
-class ExactDyadic:
-    """sign * num * 2**(-exp) with num odd (or zero) and exp >= 0."""
-
-    sign: int
-    num: int
-    exp: int
-
-    @classmethod
-    def zero(cls) -> "ExactDyadic":
-        return cls(0, 0, 0)
-
-    @classmethod
-    def one(cls) -> "ExactDyadic":
-        return cls(1, 1, 0)
-
-    @classmethod
-    def from_power(cls, exp: int) -> "ExactDyadic":
-        """2**(-exp)."""
-        return cls(1, 1, int(exp))
-
-    @classmethod
-    def _normalise(cls, signed_num: int, exp: int) -> "ExactDyadic":
-        if signed_num == 0:
-            return cls.zero()
-        sign = 1 if signed_num > 0 else -1
-        num = abs(signed_num)
-        while num % 2 == 0:
-            num //= 2
-            exp -= 1
-        if exp < 0:
-            num <<= -exp
-            exp = 0
-        return cls(sign, num, exp)
-
-    def __add__(self, other: "ExactDyadic") -> "ExactDyadic":
-        exp = max(self.exp, other.exp)
-        a = self.sign * self.num * (1 << (exp - self.exp))
-        b = other.sign * other.num * (1 << (exp - other.exp))
-        return self._normalise(a + b, exp)
-
-    def __sub__(self, other: "ExactDyadic") -> "ExactDyadic":
-        exp = max(self.exp, other.exp)
-        a = self.sign * self.num * (1 << (exp - self.exp))
-        b = other.sign * other.num * (1 << (exp - other.exp))
-        return self._normalise(a - b, exp)
-
-    def to_fraction(self) -> Fraction:
-        return Fraction(self.sign * self.num, 1 << self.exp)
-
-    def __float__(self) -> float:
-        return float(self.to_fraction())
-
-    def compare(self, other: "ExactDyadic") -> int:
-        d = self - other
-        return d.sign
-
-    def __lt__(self, other):
-        return self.compare(other) < 0
-
-    def __le__(self, other):
-        return self.compare(other) <= 0
-
-    def as_pair(self) -> tuple[int, int]:
-        """(signed numerator, exponent) serialization."""
-        return (self.sign * self.num, self.exp)
-
-
 def _check_budget(word: str, budget: int) -> int:
     n = word_index(word)
+    budget = min(budget, MAX_INDEX)
     if n > budget:
         raise ExponentBudgetError(
             f"index {n} of word {word!r} exceeds the materialisation budget {budget} "
@@ -153,20 +89,16 @@ def _check_budget(word: str, budget: int) -> int:
     return n
 
 
-def g_value(word: str, budget: int = DEFAULT_INDEX_BUDGET) -> ExactDyadic:
-    """Weight g(word) = 4**(-word_index(word)!) as an exact dyadic."""
+def g_value(word: str, budget: int = DEFAULT_INDEX_BUDGET) -> Fraction:
+    """Weight g(word) = 4**(-word_index(word)!) as an exact Fraction."""
     _check_budget(word, budget)
-    return ExactDyadic.from_power(g_exponent(word))
+    return Fraction(1, 1 << g_exponent(word))
 
 
-def f_value(word: str, budget: int = DEFAULT_INDEX_BUDGET) -> ExactDyadic:
-    """f(word) as an exact dyadic; needs every charged prefix in budget."""
+def f_value(word: str, budget: int = DEFAULT_INDEX_BUDGET) -> Fraction:
+    """f(word) as an exact Fraction; needs every charged prefix in budget."""
     validate_word(word)
-    total = ExactDyadic.zero()
-    for i, bit in enumerate(word):
-        if bit == "1":
-            total = total + g_value(word[:i], budget)
-    return total
+    return sum((g_value(word[:i], budget) for i, bit in enumerate(word) if bit == "1"), Fraction(0))
 
 
 def f_tail_bound(word: str, budget: int = DEFAULT_INDEX_BUDGET) -> Fraction:
@@ -178,12 +110,8 @@ def f_tail_bound(word: str, budget: int = DEFAULT_INDEX_BUDGET) -> Fraction:
     first extension step itself may add up to g(word) on top, which is
     the content of the consistency identity
     f(word + '1') - f(word) == 3 * f_tail_bound(word).
-
-    The value is a third of a power of two, hence a Fraction and not an
-    ExactDyadic.
     """
-    _check_budget(word, budget)
-    return Fraction(1, 3 * (1 << g_exponent(word)))
+    return g_value(word, budget) / 3
 
 
 def f_exponents(word: str) -> tuple[int, ...]:
@@ -335,13 +263,3 @@ def separation_check(omega: str, tau: str) -> SeparationCheck:
             raise InsufficientPrecision(
                 f"separation margin for {omega!r}/{tau!r} straddles the window budget"
             )
-
-
-def nonosc_example() -> tuple[ExactDyadic, ExactDyadic]:
-    """The reference two-point set {0, 1}.
-
-    Its covering profile is the constant 2 at every scale below 1, so
-    every dimension estimate on it is exactly zero.  Useful as the
-    degenerate anchor when exercising profile code paths.
-    """
-    return (ExactDyadic.zero(), ExactDyadic.one())

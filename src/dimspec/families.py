@@ -2,15 +2,16 @@
 
 A family assigns to each symbol index a = 1, 2, ... a contraction ratio
 in (0, 1).  Three built-in infinite families are supported next to
-finite explicit lists:
+finite explicit lists.  Each built-in family is one row of NAMED_FAMILIES,
+ratio(a) = base**(-e(a)) with an increasing convex integer exponent e:
 
-* ``square-exponent``: ratio(a) = 2**(-a*a)
-* ``geometric``:       ratio(a) = 2**(-a)
-* ``type-three``:      ratio(1) = ratio(2) = 1/3, ratio(a) = 3**(1-a)
+* ``square-exponent``: base 2, e(a) = a*a
+* ``geometric``:       base 2, e(a) = a
+* ``type-three``:      base 3, e(a) = max(1, a-1), so ratio(1) = ratio(2) = 1/3
 * ``explicit``:        a finite list of exact rationals
 
-For the infinite families a closed-form tail majorant bounds the sum of
-ratio(a)**s over all a > N, which is what makes certified upper sums
+For the infinite families one closed-form tail majorant bounds the sum
+of ratio(a)**s over all a > N, which is what makes certified upper sums
 possible.  All families here have finiteness exponent theta = 0: the
 sum of ratio(a)**s is finite for every s > 0 and infinite at s = 0.
 """
@@ -18,15 +19,34 @@ sum of ratio(a)**s is finite for every s > 0 and infinite at s = 0.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 import mpmath
 
 from .errors import ConfigError
 
-LOG2_3 = math.log2(3.0)
 
-NAMED_KINDS = ("square-exponent", "geometric", "type-three")
+# The exponents are module-level functions, not lambdas, because
+# families are pickled for worker processes.
+def _square(a: int) -> int:
+    return a * a
+
+
+def _linear(a: int) -> int:
+    return a
+
+
+def _shifted(a: int) -> int:
+    return max(1, a - 1)
+
+
+# kind -> (base, e): ratio(a) = base**(-e(a)).
+NAMED_FAMILIES = {
+    "square-exponent": (2, _square),
+    "geometric": (2, _linear),
+    "type-three": (3, _shifted),
+}
 
 
 def parse_ratio(text) -> Fraction:
@@ -56,11 +76,13 @@ class ContractionFamily:
     """A (possibly infinite) list of contraction ratios indexed from 1."""
 
     def __init__(self, kind: str, ratios=None):
-        if kind in NAMED_KINDS:
+        if kind in NAMED_FAMILIES:
             if ratios is not None:
                 raise ConfigError(f"kind {kind!r} takes no explicit ratios")
             self.kind = kind
             self._ratios = None
+            self._base, self._e = NAMED_FAMILIES[kind]
+            self._log2_base = math.log2(self._base)
         elif kind == "explicit":
             if not ratios:
                 raise ConfigError("an explicit family needs at least one ratio")
@@ -89,7 +111,7 @@ class ContractionFamily:
 
     @classmethod
     def from_name(cls, name: str) -> "ContractionFamily":
-        if name in NAMED_KINDS:
+        if name in NAMED_FAMILIES:
             return cls(name)
         if name == "cantor-pair":
             return cls.explicit([Fraction(1, 3), Fraction(1, 3)])
@@ -111,8 +133,13 @@ class ContractionFamily:
         """Finiteness exponent: inf of s with a finite moran sum."""
         return 0.0
 
-    def check_index(self, a: int) -> int:
-        a = int(a)
+    def check_index(self, a) -> int:
+        """a as a validated int; ConfigError for anything that is not an
+        integer index of this family (floats are not truncated)."""
+        try:
+            a = operator.index(a)
+        except TypeError:
+            raise ConfigError(f"symbol index must be an integer, got {a!r}") from None
         if a < 1:
             raise ConfigError(f"symbol indices start at 1, got {a}")
         if self._ratios is not None and a > len(self._ratios):
@@ -124,25 +151,17 @@ class ContractionFamily:
     def ratio(self, a: int) -> Fraction:
         """Exact contraction ratio of symbol a."""
         a = self.check_index(a)
-        if self.kind == "square-exponent":
-            return Fraction(1, 2 ** (a * a))
-        if self.kind == "geometric":
-            return Fraction(1, 2**a)
-        if self.kind == "type-three":
-            return Fraction(1, 3) if a == 1 else Fraction(1, 3 ** (a - 1))
-        return self._ratios[a - 1]
+        if self._ratios is not None:
+            return self._ratios[a - 1]
+        return Fraction(1, self._base ** self._e(a))
 
     def log2_ratio(self, a: int) -> float:
         """log2 of ratio(a) as a float; exact for the dyadic kinds."""
         a = self.check_index(a)
-        if self.kind == "square-exponent":
-            return -float(a * a)
-        if self.kind == "geometric":
-            return -float(a)
-        if self.kind == "type-three":
-            return -LOG2_3 if a == 1 else -(a - 1) * LOG2_3
-        frac = self._ratios[a - 1]
-        return math.log2(frac.numerator) - math.log2(frac.denominator)
+        if self._ratios is not None:
+            frac = self._ratios[a - 1]
+            return math.log2(frac.numerator) - math.log2(frac.denominator)
+        return -self._e(a) * self._log2_base
 
     # -- pointwise terms ---------------------------------------------------
 
@@ -153,25 +172,35 @@ class ContractionFamily:
     def term_mp(self, a: int, s) -> mpmath.mpf:
         """ratio(a)**s at the current mpmath working precision."""
         a = self.check_index(a)
-        if self.kind == "square-exponent":
-            return mpmath.power(2, -(a * a) * mpmath.mpf(s))
-        if self.kind == "geometric":
-            return mpmath.power(2, -a * mpmath.mpf(s))
-        if self.kind == "type-three":
-            k = 1 if a == 1 else a - 1
-            return mpmath.power(3, -k * mpmath.mpf(s))
-        frac = self._ratios[a - 1]
-        base = mpmath.mpf(frac.numerator) / mpmath.mpf(frac.denominator)
-        return mpmath.power(base, s)
+        if self._ratios is not None:
+            frac = self._ratios[a - 1]
+            base = mpmath.mpf(frac.numerator) / mpmath.mpf(frac.denominator)
+            return mpmath.power(base, s)
+        return mpmath.power(self._base, -self._e(a) * mpmath.mpf(s))
 
     # -- tail majorants ----------------------------------------------------
+
+    def _tail_exponents(self, n_cut: int) -> tuple[int, int]:
+        """(e(n_cut+1), e(n_cut+2) - e(n_cut+1)) of a named family.
+
+        e is convex, so the terms beyond n_cut decay at least
+        geometrically with ratio base**(-step*s) and
+        base**(-head*s) / (1 - base**(-step*s)) majorises their sum.
+        """
+        head = self._e(n_cut + 1)
+        step = self._e(n_cut + 2) - head
+        if step == 0:
+            raise ConfigError(
+                f"{self.kind} tail majorant needs e(n_cut+2) > e(n_cut+1), got n_cut = {n_cut}"
+            )
+        return head, step
 
     def tail_majorant(self, n_cut: int, s: float) -> float:
         """Upper bound for the sum of ratio(a)**s over all a > n_cut.
 
-        Closed forms per kind; zero for explicit families once n_cut
-        reaches their size.  Requires s > 0 for the infinite kinds
-        (returns +inf at s <= 0, where the series diverges anyway).
+        One closed form for the named kinds; zero for explicit families
+        once n_cut reaches their size.  Requires s > 0 for the infinite
+        kinds (returns +inf at s <= 0, where the series diverges anyway).
         """
         if self._ratios is not None:
             if n_cut >= len(self._ratios):
@@ -179,15 +208,9 @@ class ContractionFamily:
             return math.fsum(self.term_double(a, s) for a in range(n_cut + 1, len(self._ratios) + 1))
         if s <= 0.0:
             return math.inf
-        if self.kind == "square-exponent":
-            head = 2.0 ** (-((n_cut + 1) ** 2) * s)
-            return head / (1.0 - 2.0 ** (-(2 * n_cut + 3) * s))
-        if self.kind == "geometric":
-            return 2.0 ** (-(n_cut + 1) * s) / (1.0 - 2.0 ** (-s))
-        # type-three: terms 3**((1-a)s), a > n_cut, geometric in base 3**(-s)
-        if n_cut < 1:
-            raise ConfigError("type-three tail majorant needs n_cut >= 1")
-        return 3.0 ** (-n_cut * s) / (1.0 - 3.0 ** (-s))
+        head, step = self._tail_exponents(n_cut)
+        base = float(self._base)
+        return base ** (-head * s) / (1.0 - base ** (-step * s))
 
     def tail_majorant_mp(self, n_cut: int, s) -> mpmath.mpf:
         """Same bound evaluated in the mpmath tier."""
@@ -198,14 +221,8 @@ class ContractionFamily:
         s = mpmath.mpf(s)
         if s <= 0:
             return mpmath.inf
-        if self.kind == "square-exponent":
-            head = mpmath.power(2, -((n_cut + 1) ** 2) * s)
-            return head / (1 - mpmath.power(2, -(2 * n_cut + 3) * s))
-        if self.kind == "geometric":
-            return mpmath.power(2, -(n_cut + 1) * s) / (1 - mpmath.power(2, -s))
-        if n_cut < 1:
-            raise ConfigError("type-three tail majorant needs n_cut >= 1")
-        return mpmath.power(3, -n_cut * s) / (1 - mpmath.power(3, -s))
+        head, step = self._tail_exponents(n_cut)
+        return mpmath.power(self._base, -head * s) / (1 - mpmath.power(self._base, -step * s))
 
     # -- misc ----------------------------------------------------------------
 
@@ -231,10 +248,8 @@ class ContractionFamily:
         return f"ContractionFamily(explicit, [{shown}])"
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ContractionFamily)
-            and self.kind == other.kind
-            and self._ratios == other._ratios
+        return isinstance(other, ContractionFamily) and (
+            (self.kind, self._ratios) == (other.kind, other._ratios)
         )
 
     def __hash__(self):

@@ -14,26 +14,17 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, DegenerateScales, InsufficientPrecision
-from .solver import DEFAULT_TOL, pressure_derivative, solve_dimension
-from .words import SubsetSelector
+from .solver import DEFAULT_TOL, _as_selector, pressure_derivative, solve_dimension
 
 # numpy (about 13 MB resident) is imported inside the functions that
 # use it, so solving and constructing never load it.
 
 
-def _explicit_indices(subset) -> tuple[int, ...]:
-    if isinstance(subset, SubsetSelector):
-        if subset.is_full:
-            raise ConfigError("perturbation needs a finite base subset")
-        return subset.indices
-    if subset is None or subset == "full":
+def _base_indices(subset) -> tuple[int, ...]:
+    selector = _as_selector(subset)
+    if selector.is_full:
         raise ConfigError("perturbation needs a finite base subset")
-    if isinstance(subset, str):
-        return SubsetSelector.from_word(subset).indices
-    try:
-        return SubsetSelector.explicit(subset).indices
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad base subset {subset!r}") from exc
+    return selector.indices
 
 
 def increment(family, base_subset, b, tol=None):
@@ -44,8 +35,8 @@ def increment(family, base_subset, b, tol=None):
     strictly positive, otherwise the tolerance is retried once and then
     InsufficientPrecision is raised.
     """
-    base = _explicit_indices(base_subset)
-    b = family.check_index(int(b))
+    base = _base_indices(base_subset)
+    b = family.check_index(b)
     if b in base:
         raise ConfigError(f"symbol {b} is already in the base subset")
     extended = tuple(sorted(base + (b,)))
@@ -91,8 +82,22 @@ class PerturbationReport:
     slope: float
     intercept: float
     residual: float
-    ratio_min: float
-    ratio_max: float
+
+    def ratio_bounds(self, delta=None) -> tuple[float, float]:
+        """Min and max of increment / ratio(b)**delta over the sweep;
+        delta defaults to the base dimension."""
+        if delta is None:
+            delta = self.delta
+        normalised = [e.increment_mid / e.ratio_b**delta for e in self.entries]
+        return min(normalised), max(normalised)
+
+    @property
+    def ratio_min(self) -> float:
+        return self.ratio_bounds()[0]
+
+    @property
+    def ratio_max(self) -> float:
+        return self.ratio_bounds()[1]
 
     def as_dict(self) -> dict:
         return {
@@ -126,13 +131,13 @@ def exponent_fit(family, base_subset, b_range, tol=None) -> PerturbationReport:
     sweep.  The first-order prediction puts the slope at the base
     dimension delta as ratio(b) goes to 0; finite sweeps land close but
     systematically below (the correction term decays only like
-    ratio(b)**delta itself).  Also reports min and max of
-    increment / ratio(b)**delta across the sweep.
+    ratio(b)**delta itself).  The report's ratio_bounds gives min and
+    max of increment / ratio(b)**delta across the sweep.
     """
     import numpy as np
 
-    base = _explicit_indices(base_subset)
-    bs = [family.check_index(int(b)) for b in b_range]
+    base = _base_indices(base_subset)
+    bs = [family.check_index(b) for b in b_range]
     if not bs:
         raise ConfigError("empty perturbation sweep")
     base_dim = solve_dimension(family, base, tol=min(1e-11, tol or DEFAULT_TOL))
@@ -155,7 +160,6 @@ def exponent_fit(family, base_subset, b_range, tol=None) -> PerturbationReport:
     coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
     resid = float(np.sqrt(np.mean((ys - design @ coef) ** 2)))
 
-    normalised = [e.increment_mid / e.ratio_b**delta for e in entries]
     return PerturbationReport(
         family=family.describe(),
         base_subset=base,
@@ -166,18 +170,7 @@ def exponent_fit(family, base_subset, b_range, tol=None) -> PerturbationReport:
         slope=float(coef[0]),
         intercept=float(coef[1]),
         residual=resid,
-        ratio_min=min(normalised),
-        ratio_max=max(normalised),
     )
-
-
-def ratio_bounds(family, base_subset, b_range, delta=None, tol=None):
-    """Min and max of increment / ratio(b)**delta over the sweep."""
-    report = exponent_fit(family, base_subset, b_range, tol=tol)
-    if delta is None:
-        return report.ratio_min, report.ratio_max
-    normalised = [e.increment_mid / e.ratio_b**delta for e in report.entries]
-    return min(normalised), max(normalised)
 
 
 def derivative_comparability(family, base_subset, b, s_range=None, n_grid=64):
@@ -190,8 +183,8 @@ def derivative_comparability(family, base_subset, b, s_range=None, n_grid=64):
     """
     import numpy as np
 
-    base = _explicit_indices(base_subset)
-    b = family.check_index(int(b))
+    base = _base_indices(base_subset)
+    b = family.check_index(b)
     extended = tuple(sorted(set(base + (b,))))
     if s_range is None:
         delta = solve_dimension(family, base, tol=1e-11).mid

@@ -70,12 +70,15 @@ LN2 = math.log(2.0)
 
 
 def _as_selector(subset) -> SubsetSelector:
+    """The selector itself, the full one for None or 'full', a binary
+    word's set, or a collection of integer indices; ConfigError for
+    anything else."""
     if isinstance(subset, SubsetSelector):
         return subset
-    if subset is None or subset == "full":
+    if subset is None:
         return SubsetSelector.full()
     if isinstance(subset, str):
-        return SubsetSelector.from_word(subset)
+        return SubsetSelector.full() if subset == "full" else SubsetSelector.from_word(subset)
     return SubsetSelector.explicit(subset)
 
 
@@ -182,15 +185,17 @@ def moran_sum(family, subset, s, mode="mid", tol=1e-13):
 
 @dataclass(frozen=True)
 class DimensionInterval:
-    """Certified enclosure [lo, hi] of a Moran root.
+    """Certified enclosure [lo, hi] of min(Moran root, 1).
 
     cert_lo is the certified lower-mode sum at the float lo (>= 1),
     cert_hi the certified upper-mode sum at the float hi (<= 1) or None
     when hi is the ambient bound 1 (the attractor lives in the unit
     interval, so its dimension never exceeds 1; that bound needs no
     arithmetic).  Both are evaluated at the reported tier and precision.
-    exact marks the degenerate empty/singleton cases where the root is
-    0 by inspection.
+    When the ratios sum above 1 the Moran root lies above 1 and is not
+    reported: the interval is [lo, 1] with hi_is_ambient set, and only
+    lo is certified.  exact marks the degenerate empty/singleton cases
+    where the root is 0 by inspection.
     """
 
     lo: float
@@ -303,25 +308,14 @@ def _certify(bounds, lo, hi):
     return None
 
 
-def _solve(family, indices, tol, prec=None):
-    """Solve, then certify; bisection when that fails.
+def _settle(bounds, x, tol, prec=None):
+    """Certify the floats just outside x -/+ 0.4 tol; bisection when
+    that fails or x is None (Newton failed).
 
     Returns _certify's tuple, or None when the dead zone stops the
     bisection.  With prec set, the caller runs this at that mpmath
     working precision.
     """
-    double = _double_bounds(family, indices, tol)
-
-    def bounds(s):
-        if prec is None:
-            return double(s)
-        return moran_bounds(family, indices, s, tol, prec)
-
-    # The sum is at least 2 at s = 0 for two or more symbols; the full
-    # root of every named family lies above 1/2.
-    x = _newton(double, 0.0 if indices is not None else 0.5, tol)
-    if x is not None and prec is not None:
-        x = _newton(bounds, mpmath.mpf(x), tol, prec)
     if x is not None:
         lo, hi = _outward(x - 0.4 * tol, x + 0.4 * tol)
         if lo <= 1.0:
@@ -339,12 +333,20 @@ def solve_dimension(family, subset="full", tol=DEFAULT_TOL, precision_bits=None)
 
     The empty subset and singletons yield the exact interval [0, 0]
     (no equation to solve in the first case, root at s = 0 in the
-    second).  Otherwise Newton's method finds the root and the floats
-    just outside root -/+ 0.4 tol are certified by one lower and one
-    upper sum, evaluated at exactly those floats.  Bisection of [0, 1]
-    is the fallback when the root lies above 1 or certification fails.
+    second).  Otherwise Newton's method in doubles finds the root once,
+    and the floats just outside root -/+ 0.4 tol are certified by one
+    lower and one upper sum, evaluated at exactly those floats.
+    Bisection of [0, 1] is the fallback when the root lies above 1 or
+    certification fails.
     Precision escalates from doubles to mpmath automatically unless
-    precision_bits pins a tier.
+    precision_bits pins a tier; the mpmath tier polishes the same
+    double Newton iterate at working precision.
+
+    The interval encloses min(root, 1): the attractor lies in the unit
+    interval, so 1 is an upper bound that needs no arithmetic.  When the
+    ratios sum above 1 (for example three copies of 0.9, whose Moran
+    root is about 10.4), the result is [lo, 1] with hi_is_ambient set
+    and lo certified by cert_lo; a root above 1 is not reported.
     """
     if tol <= 0:
         raise ConfigError(f"tolerance must be positive, got {tol}")
@@ -357,6 +359,7 @@ def solve_dimension(family, subset="full", tol=DEFAULT_TOL, precision_bits=None)
             cert_lo=None, cert_hi=None,
         )
 
+    prec = None
     if precision_bits is not None:
         prec = int(precision_bits)
         if prec < 24:
@@ -365,9 +368,14 @@ def solve_dimension(family, subset="full", tol=DEFAULT_TOL, precision_bits=None)
             raise ToleranceNotReachable(
                 f"tol {tol} is below the resolution of {prec}-bit arithmetic"
             )
-    else:
+
+    double = _double_bounds(family, indices, tol)
+    # The sum is at least 2 at s = 0 for two or more symbols; the full
+    # root of every named family lies above 1/2.
+    x = _newton(double, 0.0 if indices is not None else 0.5, tol)
+    if prec is None:
         if tol >= TOL_MIN_DOUBLE:
-            result = _solve(family, indices, tol)
+            result = _settle(double, x, tol)
             if result is not None:
                 lo, hi, cert_lo, cert_hi, amb = result
                 return DimensionInterval(
@@ -376,8 +384,13 @@ def solve_dimension(family, subset="full", tol=DEFAULT_TOL, precision_bits=None)
                 )
         prec = max(96, int(math.ceil(-math.log2(tol))) + 50)
 
+    def bounds(s):
+        return moran_bounds(family, indices, s, tol, prec)
+
     with mpmath.workprec(prec):
-        result = _solve(family, indices, tol, prec)
+        if x is not None:
+            x = _newton(bounds, mpmath.mpf(x), tol, prec)
+        result = _settle(bounds, x, tol, prec)
     if result is None:
         raise ToleranceNotReachable(
             f"tol {tol} is below the resolution of {prec}-bit arithmetic"
@@ -408,41 +421,23 @@ def pressure_derivative(family, subset, s):
     """d/ds of the pressure: weighted mean of log ratios.
 
     Equals (sum of ratio**s * ln ratio) / (sum of ratio**s) over the
-    selected symbols.  Plain double evaluation with adaptive truncation
-    for infinite selectors; always negative.
+    selected symbols, in plain doubles; always negative.  A full
+    infinite selector is cut by the evaluator's truncation rule at a
+    tolerance relative to the first term, so the dropped tail is below
+    2**-60 of the sum.
     """
     selector = _as_selector(subset)
     indices = _selected_indices(family, selector)
-    if indices is not None and not indices:
+    if indices is None:
+        if s <= family.theta:
+            raise DivergentSum(f"moran sum diverges at s={s}")
+        n_cut, _ = _truncation(family.tail_majorant, s, 2.0**-58 * family.term_double(1, s))
+        indices = range(1, n_cut + 1)
+    elif not indices:
         raise ConfigError("pressure derivative of the empty subset is undefined")
-    if indices is not None:
-        weights = [family.log2_ratio(a) for a in indices]
-        terms = [2.0 ** (s * w) for w in weights]
-        num = math.fsum(map(mul, terms, weights)) * LN2
-        den = math.fsum(terms)
-        return num / den
-    if s <= family.theta:
-        raise DivergentSum(f"moran sum diverges at s={s}")
-    num_terms = []
-    den_terms = []
-    running = 0.0
-    a = 1
-    quiet = 0
-    while a < MAX_TERMS:
-        w = family.log2_ratio(a)
-        t = 2.0 ** (s * w)
-        num_terms.append(t * w)
-        den_terms.append(t)
-        running += t * w
-        if abs(t * w) < 1e-18 * max(1e-300, abs(running)):
-            quiet += 1
-            if quiet >= 3:
-                break
-        else:
-            quiet = 0
-        a += 1
-    num = math.fsum(num_terms) * LN2
-    den = math.fsum(den_terms)
+    weights = [family.log2_ratio(a) for a in indices]
+    terms = [2.0 ** (s * w) for w in weights]
+    den = math.fsum(terms)
     if den == 0.0 or math.isinf(den):
         raise DivergentSum(f"moran sum not summable at s={s}")
-    return num / den
+    return math.fsum(map(mul, terms, weights)) * LN2 / den

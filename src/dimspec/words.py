@@ -10,6 +10,7 @@ representation on purpose.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -83,7 +84,15 @@ class SubsetSelector:
 
     @classmethod
     def explicit(cls, indices) -> "SubsetSelector":
-        idx = tuple(sorted(set(int(i) for i in indices)))
+        """Selector of a collection of integer indices (ints or numpy
+        integers); ConfigError for anything else, so 1.5 is never
+        truncated to 1."""
+        try:
+            idx = tuple(sorted({operator.index(i) for i in indices}))
+        except TypeError:
+            raise ConfigError(
+                f"a subset is a collection of integer symbol indices, got {indices!r}"
+            ) from None
         if idx and idx[0] < 1:
             raise ConfigError(f"symbol indices start at 1, got {idx[0]}")
         return cls(indices=idx)

@@ -204,3 +204,82 @@ def term_by_term_bounds(family, indices, s, tol, slack=2.0**-43, max_terms=1 << 
     total = math.fsum(terms)
     slope = math.log(2.0) * math.fsum(t * family.log2_ratio(a) for t, a in zip(terms, indices))
     return total * (1 - slack), (total + tail) * (1 + slack), slope
+
+
+# --- reference family formulas ----------------------------------------------
+#
+# The per-kind closed forms the named families had before they became one
+# exponent table in dimspec.families.  The table must reproduce them
+# exactly (==), in doubles and in mpmath.
+
+LOG2_3 = math.log2(3.0)
+
+
+def ref_ratio(kind, a):
+    if kind == "square-exponent":
+        return Fraction(1, 2 ** (a * a))
+    if kind == "geometric":
+        return Fraction(1, 2**a)
+    return Fraction(1, 3) if a == 1 else Fraction(1, 3 ** (a - 1))
+
+
+def ref_log2_ratio(kind, a):
+    if kind == "square-exponent":
+        return -float(a * a)
+    if kind == "geometric":
+        return -float(a)
+    return -LOG2_3 if a == 1 else -(a - 1) * LOG2_3
+
+
+def ref_term_mp(kind, a, s):
+    if kind == "square-exponent":
+        return mpmath.power(2, -(a * a) * mpmath.mpf(s))
+    if kind == "geometric":
+        return mpmath.power(2, -a * mpmath.mpf(s))
+    k = 1 if a == 1 else a - 1
+    return mpmath.power(3, -k * mpmath.mpf(s))
+
+
+def ref_tail_majorant(kind, n_cut, s):
+    """For n_cut >= 1 and s > 0."""
+    if kind == "square-exponent":
+        head = 2.0 ** (-((n_cut + 1) ** 2) * s)
+        return head / (1.0 - 2.0 ** (-(2 * n_cut + 3) * s))
+    if kind == "geometric":
+        return 2.0 ** (-(n_cut + 1) * s) / (1.0 - 2.0 ** (-s))
+    return 3.0 ** (-n_cut * s) / (1.0 - 3.0 ** (-s))
+
+
+def ref_tail_majorant_mp(kind, n_cut, s):
+    """For n_cut >= 1 and s > 0."""
+    s = mpmath.mpf(s)
+    if kind == "square-exponent":
+        head = mpmath.power(2, -((n_cut + 1) ** 2) * s)
+        return head / (1 - mpmath.power(2, -(2 * n_cut + 3) * s))
+    if kind == "geometric":
+        return mpmath.power(2, -(n_cut + 1) * s) / (1 - mpmath.power(2, -s))
+    return mpmath.power(3, -n_cut * s) / (1 - mpmath.power(3, -s))
+
+
+def full_pressure_slope(kind, s, prec=PREC):
+    """d/ds of the log of the full Moran sum of a named family at s."""
+    with mpmath.workprec(prec):
+        s = mpmath.mpf(s)
+        if kind == "geometric":
+            y = mpmath.power(2, s)
+            return -mpmath.log(2) * y / (y - 1)
+        if kind == "type-three":
+            # sum = 2x + x**2/(1-x) with x = 3**(-s), and dx/ds = -x ln 3
+            x = mpmath.power(3, -s)
+            total = 2 * x + x * x / (1 - x)
+            dtotal_dx = 2 + (2 * x - x * x) / (1 - x) ** 2
+            return -mpmath.log(3) * x * dtotal_dx / total
+        num = den = mpmath.mpf(0)
+        a = 1
+        while True:
+            term = mpmath.power(2, -(a * a) * s)
+            den += term
+            num += term * a * a
+            if term * a * a < mpmath.power(2, -(prec + 60)):
+                return -mpmath.log(2) * num / den
+            a += 1

@@ -1,12 +1,19 @@
 import math
 from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from dimspec.errors import ConfigError
 from dimspec.families import ContractionFamily, parse_ratio
+
+NAMED = ("square-exponent", "geometric", "type-three")
+kinds = st.sampled_from(NAMED)
+powers = st.floats(min_value=0.0, max_value=3.0, exclude_min=True)
 
 
 def test_parse_ratio_exact_decimal():
@@ -98,3 +105,64 @@ def test_describe_roundtrip():
 def test_theta_is_zero_for_all_kinds():
     for name in ("square-exponent", "geometric", "type-three", "cantor-pair"):
         assert ContractionFamily.from_name(name).theta == 0.0
+
+
+# --- the exponent table against the per-kind formulas it replaced -------------
+
+@given(kinds, st.integers(min_value=1, max_value=200))
+def test_table_ratios_equal_the_per_kind_formulas(kind, a):
+    assert ContractionFamily(kind).ratio(a) == oracles.ref_ratio(kind, a)
+
+
+@given(kinds, st.integers(min_value=1, max_value=2**20), powers)
+def test_table_terms_equal_the_per_kind_formulas(kind, a, s):
+    fam = ContractionFamily(kind)
+    assert fam.log2_ratio(a) == oracles.ref_log2_ratio(kind, a)
+    for prec in (96, 200):
+        with mpmath.workprec(prec):
+            assert fam.term_mp(a, s) == oracles.ref_term_mp(kind, a, s)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type of the exception it raises."""
+    try:
+        return fn(*args)
+    except ZeroDivisionError as exc:
+        return type(exc)
+
+
+@given(kinds, st.integers(min_value=1, max_value=2**20), powers)
+def test_table_tail_majorants_equal_the_per_kind_formulas(kind, n_cut, s):
+    # For s near the precision's epsilon, 1 - base**(-step*s) rounds to
+    # 0: both forms then divide by zero.
+    fam = ContractionFamily(kind)
+    assert (_outcome(fam.tail_majorant, n_cut, s)
+            == _outcome(oracles.ref_tail_majorant, kind, n_cut, s))
+    for prec in (96, 200):
+        with mpmath.workprec(prec):
+            assert (_outcome(fam.tail_majorant_mp, n_cut, s)
+                    == _outcome(oracles.ref_tail_majorant_mp, kind, n_cut, s))
+
+
+def test_tail_majorant_rejects_a_flat_exponent_step():
+    # type-three has ratio(1) == ratio(2), so no geometric bound starts at 0
+    fam = ContractionFamily.type_three()
+    with pytest.raises(ConfigError):
+        fam.tail_majorant(0, 1.0)
+    with pytest.raises(ConfigError):
+        fam.tail_majorant_mp(0, 1.0)
+
+
+# --- index validation -------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, "2", None])
+def test_check_index_rejects_non_integers(bad):
+    with pytest.raises(ConfigError):
+        ContractionFamily.geometric().check_index(bad)
+
+
+def test_check_index_accepts_ints_and_numpy_integers():
+    fam = ContractionFamily.geometric()
+    assert fam.check_index(2) == 2
+    assert fam.check_index(np.int64(3)) == 3
+    assert fam.ratio(np.int32(5)) == Fraction(1, 32)

@@ -10,7 +10,6 @@ from dimspec.perturbation import (
     derivative_comparability,
     exponent_fit,
     increment,
-    ratio_bounds,
 )
 
 SQEXP = ContractionFamily.square_exponent()
@@ -49,6 +48,15 @@ def test_increment_rejects_base_symbol():
         increment(SQEXP, "full", 3)
 
 
+def test_perturbation_rejects_fractional_indices():
+    with pytest.raises(ConfigError):
+        increment(SQEXP, [1.5, 2], 4)
+    with pytest.raises(ConfigError):
+        increment(SQEXP, (1, 2), 4.5)
+    with pytest.raises(ConfigError):
+        exponent_fit(SQEXP, (1, 2), [4.0, 5.0])
+
+
 def test_exponent_fit_square_exponent_short_sweep():
     report = exponent_fit(SQEXP, (1, 2), range(4, 10))
     delta = report.delta
@@ -69,9 +77,9 @@ def test_exponent_fit_residuals_shrink_along_the_sweep():
 
 
 def test_ratio_bounds_uses_supplied_exponent():
-    fam = _sweep_family()
-    lo1, hi1 = ratio_bounds(fam, (1, 2), range(3, 8))
-    lo2, hi2 = ratio_bounds(fam, (1, 2), range(3, 8), delta=oracles.GOLDEN_LOG2)
+    report = exponent_fit(_sweep_family(), (1, 2), range(3, 8))
+    lo1, hi1 = report.ratio_bounds()
+    lo2, hi2 = report.ratio_bounds(delta=oracles.GOLDEN_LOG2)
     assert 0 < lo1 <= hi1
     assert lo2 == pytest.approx(lo1, rel=1e-3)
     assert hi2 == pytest.approx(hi1, rel=1e-3)

@@ -233,6 +233,22 @@ def test_bisection_fallback_certifies_when_newton_fails(monkeypatch, subset, tol
     assert iv.cert_lo >= 1.0 >= iv.cert_hi
 
 
+def test_escalation_reuses_the_double_newton_iterate(monkeypatch):
+    # The double tier cannot certify square-exponent full at 1e-13; the
+    # mpmath tier polishes the double iterate instead of solving again.
+    calls = []
+    newton = solver._newton
+
+    def spy(bounds, x, tol, prec=None):
+        calls.append(prec)
+        return newton(bounds, x, tol, prec)
+
+    monkeypatch.setattr(solver, "_newton", spy)
+    iv = solve_dimension(SQEXP, "full", tol=1e-13)
+    assert iv.tier == "mpmath"
+    assert calls == [None, 96]
+
+
 def test_ratio_sum_above_one_keeps_the_ambient_bound():
     # Three copies of 0.9: the Moran root ln 3 / ln(10/9) ~ 10.4 lies
     # above the ambient bound, so the enclosure ends at 1.
@@ -319,6 +335,15 @@ def test_pressure_derivative_matches_finite_differences():
         assert pressure_derivative(SQEXP, subset, s0) == pytest.approx(fd, rel=1e-6)
 
 
+@pytest.mark.parametrize("kind", sorted(FULL_SUMS))
+def test_pressure_derivative_full_against_200_bit_reference(kind):
+    fam = ContractionFamily(kind)
+    for k in range(16):
+        s = 0.01 * 300.0 ** (k / 15)
+        ref = oracles.full_pressure_slope(kind, s)
+        assert abs(pressure_derivative(fam, "full", s) - ref) <= 1e-14 * abs(ref)
+
+
 def test_pressure_derivative_diverges_at_theta():
     with pytest.raises(DivergentSum):
         pressure_derivative(SQEXP, "full", 0.0)
@@ -344,3 +369,19 @@ def test_solver_accepts_selector_word_and_tuple_equivalently():
     a = solve_dimension(SQEXP, "101")
     b = solve_dimension(SQEXP, (1, 3))
     assert (a.lo, a.hi) == (b.lo, b.hi)
+
+
+def test_solver_rejects_fractional_indices():
+    # 1.5 used to be truncated to 1, solving {1, 2}
+    with pytest.raises(ConfigError):
+        solve_dimension(SQEXP, [1.5, 2])
+
+
+def test_solver_rejects_a_bare_integer_subset():
+    with pytest.raises(ConfigError):
+        solve_dimension(SQEXP, 3)
+
+
+def test_solver_rejects_non_numeric_indices():
+    with pytest.raises(ConfigError):
+        solve_dimension(SQEXP, ["a", "b"])

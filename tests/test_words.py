@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -76,3 +77,14 @@ def test_selector_normalises_indices():
     assert SubsetSelector.explicit((2, 2, 1)).indices == (1, 2)
     with pytest.raises(ConfigError):
         SubsetSelector.explicit((0,))
+
+
+@pytest.mark.parametrize("bad", [[1.5, 2], 3, ["a", "b"], "12"])
+def test_selector_rejects_non_integer_indices_and_non_collections(bad):
+    with pytest.raises(ConfigError):
+        SubsetSelector.explicit(bad)
+
+
+def test_selector_accepts_numpy_integers():
+    assert SubsetSelector.explicit(np.array([3, 1])).indices == (1, 3)
+    assert SubsetSelector.explicit([np.int64(2), 1]).indices == (1, 2)
