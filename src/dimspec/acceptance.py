@@ -110,19 +110,16 @@ def criterion_1() -> CriterionResult:
     return CriterionResult(1, "closed-form dimensions", passed, details, time.perf_counter() - t0)
 
 
-def _oracle_root_sqexp(indices, prec=200, iterations=140):
-    """Independent Moran root: direct bisection on the defining sum at
-    200 bits.  No shared code with the production solver."""
-    with mpmath.workprec(prec):
-        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
-        for _ in range(iterations):
-            mid = (lo + hi) / 2
-            total = mpmath.fsum(mpmath.power(2, -(a * a) * mid) for a in indices)
-            if total >= 1:
-                lo = mid
-            else:
-                hi = mid
-        return (lo + hi) / 2
+def _oracle_sum_sqexp(indices, x, prec=200):
+    """Independent (lower, upper) bounds of the defining sum
+    sum 2**(-a*a*x) at the exact float x, evaluated at prec bits with an
+    outward slack 2**-(prec-16) that covers the rounding of every power
+    and of the sum.  No shared code with the production solver."""
+    with mpmath.workprec(prec + 20):
+        x = mpmath.mpf(x)
+        total = mpmath.fsum(mpmath.power(2, -(a * a) * x) for a in indices)
+        slack = mpmath.mpf(2) ** (16 - prec)
+        return total * (1 - slack), total * (1 + slack)
 
 
 def criterion_2() -> CriterionResult:
@@ -140,8 +137,10 @@ def criterion_2() -> CriterionResult:
             moran_sum(fam, indices, iv.lo, mode="lower") >= 1.0
             and moran_sum(fam, indices, iv.hi, mode="upper") <= 1.0
         )
-        root = _oracle_root_sqexp(indices)
-        contains = iv.lo <= root <= iv.hi
+        # The sum is strictly decreasing in s, so sum(lo) >= 1 >= sum(hi)
+        # proves that the root lies in [lo, hi].
+        contains = (_oracle_sum_sqexp(indices, iv.lo)[0] >= 1
+                    and _oracle_sum_sqexp(indices, iv.hi)[1] <= 1)
         if not (cert_ok and contains):
             bad += 1
             if not first_bad:

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .errors import ConfigError
+from .errors import ConfigError, ToleranceNotReachable
 
 
 # The exponents are module-level functions, not lambdas, because
@@ -210,7 +210,10 @@ class ContractionFamily:
             return math.inf
         head, step = self._tail_exponents(n_cut)
         base = float(self._base)
-        return base ** (-head * s) / (1.0 - base ** (-step * s))
+        den = 1.0 - base ** (-step * s)
+        if den == 0.0:
+            raise ToleranceNotReachable(f"s = {s} is too small for a tail majorant in doubles")
+        return base ** (-head * s) / den
 
     def tail_majorant_mp(self, n_cut: int, s) -> mpmath.mpf:
         """Same bound evaluated in the mpmath tier."""
@@ -222,7 +225,10 @@ class ContractionFamily:
         if s <= 0:
             return mpmath.inf
         head, step = self._tail_exponents(n_cut)
-        return mpmath.power(self._base, -head * s) / (1 - mpmath.power(self._base, -step * s))
+        den = 1 - mpmath.power(self._base, -step * s)
+        if den == 0:
+            raise ToleranceNotReachable(f"s = {s} is too small for a tail majorant in mpmath")
+        return mpmath.power(self._base, -head * s) / den
 
     # -- misc ----------------------------------------------------------------
 

@@ -16,22 +16,27 @@ profiles, whose smallest gaps are routinely degenerate).  Saturated
 counts at the fine end are trimmed to a single representative and the
 ends are dropped from the fit when enough scales remain.
 
-Local profiles estimate a per-center scalar on a window chosen by the
-first lacunarity boundary of the sorted distance sequence (a jump by
-more than 4x), falling back to half the sample.  A nested series over
-all boundary and dyadic nearest-neighbour windows is attached for trend
-checks.  Classification into the three qualitative types follows from
-the scalars: all near 1, all near 0, or a reciprocal-shaped middle band
-fitted by min(1, c/x).
+Local profiles estimate a scalar at each of N_CENTERS centers on a
+window chosen by the first lacunarity boundary of the sorted distance
+sequence (a jump by more than JUMP_RATIO), falling back to half the
+sample.  A nested series over all boundary and dyadic nearest-neighbour
+windows is attached for trend checks.  Classification into the three
+qualitative types follows from the scalars alone: all near 1, all near
+0, or a reciprocal-shaped middle band fitted by min(1, c/x).
 
 Costs, for n distinct points.  A covering count is one binary search
-per interval it places.  The gap statistic is O(n^2): each center
-merges its two sorted runs of distances (left and right neighbours) in
-O(n) with a stable sort, and a center whose cheap upper bound cannot
-beat the running best is skipped (the bound is proven conservative in
+per interval it places.  Each center's distances are sorted once, by
+_distances, which merges the two sorted runs (left and right
+neighbours) in O(n) with a stable sort; the window radii and the gap
+statistic read that one array.  A window is an index range of the
+sorted cloud, found by two binary searches on the differences to its
+center, never a mask over the whole cloud.  classify_type measures
+only the scalar windows, not the nested series.  The gap statistic is
+O(n^2), and a center whose cheap upper bound cannot beat the running
+best is skipped (the bound is proven conservative in
 uniform_perfectness_gaps).  The reciprocal fit is one vectorised pass
-over its 8000-point grid.  Every public metric raises ConfigError on a
-non-finite point.
+over its 8000-point grid, and every log-log slope is one fit_line.
+Every public metric raises ConfigError on a non-finite point.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ import math
 import statistics
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import ConfigError, DegenerateScales, NumericError
@@ -50,6 +55,7 @@ from .errors import ConfigError, DegenerateScales, NumericError
 
 MAX_SCALES = 60
 JUMP_RATIO = 4.0
+N_CENTERS = 9
 MIN_FIT_SCALES = 3
 
 
@@ -145,22 +151,24 @@ class ScaleProfile:
         }
 
 
-def _fit_loglog(scales, counts):
+def fit_line(xs, ys):
+    """Least-squares line ys = slope * xs + intercept over two equal
+    length arrays; returns (slope, intercept, rms_residual)."""
     import numpy as np
 
-    sl = slice(1, -1) if len(scales) >= 5 else slice(None)
-    xs = np.log([1.0 / e for e in scales[sl]])
-    ys = np.log(counts[sl])
     design = np.vstack([xs, np.ones_like(xs)]).T
     coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
     resid = float(np.sqrt(np.mean((ys - design @ coef) ** 2)))
-    return float(coef[0]), resid
+    return float(coef[0]), float(coef[1]), resid
 
 
 def _profile(pts, floor_rule="min", scale_range=None):
     """Shared profile core on sorted distinct finite floats; returns
     None when fewer than MIN_FIT_SCALES scales survive (callers decide
-    whether that is an error)."""
+    whether that is an error).  The fit skips both end scales when five
+    or more survive."""
+    import numpy as np
+
     n = len(pts)
     if n < 2:
         return None
@@ -184,10 +192,13 @@ def _profile(pts, floor_rule="min", scale_range=None):
 
     scales = []
     k = k_lo
-    while diam * 2.0 ** (-k) >= floor and len(scales) < MAX_SCALES:
-        if k_hi is not None and k > k_hi:
+    while len(scales) < MAX_SCALES:
+        eps = diam * 2.0 ** (-k)
+        # The schedule also stops where the fit's log(1/eps) would
+        # overflow: eps below about 5.6e-309, in subnormal clouds only.
+        if eps < floor or 1.0 / eps == math.inf or (k_hi is not None and k > k_hi):
             break
-        scales.append(diam * 2.0 ** (-k))
+        scales.append(eps)
         k += 1
     counts = [_covering_count(pts, e) for e in scales]
     while len(counts) >= 2 and counts[-1] == n and counts[-2] == n:
@@ -195,7 +206,8 @@ def _profile(pts, floor_rule="min", scale_range=None):
         scales.pop()
     if len(scales) < MIN_FIT_SCALES:
         return None
-    slope, resid = _fit_loglog(scales, counts)
+    fit = slice(1, -1) if len(scales) >= 5 else slice(None)
+    slope, _, resid = fit_line(np.log([1.0 / e for e in scales[fit]]), np.log(counts[fit]))
     return ScaleProfile(
         scales=tuple(scales),
         counts=tuple(counts),
@@ -224,54 +236,69 @@ def box_dimension_estimate(points, scale_range=None) -> ScaleProfile:
 
 
 def _distances(pts, x):
-    """Sorted positive distances from x to the sorted array pts.
+    """Sorted distances |pts - x| from a point x of the sorted distinct
+    array pts; x's own 0 comes first, so d[1:] are the positive ones.
 
     The points left of x give a descending run and those right of it
     an ascending one; a stable sort (timsort) merges the two runs in
-    O(n) instead of sorting from scratch.
+    O(n).  This is the only sort of a center's distances.
     """
     import numpy as np
 
-    d = np.sort(np.abs(pts - x), kind="stable")
-    return d[d > 0]
+    return np.sort(np.abs(pts - x), kind="stable")
 
 
-def _boundaries(d, jump_ratio):
-    """Indices i >= 2 with d[i + 1] > jump_ratio * d[i]: the lacunarity
-    boundaries of the sorted distances d, in one vectorised pass."""
+def _boundaries(d):
+    """Indices i >= 2 with d[i + 1] > JUMP_RATIO * d[i]: the lacunarity
+    boundaries of the positive sorted distances d."""
     import numpy as np
 
-    return np.flatnonzero(d[3:] > jump_ratio * d[2:-1]) + 2
+    return np.flatnonzero(d[3:] > JUMP_RATIO * d[2:-1]) + 2
 
 
-def _scalar_window_radius(pts, x, jump_ratio=JUMP_RATIO):
-    """Radius of the scalar window at center x.
-
-    Walks the sorted positive distances; the first jump by more than
-    jump_ratio at index >= 2 is a lacunarity boundary and the window
-    stops inside it (geometric mean of the straddling distances).
-    Without a boundary the window holds half the sample.
-    """
-    d = _distances(pts, x)
-    n = len(d)
-    if n < 2:
+def _scalar_radius(d, hits, n):
+    """(radius, kind) of the scalar window of a center among n points,
+    from its positive sorted distances d and their boundaries hits: the
+    first boundary stops the window inside it (geometric mean of the
+    straddling distances), else the window holds half the sample."""
+    if len(d) < 2:
         return None, "empty"
-    hits = _boundaries(d, jump_ratio)
     if len(hits):
         i = hits[0]
         return math.sqrt(d[i] * d[i + 1]), "boundary"
-    return float(d[min(n - 1, len(pts) // 2)]), "half-sample"
+    return float(d[min(len(d) - 1, n // 2)]), "half-sample"
 
 
-def _candidate_radii(pts, x, jump_ratio=JUMP_RATIO):
-    """All lacunarity-boundary radii plus dyadic nearest-neighbour radii."""
-    d = _distances(pts, x)
-    radii = [math.sqrt(d[i] * d[i + 1]) for i in _boundaries(d, jump_ratio)]
+def _series_radii(d, hits):
+    """Radii of the nested series: every boundary radius plus the
+    dyadic nearest-neighbour distances d[4], d[8], ..."""
+    radii = [math.sqrt(d[i] * d[i + 1]) for i in hits]
     m = 4
     while m < len(d):
         radii.append(float(d[m]))
         m *= 2
     return sorted(set(radii))
+
+
+def _windows(pts, x):
+    """The window function of center x: r -> the points of the sorted
+    array pts within distance r of x, as a list.
+
+    The differences pts - x are computed once, and each window is the
+    slice between two binary searches instead of a mask over the whole
+    cloud.  The slice is exactly the mask |pts - x| <= r: rounding is
+    monotone, so fl(p - x) is nondecreasing in p, and symmetric, so
+    |fl(p - x)| = fl(|p - x|).  The mask therefore holds on the one run
+    -r <= fl(p - x) <= r, also where a difference overflows to +-inf.
+    """
+    import numpy as np
+
+    rel = pts - x
+
+    def window(r):
+        return pts[np.searchsorted(rel, -r, "left"):np.searchsorted(rel, r, "right")].tolist()
+
+    return window
 
 
 @dataclass(frozen=True)
@@ -291,10 +318,6 @@ class CenterProfile:
     scalar: float | None
     series: tuple[tuple[float, int, float], ...]
 
-    @property
-    def empty(self) -> bool:
-        return self.scalar is None
-
 
 @dataclass(frozen=True)
 class LocalProfile:
@@ -305,54 +328,60 @@ class LocalProfile:
         return [c.scalar for c in self.centers]
 
 
-def local_dimension_profile(points, n_centers=9) -> LocalProfile:
-    """Per-center window dimension estimates at decile-style centers.
-
-    Centers sit at evenly spaced order statistics of the sorted cloud.
-    Each gets a scalar from its own window plus the nested series; a
-    degenerate window yields an empty record rather than an error.
-    """
+def _centers(points):
+    """The sorted distinct points as an array, and the N_CENTERS centers
+    at evenly spaced order statistics of them."""
     import numpy as np
 
-    if n_centers < 1:
-        raise ConfigError(f"n_centers must be positive, got {n_centers}")
     pts = np.asarray(_distinct_sorted(points))
     n = len(pts)
     if n < 2:
         raise DegenerateScales(f"local profile needs at least 2 points, got {n}")
-    idxs = [
-        min(n - 1, int(round((i + 1) / (n_centers + 1) * (n - 1))))
-        for i in range(n_centers)
+    return pts, [
+        float(pts[min(n - 1, int(round((i + 1) / (N_CENTERS + 1) * (n - 1))))])
+        for i in range(N_CENTERS)
     ]
+
+
+def _center_scalar(pts, x):
+    """(record, window, d, hits) at center x of the sorted array pts:
+    the CenterProfile without its series, and the window function,
+    positive sorted distances and boundaries the series reuses."""
+    d = _distances(pts, x)[1:]
+    hits = _boundaries(d)
+    window = _windows(pts, x)
+    radius, kind = _scalar_radius(d, hits, len(pts))
+    scalar = None
+    size = 0
+    if radius is not None:
+        sel = window(radius)
+        size = len(sel)
+        prof = _profile(sel, floor_rule="median")
+        if prof is not None:
+            scalar = prof.slope
+    return CenterProfile(x, radius, kind, size, scalar, ()), window, d, hits
+
+
+def local_dimension_profile(points) -> LocalProfile:
+    """Per-center window dimension estimates at decile-style centers.
+
+    N_CENTERS centers sit at evenly spaced order statistics of the
+    sorted cloud.  Each gets a scalar from its own window plus the
+    nested series; a degenerate window yields an empty record rather
+    than an error.
+    """
+    pts, centers = _centers(points)
     out = []
-    for ci in idxs:
-        x = float(pts[ci])
-        radius, kind = _scalar_window_radius(pts, x)
-        scalar = None
-        size = 0
-        if radius is not None:
-            sel = pts[np.abs(pts - x) <= radius].tolist()
-            size = len(sel)
-            prof = _profile(sel, floor_rule="median")
-            if prof is not None:
-                scalar = prof.slope
+    for x in centers:
+        record, window, d, hits = _center_scalar(pts, x)
         series = []
-        for r in _candidate_radii(pts, x):
-            sel = pts[np.abs(pts - x) <= r].tolist()
+        for r in _series_radii(d, hits):
+            sel = window(r)
             prof = _profile(sel, floor_rule="median")
             if prof is not None:
-                series.append((float(r), len(sel), prof.slope))
-        out.append(
-            CenterProfile(
-                center=x,
-                radius=radius,
-                window_kind=kind,
-                window_size=size,
-                scalar=scalar,
-                series=tuple(series),
-            )
-        )
-    return LocalProfile(n_points=n, centers=tuple(out))
+                series.append((r, len(sel), prof.slope))
+        out.append(replace(record, series=tuple(series)))
+    return LocalProfile(n_points=len(pts), centers=tuple(out))
 
 
 def fit_reciprocal_band(centers, scalars):
@@ -399,33 +428,30 @@ class Classification:
         }
 
 
-def classify_type(points, n_centers=9) -> Classification:
+def classify_type(points) -> Classification:
     """Qualitative local-dimension type of a point cloud.
 
     Type I: every local scalar above 0.9 (locally full-dimensional).
     Type II: every scalar below 0.1 (locally degenerate everywhere).
     Type III: scalars follow min(1, c/x) with RMS residual below 0.1
     and c strictly inside 5..95 percent of the cloud supremum.
-    Anything else is Unclassified.  Needs at least 8 centers to be
-    meaningful.
+    Anything else is Unclassified.  Only the scalar windows of the
+    N_CENTERS centers are measured, not the nested series.
     """
-    if n_centers < 8:
-        raise ConfigError(f"classification needs >= 8 centers, got {n_centers}")
-    prof = local_dimension_profile(points, n_centers=n_centers)
-    scalars = prof.scalars()
+    pts, centers = _centers(points)
+    scalars = tuple(_center_scalar(pts, x)[0].scalar for x in centers)
     sup = max(float(x) for x in points)
     band = (0.05 * sup, 0.95 * sup)
     if any(s is None for s in scalars):
-        return Classification("Unclassified", tuple(scalars), None, None, band)
+        return Classification("Unclassified", scalars, None, None, band)
     if all(s > 0.9 for s in scalars):
-        return Classification("Type I", tuple(scalars), None, None, band)
+        return Classification("Type I", scalars, None, None, band)
     if all(s < 0.1 for s in scalars):
-        return Classification("Type II", tuple(scalars), None, None, band)
-    centers = [c.center for c in prof.centers]
+        return Classification("Type II", scalars, None, None, band)
     c_fit, resid = fit_reciprocal_band(centers, scalars)
     if resid < 0.1 and band[0] < c_fit < band[1]:
-        return Classification("Type III", tuple(scalars), c_fit, resid, band)
-    return Classification("Unclassified", tuple(scalars), c_fit, resid, band)
+        return Classification("Type III", scalars, c_fit, resid, band)
+    return Classification("Unclassified", scalars, c_fit, resid, band)
 
 
 @dataclass(frozen=True)
@@ -455,8 +481,8 @@ class GapReport:
 def uniform_perfectness_gaps(points) -> GapReport:
     """The GapReport of the distinct points; O(n^2) time, O(n) memory.
 
-    Each center costs an O(n) stable-sort merge of its distances d, as
-    in _distances; repeated distances are dropped.  A center is
+    Each center costs an O(n) stable-sort merge of its distances d, in
+    _distances; repeated distances are dropped.  A center is
     skipped when its bound (1 + max d[k+1]/d[k])/2 * (1 + 1e-12) is at
     most the best ratio found so far.  The bound is conservative: with
     a = d[k], b = d[k+1] and u = 2**-53, the computed ratio
@@ -481,7 +507,7 @@ def uniform_perfectness_gaps(points) -> GapReport:
     for x in pts:
         # Sorted distances with the center's own zero in front; repeated
         # distances only add ratios of 1, so the bound may see them.
-        d = np.sort(np.abs(pts - x), kind="stable")
+        d = _distances(pts, x)
         if (best is not None and may_skip
                 and (1 + float(np.max(d[2:] / d[1:-1]))) / 2 * (1 + 1e-12) <= best[0]):
             continue

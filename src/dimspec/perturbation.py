@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, DegenerateScales, InsufficientPrecision
+from .metrics import fit_line
 from .solver import DEFAULT_TOL, _as_selector, pressure_derivative, solve_dimension
 
 # numpy (about 13 MB resident) is imported inside the functions that
@@ -156,9 +157,7 @@ def exponent_fit(family, base_subset, b_range, tol=None) -> PerturbationReport:
             "all perturbing ratios equal; the sweep has no regression range"
         )
     ys = np.array([math.log(e.increment_mid) for e in entries])
-    design = np.vstack([xs, np.ones_like(xs)]).T
-    coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
-    resid = float(np.sqrt(np.mean((ys - design @ coef) ** 2)))
+    slope, intercept, resid = fit_line(xs, ys)
 
     return PerturbationReport(
         family=family.describe(),
@@ -167,8 +166,8 @@ def exponent_fit(family, base_subset, b_range, tol=None) -> PerturbationReport:
         base_lo=base_dim.lo,
         base_hi=base_dim.hi,
         entries=tuple(entries),
-        slope=float(coef[0]),
-        intercept=float(coef[1]),
+        slope=slope,
+        intercept=intercept,
         residual=resid,
     )
 

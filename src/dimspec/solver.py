@@ -424,14 +424,20 @@ def pressure_derivative(family, subset, s):
     selected symbols, in plain doubles; always negative.  A full
     infinite selector is cut by the evaluator's truncation rule at a
     tolerance relative to the first term, so the dropped tail is below
-    2**-60 of the sum.
+    2**-60 of the sum; ToleranceNotReachable when MAX_TERMS terms do not
+    get it there (s near 0), instead of returning the partial sum.
     """
     selector = _as_selector(subset)
     indices = _selected_indices(family, selector)
     if indices is None:
         if s <= family.theta:
             raise DivergentSum(f"moran sum diverges at s={s}")
-        n_cut, _ = _truncation(family.tail_majorant, s, 2.0**-58 * family.term_double(1, s))
+        tol = 2.0**-58 * family.term_double(1, s)
+        n_cut, tail = _truncation(family.tail_majorant, s, tol)
+        if not tail < tol / 4:
+            raise ToleranceNotReachable(
+                f"pressure derivative at s={s}: the tail after {n_cut} terms is not below tolerance"
+            )
         indices = range(1, n_cut + 1)
     elif not indices:
         raise ConfigError("pressure derivative of the empty subset is undefined")

@@ -1,10 +1,5 @@
-import sys
-from pathlib import Path
-
 import pytest
 from hypothesis import settings
-
-sys.path.insert(0, str(Path(__file__).parent))
 
 from dimspec.acceptance import CloudCache
 

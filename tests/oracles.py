@@ -107,8 +107,8 @@ def oracle_f_fraction(word: str) -> Fraction:
 #
 # The straightforward kernels the fast ones in dimspec.metrics replaced:
 # a full np.unique sort per gap center, a Python loop over the reciprocal
-# fit grid, a linear covering walk and Python loops over the distance
-# jumps.  The fast kernels must agree with these exactly (==).
+# fit grid, a linear covering walk, Python loops over the distance jumps
+# and a boolean mask per window.  The fast kernels must agree with these exactly (==).
 
 def ref_covering_count(sorted_pts, eps):
     n = 0
@@ -150,6 +150,13 @@ def ref_candidate_radii(pts, x, jump_ratio=4.0):
         radii.append(float(d[m]))
         m *= 2
     return sorted(set(radii))
+
+
+def ref_window(pts, x, r):
+    """The points of the array pts within distance r of x, by a mask."""
+    import numpy as np
+
+    return pts[np.abs(pts - x) <= r].tolist()
 
 
 def ref_fit_reciprocal_band(centers, scalars):

@@ -140,8 +140,7 @@ def test_metric_documents_match_the_reference_kernels(monkeypatch, capsys):
         return metrics.GapReport(*best)
 
     monkeypatch.setattr(metrics, "_covering_count", oracles.ref_covering_count)
-    monkeypatch.setattr(metrics, "_scalar_window_radius", oracles.ref_scalar_window_radius)
-    monkeypatch.setattr(metrics, "_candidate_radii", oracles.ref_candidate_radii)
+    monkeypatch.setattr(metrics, "_windows", lambda pts, x: lambda r: oracles.ref_window(pts, x, r))
     monkeypatch.setattr(metrics, "fit_reciprocal_band", oracles.ref_fit_reciprocal_band)
     monkeypatch.setattr(metrics, "uniform_perfectness_gaps", reference_gaps)
     monkeypatch.setattr(cli, "uniform_perfectness_gaps", reference_gaps)

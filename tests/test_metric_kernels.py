@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -91,8 +91,59 @@ def test_window_radii_equal_the_loop_references(points):
     pts = np.asarray(_distinct(points))
     for x in pts:
         x = float(x)
-        assert metrics._scalar_window_radius(pts, x) == oracles.ref_scalar_window_radius(pts, x)
-        assert metrics._candidate_radii(pts, x) == oracles.ref_candidate_radii(pts, x)
+        d = metrics._distances(pts, x)
+        # On distinct points only the center's own distance is 0.
+        assert d[0] == 0.0 and np.array_equal(d[1:], d[d > 0])
+        d = d[1:]
+        hits = metrics._boundaries(d)
+        assert metrics._scalar_radius(d, hits, len(pts)) == oracles.ref_scalar_window_radius(pts, x)
+        assert metrics._series_radii(d, hits) == oracles.ref_candidate_radii(pts, x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(point_sets, st.lists(st.floats(min_value=0.0, allow_nan=False), max_size=3))
+# Differences that overflow to +-inf.
+@example([-1.7e308, -1.5e308, -1e308, 0.0, 3.0, 1e308, 1.7e308], [math.inf, 1e308])
+def test_windows_equal_the_mask_reference(points, radii):
+    # Every distance is a radius where the window changes; its float
+    # neighbours check both sides of the step.
+    pts = np.asarray(_distinct(points))
+    for x in pts:
+        x = float(x)
+        window = metrics._windows(pts, x)
+        for r in [*metrics._distances(pts, x).tolist(), *radii]:
+            for radius in (r, math.nextafter(r, -math.inf), math.nextafter(r, math.inf)):
+                assert window(radius) == oracles.ref_window(pts, x, radius)
+
+
+@settings(max_examples=50, deadline=None)
+@given(point_sets)
+def test_classify_scalars_equal_the_local_profile_scalars(points):
+    if len(_distinct(points)) < 2:
+        with pytest.raises(DegenerateScales):
+            metrics.classify_type(points)
+        return
+    assert list(metrics.classify_type(points).scalars) == \
+        metrics.local_dimension_profile(points).scalars()
+
+
+@pytest.mark.parametrize("family", ["cantor-pair", "geometric", "type-three"])
+def test_classify_scalars_equal_the_local_profile_scalars_on_metric_clouds(family, cloud_cache):
+    # The clouds the cloud-metrics benchmark classifies, at depth 13.
+    if family == "cantor-pair":
+        points = metrics.cantor_truncation(13)
+    else:
+        points = cloud_cache.cloud(family, 13).midpoints()
+    assert list(metrics.classify_type(points).scalars) == \
+        metrics.local_dimension_profile(points).scalars()
+
+
+def test_classify_builds_no_window_series(monkeypatch):
+    def no_series(d, hits):
+        raise AssertionError("classify_type measured a nested series")
+
+    monkeypatch.setattr(metrics, "_series_radii", no_series)
+    assert metrics.classify_type(metrics.cantor_truncation(8)).label == "Unclassified"
 
 
 @settings(max_examples=300, deadline=None)
@@ -226,6 +277,19 @@ BAD_POINTS = [
 def test_metrics_reject_non_finite_points(metric, points):
     with pytest.raises(ConfigError):
         _within(5, metric, points)
+
+
+SUBNORMAL_CLOUD = [0.0, 5e-324, 1e-323, 2.225073858507e-311]
+
+
+def test_profiles_of_a_subnormal_cloud_stop_before_the_reciprocal_overflows():
+    # Scales below about 5.6e-309 used to reach the fit as log(1/eps) =
+    # inf, and lstsq raised a bare LinAlgError.
+    with pytest.raises(DegenerateScales):
+        metrics.box_dimension_estimate(SUBNORMAL_CLOUD)
+    prof = metrics.local_dimension_profile(SUBNORMAL_CLOUD)
+    assert all(c.scalar is None for c in prof.centers)
+    assert metrics.classify_type(SUBNORMAL_CLOUD).label == "Unclassified"
 
 
 @pytest.mark.parametrize("eps", [math.inf, math.nan])

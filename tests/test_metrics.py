@@ -111,8 +111,6 @@ def test_local_profile_widest_window_recovers_global_slope():
 def test_local_profile_degenerate_input():
     with pytest.raises(DegenerateScales):
         local_dimension_profile([0.7])
-    with pytest.raises(ConfigError):
-        local_dimension_profile([0.1, 0.2, 0.3], n_centers=0)
 
 
 # --- gaps ----------------------------------------------------------------------------
@@ -146,11 +144,6 @@ def test_reciprocal_fit_recovers_constant():
     c_fit, resid = fit_reciprocal_band(xs, ys)
     assert abs(c_fit - c_true) < 0.01
     assert resid < 1e-3
-
-
-def test_classify_needs_enough_centers():
-    with pytest.raises(ConfigError):
-        classify_type(cantor_truncation(6), n_centers=4)
 
 
 def test_classify_cantor_is_unclassified():

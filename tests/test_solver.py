@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from dimspec import solver
-from dimspec.errors import ConfigError, DivergentSum, ToleranceNotReachable
+from dimspec.errors import ConfigError, DimspecError, DivergentSum, ToleranceNotReachable
 from dimspec.families import ContractionFamily
 from dimspec.solver import (
     DEFAULT_TOL,
@@ -342,6 +343,35 @@ def test_pressure_derivative_full_against_200_bit_reference(kind):
         s = 0.01 * 300.0 ** (k / 15)
         ref = oracles.full_pressure_slope(kind, s)
         assert abs(pressure_derivative(fam, "full", s) - ref) <= 1e-14 * abs(ref)
+
+
+def _raises_fast(fn, *args):
+    """fn(*args) must raise a DimspecError within 10 ms."""
+    t0 = time.perf_counter()
+    with pytest.raises(DimspecError):
+        fn(*args)
+    assert time.perf_counter() - t0 < 0.01
+
+
+@pytest.mark.parametrize("s", [1e-5, 7e-5, 1e-6])
+def test_pressure_derivative_rejects_a_cut_that_misses_its_tolerance(s):
+    # The cut stops at MAX_TERMS with the tail still above tolerance;
+    # the partial sum (-99493.1 at s = 1e-5, true slope -100000.3) is
+    # not returned.
+    _raises_fast(pressure_derivative, GEO, "full", s)
+
+
+def test_pressure_derivative_keeps_the_converged_values():
+    assert pressure_derivative(GEO, "full", 1e-3) == -1000.3466136280308
+    assert pressure_derivative(GEO, "full", 1e-4) == -10000.346577594055
+
+
+def test_tiny_s_raises_a_dimspec_error():
+    # 1 - 2**(-s) rounds to 0, so no tail majorant exists in doubles.
+    _raises_fast(moran_sum, GEO, "full", 1e-17)
+    _raises_fast(pressure_derivative, GEO, "full", 1e-17)
+    with mpmath.workprec(96):
+        _raises_fast(GEO.tail_majorant_mp, 8, mpmath.mpf(2) ** -120)
 
 
 def test_pressure_derivative_diverges_at_theta():
