@@ -79,7 +79,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="inclusive sweep range lo:hi for the perturbing symbol")
         if criteria:
             p.add_argument("--criteria", help="comma-separated criterion numbers (default all)")
-        p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
+        p.add_argument("--workers", type=int, default=1,
+                       help="parallel worker processes (at most the number of CPUs)")
         p.add_argument("--format", choices=("csv", "structured"), default="structured")
         p.add_argument("--out", help="write the data document to this file")
         p.add_argument("--no-timestamp", action="store_true", dest="no_timestamp",
@@ -262,7 +263,9 @@ def _emit(args, config, summary: dict, header, rows) -> str:
 
 def _cmd_dim(args, config):
     family = _family_of(args)
-    if getattr(args, "word", None):
+    if args.word is not None and args.subset is not None:
+        raise ConfigError("give either --subset or --word")
+    if args.word is not None:
         subset = args.word
     else:
         subset = _parse_subset(getattr(args, "subset", None))

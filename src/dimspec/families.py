@@ -14,6 +14,13 @@ For the infinite families one closed-form tail majorant bounds the sum
 of ratio(a)**s over all a > N, which is what makes certified upper sums
 possible.  All families here have finiteness exponent theta = 0: the
 sum of ratio(a)**s is finite for every s > 0 and infinite at s = 0.
+
+Terms come in two tiers.  term_double and tail_majorant evaluate in
+doubles.  The mpmath tier encloses terms in fixed point between two
+integers: power_enclosure encloses one ratio**s with one exp, and
+TermChain walks a named row from y = base**(-s) by integer multiply and
+shift, rounded down for the lower chain and up for the upper chain, with
+its tail majorant in the same integers.
 """
 
 from __future__ import annotations
@@ -21,8 +28,9 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from functools import lru_cache
 
-import mpmath
+from mpmath.libmp import from_float, from_rational, mpf_exp, mpf_log, mpf_mul, round_nearest, to_fixed
 
 from .errors import ConfigError, ToleranceNotReachable
 
@@ -169,15 +177,6 @@ class ContractionFamily:
         """ratio(a)**s in double precision."""
         return 2.0 ** (s * self.log2_ratio(a))
 
-    def term_mp(self, a: int, s) -> mpmath.mpf:
-        """ratio(a)**s at the current mpmath working precision."""
-        a = self.check_index(a)
-        if self._ratios is not None:
-            frac = self._ratios[a - 1]
-            base = mpmath.mpf(frac.numerator) / mpmath.mpf(frac.denominator)
-            return mpmath.power(base, s)
-        return mpmath.power(self._base, -self._e(a) * mpmath.mpf(s))
-
     # -- tail majorants ----------------------------------------------------
 
     def _tail_exponents(self, n_cut: int) -> tuple[int, int]:
@@ -215,21 +214,6 @@ class ContractionFamily:
             raise ToleranceNotReachable(f"s = {s} is too small for a tail majorant in doubles")
         return base ** (-head * s) / den
 
-    def tail_majorant_mp(self, n_cut: int, s) -> mpmath.mpf:
-        """Same bound evaluated in the mpmath tier."""
-        if self._ratios is not None:
-            if n_cut >= len(self._ratios):
-                return mpmath.mpf(0)
-            return mpmath.fsum(self.term_mp(a, s) for a in range(n_cut + 1, len(self._ratios) + 1))
-        s = mpmath.mpf(s)
-        if s <= 0:
-            return mpmath.inf
-        head, step = self._tail_exponents(n_cut)
-        den = 1 - mpmath.power(self._base, -step * s)
-        if den == 0:
-            raise ToleranceNotReachable(f"s = {s} is too small for a tail majorant in mpmath")
-        return mpmath.power(self._base, -head * s) / den
-
     # -- misc ----------------------------------------------------------------
 
     def describe(self) -> dict:
@@ -260,3 +244,132 @@ class ContractionFamily:
 
     def __hash__(self):
         return hash((self.kind, self._ratios))
+
+
+# -- fixed-point enclosures (the mpmath tier) ---------------------------------
+#
+# An enclosure of x at `bits` bits is a pair of ints lo <= x * 2**bits <= hi.
+# power_enclosure(v, s, bits) encloses v**s = exp(s * ln v) with one libmp
+# exp at w = bits + EXP_GUARD_BITS + bit_length(ceil s) bits.
+#
+# Accuracy assumption: libmp's from_rational, mpf_log, mpf_mul and mpf_exp
+# at w bits each return a value within 2**(4-w) relative of the exact
+# result (mpf_exp itself works with 14 guard bits).  For s >= 0, with
+# y = v**s <= 1 and z = s ln v, the computed exp is then within
+# y * (s + 2|z| + 1) * 2**(4-w) <= (s + 1.8) * 2**(4-w) of y, which is
+# below 2**-10 units of 2**-bits; flooring it and widening by WIDEN_UNITS
+# on each side encloses y.  This is the assumption the mpmath tier's old
+# relative slack of 2**-(prec-8) rested on, at 16 more bits.
+
+EXP_GUARD_BITS = 16
+WIDEN_UNITS = 2
+
+
+@lru_cache(maxsize=256)
+def _ln(numerator: int, denominator: int, bits: int):
+    """ln(numerator/denominator) as a raw libmp number at bits precision."""
+    return mpf_log(from_rational(numerator, denominator, bits, round_nearest), bits)
+
+
+def _raw(s):
+    """s (an mpf, float or int) as a raw libmp number, exactly."""
+    return s._mpf_ if hasattr(s, "_mpf_") else from_float(float(s))
+
+
+def power_enclosure(value: Fraction, s, bits: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= value**s * 2**bits <= hi <= 2**bits, for
+    0 < value <= 1 and s >= 0: one exp."""
+    s = _raw(s)
+    sign, _, exp, bc = s
+    if sign:
+        raise ConfigError("fixed-point powers need s >= 0")
+    w = bits + EXP_GUARD_BITS + max(0, exp + bc)
+    ln = _ln(value.numerator, value.denominator, w)
+    mid = to_fixed(mpf_exp(mpf_mul(s, ln, w), w), bits)
+    return max(mid - WIDEN_UNITS, 0), min(mid + WIDEN_UNITS, 1 << bits)
+
+
+_RECIPROCALS = {base: Fraction(1, base) for base, _ in NAMED_FAMILIES.values()}
+
+
+def _mul(x, y, bits):
+    """Product of two enclosures, floor for lo and ceil for hi: the
+    product of lower (upper) bounds of non-negative numbers is a lower
+    (upper) bound."""
+    return x[0] * y[0] >> bits, (x[1] * y[1] + (1 << bits) - 1) >> bits
+
+
+class TermChain:
+    """The terms ratio(a)**s = y**e(a), y = base**(-s), of a named family
+    for a = 1, 2, ..., enclosed at `bits` bits, and their sums.
+
+    One power_enclosure encloses y.  Each step multiplies the term by
+    its step factor y**(e(a+1) - e(a)), and the step factor by y to the
+    second difference of e, so square-exponent costs 2 multiplies per
+    symbol and geometric one.  advance(n) adds weights[a] times the
+    terms a <= n to lo and hi (enclosures of the sum) and to moment (the
+    lower terms times e(a)), every weight 1 when weights is None; tail()
+    then majorises the terms beyond n.
+    """
+
+    def __init__(self, family, s, bits, weights=None):
+        base, e = NAMED_FAMILIES[family.kind]
+        self.bits, self.weights, self._e = bits, weights, e
+        one = 1 << bits
+        self._powers = {0: (one, one), 1: power_enclosure(_RECIPROCALS[base], s, bits)}
+        self.n = 0
+        self.lo = self.hi = self.moment = 0
+        self._exps = e0, e1, _ = e(1), e(2), e(3)
+        self._term = self._power(e0)
+        self._step = self._power(e1 - e0)
+
+    def _power(self, k):
+        """Enclosure of y**k, k >= 0, by square and multiply over the
+        cached powers."""
+        powers = self._powers
+        if k not in powers:
+            if k % 2:
+                powers[k] = _mul(self._power(k - 1), powers[1], self.bits)
+            else:
+                half = self._power(k // 2)
+                powers[k] = _mul(half, half, self.bits)
+        return powers[k]
+
+    def advance(self, n):
+        bits, weights, e, powers = self.bits, self.weights, self._e, self._powers
+        up = (1 << bits) - 1  # (x + up) >> bits rounds x / 2**bits up
+        t_lo, t_hi = self._term
+        d_lo, d_hi = self._step
+        e0, e1, e2 = self._exps
+        lo, hi, moment = self.lo, self.hi, self.moment
+        for a in range(self.n + 1, n + 1):
+            weight = 1 if weights is None else weights[a]
+            if weight:
+                lo += weight * t_lo
+                hi += weight * t_hi
+                moment += weight * e0 * t_lo
+            t_lo = t_lo * d_lo >> bits
+            t_hi = (t_hi * d_hi + up) >> bits
+            bend = e2 - e1 - e1 + e0
+            if bend:
+                c_lo, c_hi = powers[bend] if bend in powers else self._power(bend)
+                d_lo = d_lo * c_lo >> bits
+                d_hi = (d_hi * c_hi + up) >> bits
+            e0, e1, e2 = e1, e2, e(a + 3)
+        self.n = max(self.n, n)
+        self._term, self._step, self._exps = (t_lo, t_hi), (d_lo, d_hi), (e0, e1, e2)
+        self.lo, self.hi, self.moment = lo, hi, moment
+
+    def tail(self) -> int:
+        """Upper bound, in units of 2**-bits, for the sum of ratio(a)**s
+        over a > n: the next term over 1 - its step factor, rounded up
+        (the geometric majorant of tail_majorant)."""
+        head, after, _ = self._exps
+        if after == head:
+            raise ConfigError(f"a tail majorant needs e(n+2) > e(n+1), got n = {self.n}")
+        one = 1 << self.bits
+        den = one - self._step[1]
+        if den <= 0:
+            raise ToleranceNotReachable(
+                f"s is too small for a tail majorant at {self.bits} bits")
+        return -(-self._term[1] * one // den)

@@ -23,30 +23,41 @@ one-sided sums at exactly those floats certify them.  Bisection of
 [0, 1] remains as the fallback, for roots above the ambient bound 1
 (ratio sums above 1) and for any bracket the sums fail to certify.
 
-Two arithmetic tiers exist: plain doubles with a generous relative
-slack, and mpmath with a working precision chosen from the requested
-tolerance.  The mpmath tier polishes the double Newton iterate with
-Newton steps at working precision.  The double tier escalates
-automatically when its dead zone (where neither one-sided test is
-conclusive) is wider than the tolerance.
+Two arithmetic tiers exist.  The double tier sums plain doubles and
+widens them by a generous relative slack.  The mpmath tier, at a
+working precision prec chosen from the requested tolerance, sums
+fixed-point integers: every term is enclosed between two integers at
+bits >= prec bits (families.TermChain, families.power_enclosure), from
+one exp per evaluation for a named family and one per distinct ratio
+for an explicit one, and products are rounded down in the lower chain
+and up in the upper chain.  Its sums are exact dyadics S * 2**-bits,
+certified by monotonicity alone with no slack; the one assumption is
+that libmp's log, multiply and exp are accurate to 16 ulp at the
+precision they run at, which is 16 bits above the fixed point (the
+accuracy note in families.py).  The mpmath tier polishes the double
+Newton iterate with Newton steps at working precision.  The double tier
+escalates automatically when its dead zone (where neither one-sided
+test is conclusive) is wider than the tolerance.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 from operator import mul
 
 import mpmath
+from mpmath.libmp import from_man_exp
 
 from .errors import (
     ConfigError,
     DivergentSum,
     ToleranceNotReachable,
 )
-from .families import ContractionFamily
+from .families import NAMED_FAMILIES, ContractionFamily, TermChain, power_enclosure
 from .words import SubsetSelector
 
 # Relative slack applied to double-precision sums.  Covers the rounding
@@ -67,6 +78,12 @@ DEFAULT_TOL = 1e-10
 NEWTON_STEPS = 64
 
 LN2 = math.log(2.0)
+
+_make_mpf = mpmath.mp.make_mpf
+
+# Fixed-point bits beyond the requested precision, before the bits for
+# the largest term and the number of terms (_fixed_bits).
+GUARD_BITS = 8
 
 
 def _as_selector(subset) -> SubsetSelector:
@@ -100,37 +117,25 @@ def moran_bounds(family, indices, s, tol, prec=None):
     indices is an explicit index tuple, or None for the full infinite
     selector, whose partial sum grows until the tail majorant drops
     below tol/4.  prec None evaluates in doubles with relative slack
-    SLACK_DOUBLE; an integer evaluates in mpmath at prec bits with slack
-    2**-(prec-8).  The slope d/ds of the partial sum is an estimate for
-    Newton steps, not a bound.  At s <= theta the full selector
-    diverges: (inf, inf, -inf).
+    SLACK_DOUBLE; an integer evaluates in fixed point at no fewer than
+    prec bits and returns the sums as exact dyadic mpfs.  The slope d/ds
+    of the partial sum is an estimate for Newton steps, not a bound.  At
+    s <= theta the full selector diverges: (inf, inf, -inf).
     """
     if prec is None:
         return _double_bounds(family, indices, tol)(s)
-    with mpmath.workprec(prec):
-        s = mpmath.mpf(s)
-        tail = 0
-        if indices is None:
-            if s <= family.theta:
-                return math.inf, math.inf, -math.inf
-            n_cut, tail = _truncation(family.tail_majorant_mp, s, tol)
-            indices = range(1, n_cut + 1)
-        terms = [family.term_mp(a, s) for a in indices]
-        total = mpmath.fsum(terms)
-        slope = LN2 * mpmath.fsum(t * family.log2_ratio(a) for t, a in zip(terms, indices))
-        slack = mpmath.ldexp(1, 8 - prec)
-        return total * (1 - slack), (total + tail) * (1 + slack), slope
+    return _fixed_bounds(family, indices, tol, prec)(s)
 
 
-def _truncation(tail_majorant, s, tol):
-    """(n_cut, tail): the first n_cut = 8 * 2**k whose tail majorant is
-    below tol/4, or MAX_TERMS."""
+def _truncation(tail, limit):
+    """(n_cut, tail(n_cut)): the first n_cut = 8 * 2**k whose tail is
+    below limit, or MAX_TERMS."""
     n_cut = 8
-    tail = tail_majorant(n_cut, s)
-    while n_cut < MAX_TERMS and not tail < tol / 4:
+    rest = tail(n_cut)
+    while n_cut < MAX_TERMS and not rest < limit:
         n_cut *= 2
-        tail = tail_majorant(n_cut, s)
-    return n_cut, tail
+        rest = tail(n_cut)
+    return n_cut, rest
 
 
 def _double_bounds(family, indices, tol):
@@ -151,12 +156,95 @@ def _double_bounds(family, indices, tol):
         if indices is None:
             if s <= family.theta:
                 return math.inf, math.inf, -math.inf
-            n, tail = _truncation(family.tail_majorant, s, tol)
+            n, tail = _truncation(lambda n_cut: family.tail_majorant(n_cut, s), tol / 4)
             weights.extend(family.log2_ratio(a) for a in range(len(weights) + 1, n + 1))
         terms = [2.0 ** (s * w) for w in islice(weights, n)]
         total = math.fsum(terms)
         slope = LN2 * math.fsum(map(mul, terms, weights))
         return total * (1 - SLACK_DOUBLE), (total + tail) * (1 + SLACK_DOUBLE), slope
+
+    return bounds
+
+
+def _fixed_bits(prec, s, top, n_terms):
+    """Fixed-point bits for prec-bit sums at s: prec, plus the bits the
+    largest term 2**-(s*top) sits below 1, plus guard bits for the
+    rounding of up to n_terms chained terms.
+
+    The bits only decide how tight the sums are; directed rounding
+    certifies them at any bits.  With 2 bits per bit of n_terms they
+    stay inside the old mpf evaluator's relative slack of 2**-(prec-8)
+    on every input tested (test_solver.py compares them with that
+    evaluator).
+    """
+    return prec + max(0, math.ceil(float(s) * top)) + GUARD_BITS + 2 * n_terms.bit_length()
+
+
+def _dyadic(units, bits):
+    """units * 2**-bits as an mpf, exactly."""
+    return _make_mpf(from_man_exp(units, -bits))
+
+
+def _fixed_bounds(family, indices, tol, prec):
+    """moran_bounds(family, indices, s, tol, prec) as a function of s,
+    for the length of one solve.
+
+    Named families walk one TermChain (one exp per evaluation);
+    explicit families enclose each distinct selected ratio once.  The
+    lower sum adds the floor enclosures and the upper sum the ceiling
+    enclosures plus the fixed-point tail majorant, so both are certified
+    by monotonicity alone, with no relative slack.
+    """
+    if not family.is_infinite:
+        groups = Counter(family.ratio(a) for a in indices)
+        weights = [(r, k, math.log2(r.numerator) - math.log2(r.denominator))
+                   for r, k in groups.items()]
+        top = -max((w for _, _, w in weights), default=0.0)
+        n_terms = len(indices)
+
+        def bounds(s):
+            bits = _fixed_bits(prec, s, top, n_terms)
+            lo = hi = 0
+            slope = 0.0
+            for r, k, w in weights:
+                t_lo, t_hi = power_enclosure(r, s, bits)
+                lo += k * t_lo
+                hi += k * t_hi
+                slope += k * w * (t_lo / (1 << bits))
+            return _dyadic(lo, bits), _dyadic(hi, bits), LN2 * slope
+
+        return bounds
+
+    ln_base = math.log(NAMED_FAMILIES[family.kind][0])
+    weights = None
+    if indices is None:
+        top, n_terms = -family.log2_ratio(1), MAX_TERMS
+        num, den = float(tol).as_integer_ratio()
+    else:
+        counts = Counter(family.check_index(a) for a in indices)
+        n_terms = max(counts, default=0)
+        weights = [counts[a] for a in range(n_terms + 1)]
+        top = -family.log2_ratio(min(counts, default=1))
+
+    def bounds(s):
+        bits = _fixed_bits(prec, s, top, n_terms)
+        tail = 0
+        if indices is None:
+            if s <= family.theta:
+                return math.inf, math.inf, -math.inf
+            chain = TermChain(family, s, bits)
+
+            def chain_tail(n_cut):
+                chain.advance(n_cut)
+                return chain.tail()
+
+            # tail < tol/4 * 2**bits, compared exactly as integers.
+            _, tail = _truncation(chain_tail, -(-num << bits) // (4 * den))
+        else:
+            chain = TermChain(family, s, bits, weights)
+            chain.advance(n_terms)
+        return (_dyadic(chain.lo, bits), _dyadic(chain.hi + tail, bits),
+                -ln_base * (chain.moment / (1 << bits)))
 
     return bounds
 
@@ -348,8 +436,8 @@ def solve_dimension(family, subset="full", tol=DEFAULT_TOL, precision_bits=None)
     root is about 10.4), the result is [lo, 1] with hi_is_ambient set
     and lo certified by cert_lo; a root above 1 is not reported.
     """
-    if tol <= 0:
-        raise ConfigError(f"tolerance must be positive, got {tol}")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ConfigError(f"tolerance must be positive and finite, got {tol}")
     selector = _as_selector(subset)
     indices = _selected_indices(family, selector)
 
@@ -384,9 +472,7 @@ def solve_dimension(family, subset="full", tol=DEFAULT_TOL, precision_bits=None)
                 )
         prec = max(96, int(math.ceil(-math.log2(tol))) + 50)
 
-    def bounds(s):
-        return moran_bounds(family, indices, s, tol, prec)
-
+    bounds = _fixed_bounds(family, indices, tol, prec)
     with mpmath.workprec(prec):
         if x is not None:
             x = _newton(bounds, mpmath.mpf(x), tol, prec)
@@ -433,7 +519,7 @@ def pressure_derivative(family, subset, s):
         if s <= family.theta:
             raise DivergentSum(f"moran sum diverges at s={s}")
         tol = 2.0**-58 * family.term_double(1, s)
-        n_cut, tail = _truncation(family.tail_majorant, s, tol)
+        n_cut, tail = _truncation(lambda n: family.tail_majorant(n, s), tol / 4)
         if not tail < tol / 4:
             raise ToleranceNotReachable(
                 f"pressure derivative at s={s}: the tail after {n_cut} terms is not below tolerance"

@@ -14,6 +14,7 @@ by the caller.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from multiprocessing import Pool
 
@@ -162,6 +163,8 @@ def expand_spectrum(family, depth, base_symbols=(1, 2), tol=None, workers=1) -> 
     through all assignments elsewhere (2**(depth - len(base)) points,
     lexicographic generation, sorted by midpoint).  Deterministic for
     any worker count: the work split never changes the arithmetic.
+    workers > 1 solves the words in a process pool of at most
+    os.cpu_count() processes.
     """
     depth = int(depth)
     base_symbols = tuple(sorted(set(int(b) for b in base_symbols)))
@@ -181,8 +184,9 @@ def expand_spectrum(family, depth, base_symbols=(1, 2), tol=None, workers=1) -> 
     words = _cloud_words(depth, base_symbols)
     jobs = [(family, w, tol) for w in words]
     if workers and workers > 1 and len(jobs) >= 8:
-        with Pool(processes=int(workers)) as pool:
-            solved = pool.map(_solve_cloud_word, jobs, chunksize=max(1, len(jobs) // (4 * workers)))
+        processes = min(int(workers), os.cpu_count() or 1)
+        with Pool(processes=processes) as pool:
+            solved = pool.map(_solve_cloud_word, jobs, chunksize=max(1, len(jobs) // (4 * processes)))
     else:
         solved = [_solve_cloud_word(j) for j in jobs]
 

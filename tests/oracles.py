@@ -268,6 +268,54 @@ def ref_tail_majorant_mp(kind, n_cut, s):
     return mpmath.power(3, -n_cut * s) / (1 - mpmath.power(3, -s))
 
 
+def ref_term(family, a, s):
+    """ratio(a)**s at the current mpmath precision, as the mpmath tier
+    evaluated terms before it moved to fixed point."""
+    if family.is_infinite:
+        return ref_term_mp(family.kind, a, s)
+    frac = family.ratio(a)
+    return mpmath.power(mpmath.mpf(frac.numerator) / mpmath.mpf(frac.denominator), s)
+
+
+def ref_mp_bounds(family, indices, s, tol, prec, max_terms=1 << 20):
+    """The mpmath tier's (lower, upper, slope) before it moved to fixed
+    point: one mpmath.power per term at prec bits, the sum widened by a
+    relative slack of 2**-(prec-8), the solver's truncation rule on the
+    per-kind tail majorant for the full selector (indices None)."""
+    with mpmath.workprec(prec):
+        s = mpmath.mpf(s)
+        tail = 0
+        if indices is None:
+            if s <= 0:
+                return math.inf, math.inf, -math.inf
+            n_cut = 8
+            tail = ref_tail_majorant_mp(family.kind, n_cut, s)
+            while n_cut < max_terms and not tail < tol / 4:
+                n_cut *= 2
+                tail = ref_tail_majorant_mp(family.kind, n_cut, s)
+            indices = range(1, n_cut + 1)
+        terms = [ref_term(family, a, s) for a in indices]
+        total = mpmath.fsum(terms)
+        slope = math.log(2.0) * mpmath.fsum(t * family.log2_ratio(a) for t, a in zip(terms, indices))
+        slack = mpmath.ldexp(1, 8 - prec)
+        return total * (1 - slack), (total + tail) * (1 + slack), slope
+
+
+def ref_sum(family, indices, s, prec):
+    """The defining sum at prec bits: over indices, or over every symbol
+    (indices None) in closed form or until the terms fall below
+    2**-(prec+20) of the first."""
+    with mpmath.workprec(prec):
+        s = mpmath.mpf(s)
+        if indices is not None:
+            return mpmath.fsum(ref_term(family, a, s) for a in indices)
+        if family.kind == "geometric":
+            return geometric_full_sum(s)
+        if family.kind == "type-three":
+            return type_three_full_sum(s)
+        return sqexp_full_sum(s, cutoff_bits=prec + 20 + int(s) + 1)
+
+
 def full_pressure_slope(kind, s, prec=PREC):
     """d/ds of the log of the full Moran sum of a named family at s."""
     with mpmath.workprec(prec):

@@ -168,6 +168,28 @@ def test_missing_family(capsys):
     assert code == 2
 
 
+def _config_error(argv, capsys, message):
+    code, out = run(argv, capsys)
+    assert code == 2
+    record = json.loads(out)
+    assert record["error"]["type"] == "ConfigError"
+    assert message in record["error"]["message"]
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-12", "0"])
+def test_a_tolerance_that_is_not_finite_and_positive_is_a_config_error(capsys, tol):
+    _config_error(["dim", "--family", "square-exponent", "--subset", "1,2,3", f"--tol={tol}"],
+                  capsys, "tolerance must be positive and finite")
+    _config_error(["spectrum", "--family", "square-exponent", "--depth", "5", f"--tol={tol}"],
+                  capsys, "tolerance must be positive and finite")
+
+
+def test_dim_takes_either_a_subset_or_a_word(capsys):
+    # --subset 1,2 used to be dropped silently, solving {1, 2, 3, 4}
+    _config_error(["dim", "--family", "square-exponent", "--subset", "1,2", "--word", "1111"],
+                  capsys, "give either --subset or --word")
+
+
 def test_numeric_error_exit_code(capsys):
     code, out = run(["dim", "--family", "cantor-pair", "--tol", "1e-40",
                      "--precision-bits", "64"], capsys)

@@ -4,12 +4,19 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
 from dimspec.errors import ConfigError, ToleranceNotReachable
-from dimspec.families import ContractionFamily, parse_ratio
+from dimspec.families import (
+    NAMED_FAMILIES,
+    WIDEN_UNITS,
+    ContractionFamily,
+    TermChain,
+    parse_ratio,
+    power_enclosure,
+)
 
 NAMED = ("square-exponent", "geometric", "type-three")
 kinds = st.sampled_from(NAMED)
@@ -116,11 +123,10 @@ def test_table_ratios_equal_the_per_kind_formulas(kind, a):
 
 @given(kinds, st.integers(min_value=1, max_value=2**20), powers)
 def test_table_terms_equal_the_per_kind_formulas(kind, a, s):
+    # The mpmath tier's terms are enclosures now, checked below.
     fam = ContractionFamily(kind)
     assert fam.log2_ratio(a) == oracles.ref_log2_ratio(kind, a)
-    for prec in (96, 200):
-        with mpmath.workprec(prec):
-            assert fam.term_mp(a, s) == oracles.ref_term_mp(kind, a, s)
+    assert fam.term_double(a, s) == 2.0 ** (s * oracles.ref_log2_ratio(kind, a))
 
 
 def _outcome(fn, *args):
@@ -144,10 +150,61 @@ def test_table_tail_majorants_equal_the_per_kind_formulas(kind, n_cut, s):
     fam = ContractionFamily(kind)
     assert (_outcome(fam.tail_majorant, n_cut, s)
             == _table_outcome(_outcome(oracles.ref_tail_majorant, kind, n_cut, s)))
-    for prec in (96, 200):
-        with mpmath.workprec(prec):
-            assert (_outcome(fam.tail_majorant_mp, n_cut, s)
-                    == _table_outcome(_outcome(oracles.ref_tail_majorant_mp, kind, n_cut, s)))
+
+
+# --- fixed-point enclosures against the per-kind formulas -----------------------
+
+def _units(value, bits):
+    """value * 2**bits as an mpf at the current precision."""
+    return mpmath.ldexp(value, bits)
+
+
+def _term_enclosure(fam, a, s, bits):
+    """TermChain's enclosure of ratio(a)**s alone."""
+    chain = TermChain(fam, s, bits, [0] * a + [1])
+    chain.advance(a)
+    return chain.lo, chain.hi
+
+
+@settings(deadline=None)
+@given(kinds, st.integers(min_value=1, max_value=300), powers)
+def test_term_enclosures_contain_the_per_kind_formulas(kind, a, s):
+    fam = ContractionFamily(kind)
+    for bits in (96, 200):
+        lo, hi = _term_enclosure(fam, a, s, bits)
+        with mpmath.workprec(bits + 64):
+            exact = _units(oracles.ref_term_mp(kind, a, s), bits)
+            assert lo <= exact <= hi
+        # a chain of a steps loses a few units per step, not bits
+        assert hi - lo <= 8 * a * a
+
+
+@settings(deadline=None)
+@given(kinds, st.integers(min_value=1, max_value=2000), powers)
+def test_tail_enclosures_majorise_the_per_kind_formulas(kind, n_cut, s):
+    fam = ContractionFamily(kind)
+    for bits in (96, 200):
+        chain = TermChain(fam, s, bits)
+        chain.advance(n_cut)
+        tail = _outcome(chain.tail)
+        with mpmath.workprec(bits + 64):
+            step = fam._tail_exponents(n_cut)[1]
+            den = 1 - mpmath.power(NAMED_FAMILIES[kind][0], -step * mpmath.mpf(s))
+            if tail is ToleranceNotReachable:
+                # only where 1 - base**(-step*s) is within the chain's
+                # rounding, a few units of 2**-bits per factor of y
+                assert _units(den, bits) <= 4 * (step + 2)
+            else:
+                exact = _units(oracles.ref_tail_majorant_mp(kind, n_cut, s), bits)
+                assert exact <= tail <= exact + 16 * (n_cut + 1) ** 2 / den**2
+
+
+def test_power_enclosure_is_tight_and_needs_a_nonnegative_power():
+    lo, hi = power_enclosure(Fraction(1, 2), 1.0, 100)
+    assert lo <= 2**99 <= hi and hi - lo <= 2 * WIDEN_UNITS
+    assert power_enclosure(Fraction(1, 3), 0.0, 64) == (2**64 - WIDEN_UNITS, 2**64)
+    with pytest.raises(ConfigError):
+        power_enclosure(Fraction(1, 2), -0.5, 64)
 
 
 def test_tail_majorant_rejects_a_flat_exponent_step():
@@ -156,7 +213,7 @@ def test_tail_majorant_rejects_a_flat_exponent_step():
     with pytest.raises(ConfigError):
         fam.tail_majorant(0, 1.0)
     with pytest.raises(ConfigError):
-        fam.tail_majorant_mp(0, 1.0)
+        TermChain(fam, 1.0, 96).tail()
 
 
 # --- index validation -------------------------------------------------------------

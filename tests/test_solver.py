@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from dimspec import solver
+from dimspec import families, solver
 from dimspec.errors import ConfigError, DimspecError, DivergentSum, ToleranceNotReachable
-from dimspec.families import ContractionFamily
+from dimspec.families import ContractionFamily, TermChain
 from dimspec.solver import (
     DEFAULT_TOL,
     moran_bounds,
@@ -261,6 +261,73 @@ def test_ratio_sum_above_one_keeps_the_ambient_bound():
     assert iv.tier == "double"
 
 
+# --- the fixed-point mpmath tier ------------------------------------------------
+
+small_ratios = st.fractions(min_value=Fraction(1, 10**12), max_value=Fraction(999999, 10**6),
+                            max_denominator=10**12).filter(lambda r: 0 < r < 1)
+powers = st.floats(min_value=0.0, max_value=3.0, exclude_min=True)
+
+
+@st.composite
+def fixed_point_cases(draw):
+    """(family, indices, s): a named family with up to 12 symbols of
+    1..40 or the full selector, or up to 64 explicit ratios drawn from a
+    pool of at most 8, so that ratios repeat."""
+    kind = draw(st.sampled_from(["square-exponent", "geometric", "type-three", "explicit"]))
+    if kind == "explicit":
+        pool = draw(st.lists(small_ratios, min_size=1, max_size=8))
+        ratios = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=64))
+        return ContractionFamily.explicit(ratios), tuple(range(1, len(ratios) + 1)), draw(powers)
+    fam = ContractionFamily(kind)
+    if draw(st.booleans()):
+        # The reference sums its n_cut (about prec/s) terms with one
+        # mpmath.power each, so the full selector starts at s = 0.05.
+        return fam, None, draw(st.floats(min_value=0.05, max_value=3.0))
+    indices = draw(st.lists(st.integers(1, 40), min_size=1, max_size=12, unique=True))
+    return fam, tuple(sorted(indices)), draw(powers)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fixed_point_cases(), st.integers(min_value=96, max_value=400))
+def test_fixed_point_sums_enclose_the_sum_inside_the_old_band(case, prec):
+    # The fixed-point sums contain the defining sum, evaluated at
+    # prec + 200 (at least 296) bits and trusted to 2**-(prec+190)
+    # relative, and they are no wider than the mpf evaluator they
+    # replaced, whose relative slack was 2**-(prec-8).
+    fam, indices, s = case
+    tol = 2.0 ** -(prec - 50)
+    lower, upper, _ = moran_bounds(fam, indices, s, tol, prec)
+    ref_lower, ref_upper, _ = oracles.ref_mp_bounds(fam, indices, s, tol, prec)
+    assert ref_lower <= lower <= upper <= ref_upper
+    with mpmath.workprec(prec + 200):
+        total = oracles.ref_sum(fam, indices, s, prec + 200)
+        margin = mpmath.ldexp(total, -(prec + 190))
+        assert lower <= total + margin and total - margin <= upper
+
+
+@pytest.mark.parametrize("fam,indices,s,exps", [
+    (SQEXP, (1, 2, 5, 11), 0.5, 1),
+    (SQEXP, None, 0.5, 1),
+    (GEO, None, 0.05, 1),
+    (T3, (1, 2, 3), 0.9, 1),
+    (T3, None, 0.9, 1),
+    (ContractionFamily.explicit(["1/3", "1/3", "1/2"]), (1, 2, 3), 0.7, 2),
+    (ContractionFamily.explicit(["1/3", "1/3", "1/2"]), (1, 2), 0.7, 1),
+    (ContractionFamily.explicit([f"1/{2 + k % 5}" for k in range(64)]), tuple(range(1, 65)), 0.7, 5),
+])
+def test_one_exp_per_distinct_base_or_ratio(monkeypatch, fam, indices, s, exps):
+    calls = []
+    exp = families.mpf_exp
+
+    def counted(*args):
+        calls.append(args)
+        return exp(*args)
+
+    monkeypatch.setattr(families, "mpf_exp", counted)
+    moran_bounds(fam, indices, s, 1e-30, 160)
+    assert len(calls) == exps
+
+
 # --- precision control --------------------------------------------------------
 
 def test_pinned_precision_forces_mp_tier():
@@ -370,8 +437,10 @@ def test_tiny_s_raises_a_dimspec_error():
     # 1 - 2**(-s) rounds to 0, so no tail majorant exists in doubles.
     _raises_fast(moran_sum, GEO, "full", 1e-17)
     _raises_fast(pressure_derivative, GEO, "full", 1e-17)
-    with mpmath.workprec(96):
-        _raises_fast(GEO.tail_majorant_mp, 8, mpmath.mpf(2) ** -120)
+    # The fixed-point tail at 96 bits: 1 - y with y = 2**(-s) rounds up to 0.
+    chain = TermChain(GEO, mpmath.mpf(2) ** -120, 96)
+    chain.advance(8)
+    _raises_fast(chain.tail)
 
 
 def test_pressure_derivative_diverges_at_theta():

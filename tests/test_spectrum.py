@@ -1,6 +1,7 @@
 import pytest
 
 import oracles
+from dimspec import spectrum
 from dimspec.errors import CapExceeded, ConfigError
 from dimspec.families import ContractionFamily
 from dimspec.perturbation import increment
@@ -50,6 +51,36 @@ def test_workers_do_not_change_results():
     four = expand_spectrum(SQEXP, 6, workers=4)
     assert one.midpoints() == four.midpoints()
     assert [p.word for p in one.points] == [p.word for p in four.points]
+
+
+class _SerialPool:
+    """Stands in for multiprocessing.Pool: records the process count and
+    maps in this process, so no process is started."""
+
+    processes = []
+
+    def __init__(self, processes):
+        _SerialPool.processes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs, chunksize=1):
+        return [fn(job) for job in jobs]
+
+
+@pytest.mark.parametrize("cpus,workers,processes", [(2, 5000, 2), (8, 3, 3), (None, 4, 1)])
+def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch, cpus, workers, processes):
+    monkeypatch.setattr(spectrum, "Pool", _SerialPool)
+    monkeypatch.setattr(spectrum.os, "cpu_count", lambda: cpus)
+    _SerialPool.processes = []
+    cloud = expand_spectrum(SQEXP, 6, workers=workers)
+    # the pool branch follows the requested count, even on one CPU
+    assert _SerialPool.processes == [processes]
+    assert cloud == expand_spectrum(SQEXP, 6, workers=1)
 
 
 def test_depth_and_base_validation():
