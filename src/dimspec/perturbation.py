@@ -182,6 +182,8 @@ def derivative_comparability(family, base_subset, b, s_range=None, n_grid=64):
     """
     import numpy as np
 
+    if int(n_grid) < 1:
+        raise ConfigError(f"need at least one grid point, got n_grid = {n_grid}")
     base = _base_indices(base_subset)
     b = family.check_index(b)
     extended = tuple(sorted(set(base + (b,))))

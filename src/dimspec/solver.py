@@ -19,9 +19,12 @@ sum, the pressure, is convex and decreasing in s, so Newton's method
 started left of the root climbs to it monotonically.  The Newton
 iterate x is only a guess: the returned endpoints are the floats just
 outside x -/+ 0.4 tol, and they are accepted only once the two
-one-sided sums at exactly those floats certify them.  Bisection of
-[0, 1] remains as the fallback, for roots above the ambient bound 1
-(ratio sums above 1) and for any bracket the sums fail to certify.
+one-sided sums at exactly those floats certify them.  A root above the
+ambient bound 1 (a ratio sum above 1) gets [lo, 1] instead, with lo the
+largest float <= 1 - 2**floor(log2 tol), certified by its lower sum.
+Nothing else is tried: a bracket that fails to certify escalates from
+the double tier to the mpmath tier, and there raises
+ToleranceNotReachable.
 
 Two arithmetic tiers exist.  The double tier sums plain doubles and
 widens them by a generous relative slack.  The mpmath tier, at a
@@ -35,9 +38,10 @@ certified by monotonicity alone with no slack; the one assumption is
 that libmp's log, multiply and exp are accurate to 16 ulp at the
 precision they run at, which is 16 bits above the fixed point (the
 accuracy note in families.py).  The mpmath tier polishes the double
-Newton iterate with Newton steps at working precision.  The double tier
-escalates automatically when its dead zone (where neither one-sided
-test is conclusive) is wider than the tolerance.
+Newton iterate with Newton steps at working precision (or starts afresh
+when the double Newton failed).  The double tier escalates
+automatically when its dead zone (where neither one-sided test is
+conclusive) is wider than the tolerance.
 """
 
 from __future__ import annotations
@@ -74,7 +78,8 @@ MAX_TERMS = 1 << 20
 
 DEFAULT_TOL = 1e-10
 
-# Newton iterations allowed per tier before falling back to bisection.
+# Newton iterations allowed per tier; a Newton that has not settled by
+# then escalates from the double tier and fails in the mpmath tier.
 NEWTON_STEPS = 64
 
 LN2 = math.log(2.0)
@@ -116,7 +121,8 @@ def moran_bounds(family, indices, s, tol, prec=None):
 
     indices is an explicit index tuple, or None for the full infinite
     selector, whose partial sum grows until the tail majorant drops
-    below tol/4.  prec None evaluates in doubles with relative slack
+    below tol/4 (ToleranceNotReachable when MAX_TERMS terms do not get
+    it there).  prec None evaluates in doubles with relative slack
     SLACK_DOUBLE; an integer evaluates in fixed point at no fewer than
     prec bits and returns the sums as exact dyadic mpfs.  The slope d/ds
     of the partial sum is an estimate for Newton steps, not a bound.  At
@@ -129,10 +135,15 @@ def moran_bounds(family, indices, s, tol, prec=None):
 
 def _truncation(tail, limit):
     """(n_cut, tail(n_cut)): the first n_cut = 8 * 2**k whose tail is
-    below limit, or MAX_TERMS."""
+    below limit.  ToleranceNotReachable, before the caller sums
+    anything, when not even tail(MAX_TERMS) is."""
     n_cut = 8
     rest = tail(n_cut)
-    while n_cut < MAX_TERMS and not rest < limit:
+    while not rest < limit:
+        if n_cut >= MAX_TERMS:
+            raise ToleranceNotReachable(
+                f"the tail after {MAX_TERMS} terms is not below the truncation limit"
+                " (s too close to the divergence point)")
         n_cut *= 2
         rest = tail(n_cut)
     return n_cut, rest
@@ -194,6 +205,16 @@ def _fixed_bounds(family, indices, tol, prec):
     lower sum adds the floor enclosures and the upper sum the ceiling
     enclosures plus the fixed-point tail majorant, so both are certified
     by monotonicity alone, with no relative slack.
+
+    A full selector's chain is walked only when the double closed form
+    family.tail_majorant(MAX_TERMS, s) is below tol/2.  That never
+    refuses a cut the walk would reach: the exact majorant decreases in
+    n (e is convex), the fixed-point tail is that majorant rounded up,
+    so the walk finds a cut only if the exact majorant at MAX_TERMS is
+    below tol/4, and the double is within rounding (far less than a
+    factor of 2) of that exact value.  Where tail_majorant raises
+    instead (1 - base**(-step*s) rounds to 0), the exact majorant
+    exceeds 2**52.
     """
     if not family.is_infinite:
         groups = Counter(family.ratio(a) for a in indices)
@@ -232,6 +253,9 @@ def _fixed_bounds(family, indices, tol, prec):
         if indices is None:
             if s <= family.theta:
                 return math.inf, math.inf, -math.inf
+            if not family.tail_majorant(MAX_TERMS, float(s)) < tol / 2:
+                raise ToleranceNotReachable(
+                    f"s = {float(s)!r}: the tail after {MAX_TERMS} terms is not below tol/2")
             chain = TermChain(family, s, bits)
 
             def chain_tail(n_cut):
@@ -260,7 +284,7 @@ def moran_sum(family, subset, s, mode="mid", tol=1e-13):
     """
     if mode not in ("lower", "upper", "mid"):
         raise ConfigError(f"unknown moran_sum mode {mode!r}")
-    if s < 0:
+    if not s >= 0:
         raise ConfigError(f"moran_sum needs s >= 0, got {s}")
     indices = _selected_indices(family, _as_selector(subset))
     lower, upper, _ = moran_bounds(family, indices, s, tol)
@@ -351,69 +375,35 @@ def _outward(lo, hi):
     return lo_f, hi_f
 
 
-def _bisect(bounds, tol, prec=None):
-    """Certified bisection of [0, 1], returning float endpoints.
+def _settle(bounds, x, tol):
+    """Certify an enclosure around the Newton iterate x.
 
-    hi stays at 1 until an upper sum certifies a smaller value, which
-    covers roots above the ambient bound.  Returns None when the dead
-    zone blocks progress before the width reaches tol.
+    The enclosure is the floats just outside x -/+ 0.4 tol, clipped to
+    [0, 1]; when even its lower end lies above 1 (a ratio sum above 1)
+    it is [lo, 1] with lo the largest float <= 1 - 2**floor(log2 tol),
+    clipped at 0.  Returns the certified DimensionInterval fields;
+    raises ToleranceNotReachable naming the one-sided sum that fails to
+    certify.
     """
-    lo, hi = (0.0, 1.0) if prec is None else (mpmath.mpf(0), mpmath.mpf(1))
-    for _ in range(200 if prec is None else prec + 60):
-        if hi - lo <= tol:
-            return _outward(lo, hi)
-        mid = (lo + hi) / 2
-        lower, upper, _ = bounds(mid)
-        if lower >= 1:
-            lo = mid
-            continue
-        if upper <= 1:
-            hi = mid
-            continue
-        # Dead zone at mid: try to certify flanking points instead.
-        step = (hi - lo) / 4
-        moved = False
-        if mid - step > lo and bounds(mid - step)[0] >= 1:
-            lo, moved = mid - step, True
-        if mid + step < hi and bounds(mid + step)[1] <= 1:
-            hi, moved = mid + step, True
-        if not moved:
-            return None
-    return None
-
-
-def _certify(bounds, lo, hi):
-    """(lo, hi, cert_lo, cert_hi, hi_is_ambient) for float endpoints
-    whose one-sided sums bracket the root, else None."""
+    lo, hi = _outward(x - 0.4 * tol, x + 0.4 * tol)
+    if lo > 1.0:
+        # frexp, not log2, so that a tol just below a power of two
+        # rounds down.
+        step = math.ldexp(1.0, math.frexp(tol)[1] - 1)
+        lo, hi = min(1.0 - step, math.nextafter(1.0, 0.0)), 1.0
+    lo, hi = max(lo, 0.0), min(hi, 1.0)
     cert_lo = bounds(lo)[0]
-    if not cert_lo >= 1:
-        return None
-    cert_hi = bounds(hi)[1]
-    if cert_hi <= 1:
-        return lo, hi, float(cert_lo), float(cert_hi), False
-    if hi == 1.0:
-        return lo, hi, float(cert_lo), None, True
-    return None
-
-
-def _settle(bounds, x, tol, prec=None):
-    """Certify the floats just outside x -/+ 0.4 tol; bisection when
-    that fails or x is None (Newton failed).
-
-    Returns _certify's tuple, or None when the dead zone stops the
-    bisection.  With prec set, the caller runs this at that mpmath
-    working precision.
-    """
-    if x is not None:
-        lo, hi = _outward(x - 0.4 * tol, x + 0.4 * tol)
-        if lo <= 1.0:
-            result = _certify(bounds, max(lo, 0.0), min(hi, 1.0))
-            if result is not None:
-                return result
-    bracket = _bisect(bounds, tol, prec)
-    if bracket is None:
-        return None
-    return _certify(bounds, *bracket)
+    if cert_lo >= 1:
+        cert_hi = bounds(hi)[1]
+        if cert_hi <= 1:
+            return dict(lo=lo, hi=hi, cert_lo=float(cert_lo), cert_hi=float(cert_hi))
+        if hi == 1.0:
+            return dict(lo=lo, hi=hi, cert_lo=float(cert_lo), hi_is_ambient=True)
+        failed = f"the upper sum at hi is {float(cert_hi)!r}, above 1"
+    else:
+        failed = f"the lower sum at lo is {float(cert_lo)!r}, below 1"
+    raise ToleranceNotReachable(
+        f"cannot certify [{lo!r}, {hi!r}] around the Newton iterate {float(x)!r}: {failed}")
 
 
 def solve_dimension(family, subset="full", tol=DEFAULT_TOL, precision_bits=None):
@@ -424,17 +414,19 @@ def solve_dimension(family, subset="full", tol=DEFAULT_TOL, precision_bits=None)
     second).  Otherwise Newton's method in doubles finds the root once,
     and the floats just outside root -/+ 0.4 tol are certified by one
     lower and one upper sum, evaluated at exactly those floats.
-    Bisection of [0, 1] is the fallback when the root lies above 1 or
-    certification fails.
     Precision escalates from doubles to mpmath automatically unless
     precision_bits pins a tier; the mpmath tier polishes the same
-    double Newton iterate at working precision.
+    double Newton iterate at working precision.  When the mpmath tier
+    cannot certify either, ToleranceNotReachable names the sum that
+    failed.
 
     The interval encloses min(root, 1): the attractor lies in the unit
     interval, so 1 is an upper bound that needs no arithmetic.  When the
     ratios sum above 1 (for example three copies of 0.9, whose Moran
     root is about 10.4), the result is [lo, 1] with hi_is_ambient set
-    and lo certified by cert_lo; a root above 1 is not reported.
+    and lo certified by cert_lo; a root above 1 is not reported.  Once
+    the Newton bracket lies above 1, lo is the largest float <=
+    1 - 2**floor(log2 tol), clipped at 0.
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise ConfigError(f"tolerance must be positive and finite, got {tol}")
@@ -460,32 +452,23 @@ def solve_dimension(family, subset="full", tol=DEFAULT_TOL, precision_bits=None)
     double = _double_bounds(family, indices, tol)
     # The sum is at least 2 at s = 0 for two or more symbols; the full
     # root of every named family lies above 1/2.
-    x = _newton(double, 0.0 if indices is not None else 0.5, tol)
+    start = 0.0 if indices is not None else 0.5
+    x = _newton(double, start, tol)
     if prec is None:
-        if tol >= TOL_MIN_DOUBLE:
-            result = _settle(double, x, tol)
-            if result is not None:
-                lo, hi, cert_lo, cert_hi, amb = result
-                return DimensionInterval(
-                    lo=lo, hi=hi, width_budget=tol, cert_lo=cert_lo, cert_hi=cert_hi,
-                    hi_is_ambient=amb, tier="double", precision_bits=53,
-                )
+        if tol >= TOL_MIN_DOUBLE and x is not None:
+            try:
+                return DimensionInterval(width_budget=tol, **_settle(double, x, tol))
+            except ToleranceNotReachable:
+                pass  # escalate to the mpmath tier
         prec = max(96, int(math.ceil(-math.log2(tol))) + 50)
 
     bounds = _fixed_bounds(family, indices, tol, prec)
     with mpmath.workprec(prec):
-        if x is not None:
-            x = _newton(bounds, mpmath.mpf(x), tol, prec)
-        result = _settle(bounds, x, tol, prec)
-    if result is None:
-        raise ToleranceNotReachable(
-            f"tol {tol} is below the resolution of {prec}-bit arithmetic"
-        )
-    lo, hi, cert_lo, cert_hi, amb = result
-    return DimensionInterval(
-        lo=lo, hi=hi, width_budget=tol, cert_lo=cert_lo, cert_hi=cert_hi,
-        hi_is_ambient=amb, tier="mpmath", precision_bits=prec,
-    )
+        x = _newton(bounds, mpmath.mpf(start if x is None else x), tol, prec)
+        if x is None:
+            raise ToleranceNotReachable(f"Newton's method does not settle at {prec} bits")
+        fields = _settle(bounds, x, tol)
+    return DimensionInterval(width_budget=tol, tier="mpmath", precision_bits=prec, **fields)
 
 
 def pressure(family, subset, s, tol=1e-15):
@@ -513,17 +496,15 @@ def pressure_derivative(family, subset, s):
     2**-60 of the sum; ToleranceNotReachable when MAX_TERMS terms do not
     get it there (s near 0), instead of returning the partial sum.
     """
+    if math.isnan(s):
+        raise ConfigError("pressure derivative needs a number s, got nan")
     selector = _as_selector(subset)
     indices = _selected_indices(family, selector)
     if indices is None:
         if s <= family.theta:
             raise DivergentSum(f"moran sum diverges at s={s}")
         tol = 2.0**-58 * family.term_double(1, s)
-        n_cut, tail = _truncation(lambda n: family.tail_majorant(n, s), tol / 4)
-        if not tail < tol / 4:
-            raise ToleranceNotReachable(
-                f"pressure derivative at s={s}: the tail after {n_cut} terms is not below tolerance"
-            )
+        n_cut, _ = _truncation(lambda n: family.tail_majorant(n, s), tol / 4)
         indices = range(1, n_cut + 1)
     elif not indices:
         raise ConfigError("pressure derivative of the empty subset is undefined")

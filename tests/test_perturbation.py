@@ -105,6 +105,12 @@ def test_derivative_comparability_range_validation():
         derivative_comparability(SQEXP, (1, 2), 4, s_range=(2.0, 1.0))
 
 
+@pytest.mark.parametrize("n_grid", [0, -3])
+def test_derivative_comparability_needs_a_grid_point(n_grid):
+    with pytest.raises(ConfigError):
+        derivative_comparability(SQEXP, (1, 2), 4, s_range=(0.5, 2.0), n_grid=n_grid)
+
+
 def test_report_serialisation_carries_plot_columns():
     report = exponent_fit(SQEXP, (1, 2), range(4, 8))
     d = report.as_dict()

@@ -1,11 +1,10 @@
 import math
 import time
 from fractions import Fraction
-from unittest import mock
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -192,15 +191,13 @@ def _recomputed_certificates(fam, subset, iv):
 def test_enclosure_contains_root_within_newton_width(selection, tol):
     kind, subset = selection
     fam = ContractionFamily(kind)
-    with mock.patch.object(solver, "_bisect", wraps=solver._bisect) as fallback:
-        iv = solve_dimension(fam, subset, tol=tol)
+    iv = solve_dimension(fam, subset, tol=tol)
     if tol < solver.TOL_MIN_DOUBLE:
         assert iv.tier == "mpmath"
     assert iv.lo <= _oracle_root(kind, subset) <= iv.hi
-    # The certified Newton bracket is x -/+ 0.4 tol rounded outward; the
-    # bisection fallback (dead zone near the double-tier floor, root at
-    # the ambient bound) keeps its own budget of tol.
-    budget = tol if fallback.called else 0.8 * tol
+    # The certified Newton bracket is x -/+ 0.4 tol rounded outward; an
+    # enclosure that ends at the ambient bound 1 keeps a budget of tol.
+    budget = tol if iv.hi_is_ambient else 0.8 * tol
     assert iv.width <= budget + 2 * math.ulp(iv.hi)
 
 
@@ -220,18 +217,30 @@ def test_certificates_sit_at_the_reported_endpoints(selection, tol):
 
 @pytest.mark.parametrize("tol", [1e-10, 1e-13, 1e-22])
 @pytest.mark.parametrize("subset", [(1, 2, 5), "full"])
-def test_bisection_fallback_certifies_when_newton_fails(monkeypatch, subset, tol):
-    # A Newton iterate far from the root: its bracket fails certification.
-    monkeypatch.setattr(solver, "_newton", lambda bounds, x, tol, prec=None: x + 0.25)
-    fallback = mock.Mock(wraps=solver._bisect)
-    monkeypatch.setattr(solver, "_bisect", fallback)
-    iv = solve_dimension(SQEXP, subset, tol=tol)
-    assert fallback.called
-    root = _oracle_root("square-exponent", subset)
-    assert iv.lo <= root <= iv.hi
-    assert iv.width <= tol + 2 * math.ulp(iv.hi)
-    assert (iv.cert_lo, iv.cert_hi) == _recomputed_certificates(SQEXP, subset, iv)
-    assert iv.cert_lo >= 1.0 >= iv.cert_hi
+def test_newton_iterate_off_the_root_never_yields_an_interval(monkeypatch, subset, tol):
+    # A Newton iterate 0.25 to the right of its start misses the root in
+    # both tiers: the double tier's bracket fails and escalates (when tol
+    # is within its reach), the mpmath tier's fails and raises.
+    tiers, refusals = [], []
+    settle = solver._settle
+
+    def off_the_root(bounds, x, tol, prec=None):
+        tiers.append(prec)
+        return x + 0.25
+
+    def settle_spy(bounds, x, tol):
+        try:
+            return settle(bounds, x, tol)
+        except ToleranceNotReachable as exc:
+            refusals.append(str(exc))
+            raise
+
+    monkeypatch.setattr(solver, "_newton", off_the_root)
+    monkeypatch.setattr(solver, "_settle", settle_spy)
+    with pytest.raises(ToleranceNotReachable, match="cannot certify .* around the Newton iterate"):
+        solve_dimension(SQEXP, subset, tol=tol)
+    assert tiers == [None, max(96, math.ceil(-math.log2(tol)) + 50)]
+    assert len(refusals) == (2 if tol >= solver.TOL_MIN_DOUBLE else 1)
 
 
 def test_escalation_reuses_the_double_newton_iterate(monkeypatch):
@@ -259,6 +268,36 @@ def test_ratio_sum_above_one_keeps_the_ambient_bound():
     assert 1.0 - 1e-10 <= iv.lo < 1.0
     assert iv.cert_lo == pytest.approx(2.7, rel=1e-9)
     assert iv.tier == "double"
+
+
+def _bisection_endpoint(tol):
+    """Where a bisection of [0, 1] toward a root above 1 stops: 1 - w for
+    the first halving width w <= tol, as the largest float not above it."""
+    width = Fraction(1)
+    while width > tol:
+        width /= 2
+    end = float(1 - width)
+    return math.nextafter(end, 0.0) if Fraction(end) > 1 - width else end
+
+
+above_one = st.lists(st.fractions(min_value=Fraction(1, 20), max_value=Fraction(99, 100),
+                                  max_denominator=1000), min_size=2, max_size=8
+                     ).filter(lambda ratios: sum(ratios) >= Fraction(21, 20))
+
+
+@settings(max_examples=60, deadline=None)
+@given(above_one, tolerances)
+@example([Fraction(9, 10)] * 3, 2.0**-40)
+@example([Fraction(9, 10)] * 3, math.nextafter(2.0**-40, 0.0))  # log2 rounds this to -40
+@example([Fraction(9, 10)] * 3, math.nextafter(2.0**-70, 0.0))
+def test_ratio_sums_above_one_end_where_bisection_ended(ratios, tol):
+    # P(1) >= ln 1.05 and |P'(1)| <= ln 20, so the root lies above
+    # 1 + 0.016 and the Newton bracket lies above 1 at every tol drawn.
+    iv = solve_dimension(ContractionFamily.explicit(ratios), tol=tol)
+    assert iv.hi_is_ambient and iv.hi == 1.0 and iv.cert_hi is None
+    assert iv.lo == _bisection_endpoint(tol)
+    assert iv.cert_lo >= 1.0
+    assert iv.tier == ("double" if tol >= solver.TOL_MIN_DOUBLE else "mpmath")
 
 
 # --- the fixed-point mpmath tier ------------------------------------------------
@@ -428,6 +467,15 @@ def test_pressure_derivative_rejects_a_cut_that_misses_its_tolerance(s):
     _raises_fast(pressure_derivative, GEO, "full", s)
 
 
+@pytest.mark.parametrize("prec", [None, 96])
+@pytest.mark.parametrize("s,tol", [(1e-6, 1e-10), (2.0**-120, 1e-20)])
+def test_full_selector_cut_that_misses_its_limit_fails_fast(s, tol, prec):
+    # The geometric tail after MAX_TERMS terms is about 7e5 at s = 1e-6
+    # and 1.9e36 at s = 2**-120, far above tol/4: no cut meets the limit,
+    # so neither tier may sum or walk 2**20 terms before saying so.
+    _raises_fast(moran_bounds, GEO, None, s, tol, prec)
+
+
 def test_pressure_derivative_keeps_the_converged_values():
     assert pressure_derivative(GEO, "full", 1e-3) == -1000.3466136280308
     assert pressure_derivative(GEO, "full", 1e-4) == -10000.346577594055
@@ -441,6 +489,16 @@ def test_tiny_s_raises_a_dimspec_error():
     chain = TermChain(GEO, mpmath.mpf(2) ** -120, 96)
     chain.advance(8)
     _raises_fast(chain.tail)
+
+
+@pytest.mark.parametrize("subset", ["full", (1, 2)])
+def test_nan_s_is_a_config_error(subset):
+    with pytest.raises(ConfigError):
+        moran_sum(GEO, subset, math.nan)
+    with pytest.raises(ConfigError):
+        pressure(GEO, subset, math.nan)
+    with pytest.raises(ConfigError):
+        pressure_derivative(GEO, subset, math.nan)
 
 
 def test_pressure_derivative_diverges_at_theta():
