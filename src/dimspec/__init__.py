@@ -49,8 +49,8 @@ from .solver import (
     pressure_derivative,
     solve_dimension,
 )
-from .spectrum import branch_increment, code_dimension, expand_spectrum
-from .words import SubsetSelector, longest_common_prefix, word_of_subset
+from .spectrum import branch_increment, expand_spectrum
+from .words import longest_common_prefix, word_of_subset
 
 __version__ = "0.1.0"
 
@@ -65,13 +65,11 @@ __all__ = [
     "ExponentBudgetError",
     "InsufficientPrecision",
     "NumericError",
-    "SubsetSelector",
     "ToleranceNotReachable",
     "box_count",
     "box_dimension_estimate",
     "branch_increment",
     "classify_type",
-    "code_dimension",
     "covering_count",
     "derivative_comparability",
     "expand_spectrum",

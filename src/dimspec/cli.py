@@ -40,6 +40,7 @@ from .metrics import (
 )
 from .perturbation import exponent_fit
 from .solver import DEFAULT_TOL, solve_dimension
+from .words import subset_of_word
 
 FAMILY_NAMES = (*NAMED_FAMILIES, "cantor-pair")
 
@@ -174,8 +175,6 @@ def _parse_subset(text):
         indices = tuple(int(p) for p in text.split(","))
     except ValueError:
         raise ConfigError(f"bad subset {text!r}: expected comma-separated integers or 'full'")
-    if not indices:
-        raise ConfigError("empty subset")
     return indices
 
 
@@ -198,13 +197,10 @@ def _metric_points(args):
         raise ConfigError("a named --family is required")
     if name == "cantor-pair":
         return cantor_truncation(args.depth)
-    family = ContractionFamily.from_name(name)
-    base = _parse_subset(args.base)
-    if base == "full":
-        raise ConfigError("--base must list explicit symbols")
     from .spectrum import expand_spectrum
 
-    cloud = expand_spectrum(family, args.depth, base_symbols=base, workers=args.workers)
+    cloud = expand_spectrum(ContractionFamily.from_name(name), args.depth,
+                            base_symbols=_parse_subset(args.base), workers=args.workers)
     return cloud.midpoints()
 
 
@@ -266,9 +262,9 @@ def _cmd_dim(args, config):
     if args.word is not None and args.subset is not None:
         raise ConfigError("give either --subset or --word")
     if args.word is not None:
-        subset = args.word
+        subset = subset_of_word(args.word)
     else:
-        subset = _parse_subset(getattr(args, "subset", None))
+        subset = _parse_subset(args.subset)
     tol = args.tol if args.tol is not None else DEFAULT_TOL
     interval = solve_dimension(family, subset, tol=tol, precision_bits=args.precision_bits)
     result = interval.as_dict()
@@ -280,12 +276,9 @@ def _cmd_dim(args, config):
 
 def _cmd_spectrum(args, config):
     family = _family_of(args)
-    base = _parse_subset(args.base)
-    if base == "full":
-        raise ConfigError("--base must list explicit symbols")
     from .spectrum import expand_spectrum
 
-    cloud = expand_spectrum(family, args.depth, base_symbols=base,
+    cloud = expand_spectrum(family, args.depth, base_symbols=_parse_subset(args.base),
                             tol=args.tol, workers=args.workers)
     summary = {
         "family_resolved": family.describe(),
@@ -353,11 +346,8 @@ def _cmd_classify(args, config):
 
 def _cmd_perturb(args, config):
     family = _family_of(args)
-    base = _parse_subset(getattr(args, "subset", None))
-    if base == "full":
-        raise ConfigError("--subset must list the base symbols explicitly")
     lo, hi = _parse_pair(args.b_range, "--b-range")
-    report = exponent_fit(family, base, range(lo, hi + 1), tol=args.tol)
+    report = exponent_fit(family, _parse_subset(args.subset), range(lo, hi + 1), tol=args.tol)
     summary = {
         "family_resolved": family.describe(),
         "delta": report.delta,

@@ -6,6 +6,8 @@ failures (divergence, unreachable tolerances, degenerate fits) map to
 exit code 3.
 """
 
+import operator
+
 
 class DimspecError(Exception):
     """Base class for all package-specific errors."""
@@ -15,6 +17,15 @@ class ConfigError(DimspecError):
     """Invalid user-supplied configuration (CLI exit code 2)."""
 
     exit_code = 2
+
+
+def require_int(value, what: str) -> int:
+    """value as an int (ints and numpy integers); ConfigError for
+    anything else, so 4.7 is never truncated to 4."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{what} must be an integer, got {value!r}") from None
 
 
 class CapExceeded(ConfigError):

@@ -13,19 +13,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, DegenerateScales, InsufficientPrecision
+from .errors import ConfigError, DegenerateScales, InsufficientPrecision, require_int
 from .metrics import fit_line
-from .solver import DEFAULT_TOL, _as_selector, pressure_derivative, solve_dimension
+from .solver import DEFAULT_TOL, _indices, pressure_derivative, solve_dimension
 
 # numpy (about 13 MB resident) is imported inside the functions that
 # use it, so solving and constructing never load it.
 
 
-def _base_indices(subset) -> tuple[int, ...]:
-    selector = _as_selector(subset)
-    if selector.is_full:
+def _extended(family, base, b):
+    """(b, base + {b}) for a decoded base subset and a new symbol b;
+    ConfigError when base is the full selector or already holds b."""
+    if base is None:
         raise ConfigError("perturbation needs a finite base subset")
-    return selector.indices
+    b = family.check_index(b)
+    if b in base:
+        raise ConfigError(f"symbol {b} is already in the base subset")
+    return b, tuple(sorted(base + (b,)))
 
 
 def increment(family, base_subset, b, tol=None):
@@ -36,12 +40,8 @@ def increment(family, base_subset, b, tol=None):
     strictly positive, otherwise the tolerance is retried once and then
     InsufficientPrecision is raised.
     """
-    base = _base_indices(base_subset)
-    b = family.check_index(b)
-    if b in base:
-        raise ConfigError(f"symbol {b} is already in the base subset")
-    extended = tuple(sorted(base + (b,)))
-
+    base = _indices(family, base_subset)
+    b, extended = _extended(family, base, b)
     if tol is None:
         pilot = solve_dimension(family, base, tol=1e-9)
         tol = min(DEFAULT_TOL, family.term_double(b, pilot.mid) / 64.0)
@@ -137,8 +137,8 @@ def exponent_fit(family, base_subset, b_range, tol=None) -> PerturbationReport:
     """
     import numpy as np
 
-    base = _base_indices(base_subset)
-    bs = [family.check_index(b) for b in b_range]
+    base = _indices(family, base_subset)
+    bs = [_extended(family, base, b)[0] for b in b_range]
     if not bs:
         raise ConfigError("empty perturbation sweep")
     base_dim = solve_dimension(family, base, tol=min(1e-11, tol or DEFAULT_TOL))
@@ -182,17 +182,17 @@ def derivative_comparability(family, base_subset, b, s_range=None, n_grid=64):
     """
     import numpy as np
 
-    if int(n_grid) < 1:
+    n_grid = require_int(n_grid, "n_grid")
+    if n_grid < 1:
         raise ConfigError(f"need at least one grid point, got n_grid = {n_grid}")
-    base = _base_indices(base_subset)
-    b = family.check_index(b)
-    extended = tuple(sorted(set(base + (b,))))
+    base = _indices(family, base_subset)
+    b, extended = _extended(family, base, b)
     if s_range is None:
         delta = solve_dimension(family, base, tol=1e-11).mid
         s_range = (delta, 3.0)
     s_lo, s_hi = s_range
     if not (0 < s_lo < s_hi):
         raise ConfigError(f"need 0 < s_lo < s_hi, got {s_range}")
-    grid = np.geomspace(s_lo, s_hi, int(n_grid))
+    grid = np.geomspace(s_lo, s_hi, n_grid)
     values = [-pressure_derivative(family, extended, float(s)) for s in grid]
     return min(values), max(values)

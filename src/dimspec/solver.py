@@ -51,7 +51,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
-from operator import mul
+from operator import index, mul
 
 import mpmath
 from mpmath.libmp import from_man_exp
@@ -61,8 +61,8 @@ from .errors import (
     DivergentSum,
     ToleranceNotReachable,
 )
-from .families import NAMED_FAMILIES, ContractionFamily, TermChain, power_enclosure
-from .words import SubsetSelector
+from .families import NAMED_FAMILIES, TermChain, power_enclosure
+from .words import subset_of_word
 
 # Relative slack applied to double-precision sums.  Covers the rounding
 # of s*log2(ratio), the pow evaluation and fsum, with a wide margin; the
@@ -91,38 +91,33 @@ _make_mpf = mpmath.mp.make_mpf
 GUARD_BITS = 8
 
 
-def _as_selector(subset) -> SubsetSelector:
-    """The selector itself, the full one for None or 'full', a binary
-    word's set, or a collection of integer indices; ConfigError for
-    anything else."""
-    if isinstance(subset, SubsetSelector):
-        return subset
-    if subset is None:
-        return SubsetSelector.full()
-    if isinstance(subset, str):
-        return SubsetSelector.full() if subset == "full" else SubsetSelector.from_word(subset)
-    return SubsetSelector.explicit(subset)
-
-
-def _selected_indices(family: ContractionFamily, selector: SubsetSelector):
-    """Explicit index tuple, or None when the selector means the whole
-    infinite family."""
-    if selector.is_full:
-        if family.is_infinite:
-            return None
-        return tuple(range(1, family.size + 1))
-    for a in selector.indices:
-        family.check_index(a)
-    return selector.indices
+def _indices(family, subset):
+    """The symbols subset selects, as a sorted tuple of distinct
+    validated indices, or None for the full selector of an infinite
+    family.  subset takes the forms solve_dimension documents; anything
+    else is a ConfigError, so 1.5 is never truncated to 1.  Indices are
+    checked in increasing order, so an error names the smallest bad one."""
+    if isinstance(subset, str) and subset != "full":
+        subset = subset_of_word(subset)
+    elif subset is None or isinstance(subset, str):
+        return None if family.is_infinite else tuple(range(1, family.size + 1))
+    try:
+        subset = sorted({index(a) for a in subset})
+    except TypeError:
+        raise ConfigError(
+            "a subset is 'full', a binary word or a collection of integer"
+            f" symbol indices, got {subset!r}") from None
+    return tuple(map(family.check_index, subset))
 
 
 def moran_bounds(family, indices, s, tol, prec=None):
     """Certified (lower, upper) Moran sums at s, and the sum's slope.
 
-    indices is an explicit index tuple, or None for the full infinite
-    selector, whose partial sum grows until the tail majorant drops
-    below tol/4 (ToleranceNotReachable when MAX_TERMS terms do not get
-    it there).  prec None evaluates in doubles with relative slack
+    indices is a decoded subset (see _indices): a sorted tuple of
+    distinct indices, or None for the full infinite selector, whose
+    partial sum grows until the tail majorant drops below tol/4
+    (ToleranceNotReachable when MAX_TERMS terms do not get it there).
+    prec None evaluates in doubles with relative slack
     SLACK_DOUBLE; an integer evaluates in fixed point at no fewer than
     prec bits and returns the sums as exact dyadic mpfs.  The slope d/ds
     of the partial sum is an estimate for Newton steps, not a bound.  At
@@ -242,10 +237,11 @@ def _fixed_bounds(family, indices, tol, prec):
         top, n_terms = -family.log2_ratio(1), MAX_TERMS
         num, den = float(tol).as_integer_ratio()
     else:
-        counts = Counter(family.check_index(a) for a in indices)
-        n_terms = max(counts, default=0)
-        weights = [counts[a] for a in range(n_terms + 1)]
-        top = -family.log2_ratio(min(counts, default=1))
+        n_terms = indices[-1] if indices else 0
+        weights = [0] * (n_terms + 1)
+        for a in indices:
+            weights[a] = 1
+        top = -family.log2_ratio(indices[0] if indices else 1)
 
     def bounds(s):
         bits = _fixed_bits(prec, s, top, n_terms)
@@ -286,8 +282,7 @@ def moran_sum(family, subset, s, mode="mid", tol=1e-13):
         raise ConfigError(f"unknown moran_sum mode {mode!r}")
     if not s >= 0:
         raise ConfigError(f"moran_sum needs s >= 0, got {s}")
-    indices = _selected_indices(family, _as_selector(subset))
-    lower, upper, _ = moran_bounds(family, indices, s, tol)
+    lower, upper, _ = moran_bounds(family, _indices(family, subset), s, tol)
     if mode == "lower":
         return lower
     if mode == "upper":
@@ -409,6 +404,14 @@ def _settle(bounds, x, tol):
 def solve_dimension(family, subset="full", tol=DEFAULT_TOL, precision_bits=None):
     """Certified enclosure of the Moran root for the selected subsystem.
 
+    subset takes one of three forms, here and in every function that
+    selects a subsystem: "full" or None for every symbol of the family;
+    a binary word, whose position i (1-based) selects symbol i when it
+    carries '1'; or a collection of integer symbol indices (ints or
+    numpy integers; order and repeats do not matter).  Anything else,
+    such as 1.5, a bare integer or an index outside the family, is a
+    ConfigError.  Infinite proper subsets have no representation.
+
     The empty subset and singletons yield the exact interval [0, 0]
     (no equation to solve in the first case, root at s = 0 in the
     second).  Otherwise Newton's method in doubles finds the root once,
@@ -430,9 +433,7 @@ def solve_dimension(family, subset="full", tol=DEFAULT_TOL, precision_bits=None)
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise ConfigError(f"tolerance must be positive and finite, got {tol}")
-    selector = _as_selector(subset)
-    indices = _selected_indices(family, selector)
-
+    indices = _indices(family, subset)
     if indices is not None and len(indices) <= 1:
         return DimensionInterval(
             lo=0.0, hi=0.0, width_budget=tol, exact=True,
@@ -477,10 +478,10 @@ def pressure(family, subset, s, tol=1e-15):
     Raises DivergentSum where the series diverges and ConfigError for
     an empty subset, whose pressure would be log 0.
     """
-    selector = _as_selector(subset)
-    if not selector.is_full and not selector.indices:
+    indices = _indices(family, subset)
+    if indices == ():
         raise ConfigError("pressure of the empty subset is undefined")
-    value = moran_sum(family, selector, s, mode="mid", tol=tol)
+    value = moran_sum(family, indices, s, tol=tol)
     if math.isinf(value):
         raise DivergentSum(f"moran sum diverges at s={s}")
     return math.log(value)
@@ -498,8 +499,7 @@ def pressure_derivative(family, subset, s):
     """
     if math.isnan(s):
         raise ConfigError("pressure derivative needs a number s, got nan")
-    selector = _as_selector(subset)
-    indices = _selected_indices(family, selector)
+    indices = _indices(family, subset)
     if indices is None:
         if s <= family.theta:
             raise DivergentSum(f"moran sum diverges at s={s}")

@@ -13,22 +13,15 @@ by the caller.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from multiprocessing import Pool
 
-from .errors import CapExceeded, ConfigError, InsufficientPrecision
-from .families import ContractionFamily
-from .solver import DEFAULT_TOL, DimensionInterval, solve_dimension
-from .words import longest_common_prefix, subset_of_word
+from .errors import CapExceeded, ConfigError, InsufficientPrecision, require_int
+from .solver import DEFAULT_TOL, DimensionInterval, _indices, solve_dimension
+from .words import longest_common_prefix
 
 DEPTH_CAP = 16
-
-
-def code_dimension(family, word, tol=DEFAULT_TOL, precision_bits=None) -> DimensionInterval:
-    """Certified dimension of the subsystem selected by a word."""
-    return solve_dimension(family, subset_of_word(word), tol=tol, precision_bits=precision_bits)
 
 
 @dataclass(frozen=True)
@@ -56,11 +49,11 @@ def branch_increment(family, word, tol=None) -> BranchIncrement:
     if tol is None:
         # Pilot solve fixes the scale of the increment, then both
         # children are enclosed well below it.
-        pilot = solve_dimension(family, subset_of_word(word + "1"), tol=1e-9)
+        pilot = solve_dimension(family, word + "1", tol=1e-9)
         est = family.term_double(b, pilot.mid)
         tol = min(DEFAULT_TOL, est / 32.0)
-    d0 = solve_dimension(family, subset_of_word(word + "0"), tol=tol)
-    d1 = solve_dimension(family, subset_of_word(word + "1"), tol=tol)
+    d0 = solve_dimension(family, word + "0", tol=tol)
+    d1 = solve_dimension(family, word + "1", tol=tol)
     lo = d1.lo - d0.hi
     hi = d1.hi - d0.lo
     if lo <= 0.0:
@@ -128,8 +121,7 @@ def _auto_tol(family, depth: int, base_symbols) -> float:
     near the dimension of the full selection; a sixteenth of that keeps
     adjacent cloud points certified apart.
     """
-    full_word = "1" * depth
-    pilot = solve_dimension(family, subset_of_word(full_word), tol=1e-9)
+    pilot = solve_dimension(family, "1" * depth, tol=1e-9)
     gap = family.term_double(depth, pilot.lo)
     tol = gap / 16.0
     return min(DEFAULT_TOL, max(tol, 1e-60))
@@ -137,7 +129,7 @@ def _auto_tol(family, depth: int, base_symbols) -> float:
 
 def _solve_cloud_word(args):
     family, word, tol = args
-    interval = solve_dimension(family, subset_of_word(word), tol=tol)
+    interval = solve_dimension(family, word, tol=tol)
     return word, interval
 
 
@@ -159,23 +151,25 @@ def _spacing_constant(points, base_mid: float) -> float:
 def expand_spectrum(family, depth, base_symbols=(1, 2), tol=None, workers=1) -> SpectrumCloud:
     """Certified dimension intervals for every word extending the base.
 
-    Words have the given length, carry '1' at each base symbol and run
-    through all assignments elsewhere (2**(depth - len(base)) points,
-    lexicographic generation, sorted by midpoint).  Deterministic for
-    any worker count: the work split never changes the arithmetic.
+    base_symbols is a non-empty subset in any form that solve_dimension
+    takes except the full selector ('full' or None), which is a
+    ConfigError for every family.  Words have the given length, carry
+    '1' at each base symbol and run through all assignments elsewhere
+    (2**(depth - len(base)) points, lexicographic generation, sorted by
+    midpoint).  Deterministic for any worker count: the work split
+    never changes the arithmetic.
     workers > 1 solves the words in a process pool of at most
     os.cpu_count() processes.
     """
-    depth = int(depth)
-    base_symbols = tuple(sorted(set(int(b) for b in base_symbols)))
-    if not base_symbols or base_symbols[0] < 1:
-        raise ConfigError("base symbols must be positive indices")
+    depth = require_int(depth, "depth")
+    full = base_symbols is None or isinstance(base_symbols, str) and base_symbols == "full"
+    base_symbols = None if full else _indices(family, base_symbols)
+    if not base_symbols:
+        raise ConfigError("the base must list at least one symbol explicitly")
     if depth < base_symbols[-1]:
         raise ConfigError(f"depth {depth} cannot hold base symbol {base_symbols[-1]}")
     if depth > DEPTH_CAP:
         raise CapExceeded(f"spectrum depth {depth} exceeds cap {DEPTH_CAP}")
-    for b in base_symbols:
-        family.check_index(b)
 
     if tol is None:
         tol = _auto_tol(family, depth, base_symbols)

@@ -1,17 +1,11 @@
-"""Finite binary words and subset selectors.
+"""Finite binary words.
 
 Words are plain Python strings over the alphabet {'0', '1'}.  A word can
 encode a finite set of symbol indices: position i of the word (1-based)
-is '1' exactly when symbol i belongs to the set.  Selectors are either
-such an explicit finite set or the distinguished full selector meaning
-"every symbol of the family".  Infinite proper subsets have no
-representation on purpose.
+is '1' exactly when symbol i belongs to the set.
 """
 
 from __future__ import annotations
-
-import operator
-from dataclasses import dataclass
 
 from .errors import ConfigError
 
@@ -66,56 +60,3 @@ def word_of_subset(indices) -> str:
         )
     marks = set(idx)
     return "".join("1" if i in marks else "0" for i in range(1, length + 1))
-
-
-@dataclass(frozen=True)
-class SubsetSelector:
-    """Either an explicit finite set of symbol indices or the full family.
-
-    ``indices`` is a sorted tuple for explicit selectors and ``None``
-    for the full one.
-    """
-
-    indices: tuple[int, ...] | None
-
-    @classmethod
-    def full(cls) -> "SubsetSelector":
-        return cls(indices=None)
-
-    @classmethod
-    def explicit(cls, indices) -> "SubsetSelector":
-        """Selector of a collection of integer indices (ints or numpy
-        integers); ConfigError for anything else, so 1.5 is never
-        truncated to 1."""
-        try:
-            idx = tuple(sorted({operator.index(i) for i in indices}))
-        except TypeError:
-            raise ConfigError(
-                f"a subset is a collection of integer symbol indices, got {indices!r}"
-            ) from None
-        if idx and idx[0] < 1:
-            raise ConfigError(f"symbol indices start at 1, got {idx[0]}")
-        return cls(indices=idx)
-
-    @classmethod
-    def from_word(cls, word: str) -> "SubsetSelector":
-        return cls.explicit(subset_of_word(word))
-
-    @property
-    def is_full(self) -> bool:
-        return self.indices is None
-
-    def as_word(self) -> str:
-        if self.indices is None:
-            raise ConfigError("the full selector has no word encoding")
-        return word_of_subset(self.indices)
-
-    def __iter__(self):
-        if self.indices is None:
-            raise ConfigError("cannot iterate the full selector")
-        return iter(self.indices)
-
-    def __len__(self) -> int:
-        if self.indices is None:
-            raise ConfigError("the full selector has no finite size")
-        return len(self.indices)

@@ -184,6 +184,18 @@ def test_a_tolerance_that_is_not_finite_and_positive_is_a_config_error(capsys, t
                   capsys, "tolerance must be positive and finite")
 
 
+def test_dim_word_is_a_binary_word_not_a_keyword(capsys):
+    # --word full used to solve the full family
+    _config_error(["dim", "--family", "square-exponent", "--word", "full"],
+                  capsys, "word may contain only '0' and '1'")
+
+
+def test_spectrum_base_full_is_a_config_error_for_every_family(capsys):
+    for family in (["--family", "square-exponent"], ["--ratios", "1/2", "1/3"]):
+        _config_error(["spectrum", *family, "--base", "full", "--depth", "2"],
+                      capsys, "at least one symbol explicitly")
+
+
 def test_dim_takes_either_a_subset_or_a_word(capsys):
     # --subset 1,2 used to be dropped silently, solving {1, 2, 3, 4}
     _config_error(["dim", "--family", "square-exponent", "--subset", "1,2", "--word", "1111"],

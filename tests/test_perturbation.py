@@ -105,7 +105,14 @@ def test_derivative_comparability_range_validation():
         derivative_comparability(SQEXP, (1, 2), 4, s_range=(2.0, 1.0))
 
 
-@pytest.mark.parametrize("n_grid", [0, -3])
+def test_derivative_comparability_rejects_a_symbol_already_in_the_base():
+    # used to return the band of {1, 2} itself
+    with pytest.raises(ConfigError, match="already in the base subset"):
+        derivative_comparability(SQEXP, (1, 2), 2)
+
+
+# n_grid = 2.5 used to run 2 grid points
+@pytest.mark.parametrize("n_grid", [0, -3, 2.5])
 def test_derivative_comparability_needs_a_grid_point(n_grid):
     with pytest.raises(ConfigError):
         derivative_comparability(SQEXP, (1, 2), 4, s_range=(0.5, 2.0), n_grid=n_grid)

@@ -6,7 +6,7 @@ from dimspec.errors import CapExceeded, ConfigError
 from dimspec.families import ContractionFamily
 from dimspec.perturbation import increment
 from dimspec.solver import solve_dimension
-from dimspec.spectrum import DEPTH_CAP, branch_increment, code_dimension, expand_spectrum
+from dimspec.spectrum import DEPTH_CAP, branch_increment, expand_spectrum
 
 SQEXP = ContractionFamily.square_exponent()
 
@@ -90,12 +90,22 @@ def test_depth_and_base_validation():
         expand_spectrum(SQEXP, 4, base_symbols=())
     with pytest.raises(ConfigError):
         expand_spectrum(SQEXP, 2, base_symbols=(1, 2, 5))
+    # the full selector is no base, for a finite family too
+    for family in (SQEXP, ContractionFamily.explicit(["1/2", "1/3"])):
+        for full in ("full", None):
+            with pytest.raises(ConfigError, match="at least one symbol explicitly"):
+                expand_spectrum(family, 2, base_symbols=full)
 
 
-def test_code_dimension_equals_subset_solve():
-    a = code_dimension(SQEXP, "11")
-    b = solve_dimension(SQEXP, (1, 2))
-    assert (a.lo, a.hi) == (b.lo, b.hi)
+# (1.5, 2) used to run the (1, 2) cloud, and depth 4.7 depth 4
+@pytest.mark.parametrize("depth,base", [(4, (1.5, 2)), (4.7, (1, 2))])
+def test_non_integer_base_symbols_and_depth_are_config_errors(depth, base):
+    with pytest.raises(ConfigError):
+        expand_spectrum(SQEXP, depth, base_symbols=base)
+
+
+def test_word_dimension_equals_subset_solve():
+    assert solve_dimension(SQEXP, "11") == solve_dimension(SQEXP, (1, 2))
 
 
 def test_branch_increment_example():

@@ -4,8 +4,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dimspec.errors import ConfigError
+from dimspec.families import ContractionFamily
+from dimspec.solver import moran_sum, pressure, pressure_derivative, solve_dimension
 from dimspec.words import (
-    SubsetSelector,
     longest_common_prefix,
     subset_of_word,
     validate_word,
@@ -13,6 +14,8 @@ from dimspec.words import (
 )
 
 words = st.text(alphabet="01", min_size=0, max_size=12)
+
+SQEXP = ContractionFamily.square_exponent()
 
 
 def test_subset_of_word_positions():
@@ -62,29 +65,41 @@ def test_lcp_with_self(w):
     assert longest_common_prefix(w, w) == w
 
 
+# --- subsets as the solver reads them ----------------------------------------
+#
+# Every function that selects a subsystem decodes it with one solver
+# function: "full" or None, a binary word, or a collection of integer
+# indices.
+
 def test_selector_full_vs_explicit():
-    full = SubsetSelector.full()
-    assert full.is_full
-    with pytest.raises(ConfigError):
-        len(full)
-    sel = SubsetSelector.from_word("11")
-    assert tuple(sel) == (1, 2)
-    assert sel.as_word() == "11"
-    assert not sel.is_full
+    assert solve_dimension(SQEXP, "11") == solve_dimension(SQEXP, (1, 2))
+    assert solve_dimension(SQEXP, "full") == solve_dimension(SQEXP, None)
+    assert moran_sum(SQEXP, "full", 0.7) == moran_sum(SQEXP, None, 0.7)
+    # the full selector of a finite family is every one of its symbols
+    fam = ContractionFamily.explicit(["1/2", "1/3", "1/5"])
+    assert solve_dimension(fam, "full") == solve_dimension(fam, (1, 2, 3))
+    assert solve_dimension(fam, "full") == solve_dimension(fam, "111")
 
 
 def test_selector_normalises_indices():
-    assert SubsetSelector.explicit((2, 2, 1)).indices == (1, 2)
-    with pytest.raises(ConfigError):
-        SubsetSelector.explicit((0,))
+    assert repr(solve_dimension(SQEXP, (2, 2, 1))) == repr(solve_dimension(SQEXP, (1, 2)))
+    assert repr(solve_dimension(SQEXP, (2, 1), tol=1e-20)) == repr(
+        solve_dimension(SQEXP, (1, 2), tol=1e-20))
+    assert moran_sum(SQEXP, (3, 1, 3), 0.5) == moran_sum(SQEXP, (1, 3), 0.5)
+    for solve in (solve_dimension, lambda fam, sub: moran_sum(fam, sub, 0.5)):
+        with pytest.raises(ConfigError, match="start at 1"):
+            solve(SQEXP, (0,))
 
 
-@pytest.mark.parametrize("bad", [[1.5, 2], 3, ["a", "b"], "12"])
+@pytest.mark.parametrize("bad", [[1.5, 2], [1, 1.0, 2], [1.0, 1, 2], 3, ["a", "b"], "12"])
 def test_selector_rejects_non_integer_indices_and_non_collections(bad):
-    with pytest.raises(ConfigError):
-        SubsetSelector.explicit(bad)
+    for call in (lambda: solve_dimension(SQEXP, bad), lambda: moran_sum(SQEXP, bad, 0.5),
+                 lambda: pressure(SQEXP, bad, 0.5), lambda: pressure_derivative(SQEXP, bad, 0.5)):
+        with pytest.raises(ConfigError):
+            call()
 
 
 def test_selector_accepts_numpy_integers():
-    assert SubsetSelector.explicit(np.array([3, 1])).indices == (1, 3)
-    assert SubsetSelector.explicit([np.int64(2), 1]).indices == (1, 2)
+    assert solve_dimension(SQEXP, np.array([3, 1])) == solve_dimension(SQEXP, (1, 3))
+    assert solve_dimension(SQEXP, [np.int64(2), 1]) == solve_dimension(SQEXP, (1, 2))
+    assert moran_sum(SQEXP, np.array([2, 1]), 0.5) == moran_sum(SQEXP, (1, 2), 0.5)
