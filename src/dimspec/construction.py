@@ -35,7 +35,7 @@ from functools import cmp_to_key
 
 import mpmath
 
-from .errors import CapExceeded, ConfigError, ExponentBudgetError, InsufficientPrecision
+from .errors import CapExceeded, ConfigError, ExponentBudgetError, InsufficientPrecision, require_int
 from .words import MAX_WORD_LENGTH, longest_common_prefix, validate_word
 
 # Largest enumeration index whose weight is materialised by default.
@@ -62,7 +62,7 @@ def word_index(word: str) -> int:
 
 def enumerate_word(n: int) -> str:
     """Inverse of word_index."""
-    n = int(n)
+    n = require_int(n, "enumeration index")
     if n < 1:
         raise ConfigError(f"enumeration index starts at 1, got {n}")
     if n == 1:
@@ -162,17 +162,17 @@ class KPoint:
         return sparse_to_mpf(self.exponents, digits)
 
 
-def k_set_cloud(depth: int, depth_cap: int = DEFAULT_CLOUD_DEPTH_CAP) -> tuple[KPoint, ...]:
+def k_set_cloud(depth: int) -> tuple[KPoint, ...]:
     """All 2**depth exact values f(omega), |omega| = depth, sorted.
 
     Points are exact sparse dyadics; sorting uses the lexicographic
     exponent walk, no floating point involved.
     """
-    depth = int(depth)
+    depth = require_int(depth, "depth")
     if depth < 0:
         raise ConfigError(f"depth must be >= 0, got {depth}")
-    if depth > depth_cap:
-        raise CapExceeded(f"cloud depth {depth} exceeds cap {depth_cap}")
+    if depth > DEFAULT_CLOUD_DEPTH_CAP:
+        raise CapExceeded(f"cloud depth {depth} exceeds cap {DEFAULT_CLOUD_DEPTH_CAP}")
     points = [
         KPoint(word=format(i, f"0{depth}b") if depth else "", exponents=f_exponents(format(i, f"0{depth}b") if depth else ""))
         for i in range(1 << depth)

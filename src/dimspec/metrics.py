@@ -48,7 +48,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .errors import ConfigError, DegenerateScales, NumericError
+from .errors import CapExceeded, ConfigError, DegenerateScales, NumericError, require_int
 
 # numpy (about 13 MB resident) is imported inside the functions that
 # use it, so solving and constructing never load it.
@@ -185,8 +185,8 @@ def _profile(pts, floor_rule="min", scale_range=None):
         k_lo, k_hi = 2, None
     else:
         k_lo, k_hi = scale_range
-        k_lo = int(k_lo)
-        k_hi = int(k_hi) if k_hi is not None else None
+        k_lo = require_int(k_lo, "a scale_range bound")
+        k_hi = require_int(k_hi, "a scale_range bound") if k_hi is not None else None
         if k_lo < 1 or (k_hi is not None and k_hi < k_lo):
             raise ConfigError(f"bad scale range {scale_range!r}")
 
@@ -527,10 +527,14 @@ def uniform_perfectness_gaps(points) -> GapReport:
 
 def cantor_truncation(depth: int):
     """Left endpoints of the depth-n middle-thirds construction (2**n
-    points in [0, 1))."""
-    depth = int(depth)
+    points in [0, 1)); CapExceeded above the spectrum depth cap."""
+    from .spectrum import DEPTH_CAP
+
+    depth = require_int(depth, "depth")
     if depth < 0:
         raise ConfigError(f"depth must be >= 0, got {depth}")
+    if depth > DEPTH_CAP:
+        raise CapExceeded(f"cloud depth {depth} exceeds cap {DEPTH_CAP}")
     pts = [0.0]
     for _ in range(depth):
         pts = [p / 3 for p in pts] + [2 / 3 + p / 3 for p in pts]

@@ -56,11 +56,7 @@ from operator import index, mul
 import mpmath
 from mpmath.libmp import from_man_exp
 
-from .errors import (
-    ConfigError,
-    DivergentSum,
-    ToleranceNotReachable,
-)
+from .errors import ConfigError, DivergentSum, ToleranceNotReachable, require_int
 from .families import NAMED_FAMILIES, TermChain, power_enclosure
 from .words import subset_of_word
 
@@ -442,7 +438,7 @@ def solve_dimension(family, subset="full", tol=DEFAULT_TOL, precision_bits=None)
 
     prec = None
     if precision_bits is not None:
-        prec = int(precision_bits)
+        prec = require_int(precision_bits, "precision_bits")
         if prec < 24:
             raise ConfigError(f"precision_bits too small: {prec}")
         if tol < 2.0 ** (-(prec - 12)):

@@ -17,7 +17,8 @@ import os
 from dataclasses import dataclass
 from multiprocessing import Pool
 
-from .errors import CapExceeded, ConfigError, InsufficientPrecision, require_int
+from .errors import CapExceeded, ConfigError, require_int
+from .perturbation import increment
 from .solver import DEFAULT_TOL, DimensionInterval, _indices, solve_dimension
 from .words import longest_common_prefix
 
@@ -43,33 +44,13 @@ class BranchIncrement:
 
 
 def branch_increment(family, word, tol=None) -> BranchIncrement:
-    """Measure the dimension increment between the two children of word."""
+    """Measure the dimension increment between the two children of word:
+    increment(family, word, b, tol) with b = len(word) + 1, since word
+    + '0' selects the same symbols as word."""
     b = len(word) + 1
-    family.check_index(b)
-    if tol is None:
-        # Pilot solve fixes the scale of the increment, then both
-        # children are enclosed well below it.
-        pilot = solve_dimension(family, word + "1", tol=1e-9)
-        est = family.term_double(b, pilot.mid)
-        tol = min(DEFAULT_TOL, est / 32.0)
-    d0 = solve_dimension(family, word + "0", tol=tol)
-    d1 = solve_dimension(family, word + "1", tol=tol)
-    lo = d1.lo - d0.hi
-    hi = d1.hi - d0.lo
-    if lo <= 0.0:
-        raise InsufficientPrecision(
-            f"increment enclosure [{lo}, {hi}] for word {word!r} is not positive; "
-            f"tighten tol below {tol}"
-        )
+    enclosure, d0, d1 = increment(family, word, b, tol)
     normalizer = family.term_double(b, d1.mid)
-    return BranchIncrement(
-        word=word,
-        child0=d0,
-        child1=d1,
-        enclosure=(lo, hi),
-        normalizer=normalizer,
-        ratio=(d1.mid - d0.mid) / normalizer,
-    )
+    return BranchIncrement(word, d0, d1, enclosure, normalizer, (d1.mid - d0.mid) / normalizer)
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,11 @@ from .errors import ConfigError
 MAX_WORD_LENGTH = 20
 
 
-def validate_word(word: str, max_length: int = MAX_WORD_LENGTH) -> str:
+def validate_word(word: str) -> str:
     if not isinstance(word, str):
         raise ConfigError(f"word must be a str of 0/1, got {type(word).__name__}")
-    if len(word) > max_length:
-        raise ConfigError(f"word length {len(word)} exceeds cap {max_length}")
+    if len(word) > MAX_WORD_LENGTH:
+        raise ConfigError(f"word length {len(word)} exceeds cap {MAX_WORD_LENGTH}")
     if any(c not in "01" for c in word):
         raise ConfigError(f"word may contain only '0' and '1': {word!r}")
     return word

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dimspec.errors import ConfigError, DegenerateScales
+from dimspec.errors import CapExceeded, ConfigError, DegenerateScales
 from dimspec.metrics import (
     box_count,
     box_dimension_estimate,
@@ -51,6 +51,12 @@ def test_covering_count_translation_invariant():
 
 
 # --- global profile ------------------------------------------------------------
+
+def test_cantor_truncation_stops_at_the_spectrum_depth_cap():
+    # the same cap as every other cloud the metric commands read
+    with pytest.raises(CapExceeded):
+        cantor_truncation(17)
+
 
 def test_cantor_truncation_slope():
     pts = cantor_truncation(8)

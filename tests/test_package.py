@@ -1,10 +1,15 @@
-"""The package surface: public names and the deferred numpy import."""
+"""The package surface: public names, the deferred numpy import and the
+integer contract for counts."""
 
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import dimspec
+from dimspec import construction, metrics
+from dimspec.errors import ConfigError
 
 SOLVE_WITHOUT_NUMPY = """
 import contextlib, io, sys
@@ -28,3 +33,21 @@ def test_solving_and_the_dim_command_do_not_import_numpy():
 def test_every_public_name_resolves():
     for name in dimspec.__all__:
         assert getattr(dimspec, name) is not None, name
+
+
+COUNTS = {
+    "precision_bits": lambda n: dimspec.solve_dimension(
+        dimspec.ContractionFamily.square_exponent(), (1, 2), tol=1e-20, precision_bits=100 + n),
+    "k_set_cloud": construction.k_set_cloud,
+    "cantor_truncation": metrics.cantor_truncation,
+    "enumerate_word": construction.enumerate_word,
+    "scale_range": lambda n: metrics.box_dimension_estimate(
+        metrics.cantor_truncation(7), scale_range=(n, 6)),
+}
+
+
+# A count of 3.7 is an error, never 3.
+@pytest.mark.parametrize("name", COUNTS)
+def test_non_integer_counts_are_config_errors(name):
+    with pytest.raises(ConfigError):
+        COUNTS[name](3.7)

@@ -116,12 +116,21 @@ def test_branch_increment_example():
 
 
 def test_branch_increment_agrees_with_subset_increment():
-    # the two children of "11" differ exactly by adjoining symbol 3
-    bi = branch_increment(SQEXP, "11")
-    (lo, hi), d0, d1 = increment(SQEXP, (1, 2), 3)
-    assert max(lo, bi.enclosure[0]) <= min(hi, bi.enclosure[1])
-    assert d0.mid == pytest.approx(bi.child0.mid, abs=1e-9)
-    assert d1.mid == pytest.approx(bi.child1.mid, abs=1e-9)
+    # the two children of w differ exactly by adjoining symbol len(w) + 1;
+    # every word criterion 5 measures, lengths 2 to 8
+    for length in range(2, 9):
+        for m in range(1 << (length - 2)):
+            w = "11" + format(m, f"0{length - 2}b") if length > 2 else "11"
+            bi = branch_increment(SQEXP, w)
+            assert (bi.enclosure, bi.child0, bi.child1) == increment(SQEXP, w, len(w) + 1), w
+
+
+def test_branch_increment_retries_a_caller_tol_that_does_not_separate():
+    # tol 0.05 leaves the children of "11" overlapping; the retry at
+    # tol / 64 separates them
+    bi = branch_increment(SQEXP, "11", tol=0.05)
+    assert 0.0353 < bi.enclosure[0] < bi.enclosure[1] < 0.0366
+    assert bi.child1.width_budget == 0.05 / 64
 
 
 def test_geometric_cloud_is_coarser_than_square_exponent(cloud_cache):
