@@ -44,7 +44,7 @@ from .perturbation import (
 )
 from .solver import (
     DimensionInterval,
-    moran_sum,
+    moran_bounds,
     pressure,
     pressure_derivative,
     solve_dimension,
@@ -83,7 +83,7 @@ __all__ = [
     "k_set_cloud",
     "local_dimension_profile",
     "longest_common_prefix",
-    "moran_sum",
+    "moran_bounds",
     "parse_ratio",
     "pressure",
     "pressure_derivative",

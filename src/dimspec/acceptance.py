@@ -32,7 +32,7 @@ from .construction import g_exponent, separation_check
 from .families import ContractionFamily
 from .metrics import box_dimension_estimate, classify_type, uniform_perfectness_gaps
 from .perturbation import derivative_comparability, exponent_fit
-from .solver import moran_sum, solve_dimension
+from .solver import moran_bounds, solve_dimension
 from .spectrum import branch_increment, expand_spectrum
 
 GOLDEN_RATIO_DIM = math.log2((1.0 + math.sqrt(5.0)) / 2.0)
@@ -134,8 +134,8 @@ def criterion_2() -> CriterionResult:
         indices = tuple(sorted(rng.sample(range(1, 13), size)))
         iv = solve_dimension(fam, indices, tol=1e-10)
         cert_ok = (
-            moran_sum(fam, indices, iv.lo, mode="lower") >= 1.0
-            and moran_sum(fam, indices, iv.hi, mode="upper") <= 1.0
+            moran_bounds(fam, indices, iv.lo, iv.width_budget)[0] >= 1.0
+            and moran_bounds(fam, indices, iv.hi, iv.width_budget)[1] <= 1.0
         )
         # The sum is strictly decreasing in s, so sum(lo) >= 1 >= sum(hi)
         # proves that the root lies in [lo, hi].

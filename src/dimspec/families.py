@@ -63,18 +63,12 @@ def parse_ratio(text) -> Fraction:
     Decimal strings are rational numbers, so '0.3' becomes 3/10 with no
     rounding.  Fraction syntax like '1/3' is accepted too.
     """
-    if isinstance(text, Fraction):
-        value = text
-    elif isinstance(text, int):
-        value = Fraction(text)
-    elif isinstance(text, float):
-        # floats are exact binary rationals; accept but do not guess digits
-        value = Fraction(text)
-    else:
-        try:
-            value = Fraction(str(text).strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"cannot parse ratio {text!r}: {exc}") from None
+    # floats are exact binary rationals; accept but do not guess digits
+    number = text if isinstance(text, (Fraction, int, float)) else str(text).strip()
+    try:
+        value = Fraction(number)
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise ConfigError(f"cannot parse ratio {text!r}: {exc}") from None
     if not (0 < value < 1):
         raise ConfigError(f"ratio must lie strictly between 0 and 1, got {value}")
     return value
@@ -197,14 +191,12 @@ class ContractionFamily:
     def tail_majorant(self, n_cut: int, s: float) -> float:
         """Upper bound for the sum of ratio(a)**s over all a > n_cut.
 
-        One closed form for the named kinds; zero for explicit families
-        once n_cut reaches their size.  Requires s > 0 for the infinite
-        kinds (returns +inf at s <= 0, where the series diverges anyway).
+        One closed form for the named kinds; an explicit family is finite
+        and has no tail to bound (ConfigError).  Requires s > 0 (returns
+        +inf at s <= 0, where the series diverges anyway).
         """
         if self._ratios is not None:
-            if n_cut >= len(self._ratios):
-                return 0.0
-            return math.fsum(self.term_double(a, s) for a in range(n_cut + 1, len(self._ratios) + 1))
+            raise ConfigError("an explicit family is finite and has no tail majorant")
         if s <= 0.0:
             return math.inf
         head, step = self._tail_exponents(n_cut)

@@ -74,6 +74,9 @@ MAX_TERMS = 1 << 20
 
 DEFAULT_TOL = 1e-10
 
+# Truncation tolerance of pressure's Moran sums.
+PRESSURE_TOL = 1e-15
+
 # Newton iterations allowed per tier; a Newton that has not settled by
 # then escalates from the double tier and fails in the mpmath tier.
 NEWTON_STEPS = 64
@@ -106,19 +109,22 @@ def _indices(family, subset):
     return tuple(map(family.check_index, subset))
 
 
-def moran_bounds(family, indices, s, tol, prec=None):
+def moran_bounds(family, subset, s, tol, prec=None):
     """Certified (lower, upper) Moran sums at s, and the sum's slope.
 
-    indices is a decoded subset (see _indices): a sorted tuple of
-    distinct indices, or None for the full infinite selector, whose
-    partial sum grows until the tail majorant drops below tol/4
-    (ToleranceNotReachable when MAX_TERMS terms do not get it there).
-    prec None evaluates in doubles with relative slack
-    SLACK_DOUBLE; an integer evaluates in fixed point at no fewer than
-    prec bits and returns the sums as exact dyadic mpfs.  The slope d/ds
-    of the partial sum is an estimate for Newton steps, not a bound.  At
-    s <= theta the full selector diverges: (inf, inf, -inf).
+    subset takes the forms solve_dimension documents; a NaN or negative
+    s is a ConfigError.  A full infinite selector's partial sum grows
+    until the tail majorant drops below tol/4 (ToleranceNotReachable
+    when MAX_TERMS terms do not get it there).  prec None evaluates in
+    doubles with relative slack SLACK_DOUBLE; an integer evaluates in
+    fixed point at no fewer than prec bits and returns the sums as exact
+    dyadic mpfs.  The slope d/ds of the partial sum is an estimate for
+    Newton steps, not a bound.  At s <= theta the full selector
+    diverges: (inf, inf, -inf).
     """
+    if not s >= 0:
+        raise ConfigError(f"moran_bounds needs s >= 0, got {s}")
+    indices = _indices(family, subset)
     if prec is None:
         return _double_bounds(family, indices, tol)(s)
     return _fixed_bounds(family, indices, tol, prec)(s)
@@ -140,29 +146,43 @@ def _truncation(tail, limit):
     return n_cut, rest
 
 
-def _double_bounds(family, indices, tol):
-    """moran_bounds(family, indices, s, tol) in doubles, as a function
-    of s for the length of one solve.
+def _double_sums(family, indices, tol):
+    """The double tier's one term loop, unwidened: a function of s, for
+    the length of one solve, returning (fsum of the terms, tail
+    majorant, slope of the partial sum).
 
-    Each symbol's log2 ratio w is looked up once here, not once per
-    term of every evaluation; a term is 2.0 ** (s * w), the expression
-    family.term_double evaluates, so every sum is the same float.  For
-    the full selector the weights grow with the largest n_cut seen, up
-    to MAX_TERMS, so they are packed 8 bytes each.
+    Each symbol's log2 ratio w is decoded once, not once per term of
+    every evaluation; a term is 2.0 ** (s * w), the expression
+    family.term_double evaluates, so every sum is the same float.  The
+    full selector's weights are read off the family's (base, e) row;
+    they grow with the largest n_cut seen, up to MAX_TERMS, so they are
+    packed 8 bytes each.
     """
     weights = array("d") if indices is None else [family.log2_ratio(a) for a in indices]
 
-    def bounds(s):
-        n = len(weights)
-        tail = 0.0
+    def sums(s):
+        selected, tail = weights, 0.0
         if indices is None:
             if s <= family.theta:
                 return math.inf, math.inf, -math.inf
             n, tail = _truncation(lambda n_cut: family.tail_majorant(n_cut, s), tol / 4)
-            weights.extend(family.log2_ratio(a) for a in range(len(weights) + 1, n + 1))
-        terms = [2.0 ** (s * w) for w in islice(weights, n)]
-        total = math.fsum(terms)
-        slope = LN2 * math.fsum(map(mul, terms, weights))
+            base, e = NAMED_FAMILIES[family.kind]
+            log2_base = math.log2(base)
+            weights.extend([-e(a) * log2_base for a in range(len(weights) + 1, n + 1)])
+            selected = islice(weights, n)
+        terms = [2.0 ** (s * w) for w in selected]
+        return math.fsum(terms), tail, LN2 * math.fsum(map(mul, terms, weights))
+
+    return sums
+
+
+def _double_bounds(family, indices, tol):
+    """moran_bounds(family, indices, s, tol) in doubles, as a function
+    of s for one solve: _double_sums widened by SLACK_DOUBLE."""
+    sums = _double_sums(family, indices, tol)
+
+    def bounds(s):
+        total, tail, slope = sums(s)
         return total * (1 - SLACK_DOUBLE), (total + tail) * (1 + SLACK_DOUBLE), slope
 
     return bounds
@@ -263,27 +283,6 @@ def _fixed_bounds(family, indices, tol, prec):
                 -ln_base * (chain.moment / (1 << bits)))
 
     return bounds
-
-
-def moran_sum(family, subset, s, mode="mid", tol=1e-13):
-    """One-sided or midpoint evaluation of the Moran sum at s.
-
-    mode 'lower' returns a certified lower bound of the true sum,
-    'upper' a certified upper bound (partial sum plus tail majorant),
-    'mid' the midpoint of the two.  Returns math.inf when the defining
-    series diverges (full selector of an infinite family with
-    s <= theta).
-    """
-    if mode not in ("lower", "upper", "mid"):
-        raise ConfigError(f"unknown moran_sum mode {mode!r}")
-    if not s >= 0:
-        raise ConfigError(f"moran_sum needs s >= 0, got {s}")
-    lower, upper, _ = moran_bounds(family, _indices(family, subset), s, tol)
-    if mode == "lower":
-        return lower
-    if mode == "upper":
-        return upper
-    return 0.5 * (lower + upper)
 
 
 @dataclass(frozen=True)
@@ -468,18 +467,21 @@ def solve_dimension(family, subset="full", tol=DEFAULT_TOL, precision_bits=None)
     return DimensionInterval(width_budget=tol, tier="mpmath", precision_bits=prec, **fields)
 
 
-def pressure(family, subset, s, tol=1e-15):
-    """Natural log of the Moran sum (midpoint evaluation).
+def pressure(family, subset, s):
+    """Natural log of the Moran sum: the midpoint of moran_bounds at
+    tolerance PRESSURE_TOL.
 
-    Raises DivergentSum where the series diverges and ConfigError for
-    an empty subset, whose pressure would be log 0.
+    Raises DivergentSum where the series diverges or every term
+    underflows to 0, and ConfigError for an empty subset, whose pressure
+    would be log 0.
     """
     indices = _indices(family, subset)
     if indices == ():
         raise ConfigError("pressure of the empty subset is undefined")
-    value = moran_sum(family, indices, s, tol=tol)
-    if math.isinf(value):
-        raise DivergentSum(f"moran sum diverges at s={s}")
+    lower, upper, _ = moran_bounds(family, indices, s, PRESSURE_TOL)
+    value = 0.5 * (lower + upper)
+    if value == 0.0 or math.isinf(value):
+        raise DivergentSum(f"moran sum diverges or vanishes at s={s}")
     return math.log(value)
 
 
@@ -487,26 +489,24 @@ def pressure_derivative(family, subset, s):
     """d/ds of the pressure: weighted mean of log ratios.
 
     Equals (sum of ratio**s * ln ratio) / (sum of ratio**s) over the
-    selected symbols, in plain doubles; always negative.  A full
-    infinite selector is cut by the evaluator's truncation rule at a
-    tolerance relative to the first term, so the dropped tail is below
-    2**-60 of the sum; ToleranceNotReachable when MAX_TERMS terms do not
-    get it there (s near 0), instead of returning the partial sum.
+    selected symbols, always negative, read off the double tier's
+    unwidened sums.  A full infinite selector is cut by the evaluator's
+    truncation rule at tol = 2**-58 * ratio(1)**s; ToleranceNotReachable
+    when MAX_TERMS terms do not get there (s near 0), instead of
+    returning the partial sum.
+
+    The result is an estimate, not a bound.  Its error: each term
+    ratio**s and each product with its log2 ratio is a plain double
+    rounded to nearest; the two sums are correctly rounded fsums; and
+    the dropped tail is below 2**-60 of the sum.
     """
     if math.isnan(s):
         raise ConfigError("pressure derivative needs a number s, got nan")
     indices = _indices(family, subset)
-    if indices is None:
-        if s <= family.theta:
-            raise DivergentSum(f"moran sum diverges at s={s}")
-        tol = 2.0**-58 * family.term_double(1, s)
-        n_cut, _ = _truncation(lambda n: family.tail_majorant(n, s), tol / 4)
-        indices = range(1, n_cut + 1)
-    elif not indices:
+    if indices == ():
         raise ConfigError("pressure derivative of the empty subset is undefined")
-    weights = [family.log2_ratio(a) for a in indices]
-    terms = [2.0 ** (s * w) for w in weights]
-    den = math.fsum(terms)
-    if den == 0.0 or math.isinf(den):
-        raise DivergentSum(f"moran sum not summable at s={s}")
-    return math.fsum(map(mul, terms, weights)) * LN2 / den
+    tol = 2.0**-58 * family.term_double(1, s) if indices is None else 0.0
+    total, _, slope = _double_sums(family, indices, tol)(s)
+    if total == 0.0 or math.isinf(total):
+        raise DivergentSum(f"moran sum diverges or vanishes at s={s}")
+    return slope / total

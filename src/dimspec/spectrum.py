@@ -143,6 +143,9 @@ def expand_spectrum(family, depth, base_symbols=(1, 2), tol=None, workers=1) -> 
     os.cpu_count() processes.
     """
     depth = require_int(depth, "depth")
+    workers = require_int(workers, "workers")
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
     full = base_symbols is None or isinstance(base_symbols, str) and base_symbols == "full"
     base_symbols = None if full else _indices(family, base_symbols)
     if not base_symbols:
@@ -158,8 +161,8 @@ def expand_spectrum(family, depth, base_symbols=(1, 2), tol=None, workers=1) -> 
 
     words = _cloud_words(depth, base_symbols)
     jobs = [(family, w, tol) for w in words]
-    if workers and workers > 1 and len(jobs) >= 8:
-        processes = min(int(workers), os.cpu_count() or 1)
+    if workers > 1 and len(jobs) >= 8:
+        processes = min(workers, os.cpu_count() or 1)
         with Pool(processes=processes) as pool:
             solved = pool.map(_solve_cloud_word, jobs, chunksize=max(1, len(jobs) // (4 * processes)))
     else:

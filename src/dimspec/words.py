@@ -7,7 +7,7 @@ is '1' exactly when symbol i belongs to the set.
 
 from __future__ import annotations
 
-from .errors import ConfigError
+from .errors import ConfigError, require_int
 
 MAX_WORD_LENGTH = 20
 
@@ -48,7 +48,7 @@ def word_of_subset(indices) -> str:
     Inverse of :func:`subset_of_word` up to trailing zeros: the result
     never ends in '0'.
     """
-    idx = sorted(set(indices))
+    idx = sorted({require_int(a, "symbol index") for a in indices})
     if not idx:
         return ""
     if idx[0] < 1:

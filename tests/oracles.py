@@ -195,10 +195,10 @@ def ref_uniform_perfectness_gaps(points):
     return best
 
 
-def term_by_term_bounds(family, indices, s, tol, slack=2.0**-43, max_terms=1 << 20):
-    """Double-tier (lower, upper, slope) built from family.term_double
-    one symbol at a time, with the solver's truncation rule for the
-    full selector (indices None)."""
+def _term_by_term_sums(family, indices, s, tol, max_terms=1 << 20):
+    """(total, tail, slope) built from family.term_double one symbol at
+    a time, with the solver's truncation rule for the full selector
+    (indices None)."""
     tail = 0.0
     if indices is None:
         n_cut = 8
@@ -208,9 +208,21 @@ def term_by_term_bounds(family, indices, s, tol, slack=2.0**-43, max_terms=1 << 
             tail = family.tail_majorant(n_cut, s)
         indices = range(1, n_cut + 1)
     terms = [family.term_double(a, s) for a in indices]
-    total = math.fsum(terms)
     slope = math.log(2.0) * math.fsum(t * family.log2_ratio(a) for t, a in zip(terms, indices))
+    return math.fsum(terms), tail, slope
+
+
+def term_by_term_bounds(family, indices, s, tol, slack=2.0**-43):
+    """Double-tier (lower, upper, slope), term by term."""
+    total, tail, slope = _term_by_term_sums(family, indices, s, tol)
     return total * (1 - slack), (total + tail) * (1 + slack), slope
+
+
+def term_by_term_pressure_slope(family, indices, s):
+    """pressure_derivative, term by term: the full selector is cut at
+    tol = 2**-58 * ratio(1)**s."""
+    total, _, slope = _term_by_term_sums(family, indices, s, 2.0**-58 * family.term_double(1, s))
+    return slope / total
 
 
 # --- reference family formulas ----------------------------------------------

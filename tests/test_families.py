@@ -31,7 +31,7 @@ def test_parse_ratio_exact_decimal():
     assert parse_ratio(Fraction(3, 7)) == Fraction(3, 7)
 
 
-@pytest.mark.parametrize("bad", ["0", "1", "1.5", "-0.3", "abc", "0/1"])
+@pytest.mark.parametrize("bad", ["0", "1", "1.5", "-0.3", "abc", "0/1", math.nan, math.inf])
 def test_parse_ratio_rejects_out_of_range(bad):
     with pytest.raises(ConfigError):
         parse_ratio(bad)
@@ -88,10 +88,11 @@ def test_tail_majorant_dominates_partial_tails(name, s, n_cut):
 
 
 def test_tail_majorant_explicit_family():
+    # An explicit family is finite: there is no tail to majorise.
     fam = ContractionFamily.explicit(["0.5", "0.25", "0.125"])
-    assert fam.tail_majorant(1, 1.0) == pytest.approx(0.25 + 0.125)
-    assert fam.tail_majorant(2, 1.0) == pytest.approx(0.125)
-    assert fam.tail_majorant(3, 1.0) == 0.0
+    for n_cut in (1, 3):
+        with pytest.raises(ConfigError):
+            fam.tail_majorant(n_cut, 1.0)
 
 
 def test_tail_majorant_diverges_at_zero():

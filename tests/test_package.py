@@ -15,8 +15,11 @@ SOLVE_WITHOUT_NUMPY = """
 import contextlib, io, sys
 import dimspec
 from dimspec import cli
-iv = dimspec.solve_dimension(dimspec.ContractionFamily.square_exponent(), "full", tol=1e-10)
+fam = dimspec.ContractionFamily.square_exponent()
+iv = dimspec.solve_dimension(fam, "full", tol=1e-10)
 assert iv.tier == "double", iv
+assert dimspec.moran_bounds(fam, "full", iv.lo, 1e-10)[0] >= 1
+assert dimspec.pressure_derivative(fam, "full", iv.mid) < 0
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["dim", "--family", "square-exponent", "--no-timestamp"]) == 0
 assert "numpy" not in sys.modules, "numpy was imported"
@@ -43,6 +46,8 @@ COUNTS = {
     "enumerate_word": construction.enumerate_word,
     "scale_range": lambda n: metrics.box_dimension_estimate(
         metrics.cantor_truncation(7), scale_range=(n, 6)),
+    "workers": lambda n: dimspec.expand_spectrum(
+        dimspec.ContractionFamily.square_exponent(), 6, workers=n),
 }
 
 

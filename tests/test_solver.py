@@ -14,7 +14,6 @@ from dimspec.families import ContractionFamily, TermChain
 from dimspec.solver import (
     DEFAULT_TOL,
     moran_bounds,
-    moran_sum,
     pressure,
     pressure_derivative,
     solve_dimension,
@@ -25,38 +24,38 @@ GEO = ContractionFamily.geometric()
 T3 = ContractionFamily.type_three()
 
 
-# --- moran_sum -------------------------------------------------------------
+# --- the Moran sum: moran_bounds --------------------------------------------
+
+def _mid(family, subset, s):
+    lower, upper, _ = moran_bounds(family, subset, s, 1e-13)
+    return 0.5 * (lower + upper)
+
 
 def test_moran_sum_full_square_exponent_at_one():
-    got = moran_sum(SQEXP, "full", 1.0)
-    assert got == pytest.approx(oracles.SQEXP_SUM_AT_1, abs=1e-13)
+    assert _mid(SQEXP, "full", 1.0) == pytest.approx(oracles.SQEXP_SUM_AT_1, abs=1e-13)
 
 
 def test_moran_sum_explicit_subset():
-    assert moran_sum(SQEXP, (1, 2), 1.0) == pytest.approx(0.5 + 0.0625, abs=1e-15)
-    assert moran_sum(SQEXP, "11", 1.0) == pytest.approx(0.5 + 0.0625, abs=1e-15)
+    assert _mid(SQEXP, (1, 2), 1.0) == pytest.approx(0.5 + 0.0625, abs=1e-15)
+    assert _mid(SQEXP, "11", 1.0) == pytest.approx(0.5 + 0.0625, abs=1e-15)
 
 
 def test_moran_sum_diverges_at_theta():
-    assert moran_sum(SQEXP, "full", 0.0) == math.inf
-    assert moran_sum(GEO, "full", 0.0) == math.inf
+    assert moran_bounds(SQEXP, "full", 0.0, 1e-13) == (math.inf, math.inf, -math.inf)
+    assert moran_bounds(GEO, "full", 0.0, 1e-13) == (math.inf, math.inf, -math.inf)
 
 
 def test_moran_sum_empty_and_negative():
-    assert moran_sum(SQEXP, (), 0.7) == 0.0
-    with pytest.raises(ConfigError):
-        moran_sum(SQEXP, "full", -0.1)
-    with pytest.raises(ConfigError):
-        moran_sum(SQEXP, "full", 0.5, mode="sideways")
+    assert moran_bounds(SQEXP, (), 0.7, 1e-13)[:2] == (0.0, 0.0)
+    for prec in (None, 96):
+        with pytest.raises(ConfigError):
+            moran_bounds(SQEXP, "full", -0.1, 1e-13, prec)
 
 
 @given(st.floats(min_value=0.3, max_value=3.0))
-def test_moran_sum_mode_ordering(s):
-    lo = moran_sum(SQEXP, "full", s, mode="lower")
-    mid = moran_sum(SQEXP, "full", s, mode="mid")
-    hi = moran_sum(SQEXP, "full", s, mode="upper")
-    assert lo <= mid <= hi
-    assert lo > 0
+def test_moran_sum_bounds_are_ordered(s):
+    lower, upper, _ = moran_bounds(SQEXP, "full", s, 1e-13)
+    assert 0 < lower <= upper
 
 
 # --- solve_dimension: closed forms ------------------------------------------
@@ -133,8 +132,8 @@ subset_strategy = st.sets(st.integers(min_value=1, max_value=11), min_size=2, ma
 def test_certificates_bracket_the_root(indices):
     subset = tuple(sorted(indices))
     iv = solve_dimension(SQEXP, subset)
-    assert moran_sum(SQEXP, subset, iv.lo, mode="lower") >= 1.0
-    assert moran_sum(SQEXP, subset, iv.hi, mode="upper") <= 1.0
+    assert moran_bounds(SQEXP, subset, iv.lo, iv.width_budget)[0] >= 1.0
+    assert moran_bounds(SQEXP, subset, iv.hi, iv.width_budget)[1] <= 1.0
 
 
 @settings(max_examples=25, deadline=None)
@@ -177,12 +176,9 @@ def _oracle_root(kind, subset):
 def _recomputed_certificates(fam, subset, iv):
     """Lower sum at the reported lo and upper sum at the reported hi, at
     the reported tier and precision."""
-    if iv.tier == "double":
-        return (moran_sum(fam, subset, iv.lo, mode="lower", tol=iv.width_budget),
-                moran_sum(fam, subset, iv.hi, mode="upper", tol=iv.width_budget))
-    indices = None if subset == "full" else subset
-    lower = moran_bounds(fam, indices, iv.lo, iv.width_budget, iv.precision_bits)[0]
-    upper = moran_bounds(fam, indices, iv.hi, iv.width_budget, iv.precision_bits)[1]
+    prec = iv.precision_bits if iv.tier == "mpmath" else None
+    lower = moran_bounds(fam, subset, iv.lo, iv.width_budget, prec)[0]
+    upper = moran_bounds(fam, subset, iv.hi, iv.width_budget, prec)[1]
     return float(lower), float(upper)
 
 
@@ -411,6 +407,8 @@ def test_pressure_known_values():
 def test_pressure_divergence():
     with pytest.raises(DivergentSum):
         pressure(SQEXP, "full", 0.0)
+    with pytest.raises(DivergentSum):  # 2**-4500 underflows to 0
+        pressure(SQEXP, (30,), 5.0)
     with pytest.raises(ConfigError):
         pressure(SQEXP, (), 1.0)
 
@@ -483,7 +481,7 @@ def test_pressure_derivative_keeps_the_converged_values():
 
 def test_tiny_s_raises_a_dimspec_error():
     # 1 - 2**(-s) rounds to 0, so no tail majorant exists in doubles.
-    _raises_fast(moran_sum, GEO, "full", 1e-17)
+    _raises_fast(moran_bounds, GEO, "full", 1e-17, 1e-13)
     _raises_fast(pressure_derivative, GEO, "full", 1e-17)
     # The fixed-point tail at 96 bits: 1 - y with y = 2**(-s) rounds up to 0.
     chain = TermChain(GEO, mpmath.mpf(2) ** -120, 96)
@@ -494,7 +492,7 @@ def test_tiny_s_raises_a_dimspec_error():
 @pytest.mark.parametrize("subset", ["full", (1, 2)])
 def test_nan_s_is_a_config_error(subset):
     with pytest.raises(ConfigError):
-        moran_sum(GEO, subset, math.nan)
+        moran_bounds(GEO, subset, math.nan, 1e-13)
     with pytest.raises(ConfigError):
         pressure(GEO, subset, math.nan)
     with pytest.raises(ConfigError):

@@ -90,6 +90,8 @@ def test_depth_and_base_validation():
         expand_spectrum(SQEXP, 4, base_symbols=())
     with pytest.raises(ConfigError):
         expand_spectrum(SQEXP, 2, base_symbols=(1, 2, 5))
+    with pytest.raises(ConfigError, match="at least 1"):
+        expand_spectrum(SQEXP, 4, workers=0)
     # the full selector is no base, for a finite family too
     for family in (SQEXP, ContractionFamily.explicit(["1/2", "1/3"])):
         for full in ("full", None):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from dimspec.errors import ConfigError
 from dimspec.families import ContractionFamily
-from dimspec.solver import moran_sum, pressure, pressure_derivative, solve_dimension
+from dimspec.solver import moran_bounds, pressure, pressure_derivative, solve_dimension
 from dimspec.words import (
     longest_common_prefix,
     subset_of_word,
@@ -49,6 +49,9 @@ def test_validate_word_rejects_junk():
         validate_word("012")
     with pytest.raises(ConfigError):
         validate_word("1" * 99)
+    for bad in ([1.5], [2, 1.0]):
+        with pytest.raises(ConfigError):
+            word_of_subset(bad)
 
 
 @given(words, words)
@@ -74,7 +77,7 @@ def test_lcp_with_self(w):
 def test_selector_full_vs_explicit():
     assert solve_dimension(SQEXP, "11") == solve_dimension(SQEXP, (1, 2))
     assert solve_dimension(SQEXP, "full") == solve_dimension(SQEXP, None)
-    assert moran_sum(SQEXP, "full", 0.7) == moran_sum(SQEXP, None, 0.7)
+    assert moran_bounds(SQEXP, "full", 0.7, 1e-13) == moran_bounds(SQEXP, None, 0.7, 1e-13)
     # the full selector of a finite family is every one of its symbols
     fam = ContractionFamily.explicit(["1/2", "1/3", "1/5"])
     assert solve_dimension(fam, "full") == solve_dimension(fam, (1, 2, 3))
@@ -85,15 +88,15 @@ def test_selector_normalises_indices():
     assert repr(solve_dimension(SQEXP, (2, 2, 1))) == repr(solve_dimension(SQEXP, (1, 2)))
     assert repr(solve_dimension(SQEXP, (2, 1), tol=1e-20)) == repr(
         solve_dimension(SQEXP, (1, 2), tol=1e-20))
-    assert moran_sum(SQEXP, (3, 1, 3), 0.5) == moran_sum(SQEXP, (1, 3), 0.5)
-    for solve in (solve_dimension, lambda fam, sub: moran_sum(fam, sub, 0.5)):
+    assert moran_bounds(SQEXP, (3, 1, 3), 0.5, 1e-13) == moran_bounds(SQEXP, (1, 3), 0.5, 1e-13)
+    for solve in (solve_dimension, lambda fam, sub: moran_bounds(fam, sub, 0.5, 1e-13)):
         with pytest.raises(ConfigError, match="start at 1"):
             solve(SQEXP, (0,))
 
 
 @pytest.mark.parametrize("bad", [[1.5, 2], [1, 1.0, 2], [1.0, 1, 2], 3, ["a", "b"], "12"])
 def test_selector_rejects_non_integer_indices_and_non_collections(bad):
-    for call in (lambda: solve_dimension(SQEXP, bad), lambda: moran_sum(SQEXP, bad, 0.5),
+    for call in (lambda: solve_dimension(SQEXP, bad), lambda: moran_bounds(SQEXP, bad, 0.5, 1e-13),
                  lambda: pressure(SQEXP, bad, 0.5), lambda: pressure_derivative(SQEXP, bad, 0.5)):
         with pytest.raises(ConfigError):
             call()
@@ -102,4 +105,4 @@ def test_selector_rejects_non_integer_indices_and_non_collections(bad):
 def test_selector_accepts_numpy_integers():
     assert solve_dimension(SQEXP, np.array([3, 1])) == solve_dimension(SQEXP, (1, 3))
     assert solve_dimension(SQEXP, [np.int64(2), 1]) == solve_dimension(SQEXP, (1, 2))
-    assert moran_sum(SQEXP, np.array([2, 1]), 0.5) == moran_sum(SQEXP, (1, 2), 0.5)
+    assert moran_bounds(SQEXP, np.array([2, 1]), 0.5, 1e-13) == moran_bounds(SQEXP, (1, 2), 0.5, 1e-13)
