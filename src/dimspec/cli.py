@@ -2,8 +2,9 @@
 
 Every subcommand emits a single data document, either JSON
 (``--format structured``, the default) or CSV with ``#``-prefixed
-metadata lines.  The document embeds the full run configuration under
-``config`` (CSV: the ``# config:`` line), so any output can be
+metadata lines.  The document embeds its configuration, every flag but
+``--workers`` and ``--out`` (which cannot change a byte of the data),
+under ``config`` (CSV: the ``# config:`` line), so any output can be
 re-executed with :func:`run_from_config` and compared byte for byte.
 Data goes to stdout or ``--out``; diagnostics go to stderr.  Exit code
 2 signals a configuration problem, 3 a numerical failure; in both
@@ -40,9 +41,40 @@ from .metrics import (
 )
 from .perturbation import exponent_fit
 from .solver import DEFAULT_TOL, solve_dimension
+from .spectrum import expand_spectrum
 from .words import subset_of_word
 
 FAMILY_NAMES = (*NAMED_FAMILIES, "cantor-pair")
+
+
+# ---------------------------------------------------------------------------
+# flags and the configuration echo
+
+# Each echoed config key and the add_argument options of its flag,
+# "--" + key.replace("_", "-").  --workers and --out are not echoed, so
+# _build_parser declares them itself.
+_FLAGS = {
+    "family": dict(choices=FAMILY_NAMES, help="named contraction family"),
+    "ratios": dict(nargs="+", metavar="R",
+                   help="explicit ratios (decimals or fractions), instead of --family"),
+    "subset": dict(help="comma-separated symbol indices, or 'full'"),
+    "word": dict(help="binary word selecting symbols by position"),
+    "depth": dict(type=int, required=True, help="expansion depth"),
+    "base": dict(default="1,2", help="base symbols (default 1,2)"),
+    "tol": dict(type=float, help="enclosure width budget"),
+    "precision_bits": dict(type=int, help="pin the high-precision tier to this many bits"),
+    "scales": dict(help="dyadic scale exponents as kmin:kmax"),
+    "b_range": dict(required=True,
+                    help="inclusive sweep range lo:hi for the perturbing symbol"),
+    "criteria": dict(help="comma-separated criterion numbers (default all)"),
+    "format": dict(choices=("csv", "structured"), default="structured"),
+    "no_timestamp": dict(action="store_true",
+                         help="omit the generation timestamp (byte-stable output)"),
+}
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -51,98 +83,35 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Certified dimension computations for infinite contraction systems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, *, family=False, subset=False, word=False, depth=False,
-            base=False, tol=False, precision=False, scales=False, b_range=False,
-            criteria=False):
+    for name, (help_text, _, keys) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        if family:
-            p.add_argument("--family", choices=FAMILY_NAMES, help="named contraction family")
-            p.add_argument("--ratios", nargs="+", metavar="R",
-                           help="explicit ratios (decimals or fractions), instead of --family")
-        if subset:
-            p.add_argument("--subset", help="comma-separated symbol indices, or 'full'")
-        if word:
-            p.add_argument("--word", help="binary word selecting symbols by position")
-        if depth:
-            p.add_argument("--depth", type=int, required=True, help="expansion depth")
-        if base:
-            p.add_argument("--base", default="1,2", help="base symbols (default 1,2)")
-        if tol:
-            p.add_argument("--tol", type=float, help="enclosure width budget")
-        if precision:
-            p.add_argument("--precision-bits", type=int, dest="precision_bits",
-                           help="pin the high-precision tier to this many bits")
-        if scales:
-            p.add_argument("--scales", help="dyadic scale exponents as kmin:kmax")
-        if b_range:
-            p.add_argument("--b-range", dest="b_range", required=True,
-                           help="inclusive sweep range lo:hi for the perturbing symbol")
-        if criteria:
-            p.add_argument("--criteria", help="comma-separated criterion numbers (default all)")
+        for key in keys:
+            p.add_argument(_flag(key), **_FLAGS[key])
         p.add_argument("--workers", type=int, default=1,
                        help="parallel worker processes (at most the number of CPUs)")
-        p.add_argument("--format", choices=("csv", "structured"), default="structured")
+        p.add_argument("--format", **_FLAGS["format"])
         p.add_argument("--out", help="write the data document to this file")
-        p.add_argument("--no-timestamp", action="store_true", dest="no_timestamp",
-                       help="omit the generation timestamp (byte-stable output)")
-        return p
-
-    add("dim", "solve one Moran dimension with certificates",
-        family=True, subset=True, word=True, tol=True, precision=True)
-    add("spectrum", "certified dimension cloud over words extending a base set",
-        family=True, depth=True, base=True, tol=True)
-    add("boxdim", "box-counting slope of a family's dimension cloud",
-        family=True, depth=True, base=True, scales=True)
-    add("localdim", "windowed local dimension profile of the cloud",
-        family=True, depth=True, base=True)
-    add("gaps", "uniform-perfectness gap statistic of the cloud",
-        family=True, depth=True, base=True)
-    add("classify", "qualitative type of the cloud (I / II / III)",
-        family=True, depth=True, base=True)
-    add("perturb", "one-symbol perturbation sweep and exponent fit",
-        family=True, subset=True, b_range=True, tol=True)
-    add("construct-k", "exact sparse cloud of the dyadic construction",
-        depth=True)
-    add("verify", "run the acceptance suite", criteria=True)
+        p.add_argument("--no-timestamp", **_FLAGS["no_timestamp"])
     return parser
-
-
-# ---------------------------------------------------------------------------
-# configuration echo and round tripping
-
-# --workers and --out are execution details: they cannot change the
-# computed data, so they are not part of the echoed configuration.
-_CONFIG_KEYS = (
-    "family", "ratios", "subset", "word", "depth", "base", "tol",
-    "precision_bits", "scales", "b_range", "criteria", "format",
-)
-_KEY_TO_FLAG = {k: "--" + k.replace("_", "-") for k in _CONFIG_KEYS}
 
 
 def _config_of(args) -> dict:
     config = {"command": args.command}
-    for key in _CONFIG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            config[key] = value
-    config["no_timestamp"] = bool(args.no_timestamp)
+    config.update((k, v) for k, v in vars(args).items() if k in _FLAGS and v is not None)
     return config
 
 
 def _argv_from_config(config: dict) -> list:
     argv = [config["command"]]
-    for key in _CONFIG_KEYS:
-        if key not in config:
+    for key, options in _FLAGS.items():
+        value = config.get(key)
+        if value is None or value is False:
             continue
-        value = config[key]
-        if key == "ratios":
-            argv.append(_KEY_TO_FLAG[key])
-            argv.extend(str(r) for r in value)
-        else:
-            argv.extend([_KEY_TO_FLAG[key], str(value)])
-    if config.get("no_timestamp"):
-        argv.append("--no-timestamp")
+        argv.append(_flag(key))
+        if "nargs" in options:
+            argv.extend(map(str, value))
+        elif value is not True:
+            argv.append(str(value))
     return argv
 
 
@@ -157,14 +126,12 @@ def run_from_config(config: dict) -> str:
 # parsing helpers
 
 def _family_of(args) -> ContractionFamily:
-    name = getattr(args, "family", None)
-    ratios = getattr(args, "ratios", None)
-    if name and ratios:
+    if args.family and args.ratios:
         raise ConfigError("give either --family or --ratios, not both")
-    if name:
-        return ContractionFamily.from_name(name)
-    if ratios:
-        return ContractionFamily.explicit(ratios)
+    if args.family:
+        return ContractionFamily.from_name(args.family)
+    if args.ratios:
+        return ContractionFamily.explicit(args.ratios)
     raise ConfigError("a contraction family is required (--family or --ratios)")
 
 
@@ -190,16 +157,13 @@ def _parse_pair(text, flag):
 
 def _metric_points(args):
     """Point set that the box/local/gap/classify commands operate on."""
-    name = getattr(args, "family", None)
-    if getattr(args, "ratios", None) is not None:
+    if args.ratios is not None:
         raise ConfigError("point sampling is defined for named families only")
-    if name is None:
+    if args.family is None:
         raise ConfigError("a named --family is required")
-    if name == "cantor-pair":
+    if args.family == "cantor-pair":
         return cantor_truncation(args.depth)
-    from .spectrum import expand_spectrum
-
-    cloud = expand_spectrum(ContractionFamily.from_name(name), args.depth,
+    cloud = expand_spectrum(ContractionFamily.from_name(args.family), args.depth,
                             base_symbols=_parse_subset(args.base), workers=args.workers)
     return cloud.midpoints()
 
@@ -276,8 +240,6 @@ def _cmd_dim(args, config):
 
 def _cmd_spectrum(args, config):
     family = _family_of(args)
-    from .spectrum import expand_spectrum
-
     cloud = expand_spectrum(family, args.depth, base_symbols=_parse_subset(args.base),
                             tol=args.tol, workers=args.workers)
     summary = {
@@ -374,13 +336,13 @@ def _cmd_construct_k(args, config):
     header = ["word", "n_terms", "exponents", "approx"]
     rows = []
     for p in points:
-        approx = mpmath.nstr(p.approx(30), 20) if p.exponents else "0.0"
+        approx = mpmath.nstr(p.approx(30), 20)
         rows.append([p.word, len(p.exponents), ";".join(str(e) for e in p.exponents), approx])
     return _emit(args, config, {"n_points": len(points)}, header, rows)
 
 
 def _cmd_verify(args, config):
-    from .acceptance import run_all
+    from .acceptance import ALL_CRITERIA, run_all
 
     numbers = None
     if args.criteria:
@@ -388,7 +350,7 @@ def _cmd_verify(args, config):
             numbers = tuple(int(p) for p in args.criteria.split(","))
         except ValueError:
             raise ConfigError(f"bad --criteria {args.criteria!r}")
-        if any(n < 1 or n > 9 for n in numbers):
+        if any(n < 1 or n > len(ALL_CRITERIA) for n in numbers):
             raise ConfigError("criterion numbers run from 1 to 9")
     results = run_all(numbers=numbers)
     with_timing = not args.no_timestamp
@@ -417,25 +379,34 @@ def _cmd_verify(args, config):
     return text, code
 
 
+# name: (help text, handler, config keys of its flags in --help order);
+# every command also takes --workers, --format, --out and --no-timestamp.
 _COMMANDS = {
-    "dim": _cmd_dim,
-    "spectrum": _cmd_spectrum,
-    "boxdim": _cmd_boxdim,
-    "localdim": _cmd_localdim,
-    "gaps": _cmd_gaps,
-    "classify": _cmd_classify,
-    "perturb": _cmd_perturb,
-    "construct-k": _cmd_construct_k,
-    "verify": _cmd_verify,
+    "dim": ("solve one Moran dimension with certificates", _cmd_dim,
+            ("family", "ratios", "subset", "word", "tol", "precision_bits")),
+    "spectrum": ("certified dimension cloud over words extending a base set", _cmd_spectrum,
+                 ("family", "ratios", "depth", "base", "tol")),
+    "boxdim": ("box-counting slope of a family's dimension cloud", _cmd_boxdim,
+               ("family", "ratios", "depth", "base", "scales")),
+    "localdim": ("windowed local dimension profile of the cloud", _cmd_localdim,
+                 ("family", "ratios", "depth", "base")),
+    "gaps": ("uniform-perfectness gap statistic of the cloud", _cmd_gaps,
+             ("family", "ratios", "depth", "base")),
+    "classify": ("qualitative type of the cloud (I / II / III)", _cmd_classify,
+                 ("family", "ratios", "depth", "base")),
+    "perturb": ("one-symbol perturbation sweep and exponent fit", _cmd_perturb,
+                ("family", "ratios", "subset", "tol", "b_range")),
+    "construct-k": ("exact sparse cloud of the dyadic construction", _cmd_construct_k,
+                    ("depth",)),
+    "verify": ("run the acceptance suite", _cmd_verify, ("criteria",)),
 }
 
 
 def _execute(args):
-    if getattr(args, "workers", 1) < 1:
+    if args.workers < 1:
         raise ConfigError("--workers must be at least 1")
-    config = _config_of(args)
-    handler = _COMMANDS[args.command]
-    result = handler(args, config)
+    _, handler, _ = _COMMANDS[args.command]
+    result = handler(args, _config_of(args))
     if isinstance(result, tuple):
         return result
     return result, 0

@@ -139,17 +139,6 @@ class ScaleProfile:
     floor: float
     floor_rule: str
 
-    def as_dict(self) -> dict:
-        return {
-            "scales": list(self.scales),
-            "counts": list(self.counts),
-            "slope": self.slope,
-            "residual": self.residual,
-            "n_points": self.n_points,
-            "floor": self.floor,
-            "floor_rule": self.floor_rule,
-        }
-
 
 def fit_line(xs, ys):
     """Least-squares line ys = slope * xs + intercept over two equal

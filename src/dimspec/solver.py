@@ -490,7 +490,8 @@ def pressure_derivative(family, subset, s):
 
     Equals (sum of ratio**s * ln ratio) / (sum of ratio**s) over the
     selected symbols, always negative, read off the double tier's
-    unwidened sums.  A full infinite selector is cut by the evaluator's
+    unwidened sums.  A NaN or negative s is a ConfigError, as in
+    moran_bounds.  A full infinite selector is cut by the evaluator's
     truncation rule at tol = 2**-58 * ratio(1)**s; ToleranceNotReachable
     when MAX_TERMS terms do not get there (s near 0), instead of
     returning the partial sum.
@@ -500,8 +501,8 @@ def pressure_derivative(family, subset, s):
     rounded to nearest; the two sums are correctly rounded fsums; and
     the dropped tail is below 2**-60 of the sum.
     """
-    if math.isnan(s):
-        raise ConfigError("pressure derivative needs a number s, got nan")
+    if not s >= 0:
+        raise ConfigError(f"pressure_derivative needs s >= 0, got {s}")
     indices = _indices(family, subset)
     if indices == ():
         raise ConfigError("pressure derivative of the empty subset is undefined")

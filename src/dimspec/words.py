@@ -48,7 +48,10 @@ def word_of_subset(indices) -> str:
     Inverse of :func:`subset_of_word` up to trailing zeros: the result
     never ends in '0'.
     """
-    idx = sorted({require_int(a, "symbol index") for a in indices})
+    try:
+        idx = sorted({require_int(a, "symbol index") for a in indices})
+    except TypeError:
+        raise ConfigError(f"indices must be a collection of integers, got {indices!r}") from None
     if not idx:
         return ""
     if idx[0] < 1:

@@ -237,6 +237,32 @@ def test_config_echo_roundtrip_csv(capsys):
     assert cli.run_from_config(config) == out
 
 
+ROUNDTRIPS = {
+    "dim-ratios": "dim --ratios 1/2 1/4 --precision-bits 80 --tol 1e-15",
+    "dim-word-csv": "dim --family geometric --word 101 --format csv",
+    "spectrum": "spectrum --family type-three --depth 5 --tol 1e-9",
+    "boxdim-csv": "boxdim --family cantor-pair --depth 8 --scales 2:6 --format csv",
+    "localdim": "localdim --family cantor-pair --depth 7",
+    "gaps-csv": "gaps --family cantor-pair --depth 7 --format csv",
+    "classify": "classify --family geometric --depth 8",
+    "perturb-csv": "perturb --family square-exponent --subset 1,2 --b-range 3:5 --tol 1e-8"
+                   " --format csv",
+    "construct-k": "construct-k --depth 3",
+    "verify": "verify --criteria 1",
+}
+
+
+@pytest.mark.parametrize("argv", ROUNDTRIPS.values(), ids=ROUNDTRIPS.keys())
+def test_every_command_roundtrips_through_its_config_echo(argv, capsys):
+    code, out = run(argv.split() + ["--no-timestamp"], capsys)
+    assert code == 0
+    if argv.endswith("--format csv"):
+        config = json.loads(parse_csv(out)[0]["config"])
+    else:
+        config = json.loads(out)["config"]
+    assert cli.run_from_config(config) == out
+
+
 def test_workers_flag_does_not_change_bytes(capsys):
     base = ["spectrum", "--family", "square-exponent", "--depth", "6", "--base", "1,2",
             "--format", "csv", "--no-timestamp"]

@@ -489,14 +489,15 @@ def test_tiny_s_raises_a_dimspec_error():
     _raises_fast(chain.tail)
 
 
+@pytest.mark.parametrize("s", [math.nan, -0.5])
 @pytest.mark.parametrize("subset", ["full", (1, 2)])
-def test_nan_s_is_a_config_error(subset):
+def test_nan_or_negative_s_is_a_config_error(subset, s):
     with pytest.raises(ConfigError):
-        moran_bounds(GEO, subset, math.nan, 1e-13)
+        moran_bounds(GEO, subset, s, 1e-13)
     with pytest.raises(ConfigError):
-        pressure(GEO, subset, math.nan)
+        pressure(GEO, subset, s)
     with pytest.raises(ConfigError):
-        pressure_derivative(GEO, subset, math.nan)
+        pressure_derivative(GEO, subset, s)
 
 
 def test_pressure_derivative_diverges_at_theta():

@@ -49,7 +49,7 @@ def test_validate_word_rejects_junk():
         validate_word("012")
     with pytest.raises(ConfigError):
         validate_word("1" * 99)
-    for bad in ([1.5], [2, 1.0]):
+    for bad in ([1.5], [2, 1.0], 3):
         with pytest.raises(ConfigError):
             word_of_subset(bad)
 
