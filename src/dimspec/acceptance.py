@@ -147,7 +147,7 @@ def criterion_2() -> CriterionResult:
                 first_bad = f" first failure: subset={indices} iv=[{iv.lo},{iv.hi}]"
     elapsed = time.perf_counter() - t0
     passed = bad == 0 and elapsed < 30.0
-    details = f"1000 subsets, {bad} failures, {elapsed:.1f}s (budget 30s){first_bad}"
+    details = f"1000 subsets, {bad} failures (budget 30s){first_bad}"
     return CriterionResult(2, "bracketing certificates vs 200-bit oracle", passed, details, elapsed)
 
 
@@ -174,7 +174,7 @@ def criterion_3() -> CriterionResult:
     details = (
         f"slope={report.slope:.10f} dev={100 * rel_dev:.2f}% (gate 3%) "
         f"{'ok' if slope_ok else 'FAIL'}; ratio max/min={ratio_spread:.4f} "
-        f"(gate 10) {'ok' if spread_ok else 'FAIL'}; {elapsed:.1f}s"
+        f"(gate 10) {'ok' if spread_ok else 'FAIL'}"
     )
     return CriterionResult(3, "perturbation exponent law", passed, details, elapsed)
 
@@ -234,7 +234,7 @@ def criterion_5() -> CriterionResult:
     details = (
         f"band=[{band[0]:.4f},{band[1]:.4f}] max/min={band[1] / band[0]:.3f} (gate 20) "
         f"{'ok' if spread_ok else 'FAIL'}; depth6 band=[{band6[0]:.4f},{band6[1]:.4f}] "
-        f"drift=({drift_lo:.3f},{drift_hi:.3f}) (gate 2x) {'ok' if drift_ok else 'FAIL'}; {elapsed:.1f}s"
+        f"drift=({drift_lo:.3f},{drift_hi:.3f}) (gate 2x) {'ok' if drift_ok else 'FAIL'}"
     )
     return CriterionResult(5, "branch increment band", passed, details, elapsed)
 
@@ -259,7 +259,7 @@ def criterion_6(cache: CloudCache | None = None) -> CriterionResult:
         "slopes=" + ",".join(f"{slopes[d]:.4f}" for d in range(6, 11))
         + f" strict-decr={decreasing} end<0.2={small_end}; gap-ratios="
         + ",".join(f"{gap_ratios[d]:.1f}" for d in range(6, 11))
-        + f" strict-incr={increasing}; {elapsed:.1f}s"
+        + f" strict-incr={increasing}"
     )
     return CriterionResult(6, "shrinking spectrum profile", passed, details, elapsed)
 
@@ -299,7 +299,7 @@ def criterion_7() -> CriterionResult:
     passed = sep_bad == 0 and decay_bad == 0 and elapsed < 60.0
     details = (
         f"{pairs} equal-length pairs, {sep_bad} separation failures; "
-        f"{decay_checks} decay inequalities, {decay_bad} failures; {elapsed:.1f}s"
+        f"{decay_checks} decay inequalities, {decay_bad} failures"
     )
     return CriterionResult(7, "exact separation construction", passed, details, elapsed)
 

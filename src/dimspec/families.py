@@ -20,7 +20,9 @@ doubles.  The mpmath tier encloses terms in fixed point between two
 integers: power_enclosure encloses one ratio**s with one exp, and
 TermChain walks a named row from y = base**(-s) by integer multiply and
 shift, rounded down for the lower chain and up for the upper chain, with
-its tail majorant in the same integers.
+its tail majorant in the same integers.  ln_enclosure encloses |ln ratio|
+in the same integers, for the derivative bounds the mpmath tier
+certifies with.
 """
 
 from __future__ import annotations
@@ -129,6 +131,12 @@ class ContractionFamily:
     def size(self):
         """Number of symbols, or None for an infinite family."""
         return None if self._ratios is None else len(self._ratios)
+
+    @property
+    def row(self):
+        """(base, e) of a named family, ratio(a) = base**(-e(a)); None
+        for an explicit family."""
+        return None if self._ratios is not None else (self._base, self._e)
 
     @property
     def theta(self) -> float:
@@ -264,8 +272,26 @@ def _ln(numerator: int, denominator: int, bits: int):
 
 
 def _raw(s):
-    """s (an mpf, float or int) as a raw libmp number, exactly."""
+    """s (a raw libmp number, an mpf, a float or an int) as a raw libmp
+    number, exactly."""
+    if type(s) is tuple:
+        return s
     return s._mpf_ if hasattr(s, "_mpf_") else from_float(float(s))
+
+
+@lru_cache(maxsize=256)
+def ln_enclosure(numerator: int, denominator: int, bits: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= |ln(numerator/denominator)| * 2**bits <= hi,
+    for 0 < numerator/denominator <= 1.
+
+    One log at w = bits + EXP_GUARD_BITS + bit_length(bit_length(den))
+    bits: |ln r| < bit_length(den), so the accuracy assumption above
+    puts the computed log within 2**-12 units of 2**-bits of the exact
+    one, and flooring and widening by WIDEN_UNITS encloses it.
+    """
+    w = bits + EXP_GUARD_BITS + denominator.bit_length().bit_length()
+    mid = -to_fixed(_ln(numerator, denominator, w), bits)
+    return max(mid - WIDEN_UNITS, 0), mid + WIDEN_UNITS
 
 
 def power_enclosure(value: Fraction, s, bits: int) -> tuple[int, int]:
@@ -301,11 +327,12 @@ class TermChain:
     symbol and geometric one.  advance(n) adds weights[a] times the
     terms a <= n to lo and hi (enclosures of the sum) and to moment (the
     lower terms times e(a)), every weight 1 when weights is None; tail()
-    then majorises the terms beyond n.
+    then majorises the terms beyond n.  e is increasing, so top() is
+    the largest exponent among the terms summed.
     """
 
     def __init__(self, family, s, bits, weights=None):
-        base, e = NAMED_FAMILIES[family.kind]
+        base, e = family.row
         self.bits, self.weights, self._e = bits, weights, e
         one = 1 << bits
         self._powers = {0: (one, one), 1: power_enclosure(_RECIPROCALS[base], s, bits)}
@@ -351,6 +378,10 @@ class TermChain:
         self.n = max(self.n, n)
         self._term, self._step, self._exps = (t_lo, t_hi), (d_lo, d_hi), (e0, e1, e2)
         self.lo, self.hi, self.moment = lo, hi, moment
+
+    def top(self) -> int:
+        """e(n), the exponent of the last term summed."""
+        return self._e(self.n)
 
     def tail(self) -> int:
         """Upper bound, in units of 2**-bits, for the sum of ratio(a)**s

@@ -18,28 +18,35 @@ Solving is split from proving (solve, then certify).  The log of the
 sum, the pressure, is convex and decreasing in s, so Newton's method
 started left of the root climbs to it monotonically.  The Newton
 iterate x is only a guess: the returned endpoints are the floats just
-outside x -/+ 0.4 tol, and they are accepted only once the two
-one-sided sums at exactly those floats certify them.  A root above the
-ambient bound 1 (a ratio sum above 1) gets [lo, 1] instead, with lo the
-largest float <= 1 - 2**floor(log2 tol), certified by its lower sum.
-Nothing else is tried: a bracket that fails to certify escalates from
-the double tier to the mpmath tier, and there raises
-ToleranceNotReachable.
+outside x -/+ 0.4 tol, and they are accepted only once they are
+certified.  A root above the ambient bound 1 (a ratio sum above 1) gets
+[lo, 1] instead, with lo the largest float <= 1 - 2**floor(log2 tol),
+certified on its own.  Nothing else is tried: a bracket that fails to
+certify escalates from the double tier to the mpmath tier, and there
+raises ToleranceNotReachable.
 
-Two arithmetic tiers exist.  The double tier sums plain doubles and
-widens them by a generous relative slack.  The mpmath tier, at a
-working precision prec chosen from the requested tolerance, sums
-fixed-point integers: every term is enclosed between two integers at
-bits >= prec bits (families.TermChain, families.power_enclosure), from
-one exp per evaluation for a named family and one per distinct ratio
-for an explicit one, and products are rounded down in the lower chain
-and up in the upper chain.  Its sums are exact dyadics S * 2**-bits,
-certified by monotonicity alone with no slack; the one assumption is
-that libmp's log, multiply and exp are accurate to 16 ulp at the
-precision they run at, which is 16 bits above the fixed point (the
-accuracy note in families.py).  The mpmath tier polishes the double
-Newton iterate with Newton steps at working precision (or starts afresh
-when the double Newton failed).  The double tier escalates
+Two arithmetic tiers exist, and each has one certificate.  The double
+tier sums plain doubles, widens them by a generous relative slack, and
+certifies with the two one-sided sums at exactly the floats lo and hi.
+The mpmath tier, at a working precision prec chosen from the requested
+tolerance, sums fixed-point integers: every term is enclosed between
+two integers at bits >= prec bits (families.TermChain,
+families.power_enclosure), from one exp per evaluation for a named
+family and one per distinct ratio for an explicit one, and products are
+rounded down in the lower chain and up in the upper chain.  Its sums
+are exact dyadics S * 2**-bits, certified by monotonicity alone with no
+slack; the one assumption is that libmp's log, multiply and exp are
+accurate to 16 ulp at the precision they run at, which is 16 bits above
+the fixed point (the accuracy note in families.py).  The mpmath tier
+polishes the double Newton iterate with Newton steps at working
+precision (or starts afresh when the double Newton failed), and
+certifies the bracket from the last Newton evaluation, at a point x_k
+inside it, with no further sum: S and |S'| decrease, so with the
+certified lower moment M <= |S'(x_k)| that the evaluation returns,
+S(lo) >= S_lo(x_k) + (x_k - lo) M, and S(hi) <= S_hi(x_k) - (hi - x_k) M
+times a factor that bounds how much |S'| falls between x_k and hi (the
+mean-value form of interval Newton; Moore, "Interval Analysis", 1966).
+Both are compared exactly, in integers.  The double tier escalates
 automatically when its dead zone (where neither one-sided test is
 conclusive) is wider than the tolerance.
 """
@@ -54,10 +61,13 @@ from itertools import islice
 from operator import index, mul
 
 import mpmath
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import (
+    from_float, from_man_exp, mpf_abs, mpf_add, mpf_div, mpf_le, mpf_log, mpf_lt, mpf_mul,
+    mpf_sub, round_ceiling, round_floor, round_nearest, to_float,
+)
 
 from .errors import ConfigError, DivergentSum, ToleranceNotReachable, require_int
-from .families import NAMED_FAMILIES, TermChain, power_enclosure
+from .families import TermChain, _raw, ln_enclosure, power_enclosure
 from .words import subset_of_word
 
 # Relative slack applied to double-precision sums.  Covers the rounding
@@ -127,7 +137,11 @@ def moran_bounds(family, subset, s, tol, prec=None):
     indices = _indices(family, subset)
     if prec is None:
         return _double_bounds(family, indices, tol)(s)
-    return _fixed_bounds(family, indices, tol, prec)(s)
+    sums = _fixed_bounds(family, indices, tol, prec)(_raw(s))
+    if sums is None:
+        return math.inf, math.inf, -math.inf
+    lo, hi, _, _, bits, slope = sums
+    return _dyadic(lo, bits), _dyadic(hi, bits), slope
 
 
 def _truncation(tail, limit):
@@ -166,7 +180,7 @@ def _double_sums(family, indices, tol):
             if s <= family.theta:
                 return math.inf, math.inf, -math.inf
             n, tail = _truncation(lambda n_cut: family.tail_majorant(n_cut, s), tol / 4)
-            base, e = NAMED_FAMILIES[family.kind]
+            base, e = family.row
             log2_base = math.log2(base)
             weights.extend([-e(a) * log2_base for a in range(len(weights) + 1, n + 1)])
             selected = islice(weights, n)
@@ -208,8 +222,18 @@ def _dyadic(units, bits):
 
 
 def _fixed_bounds(family, indices, tol, prec):
-    """moran_bounds(family, indices, s, tol, prec) as a function of s,
-    for the length of one solve.
+    """moran_bounds(family, indices, s, tol, prec) in fixed point, as a
+    function of a raw libmp s, for the length of one solve.
+
+    It returns None where the full selector diverges (s <= theta), and
+    otherwise (lo, hi, moment, ln_max, bits, slope): ints in units of
+    2**-bits, with lo <= S(s) <= hi for the Moran sum S, moment <= the
+    sum over the summed terms of |ln ratio(a)| * ratio(a)**s (the
+    lower terms times their log enclosures, rounded down), and
+    ln_max >= |ln ratio(a)| for every summed symbol a; slope is the
+    float estimate of S'(s) for Newton steps.  For a named family
+    moment is the TermChain moment times ln(base), and ln_max is
+    e(n) * ln(base) with n the last symbol summed.
 
     Named families walk one TermChain (one exp per evaluation);
     explicit families enclose each distinct selected ratio once.  The
@@ -234,20 +258,25 @@ def _fixed_bounds(family, indices, tol, prec):
         top = -max((w for _, _, w in weights), default=0.0)
         n_terms = len(indices)
 
-        def bounds(s):
-            bits = _fixed_bits(prec, s, top, n_terms)
-            lo = hi = 0
+        def sums(s):
+            bits = _fixed_bits(prec, to_float(s, rnd=round_nearest), top, n_terms)
+            lo = hi = moment = ln_max = 0
             slope = 0.0
             for r, k, w in weights:
                 t_lo, t_hi = power_enclosure(r, s, bits)
+                ln_lo, ln_hi = ln_enclosure(r.numerator, r.denominator, bits)
                 lo += k * t_lo
                 hi += k * t_hi
+                moment += k * ln_lo * t_lo
+                ln_max = max(ln_max, ln_hi)
                 slope += k * w * (t_lo / (1 << bits))
-            return _dyadic(lo, bits), _dyadic(hi, bits), LN2 * slope
+            return lo, hi, moment >> bits, ln_max, bits, LN2 * slope
 
-        return bounds
+        return sums
 
-    ln_base = math.log(NAMED_FAMILIES[family.kind][0])
+    base = family.row[0]
+    ln_base = math.log(base)
+    theta = from_float(family.theta)
     weights = None
     if indices is None:
         top, n_terms = -family.log2_ratio(1), MAX_TERMS
@@ -259,15 +288,16 @@ def _fixed_bounds(family, indices, tol, prec):
             weights[a] = 1
         top = -family.log2_ratio(indices[0] if indices else 1)
 
-    def bounds(s):
-        bits = _fixed_bits(prec, s, top, n_terms)
+    def sums(s):
+        s_float = to_float(s, rnd=round_nearest)
+        bits = _fixed_bits(prec, s_float, top, n_terms)
         tail = 0
         if indices is None:
-            if s <= family.theta:
-                return math.inf, math.inf, -math.inf
-            if not family.tail_majorant(MAX_TERMS, float(s)) < tol / 2:
+            if mpf_le(s, theta):
+                return None
+            if not family.tail_majorant(MAX_TERMS, s_float) < tol / 2:
                 raise ToleranceNotReachable(
-                    f"s = {float(s)!r}: the tail after {MAX_TERMS} terms is not below tol/2")
+                    f"s = {s_float!r}: the tail after {MAX_TERMS} terms is not below tol/2")
             chain = TermChain(family, s, bits)
 
             def chain_tail(n_cut):
@@ -279,21 +309,25 @@ def _fixed_bounds(family, indices, tol, prec):
         else:
             chain = TermChain(family, s, bits, weights)
             chain.advance(n_terms)
-        return (_dyadic(chain.lo, bits), _dyadic(chain.hi + tail, bits),
-                -ln_base * (chain.moment / (1 << bits)))
+        ln_lo, ln_hi = ln_enclosure(1, base, bits)
+        return (chain.lo, chain.hi + tail, chain.moment * ln_lo >> bits, chain.top() * ln_hi,
+                bits, -ln_base * (chain.moment / (1 << bits)))
 
-    return bounds
+    return sums
 
 
 @dataclass(frozen=True)
 class DimensionInterval:
     """Certified enclosure [lo, hi] of min(Moran root, 1).
 
-    cert_lo is the certified lower-mode sum at the float lo (>= 1),
-    cert_hi the certified upper-mode sum at the float hi (<= 1) or None
-    when hi is the ambient bound 1 (the attractor lives in the unit
-    interval, so its dimension never exceeds 1; that bound needs no
-    arithmetic).  Both are evaluated at the reported tier and precision.
+    cert_lo is a certified lower bound (>= 1) on the Moran sum at the
+    float lo, cert_hi a certified upper bound (<= 1) on the sum at the
+    float hi, or None when hi is the ambient bound 1 (the attractor lives
+    in the unit interval, so its dimension never exceeds 1; that bound
+    needs no arithmetic).  On the double tier they are the one-sided
+    sums at lo and hi; on the mpmath tier they are the mean-value bounds
+    from the last Newton evaluation (see _certify), rounded outward to
+    floats.
     When the ratios sum above 1 the Moran root lies above 1 and is not
     reported: the interval is [lo, 1] with hi_is_ambient set, and only
     lo is certified.  exact marks the degenerate empty/singleton cases
@@ -331,23 +365,23 @@ class DimensionInterval:
         }
 
 
-def _newton(bounds, x, tol, prec=None):
-    """Newton's method on the pressure log(sum) from x, or None.
+def _newton(bounds, x, tol):
+    """Newton's method in doubles on the pressure log(sum) from x, or
+    None.
 
-    bounds(s) returns moran_bounds at s in the tier that prec names.
-    The pressure is convex and decreasing, so from a start left of the
-    root the iterates climb monotonically.  Stops once a step is below
-    tol/1000 or no longer moves x; in doubles also once the sum at x no
-    longer exceeds 1, which is the root up to rounding.
+    bounds(s) returns moran_bounds at s in doubles.  The pressure is
+    convex and decreasing, so from a start left of the root the iterates
+    climb monotonically.  Stops once a step is below tol/1000, no longer
+    moves x, or is no longer positive (the sum at x no longer exceeds 1,
+    which is the root up to rounding).
     """
-    log = math.log if prec is None else mpmath.log
     for _ in range(NEWTON_STEPS):
         lower, upper, slope = bounds(x)
         if not (slope < 0 and upper < math.inf):
             return None
         mid = (lower + upper) / 2
-        step = mid * log(mid) / slope
-        if prec is None and step >= 0:
+        step = mid * math.log(mid) / slope
+        if step >= 0:
             return x
         x, previous = x - step, x
         if abs(step) < tol / 1000 or x == previous:
@@ -355,45 +389,147 @@ def _newton(bounds, x, tol, prec=None):
     return None
 
 
-def _outward(lo, hi):
-    """Floats enclosing [lo, hi]; exact for float input."""
-    lo_f, hi_f = float(lo), float(hi)
-    if lo_f > lo:
-        lo_f = math.nextafter(lo_f, -math.inf)
-    if hi_f < hi:
-        hi_f = math.nextafter(hi_f, math.inf)
-    return lo_f, hi_f
+def _polish(sums, x, tol, prec):
+    """Newton's method on the pressure at prec bits from the float x.
 
-
-def _settle(bounds, x, tol):
-    """Certify an enclosure around the Newton iterate x.
-
-    The enclosure is the floats just outside x -/+ 0.4 tol, clipped to
-    [0, 1]; when even its lower end lies above 1 (a ratio sum above 1)
-    it is [lo, 1] with lo the largest float <= 1 - 2**floor(log2 tol),
-    clipped at 0.  Returns the certified DimensionInterval fields;
-    raises ToleranceNotReachable naming the one-sided sum that fails to
-    certify.
+    sums is a _fixed_bounds evaluator.  The iterates are raw libmp
+    numbers, every operation rounded to nearest at prec bits.  Yields
+    (x_next, x, evaluation at x) at every step from the first one below
+    tol/1000 (or that no longer moves x) on, so the caller may take
+    more steps; yields nothing when Newton does not get there within
+    NEWTON_STEPS steps or the sum diverges or vanishes.
     """
-    lo, hi = _outward(x - 0.4 * tol, x + 0.4 * tol)
+    x, small = from_float(x), from_float(tol / 1000)
+    settled = False
+    for _ in range(NEWTON_STEPS):
+        evaluation = sums(x)
+        if evaluation is None or not evaluation[5] < 0:
+            return
+        lo, hi, _, _, bits, slope = evaluation
+        mid = from_man_exp(lo + hi, -bits - 1, prec, round_nearest)
+        step = mpf_div(mpf_mul(mid, mpf_log(mid, prec, round_nearest), prec, round_nearest),
+                       from_float(slope), prec, round_nearest)
+        x, previous = mpf_sub(x, step, prec, round_nearest), x
+        settled = settled or mpf_lt(mpf_abs(step), small) or x == previous
+        if settled:
+            yield x, previous, evaluation
+
+
+def _bracket(lo, hi, tol):
+    """[lo, hi] clipped to [0, 1]; when even lo lies above 1 (a ratio
+    sum above 1), [1 - 2**floor(log2 tol), 1] instead, its lower end
+    the largest float <= 1 - 2**floor(log2 tol)."""
     if lo > 1.0:
         # frexp, not log2, so that a tol just below a power of two
         # rounds down.
         step = math.ldexp(1.0, math.frexp(tol)[1] - 1)
         lo, hi = min(1.0 - step, math.nextafter(1.0, 0.0)), 1.0
-    lo, hi = max(lo, 0.0), min(hi, 1.0)
+    return max(lo, 0.0), min(hi, 1.0)
+
+
+def _refuse(lo, hi, x, failed):
+    return ToleranceNotReachable(
+        f"cannot certify [{lo!r}, {hi!r}] around the Newton iterate {x!r}: {failed}")
+
+
+def _settle(bounds, x, tol):
+    """Certify the double enclosure x -/+ 0.4 tol (see _bracket) by the
+    lower sum at lo and the upper sum at hi.
+
+    Returns the certified DimensionInterval fields; raises
+    ToleranceNotReachable naming the one-sided sum that fails to
+    certify.
+    """
+    lo, hi = _bracket(x - 0.4 * tol, x + 0.4 * tol, tol)
     cert_lo = bounds(lo)[0]
     if cert_lo >= 1:
         cert_hi = bounds(hi)[1]
         if cert_hi <= 1:
-            return dict(lo=lo, hi=hi, cert_lo=float(cert_lo), cert_hi=float(cert_hi))
+            return dict(lo=lo, hi=hi, cert_lo=cert_lo, cert_hi=cert_hi)
         if hi == 1.0:
-            return dict(lo=lo, hi=hi, cert_lo=float(cert_lo), hi_is_ambient=True)
-        failed = f"the upper sum at hi is {float(cert_hi)!r}, above 1"
+            return dict(lo=lo, hi=hi, cert_lo=cert_lo, hi_is_ambient=True)
+        failed = f"the upper sum at hi is {cert_hi!r}, above 1"
     else:
-        failed = f"the lower sum at lo is {float(cert_lo)!r}, below 1"
-    raise ToleranceNotReachable(
-        f"cannot certify [{lo!r}, {hi!r}] around the Newton iterate {float(x)!r}: {failed}")
+        failed = f"the lower sum at lo is {cert_lo!r}, below 1"
+    raise _refuse(lo, hi, x, failed)
+
+
+def _offset(a, b):
+    """a - b for raw libmp numbers, exactly: (m, k) with a - b = m * 2**-k
+    and k >= 0."""
+    (sa, ma, ea, _), (sb, mb, eb, _) = a, b
+    e = min(ea, eb, 0)
+    return ((-ma if sa else ma) << (ea - e)) - ((-mb if sb else mb) << (eb - e)), -e
+
+
+def _mean_value(lo, hi, at, evaluation):
+    """Bounds on the Moran sum S at the floats lo and hi from one
+    evaluation at the raw point at: (lower bound at lo, upper bound at
+    hi), each an exact (units, exponent) pair worth units * 2**-exponent,
+    or None when at lies above lo (below hi) and gives no such bound.
+
+    S and |S'| decrease, and |S'(s)| >= moment at s <= at, so for
+    lo <= at, S(lo) >= S_lo(at) + (at - lo) * moment.  For s in
+    [at, hi] every summed term is at least its value at at times
+    1 - ln_max * (hi - at), so for at <= hi,
+    S(hi) <= S_hi(at) - (hi - at) * moment * max(0, 1 - ln_max * (hi - at)).
+    A tail beyond the summed terms only adds to |S'|, and S_hi(at)
+    majorises it at at.
+    """
+    sum_lo, sum_hi, moment, ln_max, bits, _ = evaluation
+    lower = upper = None
+    m, k = _offset(at, from_float(lo))
+    if m >= 0:
+        lower = (sum_lo << k) + m * moment, bits + k
+    m, k = _offset(from_float(hi), at)
+    if m >= 0:
+        factor = max(0, (1 << (bits + k)) - m * ln_max)
+        upper = (sum_hi << (bits + 2 * k)) - m * moment * factor, 2 * (bits + k)
+    return lower, upper
+
+
+def _float(bound, rnd):
+    """A _mean_value bound as a float, rounded in the direction rnd."""
+    units, exponent = bound
+    return to_float(from_man_exp(units, -exponent), rnd=rnd)
+
+
+def _certify(iterates, tol, prec):
+    """Certify the bracket x -/+ 0.4 tol around a Newton iterate x from
+    the Newton evaluation before it, by _mean_value.
+
+    iterates yields (x, point of the last evaluation, that evaluation),
+    as _polish does.  The bracket is the floats just outside x -/+
+    0.4 tol, each end first rounded to prec bits, then _bracket.  Its
+    lower end is certified when the lower bound at lo reaches 1, its
+    upper end when the upper bound at hi stays at or below 1, both
+    compared exactly, in integers.  The evaluation lies within tol/1000
+    of x, so inside the bracket, unless the bracket moved to
+    [1 - 2**floor(log2 tol), 1], which keeps [lo, 1] with only lo
+    certified.  A failed check takes one more Newton step and checks
+    again; a second failure raises ToleranceNotReachable naming the
+    bound that failed.
+    """
+    half = from_float(0.4 * tol)
+    failed = None
+    for x, at, evaluation in islice(iterates, 2):
+        lo, hi = _bracket(to_float(mpf_sub(x, half, prec, round_nearest), rnd=round_floor),
+                          to_float(mpf_add(x, half, prec, round_nearest), rnd=round_ceiling), tol)
+        lower, upper = _mean_value(lo, hi, at, evaluation)
+        if lower is None or lower[0] < 1 << lower[1]:
+            failed = ("the last Newton point lies below lo" if lower is None else
+                      f"the mean-value lower bound at lo is {_float(lower, round_floor)!r}, below 1")
+        elif upper is not None and upper[0] <= 1 << upper[1]:
+            return dict(lo=lo, hi=hi, cert_lo=_float(lower, round_floor),
+                        cert_hi=_float(upper, round_ceiling))
+        elif hi == 1.0:
+            return dict(lo=lo, hi=hi, cert_lo=_float(lower, round_floor), hi_is_ambient=True)
+        else:
+            failed = ("the last Newton point lies above hi" if upper is None else
+                      f"the mean-value upper bound at hi is {_float(upper, round_ceiling)!r}, above 1")
+    if failed is None:
+        raise ToleranceNotReachable(f"Newton's method does not settle at {prec} bits")
+    raise _refuse(lo, hi, to_float(x, rnd=round_nearest), failed)
 
 
 def solve_dimension(family, subset="full", tol=DEFAULT_TOL, precision_bits=None):
@@ -414,8 +550,9 @@ def solve_dimension(family, subset="full", tol=DEFAULT_TOL, precision_bits=None)
     lower and one upper sum, evaluated at exactly those floats.
     Precision escalates from doubles to mpmath automatically unless
     precision_bits pins a tier; the mpmath tier polishes the same
-    double Newton iterate at working precision.  When the mpmath tier
-    cannot certify either, ToleranceNotReachable names the sum that
+    double Newton iterate at working precision and certifies the same
+    bracket from its last Newton evaluation.  When the mpmath tier
+    cannot certify either, ToleranceNotReachable names the bound that
     failed.
 
     The interval encloses min(root, 1): the attractor lies in the unit
@@ -458,12 +595,8 @@ def solve_dimension(family, subset="full", tol=DEFAULT_TOL, precision_bits=None)
                 pass  # escalate to the mpmath tier
         prec = max(96, int(math.ceil(-math.log2(tol))) + 50)
 
-    bounds = _fixed_bounds(family, indices, tol, prec)
-    with mpmath.workprec(prec):
-        x = _newton(bounds, mpmath.mpf(start if x is None else x), tol, prec)
-        if x is None:
-            raise ToleranceNotReachable(f"Newton's method does not settle at {prec} bits")
-        fields = _settle(bounds, x, tol)
+    sums = _fixed_bounds(family, indices, tol, prec)
+    fields = _certify(_polish(sums, start if x is None else x, tol, prec), tol, prec)
     return DimensionInterval(width_budget=tol, tier="mpmath", precision_bits=prec, **fields)
 
 

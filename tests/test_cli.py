@@ -5,7 +5,7 @@ import json
 import pytest
 
 import oracles
-from dimspec import cli
+from dimspec import acceptance, cli
 
 
 def run(argv, capsys):
@@ -308,6 +308,32 @@ def test_verify_reports_failures_with_nonzero_exit(capsys):
     doc = json.loads(out)
     assert doc["results"][0]["passed"] is False
     assert "slope" in doc["results"][0]["details"]
+
+
+class _Clock:
+    """Stands in for the time module: perf_counter advances by a fixed
+    step on every call."""
+
+    def __init__(self, step):
+        self.now, self.step = 0.0, step
+
+    def perf_counter(self):
+        self.now += self.step
+        return self.now
+
+
+def test_verify_without_timestamp_is_byte_stable(monkeypatch, capsys):
+    # The same criteria on clocks of different speeds: with
+    # --no-timestamp neither the document nor the stderr lines may
+    # carry an elapsed time.
+    runs = []
+    for step in (0.01, 0.37):
+        monkeypatch.setattr(acceptance, "time", _Clock(step))
+        code = cli.main(["verify", "--criteria", "3,5", "--no-timestamp"])
+        captured = capsys.readouterr()
+        runs.append((code, captured.out, captured.err))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 1  # criterion 3 fails by design
 
 
 def test_verify_rejects_unknown_criterion(capsys):

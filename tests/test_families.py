@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction
 
 import mpmath
@@ -14,6 +15,7 @@ from dimspec.families import (
     WIDEN_UNITS,
     ContractionFamily,
     TermChain,
+    ln_enclosure,
     parse_ratio,
     power_enclosure,
 )
@@ -47,6 +49,15 @@ def test_named_families():
     assert t3.ratio(4) == Fraction(1, 27)
     with pytest.raises(ConfigError):
         ContractionFamily.from_name("nope")
+
+
+def test_row_is_the_table_row_and_survives_pickling():
+    # Worker processes receive pickled families; the solver reads (base, e) off row.
+    for kind, row in NAMED_FAMILIES.items():
+        fam = ContractionFamily(kind)
+        assert fam.row == row
+        assert pickle.loads(pickle.dumps(fam)).row == row
+    assert ContractionFamily.explicit(["1/3", "1/2"]).row is None
 
 
 def test_explicit_family_is_finite():
@@ -206,6 +217,17 @@ def test_power_enclosure_is_tight_and_needs_a_nonnegative_power():
     assert power_enclosure(Fraction(1, 3), 0.0, 64) == (2**64 - WIDEN_UNITS, 2**64)
     with pytest.raises(ConfigError):
         power_enclosure(Fraction(1, 2), -0.5, 64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.fractions(min_value=Fraction(1, 10**30), max_value=1, max_denominator=10**30),
+       st.integers(min_value=32, max_value=400))
+def test_ln_enclosure_encloses_the_log_at_400_more_bits(ratio, bits):
+    lo, hi = ln_enclosure(ratio.numerator, ratio.denominator, bits)
+    with mpmath.workprec(bits + 400):
+        exact = -mpmath.log(mpmath.mpf(ratio.numerator) / ratio.denominator) * mpmath.mpf(2) ** bits
+        assert lo <= exact <= hi
+    assert 0 <= lo and hi - lo <= 2 * WIDEN_UNITS
 
 
 def test_tail_majorant_rejects_a_flat_exponent_step():

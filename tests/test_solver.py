@@ -1,14 +1,16 @@
 import math
 import time
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import from_float, mpf_sub, round_nearest
 
 import oracles
-from dimspec import families, solver
+from dimspec import families, solver, spectrum
 from dimspec.errors import ConfigError, DimspecError, DivergentSum, ToleranceNotReachable
 from dimspec.families import ContractionFamily, TermChain
 from dimspec.solver import (
@@ -197,18 +199,45 @@ def test_enclosure_contains_root_within_newton_width(selection, tol):
     assert iv.width <= budget + 2 * math.ulp(iv.hi)
 
 
+@st.composite
+def certified_solves(draw):
+    """(family, subset, tol, precision_bits): a named selection from
+    selections at a tol from tolerances, the tier left to the solver, or
+    an explicit family of 2 to 6 ratios pinned to the mpmath tier."""
+    if draw(st.booleans()):
+        kind, subset = draw(selections)
+        return ContractionFamily(kind), subset, draw(tolerances), None
+    ratios = draw(st.lists(st.fractions(min_value=Fraction(1, 50), max_value=Fraction(9, 10),
+                                        max_denominator=100), min_size=2, max_size=6))
+    prec = draw(st.integers(min_value=64, max_value=200))
+    exponent = draw(st.floats(min_value=max(-30.0, (13 - prec) * math.log10(2)), max_value=-6.0))
+    return ContractionFamily.explicit(ratios), "full", 10.0**exponent, prec
+
+
 @settings(max_examples=40, deadline=None)
-@given(selections, tolerances)
-def test_certificates_sit_at_the_reported_endpoints(selection, tol):
-    kind, subset = selection
-    fam = ContractionFamily(kind)
-    iv = solve_dimension(fam, subset, tol=tol)
-    lower, upper = _recomputed_certificates(fam, subset, iv)
-    assert iv.cert_lo == lower and iv.cert_lo >= 1.0
+@given(certified_solves())
+@example((SQEXP, "full", 1e-25, None))
+@example((GEO, "full", 1e-20, None))
+@example((ContractionFamily.explicit(["1/3", "1/3", "1/2"]), "full", 1e-9, 80))
+def test_certificates_sit_at_the_reported_endpoints(case):
+    # The double tier certifies with the one-sided sums at lo and hi, so
+    # cert_lo and cert_hi are those sums.  The mpmath tier certifies from
+    # its last Newton evaluation, so they are its mean-value bounds on
+    # the sums at lo and hi; the 200-bit sums must lie beyond them.
+    fam, subset, tol, prec = case
+    iv = solve_dimension(fam, subset, tol=tol, precision_bits=prec)
+    if iv.tier == "double":
+        lower, upper = _recomputed_certificates(fam, subset, iv)
+        assert iv.cert_lo == lower and iv.cert_lo >= 1.0
+        if not iv.hi_is_ambient:
+            assert iv.cert_hi == upper and iv.cert_hi <= 1.0
+    else:
+        indices = solver._indices(fam, subset)
+        assert 1.0 <= iv.cert_lo <= oracles.ref_sum(fam, indices, iv.lo, oracles.PREC)
+        if not iv.hi_is_ambient:
+            assert oracles.ref_sum(fam, indices, iv.hi, oracles.PREC) <= iv.cert_hi <= 1.0
     if iv.hi_is_ambient:
         assert iv.hi == 1.0 and iv.cert_hi is None
-    else:
-        assert iv.cert_hi == upper and iv.cert_hi <= 1.0
 
 
 @pytest.mark.parametrize("tol", [1e-10, 1e-13, 1e-22])
@@ -216,43 +245,110 @@ def test_certificates_sit_at_the_reported_endpoints(selection, tol):
 def test_newton_iterate_off_the_root_never_yields_an_interval(monkeypatch, subset, tol):
     # A Newton iterate 0.25 to the right of its start misses the root in
     # both tiers: the double tier's bracket fails and escalates (when tol
-    # is within its reach), the mpmath tier's fails and raises.
+    # is within its reach); the mpmath tier's mean-value check fails, and
+    # so does the check after one more step, which stays off the root
+    # too, so it raises.
     tiers, refusals = [], []
-    settle = solver._settle
 
-    def off_the_root(bounds, x, tol, prec=None):
-        tiers.append(prec)
+    def double_off_the_root(bounds, x, tol):
+        tiers.append(None)
         return x + 0.25
 
-    def settle_spy(bounds, x, tol):
-        try:
-            return settle(bounds, x, tol)
-        except ToleranceNotReachable as exc:
-            refusals.append(str(exc))
-            raise
+    def polish_off_the_root(sums, x, tol, prec):
+        tiers.append(prec)
+        x = from_float(x + 0.25)
+        while True:
+            yield x, x, sums(x)
 
-    monkeypatch.setattr(solver, "_newton", off_the_root)
-    monkeypatch.setattr(solver, "_settle", settle_spy)
+    def refusal_spy(check):
+        def spy(*args):
+            try:
+                return check(*args)
+            except ToleranceNotReachable as exc:
+                refusals.append(str(exc))
+                raise
+        return spy
+
+    monkeypatch.setattr(solver, "_newton", double_off_the_root)
+    monkeypatch.setattr(solver, "_polish", polish_off_the_root)
+    monkeypatch.setattr(solver, "_settle", refusal_spy(solver._settle))
+    monkeypatch.setattr(solver, "_certify", refusal_spy(solver._certify))
     with pytest.raises(ToleranceNotReachable, match="cannot certify .* around the Newton iterate"):
         solve_dimension(SQEXP, subset, tol=tol)
     assert tiers == [None, max(96, math.ceil(-math.log2(tol)) + 50)]
     assert len(refusals) == (2 if tol >= solver.TOL_MIN_DOUBLE else 1)
 
 
+def _settled_newton(fam, subset, tol, prec):
+    """The fixed-point evaluator and the first settled Newton state."""
+    sums = solver._fixed_bounds(fam, solver._indices(fam, subset), tol, prec)
+    return sums, next(solver._polish(sums, 0.0, tol, prec))
+
+
+@pytest.mark.parametrize("fam,subset", [(SQEXP, (1, 2, 5)), (T3, (1, 3, 4)),
+                                        (ContractionFamily.explicit(["1/3", "1/4", "2/5"]), "full")])
+def test_the_mean_value_check_needs_its_moment_and_its_exponent_bound(fam, subset):
+    # Evaluated at x - 0.3 tol, left of the root, the sum still exceeds
+    # 1 there, so only the moment can carry the upper bound at hi below 1.
+    # With the true evaluation the bracket certifies; with the moment
+    # zeroed, or with the bound on |ln ratio| (e_max * ln base for a
+    # named family) inflated until the factor 1 - e_max (hi - x) ln base
+    # is 0, the same bracket is refused.  Inflating the moment itself
+    # would only loosen both bounds.
+    tol, prec = 1e-20, 120
+    sums, (x, _, _) = _settled_newton(fam, subset, tol, prec)
+    at = mpf_sub(x, from_float(0.3 * tol), prec, round_nearest)
+    lo, hi, moment, ln_max, bits, slope = sums(at)
+    assert solver._certify(iter([(x, at, (lo, hi, moment, ln_max, bits, slope))]), tol, prec)
+    for corrupt in [(lo, hi, 0, ln_max, bits, slope), (lo, hi, moment, ln_max << 200, bits, slope)]:
+        with pytest.raises(ToleranceNotReachable, match="mean-value upper bound at hi"):
+            solver._certify(iter([(x, at, corrupt)]), tol, prec)
+
+
+@pytest.mark.parametrize("depth", [10, 11, 12])
+def test_every_deep_cloud_solve_costs_two_fixed_point_evaluations(monkeypatch, depth):
+    # Each square-exponent cloud word at the auto tol runs on the mpmath
+    # tier: one evaluation in the Newton polish and the one it certifies
+    # from.  A second certificate path (the sums at lo and at hi) would
+    # make it 4.
+    chains = []
+
+    class CountedChain(TermChain):
+        def __init__(self, *args, **kwargs):
+            chains.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "TermChain", CountedChain)
+    tol = spectrum._auto_tol(SQEXP, depth, (1, 2))
+    costs = Counter()
+    for word in spectrum._cloud_words(depth, (1, 2)):
+        chains.clear()
+        assert solve_dimension(SQEXP, word, tol=tol).tier == "mpmath"
+        costs[len(chains)] += 1
+    assert costs == {2: 2 ** (depth - 2)}
+
+
 def test_escalation_reuses_the_double_newton_iterate(monkeypatch):
     # The double tier cannot certify square-exponent full at 1e-13; the
     # mpmath tier polishes the double iterate instead of solving again.
     calls = []
-    newton = solver._newton
+    newton, polish = solver._newton, solver._polish
 
-    def spy(bounds, x, tol, prec=None):
-        calls.append(prec)
-        return newton(bounds, x, tol, prec)
+    def newton_spy(bounds, x, tol):
+        x = newton(bounds, x, tol)
+        calls.append((None, x))
+        return x
 
-    monkeypatch.setattr(solver, "_newton", spy)
+    def polish_spy(sums, x, tol, prec):
+        calls.append((prec, x))
+        return polish(sums, x, tol, prec)
+
+    monkeypatch.setattr(solver, "_newton", newton_spy)
+    monkeypatch.setattr(solver, "_polish", polish_spy)
     iv = solve_dimension(SQEXP, "full", tol=1e-13)
     assert iv.tier == "mpmath"
-    assert calls == [None, 96]
+    assert [prec for prec, _ in calls] == [None, 96]
+    assert calls[1][1] == calls[0][1] is not None
 
 
 def test_ratio_sum_above_one_keeps_the_ambient_bound():
