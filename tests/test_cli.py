@@ -123,8 +123,8 @@ def test_localdim_series_in_structured_output(capsys):
 # --- fast kernels keep every byte ---------------------------------------------
 
 METRIC_COMMANDS = [
-    [cmd, "--family", "cantor-pair", "--depth", "9"]
-    for cmd in ("boxdim", "localdim", "gaps", "classify")
+    [cmd, "--family", "cantor-pair", "--depth", depth]
+    for cmd in ("boxdim", "localdim", "gaps", "classify") for depth in ("9", "10")
 ] + [
     ["classify", "--family", fam, "--depth", "9"] for fam in ("geometric", "type-three")
 ]

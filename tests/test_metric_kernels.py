@@ -52,6 +52,24 @@ ulp_clusters = st.tuples(
 
 point_sets = st.one_of(random_sets, tie_sets, dyadic_grids, one_sided, ulp_clusters)
 
+# Self-similar clouds, shifted and scaled: many centers tie exactly on
+# the largest ratio, and the smallest of them must win.
+cantor_sets = st.tuples(
+    st.integers(3, 9),
+    st.sampled_from([1.0, 0.5, 2.0**-20, 3.0, 0.1, 1e3]),
+    st.floats(-2.0, 2.0),
+).map(lambda t: [t[2] + t[1] * p for p in metrics.cantor_truncation(t[0])])
+# x and -x: every center near 0 sees equal distances on both sides.
+mirrored = st.one_of(random_sets, tie_sets, one_sided, cantor_sets).map(
+    lambda pts: pts + [-p for p in pts])
+# Geometric accumulation at both ends of [lo, lo + 1].
+two_sided = st.tuples(
+    st.floats(1.05, 4.0), st.integers(2, 30), st.integers(2, 30), st.floats(-2.0, 2.0),
+).map(lambda t: [t[3] + t[0] ** -k for k in range(t[1])]
+      + [t[3] + 1 - t[0] ** -k for k in range(t[2])])
+
+gap_sets = st.one_of(point_sets, cantor_sets, mirrored, two_sided)
+
 
 def _distinct(points):
     return sorted(set(float(x) for x in points))
@@ -59,8 +77,8 @@ def _distinct(points):
 
 # --- gap statistic --------------------------------------------------------------
 
-@settings(max_examples=300, deadline=None)
-@given(point_sets)
+@settings(max_examples=1200, deadline=None)
+@given(gap_sets)
 def test_gaps_equal_the_unique_sort_reference(points):
     if len(_distinct(points)) < 3:
         with pytest.raises(DegenerateScales):
@@ -81,6 +99,21 @@ def test_gaps_equal_the_reference_when_distances_overflow():
         got = metrics.uniform_perfectness_gaps(points)
         want = oracles.ref_uniform_perfectness_gaps(points)
     assert (got.max_ratio, got.center, got.inner_distance, got.radius) == want
+
+
+def test_gaps_sort_few_centers_on_a_deep_cantor_cloud(monkeypatch):
+    # Every center's distances used to be sorted: 8192 calls at depth 13.
+    calls = []
+    distances = metrics._distances
+
+    def counted(pts, x):
+        calls.append(x)
+        return distances(pts, x)
+
+    monkeypatch.setattr(metrics, "_distances", counted)
+    got = metrics.uniform_perfectness_gaps(metrics.cantor_truncation(13))
+    assert got.max_ratio > 2.0
+    assert len(calls) <= 1024
 
 
 # --- local-profile kernels ------------------------------------------------------
@@ -138,6 +171,20 @@ def test_classify_scalars_equal_the_local_profile_scalars_on_metric_clouds(famil
         metrics.local_dimension_profile(points).scalars()
 
 
+def test_classify_reads_a_one_shot_iterable():
+    points = metrics.cantor_truncation(8)
+    assert metrics.classify_type(iter(points)) == metrics.classify_type(points)
+
+
+def test_classify_without_a_positive_center_fits_nothing(cloud_cache):
+    # Mirrored, the type-three cloud keeps its mixed scalars, and no
+    # center is left for the reciprocal grid (1e-3 .. 2*max center).
+    points = [-x for x in cloud_cache.cloud("type-three", 10).midpoints()]
+    got = metrics.classify_type(points)
+    assert got.label == "Unclassified"
+    assert got.fit_constant is None and got.fit_residual is None
+
+
 def test_classify_builds_no_window_series(monkeypatch):
     def no_series(d, hits):
         raise AssertionError("classify_type measured a nested series")
@@ -154,6 +201,13 @@ def test_covering_count_equals_the_linear_walk(pts, eps):
     want = oracles.ref_covering_count(pts, eps)
     assert metrics.covering_count(pts, eps) == want
     assert metrics._covering_count(pts, eps) == want
+
+
+def test_covering_count_rejects_unsorted_points():
+    # The greedy walk on this order used to return 2; sorted, it is 3.
+    assert metrics.covering_count([0.0, 0.1, 0.5, 0.9], 0.2) == 3
+    with pytest.raises(ConfigError):
+        metrics.covering_count([0.5, 0.0, 0.9, 0.1], 0.2)
 
 
 def test_covering_count_absorbed_eps_keeps_copies_together():
@@ -293,6 +347,13 @@ def test_profiles_of_a_subnormal_cloud_stop_before_the_reciprocal_overflows():
 def test_box_count_rejects_non_finite_eps(eps):
     with pytest.raises(ConfigError):
         metrics.box_count([0.0, 0.5], eps)
+
+
+@pytest.mark.parametrize("centers", [[-1.0, -2.0], [1e-4, 5e-4], [0.0, 0.0]])
+def test_reciprocal_fit_rejects_centers_below_its_grid(centers):
+    # 2*max(centers) <= 1e-3 ran the grid backwards: c = -0.5999 for the first.
+    with pytest.raises(ConfigError):
+        metrics.fit_reciprocal_band(centers, [0.5, 0.5])
 
 
 def test_reciprocal_fit_rejects_non_finite_input():
