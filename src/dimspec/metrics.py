@@ -106,6 +106,7 @@ def covering_count(sorted_pts, eps) -> int:
     points out of order (the greedy count needs them sorted)."""
     if not eps > 0:
         raise ConfigError(f"covering_count needs eps > 0, got {eps}")
+    sorted_pts = list(sorted_pts)
     if not all(map(math.isfinite, sorted_pts)):
         raise ConfigError("metrics need finite points, got a NaN or infinity")
     if not all(a <= b for a, b in zip(sorted_pts, sorted_pts[1:])):
@@ -228,7 +229,7 @@ def box_dimension_estimate(points, scale_range=None) -> ScaleProfile:
     prof = _profile(pts, floor_rule="min", scale_range=scale_range)
     if prof is None:
         raise DegenerateScales(
-            f"{len(set(points))} points leave fewer than {MIN_FIT_SCALES} usable scales"
+            f"{len(pts)} points leave fewer than {MIN_FIT_SCALES} usable scales"
         )
     return prof
 

@@ -37,12 +37,15 @@ rounded down in the lower chain and up in the upper chain.  Its sums
 are exact dyadics S * 2**-bits, certified by monotonicity alone with no
 slack; the one assumption is that libmp's log, multiply and exp are
 accurate to 16 ulp at the precision they run at, which is 16 bits above
-the fixed point (the accuracy note in families.py).  The mpmath tier
-polishes the double Newton iterate with Newton steps at working
-precision (or starts afresh when the double Newton failed), and
-certifies the bracket from the last Newton evaluation, at a point x_k
-inside it, with no further sum: S and |S'| decrease, so with the
-certified lower moment M <= |S'(x_k)| that the evaluation returns,
+the fixed point (the accuracy note in families.py).  Both tiers cut a
+full infinite selector at the same n_cut, the first whose double tail
+majorant is below tol/4 (_truncation).  The mpmath tier polishes the
+double Newton iterate with Newton steps at working precision (or
+starts afresh when the double Newton failed).  After every step it
+checks the bracket around the new iterate from the evaluation that
+step was taken at, a point x_k inside it, with no further sum, and the
+first bracket that certifies ends the solve: S and |S'| decrease, so
+with the certified lower moment M <= |S'(x_k)| that the evaluation returns,
 S(lo) >= S_lo(x_k) + (x_k - lo) M, and S(hi) <= S_hi(x_k) - (hi - x_k) M
 times a factor that bounds how much |S'| falls between x_k and hi (the
 mean-value form of interval Newton; Moore, "Interval Analysis", 1966).
@@ -62,8 +65,8 @@ from operator import index, mul
 
 import mpmath
 from mpmath.libmp import (
-    from_float, from_man_exp, mpf_abs, mpf_add, mpf_div, mpf_le, mpf_log, mpf_lt, mpf_mul,
-    mpf_sub, round_ceiling, round_floor, round_nearest, to_float,
+    from_float, from_man_exp, mpf_add, mpf_div, mpf_le, mpf_log, mpf_mul, mpf_sub,
+    round_ceiling, round_floor, round_nearest, to_float,
 )
 
 from .errors import ConfigError, DivergentSum, ToleranceNotReachable, require_int
@@ -124,24 +127,38 @@ def moran_bounds(family, subset, s, tol, prec=None):
 
     subset takes the forms solve_dimension documents; a NaN or negative
     s is a ConfigError.  A full infinite selector's partial sum grows
-    until the tail majorant drops below tol/4 (ToleranceNotReachable
-    when MAX_TERMS terms do not get it there).  prec None evaluates in
-    doubles with relative slack SLACK_DOUBLE; an integer evaluates in
-    fixed point at no fewer than prec bits and returns the sums as exact
-    dyadic mpfs.  The slope d/ds of the partial sum is an estimate for
-    Newton steps, not a bound.  At s <= theta the full selector
-    diverges: (inf, inf, -inf).
+    until the double tail majorant drops below tol/4, in both tiers
+    (ToleranceNotReachable when MAX_TERMS terms do not get it there).
+    prec None evaluates in doubles with relative slack SLACK_DOUBLE; an
+    integer evaluates in fixed point at no fewer than prec bits and
+    returns the sums as exact dyadic mpfs.  prec is checked as
+    solve_dimension checks precision_bits: ConfigError below 24 bits,
+    ToleranceNotReachable for a tol below its resolution.  The slope
+    d/ds of the partial sum is an estimate for Newton steps, not a
+    bound.  At s <= theta the full selector diverges: (inf, inf, -inf).
     """
     if not s >= 0:
         raise ConfigError(f"moran_bounds needs s >= 0, got {s}")
     indices = _indices(family, subset)
     if prec is None:
         return _double_bounds(family, indices, tol)(s)
+    prec = _precision(prec, tol)
     sums = _fixed_bounds(family, indices, tol, prec)(_raw(s))
     if sums is None:
         return math.inf, math.inf, -math.inf
     lo, hi, _, _, bits, slope = sums
     return _dyadic(lo, bits), _dyadic(hi, bits), slope
+
+
+def _precision(prec, tol):
+    """A working precision as an int of at least 24 bits (ConfigError
+    otherwise), fine enough for tol (ToleranceNotReachable otherwise)."""
+    prec = require_int(prec, "precision_bits")
+    if prec < 24:
+        raise ConfigError(f"precision_bits too small: {prec}")
+    if tol < 2.0 ** (-(prec - 12)):
+        raise ToleranceNotReachable(f"tol {tol} is below the resolution of {prec}-bit arithmetic")
+    return prec
 
 
 def _truncation(tail, limit):
@@ -241,15 +258,11 @@ def _fixed_bounds(family, indices, tol, prec):
     enclosures plus the fixed-point tail majorant, so both are certified
     by monotonicity alone, with no relative slack.
 
-    A full selector's chain is walked only when the double closed form
-    family.tail_majorant(MAX_TERMS, s) is below tol/2.  That never
-    refuses a cut the walk would reach: the exact majorant decreases in
-    n (e is convex), the fixed-point tail is that majorant rounded up,
-    so the walk finds a cut only if the exact majorant at MAX_TERMS is
-    below tol/4, and the double is within rounding (far less than a
-    factor of 2) of that exact value.  Where tail_majorant raises
-    instead (1 - base**(-step*s) rounds to 0), the exact majorant
-    exceeds 2**52.
+    A full selector is cut where the double tier cuts it, by _truncation
+    on the double closed form family.tail_majorant at tol/4, before any
+    term is walked; the chain is then advanced to that cut once, and the
+    upper sum adds the chain's own fixed-point tail, so the sums are
+    certified whatever the cut.
     """
     if not family.is_infinite:
         groups = Counter(family.ratio(a) for a in indices)
@@ -280,7 +293,6 @@ def _fixed_bounds(family, indices, tol, prec):
     weights = None
     if indices is None:
         top, n_terms = -family.log2_ratio(1), MAX_TERMS
-        num, den = float(tol).as_integer_ratio()
     else:
         n_terms = indices[-1] if indices else 0
         weights = [0] * (n_terms + 1)
@@ -295,17 +307,10 @@ def _fixed_bounds(family, indices, tol, prec):
         if indices is None:
             if mpf_le(s, theta):
                 return None
-            if not family.tail_majorant(MAX_TERMS, s_float) < tol / 2:
-                raise ToleranceNotReachable(
-                    f"s = {s_float!r}: the tail after {MAX_TERMS} terms is not below tol/2")
+            n_cut, _ = _truncation(lambda n: family.tail_majorant(n, s_float), tol / 4)
             chain = TermChain(family, s, bits)
-
-            def chain_tail(n_cut):
-                chain.advance(n_cut)
-                return chain.tail()
-
-            # tail < tol/4 * 2**bits, compared exactly as integers.
-            _, tail = _truncation(chain_tail, -(-num << bits) // (4 * den))
+            chain.advance(n_cut)
+            tail = chain.tail()
         else:
             chain = TermChain(family, s, bits, weights)
             chain.advance(n_terms)
@@ -326,8 +331,8 @@ class DimensionInterval:
     in the unit interval, so its dimension never exceeds 1; that bound
     needs no arithmetic).  On the double tier they are the one-sided
     sums at lo and hi; on the mpmath tier they are the mean-value bounds
-    from the last Newton evaluation (see _certify), rounded outward to
-    floats.
+    from the Newton evaluation that certified (see _certify), rounded
+    outward to floats.
     When the ratios sum above 1 the Moran root lies above 1 and is not
     reported: the interval is [lo, 1] with hi_is_ambient set, and only
     lo is certified.  exact marks the degenerate empty/singleton cases
@@ -389,18 +394,16 @@ def _newton(bounds, x, tol):
     return None
 
 
-def _polish(sums, x, tol, prec):
+def _polish(sums, x, prec):
     """Newton's method on the pressure at prec bits from the float x.
 
     sums is a _fixed_bounds evaluator.  The iterates are raw libmp
     numbers, every operation rounded to nearest at prec bits.  Yields
-    (x_next, x, evaluation at x) at every step from the first one below
-    tol/1000 (or that no longer moves x) on, so the caller may take
-    more steps; yields nothing when Newton does not get there within
-    NEWTON_STEPS steps or the sum diverges or vanishes.
+    (x_next, x, evaluation at x) after every step; stops once a step no
+    longer moves x, after NEWTON_STEPS steps, or where the sum diverges
+    or vanishes.
     """
-    x, small = from_float(x), from_float(tol / 1000)
-    settled = False
+    x = from_float(x)
     for _ in range(NEWTON_STEPS):
         evaluation = sums(x)
         if evaluation is None or not evaluation[5] < 0:
@@ -410,9 +413,9 @@ def _polish(sums, x, tol, prec):
         step = mpf_div(mpf_mul(mid, mpf_log(mid, prec, round_nearest), prec, round_nearest),
                        from_float(slope), prec, round_nearest)
         x, previous = mpf_sub(x, step, prec, round_nearest), x
-        settled = settled or mpf_lt(mpf_abs(step), small) or x == previous
-        if settled:
-            yield x, previous, evaluation
+        yield x, previous, evaluation
+        if x == previous:
+            return
 
 
 def _bracket(lo, hi, tol):
@@ -499,20 +502,19 @@ def _certify(iterates, tol, prec):
     the Newton evaluation before it, by _mean_value.
 
     iterates yields (x, point of the last evaluation, that evaluation),
-    as _polish does.  The bracket is the floats just outside x -/+
-    0.4 tol, each end first rounded to prec bits, then _bracket.  Its
-    lower end is certified when the lower bound at lo reaches 1, its
-    upper end when the upper bound at hi stays at or below 1, both
-    compared exactly, in integers.  The evaluation lies within tol/1000
-    of x, so inside the bracket, unless the bracket moved to
-    [1 - 2**floor(log2 tol), 1], which keeps [lo, 1] with only lo
-    certified.  A failed check takes one more Newton step and checks
-    again; a second failure raises ToleranceNotReachable naming the
-    bound that failed.
+    as _polish does, and every state is checked until one certifies.
+    The bracket is the floats just outside x -/+ 0.4 tol, each end first
+    rounded to prec bits, then _bracket.  Its lower end is certified
+    when the lower bound at lo reaches 1, its upper end when the upper
+    bound at hi stays at or below 1, both compared exactly, in integers;
+    a bracket that moved to [1 - 2**floor(log2 tol), 1] keeps [lo, 1]
+    with only lo certified.  The first bracket that certifies is
+    returned; when none does, ToleranceNotReachable names the bound that
+    failed last.
     """
     half = from_float(0.4 * tol)
     failed = None
-    for x, at, evaluation in islice(iterates, 2):
+    for x, at, evaluation in iterates:
         lo, hi = _bracket(to_float(mpf_sub(x, half, prec, round_nearest), rnd=round_floor),
                           to_float(mpf_add(x, half, prec, round_nearest), rnd=round_ceiling), tol)
         lower, upper = _mean_value(lo, hi, at, evaluation)
@@ -550,10 +552,10 @@ def solve_dimension(family, subset="full", tol=DEFAULT_TOL, precision_bits=None)
     lower and one upper sum, evaluated at exactly those floats.
     Precision escalates from doubles to mpmath automatically unless
     precision_bits pins a tier; the mpmath tier polishes the same
-    double Newton iterate at working precision and certifies the same
-    bracket from its last Newton evaluation.  When the mpmath tier
-    cannot certify either, ToleranceNotReachable names the bound that
-    failed.
+    double Newton iterate at working precision and returns the first
+    bracket around a polished iterate that the evaluation before it
+    certifies.  When the mpmath tier cannot certify either,
+    ToleranceNotReachable names the bound that failed.
 
     The interval encloses min(root, 1): the attractor lies in the unit
     interval, so 1 is an upper bound that needs no arithmetic.  When the
@@ -572,16 +574,7 @@ def solve_dimension(family, subset="full", tol=DEFAULT_TOL, precision_bits=None)
             cert_lo=None, cert_hi=None,
         )
 
-    prec = None
-    if precision_bits is not None:
-        prec = require_int(precision_bits, "precision_bits")
-        if prec < 24:
-            raise ConfigError(f"precision_bits too small: {prec}")
-        if tol < 2.0 ** (-(prec - 12)):
-            raise ToleranceNotReachable(
-                f"tol {tol} is below the resolution of {prec}-bit arithmetic"
-            )
-
+    prec = None if precision_bits is None else _precision(precision_bits, tol)
     double = _double_bounds(family, indices, tol)
     # The sum is at least 2 at s = 0 for two or more symbols; the full
     # root of every named family lies above 1/2.
@@ -596,7 +589,7 @@ def solve_dimension(family, subset="full", tol=DEFAULT_TOL, precision_bits=None)
         prec = max(96, int(math.ceil(-math.log2(tol))) + 50)
 
     sums = _fixed_bounds(family, indices, tol, prec)
-    fields = _certify(_polish(sums, start if x is None else x, tol, prec), tol, prec)
+    fields = _certify(_polish(sums, start if x is None else x, prec), tol, prec)
     return DimensionInterval(width_budget=tol, tier="mpmath", precision_bits=prec, **fields)
 
 

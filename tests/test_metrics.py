@@ -41,6 +41,7 @@ def test_covering_count_greedy():
     assert covering_count(pts, 0.5) == 2
     assert covering_count(pts, 0.05) == 4
     assert covering_count(pts, 2.0) == 1
+    assert covering_count(iter(pts), 0.05) == 4
 
 
 def test_covering_count_translation_invariant():
@@ -74,6 +75,9 @@ def test_uniform_grid_slope_is_one():
 def test_profile_needs_enough_scales():
     with pytest.raises(DegenerateScales):
         box_dimension_estimate([0.0, 1.0])
+    for points in ([0.0, 0.5, 1.0], iter([0.0, 0.5, 1.0])):
+        with pytest.raises(DegenerateScales, match="^3 points leave"):
+            box_dimension_estimate(points)
 
 
 def test_scale_range_override_selects_regimes():

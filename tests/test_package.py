@@ -1,6 +1,7 @@
-"""The package surface: public names, the deferred numpy import and the
-integer contract for counts."""
+"""The package surface: public names, the deferred numpy import, the
+integer contract for counts and no unused imports."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -41,6 +42,8 @@ def test_every_public_name_resolves():
 COUNTS = {
     "precision_bits": lambda n: dimspec.solve_dimension(
         dimspec.ContractionFamily.square_exponent(), (1, 2), tol=1e-20, precision_bits=100 + n),
+    "prec": lambda n: dimspec.moran_bounds(
+        dimspec.ContractionFamily.square_exponent(), (1, 2), 0.5, 1e-20, 100 + n),
     "k_set_cloud": construction.k_set_cloud,
     "cantor_truncation": metrics.cantor_truncation,
     "enumerate_word": construction.enumerate_word,
@@ -56,3 +59,27 @@ COUNTS = {
 def test_non_integer_counts_are_config_errors(name):
     with pytest.raises(ConfigError):
         COUNTS[name](3.7)
+
+
+def _unused_imports(path):
+    """Names a module imports at its top level and never reads."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{path.name}:{line} {name}"
+                  for name, line in imported.items() if name not in used)
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # __init__.py imports to re-export; every other module reads what it imports.
+    package = Path(dimspec.__file__).parent
+    unused = [name for path in sorted(package.glob("*.py")) if path.name != "__init__.py"
+              for name in _unused_imports(path)]
+    assert unused == []

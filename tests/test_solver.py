@@ -1,6 +1,6 @@
 import math
 import time
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 
 import mpmath
@@ -245,20 +245,19 @@ def test_certificates_sit_at_the_reported_endpoints(case):
 def test_newton_iterate_off_the_root_never_yields_an_interval(monkeypatch, subset, tol):
     # A Newton iterate 0.25 to the right of its start misses the root in
     # both tiers: the double tier's bracket fails and escalates (when tol
-    # is within its reach); the mpmath tier's mean-value check fails, and
-    # so does the check after one more step, which stays off the root
-    # too, so it raises.
+    # is within its reach); the mpmath tier's polish gets stuck there (a
+    # step that no longer moves x ends it), so its one mean-value check
+    # fails and it raises.
     tiers, refusals = [], []
 
     def double_off_the_root(bounds, x, tol):
         tiers.append(None)
         return x + 0.25
 
-    def polish_off_the_root(sums, x, tol, prec):
+    def polish_off_the_root(sums, x, prec):
         tiers.append(prec)
         x = from_float(x + 0.25)
-        while True:
-            yield x, x, sums(x)
+        yield x, x, sums(x)
 
     def refusal_spy(check):
         def spy(*args):
@@ -280,9 +279,10 @@ def test_newton_iterate_off_the_root_never_yields_an_interval(monkeypatch, subse
 
 
 def _settled_newton(fam, subset, tol, prec):
-    """The fixed-point evaluator and the first settled Newton state."""
+    """The fixed-point evaluator and the last Newton state of the polish
+    from 0, whose step no longer moves x."""
     sums = solver._fixed_bounds(fam, solver._indices(fam, subset), tol, prec)
-    return sums, next(solver._polish(sums, 0.0, tol, prec))
+    return sums, deque(solver._polish(sums, 0.0, prec), maxlen=1)[0]
 
 
 @pytest.mark.parametrize("fam,subset", [(SQEXP, (1, 2, 5)), (T3, (1, 3, 4)),
@@ -305,27 +305,64 @@ def test_the_mean_value_check_needs_its_moment_and_its_exponent_bound(fam, subse
             solver._certify(iter([(x, at, corrupt)]), tol, prec)
 
 
-@pytest.mark.parametrize("depth", [10, 11, 12])
-def test_every_deep_cloud_solve_costs_two_fixed_point_evaluations(monkeypatch, depth):
-    # Each square-exponent cloud word at the auto tol runs on the mpmath
-    # tier: one evaluation in the Newton polish and the one it certifies
-    # from.  A second certificate path (the sums at lo and at hi) would
-    # make it 4.
+def _counting_chains(monkeypatch):
+    """Replace solver.TermChain by a subclass and return a list that gets
+    one entry per chain built: the list of every n it is advanced to."""
     chains = []
 
     class CountedChain(TermChain):
         def __init__(self, *args, **kwargs):
-            chains.append(args)
+            self.advances = []
+            chains.append(self.advances)
             super().__init__(*args, **kwargs)
 
+        def advance(self, n):
+            self.advances.append(n)
+            super().advance(n)
+
     monkeypatch.setattr(solver, "TermChain", CountedChain)
+    return chains
+
+
+@pytest.mark.parametrize("depth", [10, 11, 12, 14])
+def test_deep_cloud_solves_mostly_certify_from_their_first_evaluation(monkeypatch, depth):
+    # Each square-exponent cloud word at the auto tol runs on the mpmath
+    # tier.  The polish stops at the first evaluation that certifies its
+    # bracket; where the double Newton iterate already bounds it, that is
+    # the first one.  None may need a third.
+    chains = _counting_chains(monkeypatch)
     tol = spectrum._auto_tol(SQEXP, depth, (1, 2))
     costs = Counter()
     for word in spectrum._cloud_words(depth, (1, 2)):
         chains.clear()
         assert solve_dimension(SQEXP, word, tol=tol).tier == "mpmath"
         costs[len(chains)] += 1
-    assert costs == {2: 2 ** (depth - 2)}
+    assert set(costs) <= {1, 2}
+    assert costs[1] >= 3 / 4 * 2 ** (depth - 2)
+
+
+def test_full_selector_cut_between_a_quarter_and_half_tol_walks_no_chain(monkeypatch):
+    # The geometric tail after MAX_TERMS terms at s = 5.68e-5 lies in
+    # [tol/4, tol/2) at tol 1e-13: no cut meets tol/4, so the fixed tier
+    # must refuse before advancing its chain 2**20 terms.
+    s, tol = 5.68e-5, 1e-13
+    assert tol / 4 <= GEO.tail_majorant(solver.MAX_TERMS, s) < tol / 2
+    chains = _counting_chains(monkeypatch)
+    with pytest.raises(ToleranceNotReachable, match="truncation limit"):
+        moran_bounds(GEO, "full", s, tol, 96)
+    assert all(not advances for advances in chains)
+
+
+@pytest.mark.parametrize("fam,s,tol", [(SQEXP, 0.3, 1e-30), (SQEXP, 0.55, 1e-20),
+                                       (GEO, 0.05, 1e-25), (GEO, 1.0, 1e-12),
+                                       (T3, 0.6, 1e-40), (T3, 2.0, 1e-15)])
+def test_fixed_tier_sums_the_double_tier_cut(monkeypatch, fam, s, tol):
+    # One truncation rule: the fixed-point chain is advanced once, to the
+    # n_cut the double tier's tail majorant picks at tol/4.
+    n_cut, _ = solver._truncation(lambda n: fam.tail_majorant(n, s), tol / 4)
+    chains = _counting_chains(monkeypatch)
+    moran_bounds(fam, "full", s, tol, max(96, math.ceil(-math.log2(tol)) + 50))
+    assert chains == [[n_cut]]
 
 
 def test_escalation_reuses_the_double_newton_iterate(monkeypatch):
@@ -339,9 +376,9 @@ def test_escalation_reuses_the_double_newton_iterate(monkeypatch):
         calls.append((None, x))
         return x
 
-    def polish_spy(sums, x, tol, prec):
+    def polish_spy(sums, x, prec):
         calls.append((prec, x))
-        return polish(sums, x, tol, prec)
+        return polish(sums, x, prec)
 
     monkeypatch.setattr(solver, "_newton", newton_spy)
     monkeypatch.setattr(solver, "_polish", polish_spy)
@@ -480,13 +517,21 @@ def test_tiny_tolerance_escalates_automatically():
 
 
 def test_precision_too_small_for_tolerance():
+    # moran_bounds checks prec as solve_dimension does, rather than
+    # return sums looser than tol.
     with pytest.raises(ToleranceNotReachable):
         solve_dimension(SQEXP, (1, 2), tol=1e-40, precision_bits=64)
+    for subset in [(1, 2), "full"]:
+        with pytest.raises(ToleranceNotReachable, match="below the resolution of 64-bit"):
+            moran_bounds(SQEXP, subset, 0.6, 1e-40, 64)
 
 
 def test_precision_bits_validation():
     with pytest.raises(ConfigError):
         solve_dimension(SQEXP, (1, 2), precision_bits=8)
+    for prec in [10, -5]:
+        with pytest.raises(ConfigError):
+            moran_bounds(SQEXP, (1, 2), 0.6, 1e-10, prec)
     with pytest.raises(ConfigError):
         solve_dimension(SQEXP, (1, 2), tol=0.0)
 
