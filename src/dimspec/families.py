@@ -18,8 +18,8 @@ sum of ratio(a)**s is finite for every s > 0 and infinite at s = 0.
 Terms come in two tiers.  term_double and tail_majorant evaluate in
 doubles.  The mpmath tier encloses terms in fixed point between two
 integers: power_enclosure encloses one ratio**s with one exp, and
-TermChain walks a named row from y = base**(-s) by integer multiply and
-shift, rounded down for the lower chain and up for the upper chain, with
+term_sums walks a named row once from y = base**(-s) by integer multiply
+and shift, rounded down for the lower sum and up for the upper sum, with
 its tail majorant in the same integers.  ln_enclosure encloses |ln ratio|
 in the same integers, for the derivative bounds the mpmath tier
 certifies with.
@@ -307,92 +307,62 @@ def power_enclosure(value: Fraction, s, bits: int) -> tuple[int, int]:
     return max(mid - WIDEN_UNITS, 0), min(mid + WIDEN_UNITS, 1 << bits)
 
 
-_RECIPROCALS = {base: Fraction(1, base) for base, _ in NAMED_FAMILIES.values()}
+def term_sums(family, s, bits, n, selected=None):
+    """Sums of the terms ratio(a)**s = y**e(a), y = base**(-s), of a
+    named family over a = 1..n, each term enclosed at `bits` bits:
+    (lo, hi, moment, tail), ints in units of 2**-bits.
 
-
-def _mul(x, y, bits):
-    """Product of two enclosures, floor for lo and ceil for hi: the
-    product of lower (upper) bounds of non-negative numbers is a lower
-    (upper) bound."""
-    return x[0] * y[0] >> bits, (x[1] * y[1] + (1 << bits) - 1) >> bits
-
-
-class TermChain:
-    """The terms ratio(a)**s = y**e(a), y = base**(-s), of a named family
-    for a = 1, 2, ..., enclosed at `bits` bits, and their sums.
+    A term is added when selected is None or a is in selected.  lo and
+    hi enclose the sum, and moment is the sum of the lower terms times
+    e(a).  For the full selector (selected None) tail majorises the
+    terms beyond n: the next term over 1 - its step factor, rounded up
+    (the geometric majorant of tail_majorant); ConfigError when
+    e(n+2) == e(n+1), ToleranceNotReachable when the step factor rounds
+    up to 1.  A finite selection has tail 0.
 
     One power_enclosure encloses y.  Each step multiplies the term by
     its step factor y**(e(a+1) - e(a)), and the step factor by y to the
-    second difference of e, so square-exponent costs 2 multiplies per
-    symbol and geometric one.  advance(n) adds weights[a] times the
-    terms a <= n to lo and hi (enclosures of the sum) and to moment (the
-    lower terms times e(a)), every weight 1 when weights is None; tail()
-    then majorises the terms beyond n.  e is increasing, so top() is
-    the largest exponent among the terms summed.
+    second difference of e, rounded down for lo and up for hi, so
+    square-exponent costs 2 multiplies per symbol and geometric one.
     """
+    base, e = family.row
+    one = 1 << bits
+    up = one - 1  # (x + up) >> bits rounds x / 2**bits up
+    powers = {0: (one, one), 1: power_enclosure(Fraction(1, base), s, bits)}
 
-    def __init__(self, family, s, bits, weights=None):
-        base, e = family.row
-        self.bits, self.weights, self._e = bits, weights, e
-        one = 1 << bits
-        self._powers = {0: (one, one), 1: power_enclosure(_RECIPROCALS[base], s, bits)}
-        self.n = 0
-        self.lo = self.hi = self.moment = 0
-        self._exps = e0, e1, _ = e(1), e(2), e(3)
-        self._term = self._power(e0)
-        self._step = self._power(e1 - e0)
-
-    def _power(self, k):
+    def power(k):
         """Enclosure of y**k, k >= 0, by square and multiply over the
-        cached powers."""
-        powers = self._powers
+        cached powers: the product of lower (upper) bounds of
+        non-negative numbers, floored (ceiled), is a lower (upper) bound."""
         if k not in powers:
             if k % 2:
-                powers[k] = _mul(self._power(k - 1), powers[1], self.bits)
+                x, z = power(k - 1), powers[1]
             else:
-                half = self._power(k // 2)
-                powers[k] = _mul(half, half, self.bits)
+                x = z = power(k // 2)
+            powers[k] = x[0] * z[0] >> bits, (x[1] * z[1] + up) >> bits
         return powers[k]
 
-    def advance(self, n):
-        bits, weights, e, powers = self.bits, self.weights, self._e, self._powers
-        up = (1 << bits) - 1  # (x + up) >> bits rounds x / 2**bits up
-        t_lo, t_hi = self._term
-        d_lo, d_hi = self._step
-        e0, e1, e2 = self._exps
-        lo, hi, moment = self.lo, self.hi, self.moment
-        for a in range(self.n + 1, n + 1):
-            weight = 1 if weights is None else weights[a]
-            if weight:
-                lo += weight * t_lo
-                hi += weight * t_hi
-                moment += weight * e0 * t_lo
-            t_lo = t_lo * d_lo >> bits
-            t_hi = (t_hi * d_hi + up) >> bits
-            bend = e2 - e1 - e1 + e0
-            if bend:
-                c_lo, c_hi = powers[bend] if bend in powers else self._power(bend)
-                d_lo = d_lo * c_lo >> bits
-                d_hi = (d_hi * c_hi + up) >> bits
-            e0, e1, e2 = e1, e2, e(a + 3)
-        self.n = max(self.n, n)
-        self._term, self._step, self._exps = (t_lo, t_hi), (d_lo, d_hi), (e0, e1, e2)
-        self.lo, self.hi, self.moment = lo, hi, moment
-
-    def top(self) -> int:
-        """e(n), the exponent of the last term summed."""
-        return self._e(self.n)
-
-    def tail(self) -> int:
-        """Upper bound, in units of 2**-bits, for the sum of ratio(a)**s
-        over a > n: the next term over 1 - its step factor, rounded up
-        (the geometric majorant of tail_majorant)."""
-        head, after, _ = self._exps
-        if after == head:
-            raise ConfigError(f"a tail majorant needs e(n+2) > e(n+1), got n = {self.n}")
-        one = 1 << self.bits
-        den = one - self._step[1]
-        if den <= 0:
-            raise ToleranceNotReachable(
-                f"s is too small for a tail majorant at {self.bits} bits")
-        return -(-self._term[1] * one // den)
+    e0, e1, e2 = e(1), e(2), e(3)
+    t_lo, t_hi = power(e0)
+    d_lo, d_hi = power(e1 - e0)
+    lo = hi = moment = 0
+    for a in range(1, n + 1):
+        if selected is None or a in selected:
+            lo += t_lo
+            hi += t_hi
+            moment += e0 * t_lo
+        t_lo = t_lo * d_lo >> bits
+        t_hi = (t_hi * d_hi + up) >> bits
+        bend = e2 - e1 - e1 + e0
+        if bend:
+            c_lo, c_hi = powers[bend] if bend in powers else power(bend)
+            d_lo = d_lo * c_lo >> bits
+            d_hi = (d_hi * c_hi + up) >> bits
+        e0, e1, e2 = e1, e2, e(a + 3)
+    if selected is not None:
+        return lo, hi, moment, 0
+    if e1 == e0:
+        raise ConfigError(f"a tail majorant needs e(n+2) > e(n+1), got n = {n}")
+    if d_hi >= one:
+        raise ToleranceNotReachable(f"s is too small for a tail majorant at {bits} bits")
+    return lo, hi, moment, -(-t_hi * one // (one - d_hi))

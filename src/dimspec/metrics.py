@@ -501,7 +501,8 @@ def _center_gap(pts, x):
     if len(d) < 2:
         return None
     rmid = (d[:-1] + d[1:]) / 2
-    ratios = rmid / d[:-1]
+    with np.errstate(over="ignore"):  # a tiny inner distance gives a ratio of +inf
+        ratios = rmid / d[:-1]
     j = int(np.argmax(ratios))
     return float(ratios[j]), float(d[j]), float(rmid[j])
 

@@ -38,13 +38,18 @@ def increment(family, base_subset, b, tol=None):
     Both dimensions are enclosed tightly below the expected increment
     scale ratio(b)**delta; the difference interval must come out
     strictly positive, otherwise the tolerance is retried once and then
-    InsufficientPrecision is raised.
+    InsufficientPrecision is raised.  With tol None it is derived from
+    ratio(b)**delta, and InsufficientPrecision is raised before any solve
+    of the pair when that scale underflows to 0 in doubles.
     """
     base = _indices(family, base_subset)
     b, extended = _extended(family, base, b)
     if tol is None:
         pilot = solve_dimension(family, base, tol=1e-9)
         tol = min(DEFAULT_TOL, family.term_double(b, pilot.mid) / 64.0)
+        if tol == 0.0:
+            raise InsufficientPrecision(
+                f"the increment scale ratio({b})**{pilot.mid!r} / 64 underflows to 0 in doubles")
 
     for attempt_tol in (tol, tol / 64.0):
         d0 = solve_dimension(family, base, tol=attempt_tol)

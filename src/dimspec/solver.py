@@ -30,10 +30,10 @@ tier sums plain doubles, widens them by a generous relative slack, and
 certifies with the two one-sided sums at exactly the floats lo and hi.
 The mpmath tier, at a working precision prec chosen from the requested
 tolerance, sums fixed-point integers: every term is enclosed between
-two integers at bits >= prec bits (families.TermChain,
+two integers at bits >= prec bits (families.term_sums,
 families.power_enclosure), from one exp per evaluation for a named
 family and one per distinct ratio for an explicit one, and products are
-rounded down in the lower chain and up in the upper chain.  Its sums
+rounded down in the lower sum and up in the upper sum.  Its sums
 are exact dyadics S * 2**-bits, certified by monotonicity alone with no
 slack; the one assumption is that libmp's log, multiply and exp are
 accurate to 16 ulp at the precision they run at, which is 16 bits above
@@ -70,13 +70,18 @@ from mpmath.libmp import (
 )
 
 from .errors import ConfigError, DivergentSum, ToleranceNotReachable, require_int
-from .families import TermChain, _raw, ln_enclosure, power_enclosure
+from .families import _raw, ln_enclosure, power_enclosure, term_sums
 from .words import subset_of_word
 
 # Relative slack applied to double-precision sums.  Covers the rounding
-# of s*log2(ratio), the pow evaluation and fsum, with a wide margin; the
-# exponents in play stay below ~700 so per-term relative error is well
-# under 1e-14.
+# of log2(ratio) and of s*log2(ratio), the pow evaluation and fsum: a
+# term 2**x is off by about |x| * 2**-52 * ln 2 relative.  Summed over n
+# terms that is at most (|log2 sum| + log2 n) * 2**-52 * ln 2 of the sum
+# (the terms' entropy), below 2**-43 for a sum of at least 2**-700 and
+# n <= MAX_TERMS.  A smaller sum gets twice the slack: every term that
+# does not underflow has |x| <= 1075, so 1.7e-13 < 2**-42 covers it.
+# Subnormal and underflowed terms lose up to 2**-1074 each on top, which
+# _double_bounds widens by as well.
 SLACK_DOUBLE = 2.0**-43
 
 # Finest tolerance the double tier will attempt before escalating.
@@ -101,6 +106,10 @@ _make_mpf = mpmath.mp.make_mpf
 # Fixed-point bits beyond the requested precision, before the bits for
 # the largest term and the number of terms (_fixed_bits).
 GUARD_BITS = 8
+
+# Most fixed-point bits one evaluation may run at (_fixed_bits); a larger
+# s (or precision) is refused before any integer is built.
+MAX_FIXED_BITS = 1 << 16
 
 
 def _indices(family, subset):
@@ -129,9 +138,11 @@ def moran_bounds(family, subset, s, tol, prec=None):
     s is a ConfigError.  A full infinite selector's partial sum grows
     until the double tail majorant drops below tol/4, in both tiers
     (ToleranceNotReachable when MAX_TERMS terms do not get it there).
-    prec None evaluates in doubles with relative slack SLACK_DOUBLE; an
-    integer evaluates in fixed point at no fewer than prec bits and
-    returns the sums as exact dyadic mpfs.  prec is checked as
+    prec None evaluates in doubles (_double_bounds).  An integer
+    evaluates in fixed point at no fewer than prec bits and returns the
+    sums as exact dyadic mpfs; it refuses with ToleranceNotReachable,
+    before any walk, a named family's index above MAX_TERMS and an s
+    that needs more than MAX_FIXED_BITS bits.  prec is checked as
     solve_dimension checks precision_bits: ConfigError below 24 bits,
     ToleranceNotReachable for a tol below its resolution.  The slope
     d/ds of the partial sum is an estimate for Newton steps, not a
@@ -180,7 +191,7 @@ def _truncation(tail, limit):
 def _double_sums(family, indices, tol):
     """The double tier's one term loop, unwidened: a function of s, for
     the length of one solve, returning (fsum of the terms, tail
-    majorant, slope of the partial sum).
+    majorant, slope of the partial sum, number of terms).
 
     Each symbol's log2 ratio w is decoded once, not once per term of
     every evaluation; a term is 2.0 ** (s * w), the expression
@@ -195,26 +206,35 @@ def _double_sums(family, indices, tol):
         selected, tail = weights, 0.0
         if indices is None:
             if s <= family.theta:
-                return math.inf, math.inf, -math.inf
+                return math.inf, math.inf, -math.inf, 0
             n, tail = _truncation(lambda n_cut: family.tail_majorant(n_cut, s), tol / 4)
             base, e = family.row
             log2_base = math.log2(base)
             weights.extend([-e(a) * log2_base for a in range(len(weights) + 1, n + 1)])
             selected = islice(weights, n)
         terms = [2.0 ** (s * w) for w in selected]
-        return math.fsum(terms), tail, LN2 * math.fsum(map(mul, terms, weights))
+        return math.fsum(terms), tail, LN2 * math.fsum(map(mul, terms, weights)), len(terms)
 
     return sums
 
 
 def _double_bounds(family, indices, tol):
     """moran_bounds(family, indices, s, tol) in doubles, as a function
-    of s for one solve: _double_sums widened by SLACK_DOUBLE."""
+    of s for one solve: _double_sums widened by SLACK_DOUBLE.  A sum
+    below 2**-700 gets twice that slack and (terms + 2) * 2**-1074 for
+    subnormal and underflowed terms on top, the lower sum clipped at 0;
+    an empty sum stays 0.  A larger sum needs no absolute widening: it
+    is below half the spacing of the doubles above 2**-999, so adding
+    it would round back to the same sums."""
     sums = _double_sums(family, indices, tol)
 
     def bounds(s):
-        total, tail, slope = sums(s)
-        return total * (1 - SLACK_DOUBLE), (total + tail) * (1 + SLACK_DOUBLE), slope
+        total, tail, slope, n_terms = sums(s)
+        if total >= 2.0**-700:
+            return total * (1 - SLACK_DOUBLE), (total + tail) * (1 + SLACK_DOUBLE), slope
+        floor = (n_terms + 2) * 2.0**-1074 if n_terms else 0.0
+        return (max(total * (1 - 2 * SLACK_DOUBLE) - floor, 0.0),
+                (total + tail) * (1 + 2 * SLACK_DOUBLE) + floor, slope)
 
     return bounds
 
@@ -222,15 +242,22 @@ def _double_bounds(family, indices, tol):
 def _fixed_bits(prec, s, top, n_terms):
     """Fixed-point bits for prec-bit sums at s: prec, plus the bits the
     largest term 2**-(s*top) sits below 1, plus guard bits for the
-    rounding of up to n_terms chained terms.
+    rounding of up to n_terms walked terms.
 
     The bits only decide how tight the sums are; directed rounding
     certifies them at any bits.  With 2 bits per bit of n_terms they
     stay inside the old mpf evaluator's relative slack of 2**-(prec-8)
     on every input tested (test_solver.py compares them with that
-    evaluator).
+    evaluator).  More than MAX_FIXED_BITS bits (65536) is
+    ToleranceNotReachable, decided in floats before any integer is
+    built, so an s of 1e300 or inf is refused at once.
     """
-    return prec + max(0, math.ceil(float(s) * top)) + GUARD_BITS + 2 * n_terms.bit_length()
+    rest = prec + GUARD_BITS + 2 * n_terms.bit_length()
+    lead = max(0.0, float(s) * top)
+    if not lead <= MAX_FIXED_BITS - rest:
+        raise ToleranceNotReachable(
+            f"{prec}-bit sums at s = {s} need more than {MAX_FIXED_BITS} fixed-point bits")
+    return rest + math.ceil(lead)
 
 
 def _dyadic(units, bits):
@@ -249,10 +276,10 @@ def _fixed_bounds(family, indices, tol, prec):
     lower terms times their log enclosures, rounded down), and
     ln_max >= |ln ratio(a)| for every summed symbol a; slope is the
     float estimate of S'(s) for Newton steps.  For a named family
-    moment is the TermChain moment times ln(base), and ln_max is
-    e(n) * ln(base) with n the last symbol summed.
+    moment is the term_sums moment times ln(base), and ln_max is
+    e(n) * ln(base) with n the last symbol walked.
 
-    Named families walk one TermChain (one exp per evaluation);
+    Named families call term_sums once (one exp per evaluation);
     explicit families enclose each distinct selected ratio once.  The
     lower sum adds the floor enclosures and the upper sum the ceiling
     enclosures plus the fixed-point tail majorant, so both are certified
@@ -260,9 +287,11 @@ def _fixed_bounds(family, indices, tol, prec):
 
     A full selector is cut where the double tier cuts it, by _truncation
     on the double closed form family.tail_majorant at tol/4, before any
-    term is walked; the chain is then advanced to that cut once, and the
-    upper sum adds the chain's own fixed-point tail, so the sums are
-    certified whatever the cut.
+    term is walked; term_sums then walks to that cut, and the upper sum
+    adds its fixed-point tail, so the sums are certified whatever the
+    cut.  A finite selection is walked to its largest index, and one
+    above MAX_TERMS, the cap the full selector's cut obeys, is refused
+    with ToleranceNotReachable before any walk.
     """
     if not family.is_infinite:
         groups = Counter(family.ratio(a) for a in indices)
@@ -287,36 +316,31 @@ def _fixed_bounds(family, indices, tol, prec):
 
         return sums
 
-    base = family.row[0]
+    base, e = family.row
     ln_base = math.log(base)
     theta = from_float(family.theta)
-    weights = None
+    selected = None if indices is None else set(indices)
     if indices is None:
         top, n_terms = -family.log2_ratio(1), MAX_TERMS
     else:
         n_terms = indices[-1] if indices else 0
-        weights = [0] * (n_terms + 1)
-        for a in indices:
-            weights[a] = 1
+        if n_terms > MAX_TERMS:
+            raise ToleranceNotReachable(
+                f"symbol {n_terms} lies beyond the {MAX_TERMS} terms a fixed-point walk takes")
         top = -family.log2_ratio(indices[0] if indices else 1)
 
     def sums(s):
         s_float = to_float(s, rnd=round_nearest)
         bits = _fixed_bits(prec, s_float, top, n_terms)
-        tail = 0
+        n = n_terms
         if indices is None:
             if mpf_le(s, theta):
                 return None
-            n_cut, _ = _truncation(lambda n: family.tail_majorant(n, s_float), tol / 4)
-            chain = TermChain(family, s, bits)
-            chain.advance(n_cut)
-            tail = chain.tail()
-        else:
-            chain = TermChain(family, s, bits, weights)
-            chain.advance(n_terms)
+            n, _ = _truncation(lambda n_cut: family.tail_majorant(n_cut, s_float), tol / 4)
+        lo, hi, moment, tail = term_sums(family, s, bits, n, selected)
         ln_lo, ln_hi = ln_enclosure(1, base, bits)
-        return (chain.lo, chain.hi + tail, chain.moment * ln_lo >> bits, chain.top() * ln_hi,
-                bits, -ln_base * (chain.moment / (1 << bits)))
+        return (lo, hi + tail, moment * ln_lo >> bits, e(n) * ln_hi,
+                bits, -ln_base * (moment / (1 << bits)))
 
     return sums
 
@@ -376,10 +400,14 @@ def _newton(bounds, x, tol):
 
     bounds(s) returns moran_bounds at s in doubles.  The pressure is
     convex and decreasing, so from a start left of the root the iterates
-    climb monotonically.  Stops once a step is below tol/1000, no longer
-    moves x, or is no longer positive (the sum at x no longer exceeds 1,
-    which is the root up to rounding).
+    climb monotonically.  Stops once a step is below tol/1000 and below
+    the step before it, no longer moves x, or is no longer positive (the
+    sum at x no longer exceeds 1, which is the root up to rounding).  A
+    first step never stops it: a symbol with a huge exponent makes the
+    slope at 0 so steep that the first steps are tiny and far from the
+    root.
     """
+    limit, last = tol / 1000, 0.0
     for _ in range(NEWTON_STEPS):
         lower, upper, slope = bounds(x)
         if not (slope < 0 and upper < math.inf):
@@ -389,8 +417,9 @@ def _newton(bounds, x, tol):
         if step >= 0:
             return x
         x, previous = x - step, x
-        if abs(step) < tol / 1000 or x == previous:
+        if -step < limit and -step < last or x == previous:
             return x
+        last = -step
     return None
 
 
@@ -597,18 +626,17 @@ def pressure(family, subset, s):
     """Natural log of the Moran sum: the midpoint of moran_bounds at
     tolerance PRESSURE_TOL.
 
-    Raises DivergentSum where the series diverges or every term
-    underflows to 0, and ConfigError for an empty subset, whose pressure
-    would be log 0.
+    Raises DivergentSum where the series diverges or the lower sum is 0
+    (the terms underflow), and ConfigError for an empty subset, whose
+    pressure would be log 0.
     """
     indices = _indices(family, subset)
     if indices == ():
         raise ConfigError("pressure of the empty subset is undefined")
     lower, upper, _ = moran_bounds(family, indices, s, PRESSURE_TOL)
-    value = 0.5 * (lower + upper)
-    if value == 0.0 or math.isinf(value):
+    if lower == 0.0 or math.isinf(upper):
         raise DivergentSum(f"moran sum diverges or vanishes at s={s}")
-    return math.log(value)
+    return math.log(0.5 * (lower + upper))
 
 
 def pressure_derivative(family, subset, s):
@@ -633,7 +661,7 @@ def pressure_derivative(family, subset, s):
     if indices == ():
         raise ConfigError("pressure derivative of the empty subset is undefined")
     tol = 2.0**-58 * family.term_double(1, s) if indices is None else 0.0
-    total, _, slope = _double_sums(family, indices, tol)(s)
+    total, _, slope, _ = _double_sums(family, indices, tol)(s)
     if total == 0.0 or math.isinf(total):
         raise DivergentSum(f"moran sum diverges or vanishes at s={s}")
     return slope / total

@@ -210,6 +210,13 @@ def test_numeric_error_exit_code(capsys):
     assert record["error"]["type"] == "ToleranceNotReachable"
 
 
+def test_perturb_with_an_underflowing_scale_is_a_numeric_error(capsys):
+    code, out = run(["perturb", "--family", "geometric", "--subset", "1,2",
+                     "--b-range", "2000:2000"], capsys)
+    assert code == 3
+    assert json.loads(out)["error"]["type"] == "InsufficientPrecision"
+
+
 def test_point_commands_reject_raw_ratios(capsys):
     code, out = run(["boxdim", "--ratios", "0.5", "0.25", "--depth", "6"], capsys)
     assert code == 2

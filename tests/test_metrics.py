@@ -134,6 +134,11 @@ def test_arithmetic_grid_gap_statistic():
     assert uniform_perfectness_gaps(pts).max_ratio == pytest.approx(1.5, abs=1e-9)
 
 
+def test_gap_statistic_of_a_subnormal_inner_distance_is_infinite():
+    # 0.5 / 1e-320 overflows: the ratio is +inf, with no numpy warning.
+    assert uniform_perfectness_gaps([0.0, 1e-320, 1.0]).max_ratio == math.inf
+
+
 def test_gap_statistic_needs_three_points():
     with pytest.raises(DegenerateScales):
         uniform_perfectness_gaps([0.0, 1.0])

@@ -1,5 +1,6 @@
 """The package surface: public names, the deferred numpy import, the
-integer contract for counts and no unused imports."""
+integer contract for counts, no unused imports and no unread private
+names."""
 
 import ast
 import subprocess
@@ -83,3 +84,46 @@ def test_no_module_imports_a_name_it_does_not_use():
     unused = [name for path in sorted(package.glob("*.py")) if path.name != "__init__.py"
               for name in _unused_imports(path)]
     assert unused == []
+
+
+def _private_definitions(path):
+    """Module-level _names a module defines (functions, classes and
+    assigned names; dunders excluded), with their lines."""
+    defined = {}
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for target in targets for n in ast.walk(target)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.endswith("__"):
+                defined[name] = node.lineno
+    return defined
+
+
+def _reads(path):
+    """Every name a module reads: loaded names, attributes and the names
+    it imports from another module."""
+    reads = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            reads.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            reads.update(alias.name for alias in node.names)
+    return reads
+
+
+def test_no_private_name_is_left_unread():
+    # A module-level _name that nothing in the package reads is dead
+    # code; reads in tests do not count.
+    paths = sorted(Path(dimspec.__file__).parent.glob("*.py"))
+    reads = set().union(*map(_reads, paths))
+    unread = [f"{path.name}:{line} {name}" for path in paths
+              for name, line in _private_definitions(path).items() if name not in reads]
+    assert unread == []

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from dimspec.errors import ConfigError
+from dimspec.errors import ConfigError, InsufficientPrecision
 from dimspec.families import ContractionFamily
 from dimspec.perturbation import (
     derivative_comparability,
@@ -29,6 +29,13 @@ def test_increment_worked_example():
     assert base.mid == pytest.approx(oracles.GOLDEN_LOG2, abs=1e-9)
     assert perturbed.mid == pytest.approx(oracles.HALF_QUARTER_EIGHTH, abs=1e-9)
     assert lo <= perturbed.mid - base.mid <= hi
+
+
+def test_increment_names_an_underflowing_scale():
+    # ratio(2000)**0.694 = 2**-1388 underflows, so no tolerance can be
+    # derived from it; that is a precision limit, not a bad tolerance.
+    with pytest.raises(InsufficientPrecision, match="underflows"):
+        increment(ContractionFamily.geometric(), (1, 2), 2000)
 
 
 def test_increment_positive_and_monotone_in_ratio():

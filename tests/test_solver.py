@@ -12,7 +12,7 @@ from mpmath.libmp import from_float, mpf_sub, round_nearest
 import oracles
 from dimspec import families, solver, spectrum
 from dimspec.errors import ConfigError, DimspecError, DivergentSum, ToleranceNotReachable
-from dimspec.families import ContractionFamily, TermChain
+from dimspec.families import ContractionFamily, term_sums
 from dimspec.solver import (
     DEFAULT_TOL,
     moran_bounds,
@@ -306,21 +306,15 @@ def test_the_mean_value_check_needs_its_moment_and_its_exponent_bound(fam, subse
 
 
 def _counting_chains(monkeypatch):
-    """Replace solver.TermChain by a subclass and return a list that gets
-    one entry per chain built: the list of every n it is advanced to."""
+    """Spy on solver.term_sums and return a list that gets one entry per
+    chain of terms walked: the list [n] of the n it walks to."""
     chains = []
 
-    class CountedChain(TermChain):
-        def __init__(self, *args, **kwargs):
-            self.advances = []
-            chains.append(self.advances)
-            super().__init__(*args, **kwargs)
+    def counted(family, s, bits, n, selected=None):
+        chains.append([n])
+        return term_sums(family, s, bits, n, selected)
 
-        def advance(self, n):
-            self.advances.append(n)
-            super().advance(n)
-
-    monkeypatch.setattr(solver, "TermChain", CountedChain)
+    monkeypatch.setattr(solver, "term_sums", counted)
     return chains
 
 
@@ -344,7 +338,7 @@ def test_deep_cloud_solves_mostly_certify_from_their_first_evaluation(monkeypatc
 def test_full_selector_cut_between_a_quarter_and_half_tol_walks_no_chain(monkeypatch):
     # The geometric tail after MAX_TERMS terms at s = 5.68e-5 lies in
     # [tol/4, tol/2) at tol 1e-13: no cut meets tol/4, so the fixed tier
-    # must refuse before advancing its chain 2**20 terms.
+    # must refuse before walking 2**20 terms.
     s, tol = 5.68e-5, 1e-13
     assert tol / 4 <= GEO.tail_majorant(solver.MAX_TERMS, s) < tol / 2
     chains = _counting_chains(monkeypatch)
@@ -357,7 +351,7 @@ def test_full_selector_cut_between_a_quarter_and_half_tol_walks_no_chain(monkeyp
                                        (GEO, 0.05, 1e-25), (GEO, 1.0, 1e-12),
                                        (T3, 0.6, 1e-40), (T3, 2.0, 1e-15)])
 def test_fixed_tier_sums_the_double_tier_cut(monkeypatch, fam, s, tol):
-    # One truncation rule: the fixed-point chain is advanced once, to the
+    # One truncation rule: the fixed-point terms are walked once, to the
     # n_cut the double tier's tail majorant picks at tol/4.
     n_cut, _ = solver._truncation(lambda n: fam.tail_majorant(n, s), tol / 4)
     chains = _counting_chains(monkeypatch)
@@ -590,12 +584,12 @@ def test_pressure_derivative_full_against_200_bit_reference(kind):
         assert abs(pressure_derivative(fam, "full", s) - ref) <= 1e-14 * abs(ref)
 
 
-def _raises_fast(fn, *args):
-    """fn(*args) must raise a DimspecError within 10 ms."""
+def _raises_fast(fn, *args, error=DimspecError, match=None, seconds=0.01):
+    """fn(*args) must raise error, matching match, within seconds."""
     t0 = time.perf_counter()
-    with pytest.raises(DimspecError):
+    with pytest.raises(error, match=match):
         fn(*args)
-    assert time.perf_counter() - t0 < 0.01
+    assert time.perf_counter() - t0 < seconds
 
 
 @pytest.mark.parametrize("s", [1e-5, 7e-5, 1e-6])
@@ -625,9 +619,54 @@ def test_tiny_s_raises_a_dimspec_error():
     _raises_fast(moran_bounds, GEO, "full", 1e-17, 1e-13)
     _raises_fast(pressure_derivative, GEO, "full", 1e-17)
     # The fixed-point tail at 96 bits: 1 - y with y = 2**(-s) rounds up to 0.
-    chain = TermChain(GEO, mpmath.mpf(2) ** -120, 96)
-    chain.advance(8)
-    _raises_fast(chain.tail)
+    _raises_fast(term_sums, GEO, mpmath.mpf(2) ** -120, 96, 8)
+
+
+def test_fixed_tier_refuses_an_index_beyond_max_terms():
+    # The fixed-point walk steps through every symbol up to the largest
+    # selected one, so past MAX_TERMS it refuses before walking; the
+    # double tier sums only the selected terms.
+    far = (1, 2, solver.MAX_TERMS + 1)
+    for fn, args in [(solve_dimension, (SQEXP, far, 1e-20)),
+                     (moran_bounds, (SQEXP, far, 0.5, 1e-20, 128))]:
+        _raises_fast(fn, *args, error=ToleranceNotReachable, match="beyond", seconds=0.1)
+    iv = solve_dimension(SQEXP, (1, 2, 10**9), tol=1e-10)
+    assert iv.tier == "double" and iv.width <= 1e-10
+    assert iv.lo <= solve_dimension(SQEXP, (1, 2), tol=1e-10).hi
+
+
+@pytest.mark.parametrize("s", [2.6e5, 1e300, math.inf])
+@pytest.mark.parametrize("fam,subset", [(SQEXP, "full"), (GEO, (1, 2)),
+                                        (ContractionFamily.explicit(["1/3", "1/5"]), "full")])
+def test_fixed_tier_refuses_an_s_past_its_bit_cap(fam, subset, s):
+    # The largest term sits s * log2(1/ratio) bits below 1; an s that
+    # needs more than MAX_FIXED_BITS bits is refused before any integer
+    # is built, so 1e300 and inf fail at once like 2.6e5.
+    _raises_fast(moran_bounds, fam, subset, s, 1e-10, 128,
+                 error=ToleranceNotReachable, match="fixed-point bits", seconds=0.1)
+
+
+def test_both_tiers_enclose_subnormal_and_underflowed_sums():
+    # Near 2**-1074 a double term is off by up to 1.7e-13 relative, and
+    # subnormal or underflowed terms by up to 2**-1074 absolute: a
+    # relative slack of 2**-43 alone misses most of these 2000 sums and
+    # encloses the sum at s = 1100 by [0, 0].
+    pair = ContractionFamily.explicit(["1/3", "1/5"])
+    for k in range(2000):
+        s = 640 + k / 50
+        exact = oracles.ref_sum(pair, (1, 2), s, 400)
+        lower, upper, _ = moran_bounds(pair, "full", s, 1e-10)
+        assert mpmath.mpf(lower) <= exact <= mpmath.mpf(upper), s
+        if k % 20 == 0:
+            lower, upper, _ = moran_bounds(pair, "full", s, 1e-10, 128)
+            assert lower <= exact <= upper, s
+    exact = oracles.ref_sum(SQEXP, (1, 2), 1100, 400)
+    lower, upper, _ = moran_bounds(SQEXP, (1, 2), 1100, 1e-10)
+    assert lower == 0.0 < exact <= mpmath.mpf(upper) <= 2.0**-1070
+    lower, upper, _ = moran_bounds(SQEXP, (1, 2), 1100, 1e-10, 128)
+    assert 0 < lower <= exact <= upper
+    with pytest.raises(DivergentSum):
+        pressure(SQEXP, (1, 2), 1100)
 
 
 @pytest.mark.parametrize("s", [math.nan, -0.5])
