@@ -36,6 +36,7 @@ from mpmath.libmp import from_float, from_rational, mpf_exp, mpf_log, mpf_mul, r
 
 from .errors import ConfigError, ToleranceNotReachable
 
+_LN2 = math.log(2.0)
 
 # The exponents are module-level functions, not lambdas, because
 # families are pickled for worker processes.
@@ -166,11 +167,19 @@ class ContractionFamily:
         return Fraction(1, self._base ** self._e(a))
 
     def log2_ratio(self, a: int) -> float:
-        """log2 of ratio(a) as a float; exact for the dyadic kinds."""
+        """log2 of ratio(a) as a float; exact for the dyadic kinds.
+
+        An explicit ratio num/den is first scaled by 2**k into [1/2, 1),
+        so log2 is -k + log1p(((num << k) - den) / den) / ln 2, with no
+        cancellation for a ratio near 1 (log2(num) - log2(den) loses
+        the low bits of 999/1000)."""
         a = self.check_index(a)
         if self._ratios is not None:
-            frac = self._ratios[a - 1]
-            return math.log2(frac.numerator) - math.log2(frac.denominator)
+            num, den = self._ratios[a - 1].as_integer_ratio()
+            k = den.bit_length() - num.bit_length()
+            if num << k >= den:
+                k -= 1
+            return -k + math.log1p(((num << k) - den) / den) / _LN2
         return -self._e(a) * self._log2_base
 
     # -- pointwise terms ---------------------------------------------------

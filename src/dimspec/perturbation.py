@@ -36,11 +36,14 @@ def increment(family, base_subset, b, tol=None):
     """Certified interval for dim(F + {b}) - dim(F).
 
     Both dimensions are enclosed tightly below the expected increment
-    scale ratio(b)**delta; the difference interval must come out
-    strictly positive, otherwise the tolerance is retried once and then
-    InsufficientPrecision is raised.  With tol None it is derived from
-    ratio(b)**delta, and InsufficientPrecision is raised before any solve
-    of the pair when that scale underflows to 0 in doubles.
+    scale ratio(b)**delta, and their float endpoints are subtracted with
+    outward rounding.  The difference interval must come out strictly
+    positive, otherwise the tolerance is retried once and then
+    InsufficientPrecision is raised; it says so when the interval is
+    within a few ulps of the endpoints, which no tol can mend.  With tol
+    None it is derived from ratio(b)**delta, and InsufficientPrecision
+    is raised before any solve of the pair when that scale underflows
+    to 0 in doubles.
     """
     base = _indices(family, base_subset)
     b, extended = _extended(family, base, b)
@@ -54,13 +57,31 @@ def increment(family, base_subset, b, tol=None):
     for attempt_tol in (tol, tol / 64.0):
         d0 = solve_dimension(family, base, tol=attempt_tol)
         d1 = solve_dimension(family, extended, tol=attempt_tol)
-        lo = d1.lo - d0.hi
-        hi = d1.hi - d0.lo
+        lo = _difference(d1.lo, d0.hi, -math.inf)
+        hi = _difference(d1.hi, d0.lo, math.inf)
         if lo > 0.0:
             return (lo, hi), d0, d1
+    if hi - lo <= 4 * math.ulp(d1.hi):
+        raise InsufficientPrecision(
+            f"increment enclosure [{lo}, {hi}] not positive: the float endpoints of the two"
+            f" dimensions, near {d1.hi}, cannot resolve an increment within a few ulps of"
+            " them, at any tol")
     raise InsufficientPrecision(
         f"increment enclosure [{lo}, {hi}] not positive at tol {attempt_tol}"
     )
+
+
+def _difference(a, b, toward):
+    """a - b for finite floats, rounded toward -inf or inf (toward) when
+    the subtraction is inexact, so that it encloses the exact difference.
+    The rounding error (a - b) - d is itself a float, found exactly by
+    Knuth's TwoSum (TAOCP vol. 2, 4.2.2)."""
+    d = a - b
+    z = d - a
+    error = (a - (d - z)) - (b + z)
+    if error and (error > 0) == (toward > 0):
+        d = math.nextafter(d, toward)
+    return d
 
 
 @dataclass(frozen=True)

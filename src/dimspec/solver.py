@@ -25,15 +25,18 @@ certified on its own.  Nothing else is tried: a bracket that fails to
 certify escalates from the double tier to the mpmath tier, and there
 raises ToleranceNotReachable.
 
-Two arithmetic tiers exist, and each has one certificate.  The double
-tier sums plain doubles, widens them by a generous relative slack, and
-certifies with the two one-sided sums at exactly the floats lo and hi.
-The mpmath tier, at a working precision prec chosen from the requested
-tolerance, sums fixed-point integers: every term is enclosed between
-two integers at bits >= prec bits (families.term_sums,
+Two arithmetic tiers exist, and one acceptance rule (_accept) decides
+for both: [lo, hi] is certified when a lower bound on the sum at lo is
+>= 1 and an upper bound on the sum at hi is <= 1, or hi is the ambient
+1.  The tiers differ only in where the two bounds come from.  The
+double tier sums plain doubles, widens them by a generous relative
+slack, and takes the two one-sided sums at exactly the floats lo and
+hi.  The mpmath tier, at a working precision prec chosen from the
+requested tolerance, sums fixed-point integers: every term is enclosed
+between two integers at bits >= prec bits (families.term_sums,
 families.power_enclosure), from one exp per evaluation for a named
-family and one per distinct ratio for an explicit one, and products are
-rounded down in the lower sum and up in the upper sum.  Its sums
+family and one per distinct ratio for an explicit one, and products
+are rounded down in the lower sum and up in the upper sum.  Its sums
 are exact dyadics S * 2**-bits, certified by monotonicity alone with no
 slack; the one assumption is that libmp's log, multiply and exp are
 accurate to 16 ulp at the precision they run at, which is 16 bits above
@@ -49,9 +52,10 @@ with the certified lower moment M <= |S'(x_k)| that the evaluation returns,
 S(lo) >= S_lo(x_k) + (x_k - lo) M, and S(hi) <= S_hi(x_k) - (hi - x_k) M
 times a factor that bounds how much |S'| falls between x_k and hi (the
 mean-value form of interval Newton; Moore, "Interval Analysis", 1966).
-Both are compared exactly, in integers.  The double tier escalates
-automatically when its dead zone (where neither one-sided test is
-conclusive) is wider than the tolerance.
+Both are computed exactly, in integers, then rounded away from 1 to
+floats (_mean_value).  The double tier escalates automatically when its
+dead zone (where neither one-sided test is conclusive) is wider than
+the tolerance.
 """
 
 from __future__ import annotations
@@ -208,9 +212,7 @@ def _double_sums(family, indices, tol):
             if s <= family.theta:
                 return math.inf, math.inf, -math.inf, 0
             n, tail = _truncation(lambda n_cut: family.tail_majorant(n_cut, s), tol / 4)
-            base, e = family.row
-            log2_base = math.log2(base)
-            weights.extend([-e(a) * log2_base for a in range(len(weights) + 1, n + 1)])
+            weights.extend(map(family.log2_ratio, range(len(weights) + 1, n + 1)))
             selected = islice(weights, n)
         terms = [2.0 ** (s * w) for w in selected]
         return math.fsum(terms), tail, LN2 * math.fsum(map(mul, terms, weights)), len(terms)
@@ -294,9 +296,8 @@ def _fixed_bounds(family, indices, tol, prec):
     with ToleranceNotReachable before any walk.
     """
     if not family.is_infinite:
-        groups = Counter(family.ratio(a) for a in indices)
-        weights = [(r, k, math.log2(r.numerator) - math.log2(r.denominator))
-                   for r, k in groups.items()]
+        groups = Counter((family.ratio(a), family.log2_ratio(a)) for a in indices)
+        weights = [(r, k, w) for (r, w), k in groups.items()]
         top = -max((w for _, _, w in weights), default=0.0)
         n_terms = len(indices)
 
@@ -320,23 +321,20 @@ def _fixed_bounds(family, indices, tol, prec):
     ln_base = math.log(base)
     theta = from_float(family.theta)
     selected = None if indices is None else set(indices)
-    if indices is None:
-        top, n_terms = -family.log2_ratio(1), MAX_TERMS
-    else:
-        n_terms = indices[-1] if indices else 0
-        if n_terms > MAX_TERMS:
-            raise ToleranceNotReachable(
-                f"symbol {n_terms} lies beyond the {MAX_TERMS} terms a fixed-point walk takes")
-        top = -family.log2_ratio(indices[0] if indices else 1)
+    n_terms = indices[-1] if indices else 0
+    if n_terms > MAX_TERMS:
+        raise ToleranceNotReachable(
+            f"symbol {n_terms} lies beyond the {MAX_TERMS} terms a fixed-point walk takes")
+    top = -family.log2_ratio(indices[0] if indices else 1)
 
     def sums(s):
         s_float = to_float(s, rnd=round_nearest)
-        bits = _fixed_bits(prec, s_float, top, n_terms)
         n = n_terms
         if indices is None:
             if mpf_le(s, theta):
                 return None
             n, _ = _truncation(lambda n_cut: family.tail_majorant(n_cut, s_float), tol / 4)
+        bits = _fixed_bits(prec, s_float, top, n)
         lo, hi, moment, tail = term_sums(family, s, bits, n, selected)
         ln_lo, ln_hi = ln_enclosure(1, base, bits)
         return (lo, hi + tail, moment * ln_lo >> bits, e(n) * ln_hi,
@@ -349,14 +347,14 @@ def _fixed_bounds(family, indices, tol, prec):
 class DimensionInterval:
     """Certified enclosure [lo, hi] of min(Moran root, 1).
 
-    cert_lo is a certified lower bound (>= 1) on the Moran sum at the
-    float lo, cert_hi a certified upper bound (<= 1) on the sum at the
-    float hi, or None when hi is the ambient bound 1 (the attractor lives
-    in the unit interval, so its dimension never exceeds 1; that bound
-    needs no arithmetic).  On the double tier they are the one-sided
-    sums at lo and hi; on the mpmath tier they are the mean-value bounds
-    from the Newton evaluation that certified (see _certify), rounded
-    outward to floats.
+    cert_lo and cert_hi are the bounds that certified lo and hi by the
+    one acceptance rule of both tiers (_accept): a lower bound (>= 1) on
+    the Moran sum at the float lo, an upper bound (<= 1) on the sum at
+    the float hi, or None when hi is the ambient bound 1 (the attractor
+    lives in the unit interval, so its dimension never exceeds 1).  Both
+    are floats rounded away from 1: the one-sided sums on the double
+    tier, the mean-value bounds from the evaluation that certified on
+    the mpmath tier (_mean_value).
     When the ratios sum above 1 the Moran root lies above 1 and is not
     reported: the interval is [lo, 1] with hi_is_ambient set, and only
     lo is certified.  exact marks the degenerate empty/singleton cases
@@ -459,31 +457,19 @@ def _bracket(lo, hi, tol):
     return max(lo, 0.0), min(hi, 1.0)
 
 
-def _refuse(lo, hi, x, failed):
-    return ToleranceNotReachable(
-        f"cannot certify [{lo!r}, {hi!r}] around the Newton iterate {x!r}: {failed}")
-
-
-def _settle(bounds, x, tol):
-    """Certify the double enclosure x -/+ 0.4 tol (see _bracket) by the
-    lower sum at lo and the upper sum at hi.
-
-    Returns the certified DimensionInterval fields; raises
-    ToleranceNotReachable naming the one-sided sum that fails to
-    certify.
-    """
-    lo, hi = _bracket(x - 0.4 * tol, x + 0.4 * tol, tol)
-    cert_lo = bounds(lo)[0]
-    if cert_lo >= 1:
-        cert_hi = bounds(hi)[1]
-        if cert_hi <= 1:
-            return dict(lo=lo, hi=hi, cert_lo=cert_lo, cert_hi=cert_hi)
-        if hi == 1.0:
-            return dict(lo=lo, hi=hi, cert_lo=cert_lo, hi_is_ambient=True)
-        failed = f"the upper sum at hi is {cert_hi!r}, above 1"
-    else:
-        failed = f"the lower sum at lo is {cert_lo!r}, below 1"
-    raise _refuse(lo, hi, x, failed)
+def _accept(lo, hi, cert_lo, cert_hi, method):
+    """The one acceptance rule of both tiers: the DimensionInterval
+    fields of [lo, hi] when cert_lo, a lower bound on the Moran sum at
+    lo, is >= 1 and either cert_hi, an upper bound on the sum at hi, is
+    <= 1 or hi is the ambient 1 (then only lo is certified); otherwise
+    the reason, naming the method's bound that fails."""
+    if not cert_lo >= 1:
+        return f"the {method} lower bound at lo is {cert_lo!r}, below 1"
+    if cert_hi <= 1:
+        return dict(lo=lo, hi=hi, cert_lo=cert_lo, cert_hi=cert_hi)
+    if hi == 1.0:
+        return dict(lo=lo, hi=hi, cert_lo=cert_lo, hi_is_ambient=True)
+    return f"the {method} upper bound at hi is {cert_hi!r}, above 1"
 
 
 def _offset(a, b):
@@ -497,8 +483,10 @@ def _offset(a, b):
 def _mean_value(lo, hi, at, evaluation):
     """Bounds on the Moran sum S at the floats lo and hi from one
     evaluation at the raw point at: (lower bound at lo, upper bound at
-    hi), each an exact (units, exponent) pair worth units * 2**-exponent,
-    or None when at lies above lo (below hi) and gives no such bound.
+    hi), computed exactly in integers and rounded to floats away from 1
+    (down, up), or -inf (inf) when at lies above lo (below hi) and gives
+    no such bound.  1 is a float, so comparing the rounded bounds with 1
+    decides exactly what comparing the exact ones would.
 
     S and |S'| decrease, and |S'(s)| >= moment at s <= at, so for
     lo <= at, S(lo) >= S_lo(at) + (at - lo) * moment.  For s in
@@ -509,58 +497,41 @@ def _mean_value(lo, hi, at, evaluation):
     majorises it at at.
     """
     sum_lo, sum_hi, moment, ln_max, bits, _ = evaluation
-    lower = upper = None
+    lower, upper = -math.inf, math.inf
     m, k = _offset(at, from_float(lo))
     if m >= 0:
-        lower = (sum_lo << k) + m * moment, bits + k
+        lower = to_float(from_man_exp((sum_lo << k) + m * moment, -bits - k), rnd=round_floor)
     m, k = _offset(from_float(hi), at)
     if m >= 0:
         factor = max(0, (1 << (bits + k)) - m * ln_max)
-        upper = (sum_hi << (bits + 2 * k)) - m * moment * factor, 2 * (bits + k)
+        upper = to_float(from_man_exp((sum_hi << (bits + 2 * k)) - m * moment * factor,
+                                      -2 * (bits + k)), rnd=round_ceiling)
     return lower, upper
-
-
-def _float(bound, rnd):
-    """A _mean_value bound as a float, rounded in the direction rnd."""
-    units, exponent = bound
-    return to_float(from_man_exp(units, -exponent), rnd=rnd)
 
 
 def _certify(iterates, tol, prec):
     """Certify the bracket x -/+ 0.4 tol around a Newton iterate x from
-    the Newton evaluation before it, by _mean_value.
+    the Newton evaluation before it, by _mean_value and _accept.
 
     iterates yields (x, point of the last evaluation, that evaluation),
     as _polish does, and every state is checked until one certifies.
     The bracket is the floats just outside x -/+ 0.4 tol, each end first
-    rounded to prec bits, then _bracket.  Its lower end is certified
-    when the lower bound at lo reaches 1, its upper end when the upper
-    bound at hi stays at or below 1, both compared exactly, in integers;
-    a bracket that moved to [1 - 2**floor(log2 tol), 1] keeps [lo, 1]
-    with only lo certified.  The first bracket that certifies is
-    returned; when none does, ToleranceNotReachable names the bound that
-    failed last.
+    rounded to prec bits, then _bracket.  The first bracket that
+    certifies is returned; when none does, ToleranceNotReachable names
+    the bound that failed last.
     """
     half = from_float(0.4 * tol)
-    failed = None
+    verdict = None
     for x, at, evaluation in iterates:
         lo, hi = _bracket(to_float(mpf_sub(x, half, prec, round_nearest), rnd=round_floor),
                           to_float(mpf_add(x, half, prec, round_nearest), rnd=round_ceiling), tol)
-        lower, upper = _mean_value(lo, hi, at, evaluation)
-        if lower is None or lower[0] < 1 << lower[1]:
-            failed = ("the last Newton point lies below lo" if lower is None else
-                      f"the mean-value lower bound at lo is {_float(lower, round_floor)!r}, below 1")
-        elif upper is not None and upper[0] <= 1 << upper[1]:
-            return dict(lo=lo, hi=hi, cert_lo=_float(lower, round_floor),
-                        cert_hi=_float(upper, round_ceiling))
-        elif hi == 1.0:
-            return dict(lo=lo, hi=hi, cert_lo=_float(lower, round_floor), hi_is_ambient=True)
-        else:
-            failed = ("the last Newton point lies above hi" if upper is None else
-                      f"the mean-value upper bound at hi is {_float(upper, round_ceiling)!r}, above 1")
-    if failed is None:
+        verdict = _accept(lo, hi, *_mean_value(lo, hi, at, evaluation), "mean-value")
+        if not isinstance(verdict, str):
+            return verdict
+    if verdict is None:
         raise ToleranceNotReachable(f"Newton's method does not settle at {prec} bits")
-    raise _refuse(lo, hi, to_float(x, rnd=round_nearest), failed)
+    raise ToleranceNotReachable(f"cannot certify [{lo!r}, {hi!r}] around the Newton iterate"
+                                f" {to_float(x, rnd=round_nearest)!r}: {verdict}")
 
 
 def solve_dimension(family, subset="full", tol=DEFAULT_TOL, precision_bits=None):
@@ -611,10 +582,13 @@ def solve_dimension(family, subset="full", tol=DEFAULT_TOL, precision_bits=None)
     x = _newton(double, start, tol)
     if prec is None:
         if tol >= TOL_MIN_DOUBLE and x is not None:
+            lo, hi = _bracket(x - 0.4 * tol, x + 0.4 * tol, tol)
             try:
-                return DimensionInterval(width_budget=tol, **_settle(double, x, tol))
+                verdict = _accept(lo, hi, double(lo)[0], double(hi)[1], "one-sided")
+                if not isinstance(verdict, str):
+                    return DimensionInterval(width_budget=tol, **verdict)
             except ToleranceNotReachable:
-                pass  # escalate to the mpmath tier
+                pass  # escalate to the mpmath tier, as on a refusal
         prec = max(96, int(math.ceil(-math.log2(tol))) + 50)
 
     sums = _fixed_bounds(family, indices, tol, prec)

@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +35,22 @@ def parse_csv(text):
 
 
 # --- worked examples --------------------------------------------------------
+
+def _readme_commands():
+    """The commands of README's "Command line" block, as argv lists."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("dimspec ")]
+
+
+def test_readme_commands_run(capsys):
+    # README documents exit 0 for each command and 1 for verify, whose
+    # criteria 3 and 4 fail by design.
+    commands = _readme_commands()
+    assert len(commands) == 11
+    for argv in commands:
+        assert run(argv, capsys)[0] == (1 if argv[0] == "verify" else 0), argv
+
 
 def test_dim_cantor_pair(capsys):
     code, doc = run_json(["dim", "--family", "cantor-pair", "--tol", "1e-12"], capsys)

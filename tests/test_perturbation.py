@@ -38,6 +38,30 @@ def test_increment_names_an_underflowing_scale():
         increment(ContractionFamily.geometric(), (1, 2), 2000)
 
 
+@pytest.mark.parametrize("family,base,b", [
+    (SQEXP, (9, 12), 1),
+    (SQEXP, (6, 8), 1),
+    (ContractionFamily.type_three(), (8, 9, 12), 2),
+    (ContractionFamily.explicit(["1/2", "1/3", "1/5", "1/7", "1/11", "1/1000", "1/100000"]),
+     (4, 6), 1),
+])
+def test_increment_encloses_the_exact_difference_of_its_endpoints(family, base, b):
+    # Subtracting float endpoints rounds to nearest; in each of these
+    # cases that lands inside the exact difference of the certified
+    # endpoints, so the ends must be rounded outward.
+    (lo, hi), d0, d1 = increment(family, base, b)
+    assert Fraction(lo) <= Fraction(d1.lo) - Fraction(d0.hi)
+    assert Fraction(d1.hi) - Fraction(d0.lo) <= Fraction(hi)
+
+
+def test_increment_below_the_float_spacing_says_no_tol_resolves_it():
+    # The increment from adjoining symbol 11 to {1, 2} is about 1e-17,
+    # below the spacing of the floats near 0.465: both dimensions are
+    # enclosed by adjacent floats, and no tol can separate them.
+    with pytest.raises(InsufficientPrecision, match="float endpoints .* cannot resolve"):
+        increment(SQEXP, (1, 2), 11)
+
+
 def test_increment_positive_and_monotone_in_ratio():
     incs = []
     for b in (4, 5, 6, 7):

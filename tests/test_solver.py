@@ -259,19 +259,17 @@ def test_newton_iterate_off_the_root_never_yields_an_interval(monkeypatch, subse
         x = from_float(x + 0.25)
         yield x, x, sums(x)
 
-    def refusal_spy(check):
+    def refusal_spy(accept):
         def spy(*args):
-            try:
-                return check(*args)
-            except ToleranceNotReachable as exc:
-                refusals.append(str(exc))
-                raise
+            verdict = accept(*args)
+            if isinstance(verdict, str):
+                refusals.append(verdict)
+            return verdict
         return spy
 
     monkeypatch.setattr(solver, "_newton", double_off_the_root)
     monkeypatch.setattr(solver, "_polish", polish_off_the_root)
-    monkeypatch.setattr(solver, "_settle", refusal_spy(solver._settle))
-    monkeypatch.setattr(solver, "_certify", refusal_spy(solver._certify))
+    monkeypatch.setattr(solver, "_accept", refusal_spy(solver._accept))
     with pytest.raises(ToleranceNotReachable, match="cannot certify .* around the Newton iterate"):
         solve_dimension(SQEXP, subset, tol=tol)
     assert tiers == [None, max(96, math.ceil(-math.log2(tol)) + 50)]
@@ -667,6 +665,18 @@ def test_both_tiers_enclose_subnormal_and_underflowed_sums():
     assert 0 < lower <= exact <= upper
     with pytest.raises(DivergentSum):
         pressure(SQEXP, (1, 2), 1100)
+
+
+def test_double_tier_encloses_sums_of_a_ratio_near_one():
+    # log2(999) - log2(1000) cancels to 6e-13 relative, which s = 1000
+    # to 5.1e4 magnifies past the double tier's slack; log2_ratio's
+    # log1p form keeps every one of these 100 sums enclosed.
+    pair = ContractionFamily.explicit(["999/1000", "1/2"])
+    for k in range(100):
+        s = 1000 + k * 500
+        exact = oracles.ref_sum(pair, (1, 2), s, 300)
+        lower, upper, _ = moran_bounds(pair, "full", s, 1e-10)
+        assert mpmath.mpf(lower) <= exact <= mpmath.mpf(upper), s
 
 
 @pytest.mark.parametrize("s", [math.nan, -0.5])

@@ -2,7 +2,7 @@ import pytest
 
 import oracles
 from dimspec import spectrum
-from dimspec.errors import CapExceeded, ConfigError
+from dimspec.errors import CapExceeded, ConfigError, InsufficientPrecision
 from dimspec.families import ContractionFamily
 from dimspec.perturbation import increment
 from dimspec.solver import solve_dimension
@@ -133,6 +133,11 @@ def test_branch_increment_retries_a_caller_tol_that_does_not_separate():
     bi = branch_increment(SQEXP, "11", tol=0.05)
     assert 0.0353 < bi.enclosure[0] < bi.enclosure[1] < 0.0366
     assert bi.child1.width_budget == 0.05 / 64
+
+
+def test_branch_increment_below_the_float_spacing_says_no_tol_resolves_it():
+    with pytest.raises(InsufficientPrecision, match="float endpoints .* cannot resolve"):
+        branch_increment(SQEXP, "1" * 10)
 
 
 def test_geometric_cloud_is_coarser_than_square_exponent(cloud_cache):
