@@ -57,8 +57,8 @@ class CriterionResult:
 class CloudCache:
     """Memoises spectrum clouds shared between the spectrum checks.
 
-    A cache lives as long as its holder: run_all and criteria 6 and 8
-    make a fresh one per call unless one is passed in.
+    A cache lives as long as its holder: run_all makes a fresh one per
+    call and hands it to criteria 6 and 8.
     """
 
     def __init__(self):
@@ -189,10 +189,9 @@ def criterion_4() -> CriterionResult:
     """
     t0 = time.perf_counter()
     fam, b_range = _sweep_family()
-    delta = solve_dimension(fam, (1, 2), tol=1e-11).mid
     infs, sups = [], []
     for b in b_range:
-        lo, hi = derivative_comparability(fam, (1, 2), b, s_range=(delta, 3.0))
+        lo, hi = derivative_comparability(fam, (1, 2), b)
         infs.append(lo)
         sups.append(hi)
     inf_spread = (max(infs) - min(infs)) / min(infs)
@@ -239,10 +238,9 @@ def criterion_5() -> CriterionResult:
     return CriterionResult(5, "branch increment band", passed, details, elapsed)
 
 
-def criterion_6(cache: CloudCache | None = None) -> CriterionResult:
+def criterion_6(cache: CloudCache) -> CriterionResult:
     """Spectrum cloud profile shrinks; gap ratios grow (depths 6..10)."""
     t0 = time.perf_counter()
-    cache = cache if cache is not None else CloudCache()
     slopes = {}
     gap_ratios = {}
     for depth in range(6, 11):
@@ -304,10 +302,9 @@ def criterion_7() -> CriterionResult:
     return CriterionResult(7, "exact separation construction", passed, details, elapsed)
 
 
-def criterion_8(cache: CloudCache | None = None) -> CriterionResult:
+def criterion_8(cache: CloudCache) -> CriterionResult:
     """Type taxonomy: geometric I, square-exponent II, type-three III."""
     t0 = time.perf_counter()
-    cache = cache if cache is not None else CloudCache()
     outcomes = {}
     for name, depth, want in (
         ("geometric", 12, "Type I"),
@@ -385,10 +382,10 @@ ALL_CRITERIA = (
 )
 
 
-def run_all(cache: CloudCache | None = None, numbers=None):
+def run_all(numbers=None):
     """Run the numbered criteria (all by default); criteria 6 and 8
-    share cache, a fresh CloudCache when none is given."""
-    cache = cache if cache is not None else CloudCache()
+    share one fresh CloudCache."""
+    cache = CloudCache()
     if numbers is None:
         numbers = range(1, len(ALL_CRITERIA) + 1)
     results = []

@@ -4,8 +4,8 @@ Adding a symbol b to a finite subsystem F raises the Moran root by an
 increment that scales like ratio(b)**delta, delta being the unperturbed
 dimension.  This module measures that response: certified increment
 intervals, the log-log slope across a sweep of symbols, bounds on the
-normalised increments, and the comparability window of the pressure
-derivative that controls the first-order prediction.
+normalised increments, and the band of the pressure derivative over
+[delta, 3] that controls the first-order prediction.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, DegenerateScales, InsufficientPrecision, require_int
+from .errors import ConfigError, InsufficientPrecision
 from .metrics import fit_line
 from .solver import DEFAULT_TOL, _indices, pressure_derivative, solve_dimension
 
@@ -23,9 +23,14 @@ from .solver import DEFAULT_TOL, _indices, pressure_derivative, solve_dimension
 
 def _extended(family, base, b):
     """(b, base + {b}) for a decoded base subset and a new symbol b;
-    ConfigError when base is the full selector or already holds b."""
+    ConfigError when base is the full selector, is empty or already
+    holds b.  Adjoining b to the empty set gives a singleton, and both
+    have dimension 0, so there is no increment to measure."""
     if base is None:
         raise ConfigError("perturbation needs a finite base subset")
+    if not base:
+        raise ConfigError("perturbation needs a nonempty base subset: the empty set and"
+                          " a singleton both have dimension 0")
     b = family.check_index(b)
     if b in base:
         raise ConfigError(f"symbol {b} is already in the base subset")
@@ -98,7 +103,10 @@ class SweepEntry:
 
 @dataclass(frozen=True)
 class PerturbationReport:
-    """Result of sweeping one-symbol perturbations over b_range."""
+    """Result of sweeping one-symbol perturbations over b_range.
+
+    ratio_min and ratio_max are the min and max of the normalised
+    increments increment_mid / ratio_b**delta over the sweep."""
 
     family: dict
     base_subset: tuple[int, ...]
@@ -109,46 +117,8 @@ class PerturbationReport:
     slope: float
     intercept: float
     residual: float
-
-    def ratio_bounds(self, delta=None) -> tuple[float, float]:
-        """Min and max of increment / ratio(b)**delta over the sweep;
-        delta defaults to the base dimension."""
-        if delta is None:
-            delta = self.delta
-        normalised = [e.increment_mid / e.ratio_b**delta for e in self.entries]
-        return min(normalised), max(normalised)
-
-    @property
-    def ratio_min(self) -> float:
-        return self.ratio_bounds()[0]
-
-    @property
-    def ratio_max(self) -> float:
-        return self.ratio_bounds()[1]
-
-    def as_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "base_subset": list(self.base_subset),
-            "delta": self.delta,
-            "base_lo": self.base_lo,
-            "base_hi": self.base_hi,
-            "entries": [
-                {
-                    "b": e.b,
-                    "ratio_b": e.ratio_b,
-                    "increment_lo": e.increment_lo,
-                    "increment_hi": e.increment_hi,
-                    "increment_mid": e.increment_mid,
-                }
-                for e in self.entries
-            ],
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "residual": self.residual,
-            "ratio_min": self.ratio_min,
-            "ratio_max": self.ratio_max,
-        }
+    ratio_min: float
+    ratio_max: float
 
 
 def exponent_fit(family, base_subset, b_range, tol=None) -> PerturbationReport:
@@ -158,8 +128,9 @@ def exponent_fit(family, base_subset, b_range, tol=None) -> PerturbationReport:
     sweep.  The first-order prediction puts the slope at the base
     dimension delta as ratio(b) goes to 0; finite sweeps land close but
     systematically below (the correction term decays only like
-    ratio(b)**delta itself).  The report's ratio_bounds gives min and
-    max of increment / ratio(b)**delta across the sweep.
+    ratio(b)**delta itself).  The report's ratio_min and ratio_max bound
+    increment / ratio(b)**delta across the sweep.  A sweep needs two
+    distinct perturbing ratios (ConfigError otherwise).
     """
     import numpy as np
 
@@ -179,11 +150,10 @@ def exponent_fit(family, base_subset, b_range, tol=None) -> PerturbationReport:
 
     xs = np.array([math.log(e.ratio_b) for e in entries])
     if len(set(xs.tolist())) < 2:
-        raise DegenerateScales(
-            "all perturbing ratios equal; the sweep has no regression range"
-        )
+        raise ConfigError("the sweep needs two distinct perturbing ratios")
     ys = np.array([math.log(e.increment_mid) for e in entries])
     slope, intercept, resid = fit_line(xs, ys)
+    normalised = [e.increment_mid / e.ratio_b**delta for e in entries]
 
     return PerturbationReport(
         family=family.describe(),
@@ -195,30 +165,29 @@ def exponent_fit(family, base_subset, b_range, tol=None) -> PerturbationReport:
         slope=slope,
         intercept=intercept,
         residual=resid,
+        ratio_min=min(normalised),
+        ratio_max=max(normalised),
     )
 
 
-def derivative_comparability(family, base_subset, b, s_range=None, n_grid=64):
-    """Inf and sup of -P'(F + {b}, s) over a log-spaced s grid.
+def derivative_comparability(family, base_subset, b):
+    """Inf and sup of -P'(F + {b}, s) over s in [delta, 3], delta the
+    midpoint of a 1e-11 enclosure of dim F, sampled at 64 log-spaced
+    points.
 
-    The derivative of the pressure stays within a positive band on
-    [delta, s_max]; its inf and sup bound the constants relating
-    increments to ratio(b)**delta.  Defaults: delta = dim(F) midpoint,
-    s_max = 3.
+    The derivative of the pressure stays within a positive band there;
+    its inf and sup bound the constants relating increments to
+    ratio(b)**delta.  A base of one symbol has dimension 0, where the
+    band has no log-spaced grid: ConfigError.
     """
     import numpy as np
 
-    n_grid = require_int(n_grid, "n_grid")
-    if n_grid < 1:
-        raise ConfigError(f"need at least one grid point, got n_grid = {n_grid}")
     base = _indices(family, base_subset)
     b, extended = _extended(family, base, b)
-    if s_range is None:
-        delta = solve_dimension(family, base, tol=1e-11).mid
-        s_range = (delta, 3.0)
-    s_lo, s_hi = s_range
-    if not (0 < s_lo < s_hi):
-        raise ConfigError(f"need 0 < s_lo < s_hi, got {s_range}")
-    grid = np.geomspace(s_lo, s_hi, n_grid)
+    if len(base) < 2:
+        raise ConfigError(f"the base subset {base} has dimension 0; the band [dim F, 3]"
+                          " needs a base of at least two symbols")
+    delta = solve_dimension(family, base, tol=1e-11).mid
+    grid = np.geomspace(delta, 3.0, 64)
     values = [-pressure_derivative(family, extended, float(s)) for s in grid]
     return min(values), max(values)

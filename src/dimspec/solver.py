@@ -200,11 +200,17 @@ def _double_sums(family, indices, tol):
     Each symbol's log2 ratio w is decoded once, not once per term of
     every evaluation; a term is 2.0 ** (s * w), the expression
     family.term_double evaluates, so every sum is the same float.  The
-    full selector's weights are read off the family's (base, e) row;
-    they grow with the largest n_cut seen, up to MAX_TERMS, so they are
-    packed 8 bytes each.
+    full selector's weights are read off the family's (base, e) row as
+    -e(a) * log2(base), the float family.log2_ratio(a) returns, with no
+    index check per symbol; they grow with the largest n_cut seen, up
+    to MAX_TERMS, so they are packed 8 bytes each.
     """
-    weights = array("d") if indices is None else [family.log2_ratio(a) for a in indices]
+    if indices is None:
+        base, e = family.row
+        log2_base = math.log2(base)
+        weights = array("d")
+    else:
+        weights = [family.log2_ratio(a) for a in indices]
 
     def sums(s):
         selected, tail = weights, 0.0
@@ -212,7 +218,7 @@ def _double_sums(family, indices, tol):
             if s <= family.theta:
                 return math.inf, math.inf, -math.inf, 0
             n, tail = _truncation(lambda n_cut: family.tail_majorant(n_cut, s), tol / 4)
-            weights.extend(map(family.log2_ratio, range(len(weights) + 1, n + 1)))
+            weights.extend(-e(a) * log2_base for a in range(len(weights) + 1, n + 1))
             selected = islice(weights, n)
         terms = [2.0 ** (s * w) for w in selected]
         return math.fsum(terms), tail, LN2 * math.fsum(map(mul, terms, weights)), len(terms)
@@ -620,22 +626,26 @@ def pressure_derivative(family, subset, s):
     selected symbols, always negative, read off the double tier's
     unwidened sums.  A NaN or negative s is a ConfigError, as in
     moran_bounds.  A full infinite selector is cut by the evaluator's
-    truncation rule at tol = 2**-58 * ratio(1)**s; ToleranceNotReachable
-    when MAX_TERMS terms do not get there (s near 0), instead of
-    returning the partial sum.
+    truncation rule at tol = max(2**-58 * ratio(1)**s, 2**-1072), so
+    where the first limit underflows the tail is cut once its majorant
+    underflows to 0; ToleranceNotReachable when MAX_TERMS terms do not
+    get there (s near 0), instead of returning the partial sum.
+    DivergentSum where the sum is infinite or 0, and for a full selector
+    also where it is below 2**-1022, the least normal double.
 
     The result is an estimate, not a bound.  Its error: each term
     ratio**s and each product with its log2 ratio is a plain double
     rounded to nearest; the two sums are correctly rounded fsums; and
-    the dropped tail is below 2**-60 of the sum.
+    the dropped tail is below 2**-60 of the sum, or where that limit
+    underflows below 2**-1075, less than 2**-53 of a normal sum.
     """
     if not s >= 0:
         raise ConfigError(f"pressure_derivative needs s >= 0, got {s}")
     indices = _indices(family, subset)
     if indices == ():
         raise ConfigError("pressure derivative of the empty subset is undefined")
-    tol = 2.0**-58 * family.term_double(1, s) if indices is None else 0.0
+    tol = max(2.0**-58 * family.term_double(1, s), 2.0**-1072) if indices is None else 0.0
     total, _, slope, _ = _double_sums(family, indices, tol)(s)
-    if total == 0.0 or math.isinf(total):
+    if total == 0.0 or math.isinf(total) or indices is None and total < 2.0**-1022:
         raise DivergentSum(f"moran sum diverges or vanishes at s={s}")
     return slope / total

@@ -43,12 +43,12 @@ class BranchIncrement:
     ratio: float
 
 
-def branch_increment(family, word, tol=None) -> BranchIncrement:
+def branch_increment(family, word) -> BranchIncrement:
     """Measure the dimension increment between the two children of word:
-    increment(family, word, b, tol) with b = len(word) + 1, since word
-    + '0' selects the same symbols as word."""
+    increment(family, word, b) with b = len(word) + 1, since word + '0'
+    selects the same symbols as word."""
     b = len(word) + 1
-    enclosure, d0, d1 = increment(family, word, b, tol)
+    enclosure, d0, d1 = increment(family, word, b)
     normalizer = family.term_double(b, d1.mid)
     return BranchIncrement(word, d0, d1, enclosure, normalizer, (d1.mid - d0.mid) / normalizer)
 

@@ -235,6 +235,16 @@ def test_perturb_with_an_underflowing_scale_is_a_numeric_error(capsys):
     assert json.loads(out)["error"]["type"] == "InsufficientPrecision"
 
 
+def test_perturb_over_one_symbol_is_a_config_error(capsys):
+    # used to say "all perturbing ratios equal", with exit code 3
+    code, out = run(["perturb", "--ratios", "1/2", "1/3", "1/5", "--subset", "1,2",
+                     "--b-range", "3:3"], capsys)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "ConfigError"
+    assert "two distinct perturbing ratios" in error["message"]
+
+
 def test_point_commands_reject_raw_ratios(capsys):
     code, out = run(["boxdim", "--ratios", "0.5", "0.25", "--depth", "6"], capsys)
     assert code == 2

@@ -1,8 +1,9 @@
 """The package surface: public names, the deferred numpy import, the
-integer contract for counts, no unused imports and no unread private
-names."""
+integer contract for counts, no unused imports, no unread private
+names and no option without a caller."""
 
 import ast
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -127,3 +128,82 @@ def test_no_private_name_is_left_unread():
     unread = [f"{path.name}:{line} {name}" for path in paths
               for name, line in _private_definitions(path).items() if name not in reads]
     assert unread == []
+
+
+def _options(path):
+    """(qualified name, name, positional parameters, parameters with a
+    default) of every public module-level function and public method of
+    a module-level class; self and cls are not positional parameters."""
+    options = []
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, ast.ClassDef):
+            defs = [(f"{node.name}.{d.name}", d, True) for d in node.body
+                    if isinstance(d, ast.FunctionDef)]
+        elif isinstance(node, ast.FunctionDef):
+            defs = [(node.name, node, False)]
+        else:
+            continue
+        for qualified, d, method in defs:
+            if d.name.startswith("_"):
+                continue
+            args = d.args
+            positional = [a.arg for a in args.posonlyargs + args.args]
+            static = any(isinstance(x, ast.Name) and x.id == "staticmethod"
+                         for x in d.decorator_list)
+            if method and not static:
+                positional = positional[1:]
+            defaulted = positional[len(positional) - len(args.defaults):] if args.defaults else []
+            defaulted += [a.arg for a, v in zip(args.kwonlyargs, args.kw_defaults) if v is not None]
+            options.append((qualified, d.name, positional, defaulted))
+    return options
+
+
+def _calls(paths):
+    """For each called name (a plain or attribute call): the keywords
+    some call passes (None for **kwargs) and the most positional
+    arguments one passes (inf with *args)."""
+    keywords, positional = {}, {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name is None:
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            positional[name] = max(positional.get(name, 0),
+                                   math.inf if starred else len(node.args))
+            keywords.setdefault(name, set()).update(k.arg for k in node.keywords)
+    return keywords, positional
+
+
+# Options that no call in the package or the benchmark passes, kept
+# because each is the only public route to what it gives.
+KEPT_OPTIONS = {
+    "solver.py: moran_bounds.prec": "the fixed-point tier's certified sums",
+    "construction.py: f_value.budget": "an index budget above the default, to reach indices 9-10",
+    "construction.py: f_tail_bound.budget": "an index budget above the default, to reach indices 9-10",
+    "construction.py: SeparationCheck.difference_approx.digits": "more digits of the difference",
+}
+
+
+def test_every_option_has_a_caller():
+    # A parameter default that no call in src/dimspec or perfbench/
+    # overrides, by keyword or by position, is an option nobody sets.
+    # Calls are matched by name alone, so a call to any function of the
+    # same name counts.
+    package = Path(dimspec.__file__).parent
+    perfbench = package.parents[1] / "perfbench"
+    assert perfbench.is_dir()
+    sources = sorted(package.glob("*.py"))
+    keywords, positional = _calls(sources + sorted(perfbench.glob("*.py")))
+    unset = []
+    for path in sources:
+        for qualified, name, params, defaulted in _options(path):
+            passed = keywords.get(name, set())
+            for param in defaulted:
+                by_position = param in params and params.index(param) < positional.get(name, 0)
+                if not (None in passed or param in passed or by_position):
+                    unset.append(f"{path.name}: {qualified}.{param}")
+    assert sorted(set(unset) - set(KEPT_OPTIONS)) == []
+    assert sorted(set(KEPT_OPTIONS) - set(unset)) == []

@@ -1,9 +1,13 @@
+import contextlib
+import io
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
 import oracles
+from dimspec import cli
 from dimspec.errors import ConfigError, InsufficientPrecision
 from dimspec.families import ContractionFamily
 from dimspec.perturbation import (
@@ -62,6 +66,14 @@ def test_increment_below_the_float_spacing_says_no_tol_resolves_it():
         increment(SQEXP, (1, 2), 11)
 
 
+def test_increment_retries_a_caller_tol_that_does_not_separate():
+    # tol 0.05 leaves the dimensions of {1, 2} and {1, 2, 3} overlapping;
+    # the retry at tol / 64 separates them
+    (lo, hi), _, d1 = increment(SQEXP, "11", 3, tol=0.05)
+    assert 0.0353 < lo < hi < 0.0366
+    assert d1.width_budget == 0.05 / 64
+
+
 def test_increment_positive_and_monotone_in_ratio():
     incs = []
     for b in (4, 5, 6, 7):
@@ -77,6 +89,24 @@ def test_increment_rejects_base_symbol():
         increment(SQEXP, (1, 2), 2)
     with pytest.raises(ConfigError):
         increment(SQEXP, "full", 3)
+
+
+def test_an_empty_base_is_a_config_error():
+    # A singleton has dimension 0 like the empty set, so the increment is
+    # exactly 0; these used to say no tol could resolve it.
+    for call in (lambda: increment(SQEXP, (), 3),
+                 lambda: exponent_fit(SQEXP, (), range(3, 6)),
+                 lambda: derivative_comparability(SQEXP, (), 3)):
+        with pytest.raises(ConfigError, match="nonempty base"):
+            call()
+
+
+def test_a_sweep_needs_two_distinct_ratios():
+    # type-three has ratio(1) = ratio(2) = 1/3
+    for family, base, b_range in ((SQEXP, (1, 2), [3]),
+                                  (ContractionFamily.type_three(), (3, 4), [1, 2])):
+        with pytest.raises(ConfigError, match="two distinct perturbing ratios"):
+            exponent_fit(family, base, b_range)
 
 
 def test_perturbation_rejects_fractional_indices():
@@ -107,15 +137,6 @@ def test_exponent_fit_residuals_shrink_along_the_sweep():
     assert resid[-1] < resid[0]
 
 
-def test_ratio_bounds_uses_supplied_exponent():
-    report = exponent_fit(_sweep_family(), (1, 2), range(3, 8))
-    lo1, hi1 = report.ratio_bounds()
-    lo2, hi2 = report.ratio_bounds(delta=oracles.GOLDEN_LOG2)
-    assert 0 < lo1 <= hi1
-    assert lo2 == pytest.approx(lo1, rel=1e-3)
-    assert hi2 == pytest.approx(hi1, rel=1e-3)
-
-
 def test_derivative_comparability_worked_example():
     fam = ContractionFamily.explicit(["1/2", "1/4", "1/8"])
     lo, hi = derivative_comparability(fam, (1, 2), 3)
@@ -130,10 +151,10 @@ def test_derivative_comparability_band_is_positive_and_ordered():
 
 
 def test_derivative_comparability_range_validation():
-    with pytest.raises(ConfigError):
-        derivative_comparability(SQEXP, (1, 2), 4, s_range=(0.0, 2.0))
-    with pytest.raises(ConfigError):
-        derivative_comparability(SQEXP, (1, 2), 4, s_range=(2.0, 1.0))
+    # The band [dim F, 3] starts at 0 only for a one-symbol base; that
+    # used to report an s_range of (0.0, 3.0) that the caller never passed.
+    with pytest.raises(ConfigError, match="dimension 0"):
+        derivative_comparability(SQEXP, (1,), 3)
 
 
 def test_derivative_comparability_rejects_a_symbol_already_in_the_base():
@@ -142,17 +163,19 @@ def test_derivative_comparability_rejects_a_symbol_already_in_the_base():
         derivative_comparability(SQEXP, (1, 2), 2)
 
 
-# n_grid = 2.5 used to run 2 grid points
-@pytest.mark.parametrize("n_grid", [0, -3, 2.5])
-def test_derivative_comparability_needs_a_grid_point(n_grid):
-    with pytest.raises(ConfigError):
-        derivative_comparability(SQEXP, (1, 2), 4, s_range=(0.5, 2.0), n_grid=n_grid)
-
-
 def test_report_serialisation_carries_plot_columns():
     report = exponent_fit(SQEXP, (1, 2), range(4, 8))
-    d = report.as_dict()
-    assert len(d["entries"]) == 4
-    for entry in d["entries"]:
-        assert entry["increment_lo"] <= entry["increment_mid"] <= entry["increment_hi"]
-    assert d["ratio_min"] <= d["ratio_max"]
+    assert [e.b for e in report.entries] == [4, 5, 6, 7]
+    for e in report.entries:
+        assert e.increment_lo <= e.increment_mid <= e.increment_hi
+    assert report.ratio_min <= report.ratio_max
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["perturb", "--family", "square-exponent", "--subset", "1,2",
+                         "--b-range", "4:7", "--no-timestamp"]) == 0
+    rows = json.loads(out.getvalue())["rows"]
+    columns = [dict(zip(rows["header"], row)) for row in rows["data"]]
+    assert len(columns) == 4
+    for row in columns:
+        assert row["log_ratio"] == math.log(row["ratio_b"])
+        assert row["log_increment"] == math.log(row["increment_mid"])

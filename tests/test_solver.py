@@ -690,6 +690,23 @@ def test_nan_or_negative_s_is_a_config_error(subset, s):
         pressure_derivative(GEO, subset, s)
 
 
+@pytest.mark.parametrize("fam,s,ratio", [(GEO, 1015, 2), (GEO, 1022, 2), (SQEXP, 1015, 2),
+                                         (SQEXP, 1022, 2), (T3, 641, 3)])
+def test_pressure_derivative_of_a_full_selector_at_large_s(fam, s, ratio):
+    # The cut limit 2**-60 * ratio(1)**s underflows here, but the sum is
+    # still a normal double and pressure still has a value; the slope
+    # tends to ln ratio(1).
+    pressure(fam, "full", s)
+    assert pressure_derivative(fam, "full", s) == pytest.approx(-math.log(ratio), rel=1e-15)
+
+
+@pytest.mark.parametrize("s", [1100, 1e6])
+@pytest.mark.parametrize("fam", [GEO, SQEXP, T3])
+def test_pressure_derivative_of_a_subnormal_full_sum_diverges(fam, s):
+    # as pressure does once the terms vanish
+    _raises_fast(pressure_derivative, fam, "full", s, error=DivergentSum)
+
+
 def test_pressure_derivative_diverges_at_theta():
     with pytest.raises(DivergentSum):
         pressure_derivative(SQEXP, "full", 0.0)

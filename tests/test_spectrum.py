@@ -127,17 +127,16 @@ def test_branch_increment_agrees_with_subset_increment():
             assert (bi.enclosure, bi.child0, bi.child1) == increment(SQEXP, w, len(w) + 1), w
 
 
-def test_branch_increment_retries_a_caller_tol_that_does_not_separate():
-    # tol 0.05 leaves the children of "11" overlapping; the retry at
-    # tol / 64 separates them
-    bi = branch_increment(SQEXP, "11", tol=0.05)
-    assert 0.0353 < bi.enclosure[0] < bi.enclosure[1] < 0.0366
-    assert bi.child1.width_budget == 0.05 / 64
-
-
 def test_branch_increment_below_the_float_spacing_says_no_tol_resolves_it():
     with pytest.raises(InsufficientPrecision, match="float endpoints .* cannot resolve"):
         branch_increment(SQEXP, "1" * 10)
+
+
+@pytest.mark.parametrize("word", ["", "000"])
+def test_branch_increment_of_a_word_selecting_nothing_is_a_config_error(word):
+    # both children have dimension 0; this used to say no tol resolves it
+    with pytest.raises(ConfigError, match="nonempty base"):
+        branch_increment(SQEXP, word)
 
 
 def test_geometric_cloud_is_coarser_than_square_exponent(cloud_cache):
