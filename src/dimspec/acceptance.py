@@ -277,17 +277,10 @@ def criterion_7() -> CriterionResult:
 
     decay_bad = 0
     decay_checks = 0
-    exp_cache = {}
-
-    def cached_exp(word):
-        if word not in exp_cache:
-            exp_cache[word] = g_exponent(word)
-        return exp_cache[word]
-
     for length in range(1, 9):
         for m in range(1 << length):
             w = format(m, f"0{length}b")
-            exps = [cached_exp(w[:j]) for j in range(length + 1)]
+            exps = [g_exponent(w[:j]) for j in range(length + 1)]
             for n in range(length):
                 for k in range(1, length - n + 1):
                     decay_checks += 1

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -293,15 +294,15 @@ def _cmd_localdim(args, config):
 def _cmd_gaps(args, config):
     points = _metric_points(args)
     report = uniform_perfectness_gaps(points)
-    result = report.as_dict()
-    header = list(result.keys())
+    result = dataclasses.asdict(report)
+    header = list(result)
     return _emit(args, config, {"result": result}, header, [[result[k] for k in header]])
 
 
 def _cmd_classify(args, config):
     points = _metric_points(args)
     outcome = classify_type(points)
-    summary = {"result": outcome.as_dict()}
+    summary = {"result": dataclasses.asdict(outcome)}
     rows = [[i, s] for i, s in enumerate(outcome.scalars)]
     return _emit(args, config, summary, ["center_index", "scalar"], rows)
 

@@ -23,7 +23,7 @@ exact representations:
 The factorial gaps make distinct equal-length words provably separated:
 the difference of two f-values is at least two thirds of g at their
 longest common prefix.  separation_check certifies that inequality with
-exact window arithmetic.
+one exact integer over a 256-bit window.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from itertools import product
 
 import mpmath
 
@@ -50,14 +50,15 @@ MAX_INDEX = 10
 # Depth cap for exact clouds (2**depth points, prefix indexes < 2**depth).
 DEFAULT_CLOUD_DEPTH_CAP = 8
 
+# separation_check counts in units of 2**-_WINDOW_BITS * g(prefix).
+_WINDOW_BITS = 256
+
 
 def word_index(word: str) -> int:
     """Enumeration index of a word: 1 for the empty word, then blocks of
     equal length in lexicographic order starting at 2**len."""
     validate_word(word)
-    if word == "":
-        return 1
-    return (1 << len(word)) + int(word, 2)
+    return (1 << len(word)) + int(word or "0", 2)
 
 
 def enumerate_word(n: int) -> str:
@@ -80,7 +81,7 @@ def g_exponent(word: str) -> int:
 
 def _check_budget(word: str, budget: int) -> int:
     n = word_index(word)
-    budget = min(budget, MAX_INDEX)
+    budget = min(require_int(budget, "budget"), MAX_INDEX)
     if n > budget:
         raise ExponentBudgetError(
             f"index {n} of word {word!r} exceeds the materialisation budget {budget} "
@@ -98,6 +99,7 @@ def g_value(word: str, budget: int = DEFAULT_INDEX_BUDGET) -> Fraction:
 def f_value(word: str, budget: int = DEFAULT_INDEX_BUDGET) -> Fraction:
     """f(word) as an exact Fraction; needs every charged prefix in budget."""
     validate_word(word)
+    require_int(budget, "budget")
     return sum((g_value(word[:i], budget) for i, bit in enumerate(word) if bit == "1"), Fraction(0))
 
 
@@ -116,9 +118,19 @@ def f_tail_bound(word: str, budget: int = DEFAULT_INDEX_BUDGET) -> Fraction:
 
 def f_exponents(word: str) -> tuple[int, ...]:
     """Sparse form of f(word): ascending binary exponents of its terms."""
-    validate_word(word)
-    exps = [g_exponent(word[:i]) for i, bit in enumerate(word) if bit == "1"]
-    return tuple(sorted(exps))
+    return _exponents(validate_word(word))
+
+
+def _exponents(word: str) -> tuple[int, ...]:
+    """f_exponents of a valid word.  The prefix word[:i] has index n_i,
+    with n_0 = 1 and n_{i+1} = 2*n_i + word[i]; indexes grow with i, so
+    the exponents come out ascending."""
+    exps, n = [], 1
+    for bit in word:
+        if bit == "1":
+            exps.append(2 * math.factorial(n))
+        n = 2 * n + (bit == "1")
+    return tuple(exps)
 
 
 def sparse_compare(a: tuple[int, ...], b: tuple[int, ...]) -> int:
@@ -138,6 +150,9 @@ def sparse_compare(a: tuple[int, ...], b: tuple[int, ...]) -> int:
 
 def sparse_to_mpf(exponents, digits: int = 30):
     """Approximate a sparse value for display, at >= digits precision."""
+    digits = require_int(digits, "digits")
+    if digits < 1:
+        raise ConfigError(f"digits must be at least 1, got {digits}")
     if not exponents:
         return mpmath.mpf(0)
     e0 = exponents[0]
@@ -165,19 +180,16 @@ class KPoint:
 def k_set_cloud(depth: int) -> tuple[KPoint, ...]:
     """All 2**depth exact values f(omega), |omega| = depth, sorted.
 
-    Points are exact sparse dyadics; sorting uses the lexicographic
-    exponent walk, no floating point involved.
+    Points are exact sparse dyadics, sorted in sparse_compare's order:
+    ascending by their negated exponents, no floating point involved.
     """
     depth = require_int(depth, "depth")
     if depth < 0:
         raise ConfigError(f"depth must be >= 0, got {depth}")
     if depth > DEFAULT_CLOUD_DEPTH_CAP:
         raise CapExceeded(f"cloud depth {depth} exceeds cap {DEFAULT_CLOUD_DEPTH_CAP}")
-    points = [
-        KPoint(word=format(i, f"0{depth}b") if depth else "", exponents=f_exponents(format(i, f"0{depth}b") if depth else ""))
-        for i in range(1 << depth)
-    ]
-    points.sort(key=cmp_to_key(lambda p, q: sparse_compare(p.exponents, q.exponents)))
+    points = [KPoint(w, _exponents(w)) for w in map("".join, product("01", repeat=depth))]
+    points.sort(key=lambda p: [-e for e in p.exponents])
     return tuple(points)
 
 
@@ -211,9 +223,9 @@ def separation_check(omega: str, tau: str) -> SeparationCheck:
 
     Words must be distinct and of equal length (so neither is an
     extension of the other and the difference is genuinely two-sided).
-    The certificate is exact: the difference, rescaled by g(prefix), is
-    evaluated in a window of exponents as a Fraction, and everything
-    outside the window is counted against an explicit error budget.
+    The certificate is exact: 3*delta - 2, delta the difference rescaled
+    by g(prefix), is one integer in units of 2**-256, and each term
+    outside that window weighs less than one unit of delta.
     """
     validate_word(omega)
     validate_word(tau)
@@ -222,44 +234,31 @@ def separation_check(omega: str, tau: str) -> SeparationCheck:
     if omega == tau:
         raise ConfigError("separation_check needs two distinct words")
     sigma = longest_common_prefix(omega, tau)
-    e_sigma = g_exponent(sigma)
 
-    exp_o = set(f_exponents(omega))
-    exp_t = set(f_exponents(tau))
     # The word carrying '1' right after the common prefix owns the
-    # dominant weight g(sigma) and therefore the larger f-value.
-    if tau[len(sigma)] == "1":
-        pos = tuple(sorted(exp_t - exp_o))
-        neg = tuple(sorted(exp_o - exp_t))
-    else:
-        pos = tuple(sorted(exp_o - exp_t))
-        neg = tuple(sorted(exp_t - exp_o))
+    # dominant weight g(sigma) and therefore the larger f-value.  Both
+    # share the terms of sigma's prefixes; the rest are their difference.
+    larger, smaller = (tau, omega) if tau[len(sigma)] == "1" else (omega, tau)
+    shared = sigma.count("1")
+    pos = _exponents(larger)[shared:]
+    neg = _exponents(smaller)[shared:]
+    e_sigma = pos[0]
 
-    window = 256
-    while True:
-        pos_win = [e - e_sigma for e in pos if e - e_sigma <= window]
-        neg_win = [e - e_sigma for e in neg if e - e_sigma <= window]
-        omitted = (len(pos) - len(pos_win)) + (len(neg) - len(neg_win))
-        delta = sum(Fraction(1, 1 << r) for r in pos_win) - sum(
-            Fraction(1, 1 << r) for r in neg_win
+    # One window always decides.  pos holds e_sigma; every other exponent
+    # belongs to a prefix longer than sigma, of index n > m = index(sigma),
+    # so it lies at least 2*(n! - m!) >= 2*m*m! >= 2 above e_sigma.  The
+    # smaller word's prefixes have distinct indexes, so they weigh at most
+    # 1/4 + 2**-10 + 2**-46 + ... < 0.2511 and 3*delta - 2 > 0.24, while
+    # the at most 40 omitted terms weigh below 2**-250.
+    terms = [(e - e_sigma, 3) for e in pos] + [(e - e_sigma, -3) for e in neg]
+    units = sum(c << (_WINDOW_BITS - r) for r, c in terms if r <= _WINDOW_BITS) - (2 << _WINDOW_BITS)
+    omitted = sum(r > _WINDOW_BITS for r, _ in terms)
+    if -3 * omitted <= units < 3 * omitted:
+        raise InsufficientPrecision(
+            f"separation margin for {omega!r}/{tau!r} straddles the window budget"
         )
-        # Certify 3*delta_true >= 2 where delta_true = delta +- omitted * 2**-window.
-        slack = Fraction(omitted, 1 << window)
-        lhs = 3 * delta - 2
-        if lhs >= 3 * slack:
-            return SeparationCheck(
-                omega=omega, tau=tau, prefix=sigma, threshold_exponent=e_sigma,
-                positive_exponents=pos, negative_exponents=neg,
-                satisfied=True, margin=float(lhs),
-            )
-        if lhs < -3 * slack:
-            return SeparationCheck(
-                omega=omega, tau=tau, prefix=sigma, threshold_exponent=e_sigma,
-                positive_exponents=pos, negative_exponents=neg,
-                satisfied=False, margin=float(lhs),
-            )
-        window *= 4
-        if window > 1 << 16:
-            raise InsufficientPrecision(
-                f"separation margin for {omega!r}/{tau!r} straddles the window budget"
-            )
+    return SeparationCheck(
+        omega=omega, tau=tau, prefix=sigma, threshold_exponent=e_sigma,
+        positive_exponents=pos, negative_exponents=neg,
+        satisfied=units >= 0, margin=units / (1 << _WINDOW_BITS),
+    )

@@ -421,15 +421,6 @@ class Classification:
     fit_residual: float | None
     band: tuple[float, float]
 
-    def as_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "scalars": list(self.scalars),
-            "fit_constant": self.fit_constant,
-            "fit_residual": self.fit_residual,
-            "band": list(self.band),
-        }
-
 
 def classify_type(points) -> Classification:
     """Qualitative local-dimension type of a point cloud.
@@ -476,14 +467,6 @@ class GapReport:
     center: float
     inner_distance: float
     radius: float
-
-    def as_dict(self) -> dict:
-        return {
-            "max_ratio": self.max_ratio,
-            "center": self.center,
-            "inner_distance": self.inner_distance,
-            "radius": self.radius,
-        }
 
 
 GAP_BLOCK = 2048

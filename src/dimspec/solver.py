@@ -540,6 +540,11 @@ def _certify(iterates, tol, prec):
                                 f" {to_float(x, rnd=round_nearest)!r}: {verdict}")
 
 
+def _check_tol(tol):
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ConfigError(f"tolerance must be positive and finite, got {tol}")
+
+
 def solve_dimension(family, subset="full", tol=DEFAULT_TOL, precision_bits=None):
     """Certified enclosure of the Moran root for the selected subsystem.
 
@@ -571,8 +576,7 @@ def solve_dimension(family, subset="full", tol=DEFAULT_TOL, precision_bits=None)
     the Newton bracket lies above 1, lo is the largest float <=
     1 - 2**floor(log2 tol), clipped at 0.
     """
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ConfigError(f"tolerance must be positive and finite, got {tol}")
+    _check_tol(tol)
     indices = _indices(family, subset)
     if indices is not None and len(indices) <= 1:
         return DimensionInterval(

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import product, starmap
 from multiprocessing import Pool
 
 from .errors import CapExceeded, ConfigError, require_int
 from .perturbation import increment
-from .solver import DEFAULT_TOL, DimensionInterval, _indices, solve_dimension
+from .solver import DEFAULT_TOL, DimensionInterval, _check_tol, _indices, solve_dimension
 from .words import longest_common_prefix
 
 DEPTH_CAP = 16
@@ -81,18 +82,10 @@ class SpectrumCloud:
 
 
 def _cloud_words(depth: int, base_symbols: tuple[int, ...]) -> list[str]:
-    free = [i for i in range(1, depth + 1) if i not in base_symbols]
-    words = []
-    for mask in range(1 << len(free)):
-        bits = ["0"] * depth
-        for i in base_symbols:
-            bits[i - 1] = "1"
-        for j, pos in enumerate(free):
-            if (mask >> (len(free) - 1 - j)) & 1:
-                bits[pos - 1] = "1"
-        words.append("".join(bits))
-    words.sort()
-    return words
+    """Words of the given length with '1' at each base symbol, in
+    lexicographic order: product runs the free positions in order."""
+    template = "".join("1" if i in base_symbols else "%s" for i in range(1, depth + 1))
+    return [template % bits for bits in product("01", repeat=depth - len(base_symbols))]
 
 
 def _auto_tol(family, depth: int, base_symbols) -> float:
@@ -106,12 +99,6 @@ def _auto_tol(family, depth: int, base_symbols) -> float:
     gap = family.term_double(depth, pilot.lo)
     tol = gap / 16.0
     return min(DEFAULT_TOL, max(tol, 1e-60))
-
-
-def _solve_cloud_word(args):
-    family, word, tol = args
-    interval = solve_dimension(family, word, tol=tol)
-    return word, interval
 
 
 def _spacing_constant(points, base_mid: float) -> float:
@@ -157,6 +144,8 @@ def expand_spectrum(family, depth, base_symbols=(1, 2), tol=None, workers=1) -> 
 
     if tol is None:
         tol = _auto_tol(family, depth, base_symbols)
+    else:
+        _check_tol(tol)
     base_dim = solve_dimension(family, base_symbols, tol=min(1e-10, tol * 16))
 
     words = _cloud_words(depth, base_symbols)
@@ -164,11 +153,11 @@ def expand_spectrum(family, depth, base_symbols=(1, 2), tol=None, workers=1) -> 
     if workers > 1 and len(jobs) >= 8:
         processes = min(workers, os.cpu_count() or 1)
         with Pool(processes=processes) as pool:
-            solved = pool.map(_solve_cloud_word, jobs, chunksize=max(1, len(jobs) // (4 * processes)))
+            solved = pool.starmap(solve_dimension, jobs, chunksize=max(1, len(jobs) // (4 * processes)))
     else:
-        solved = [_solve_cloud_word(j) for j in jobs]
+        solved = starmap(solve_dimension, jobs)
 
-    pts = [SpectrumPoint(word=w, interval=iv) for w, iv in solved]
+    pts = [SpectrumPoint(word=w, interval=iv) for w, iv in zip(words, solved)]
     pts.sort(key=lambda p: (p.interval.mid, p.word))
     spacing = _spacing_constant(pts, base_dim.mid)
     return SpectrumCloud(

@@ -103,6 +103,25 @@ def oracle_f_fraction(word: str) -> Fraction:
     return total
 
 
+def oracle_separation_margin(omega: str, tau: str) -> float:
+    """3 * |f(omega) - f(tau)| / g(common prefix) - 2 at 400 bits,
+    rounded to a double.  Terms of a prefix both words charge cancel
+    exactly; the rest are summed relative to the common prefix."""
+    coeff = {}
+    for word, sign in ((omega, 1), (tau, -1)):
+        for i, bit in enumerate(word):
+            if bit == "1":
+                coeff[word[:i]] = coeff.get(word[:i], 0) + sign
+    n = 0
+    while omega[n] == tau[n]:
+        n += 1
+    e_prefix = oracle_g_exponent(omega[:n])
+    with mpmath.workprec(400):
+        delta = mpmath.fsum(c * mpmath.ldexp(1, e_prefix - oracle_g_exponent(p))
+                            for p, c in coeff.items() if c)
+        return float(3 * abs(delta) - 2)
+
+
 # --- reference metric kernels ----------------------------------------------
 #
 # The straightforward kernels the fast ones in dimspec.metrics replaced:

@@ -194,12 +194,14 @@ def _config_error(argv, capsys, message):
     assert message in record["error"]["message"]
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-12", "0"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-12", "-1", "0"])
 def test_a_tolerance_that_is_not_finite_and_positive_is_a_config_error(capsys, tol):
+    # The message names the tol given, not one derived from it.
+    message = f"tolerance must be positive and finite, got {float(tol)}"
     _config_error(["dim", "--family", "square-exponent", "--subset", "1,2,3", f"--tol={tol}"],
-                  capsys, "tolerance must be positive and finite")
+                  capsys, message)
     _config_error(["spectrum", "--family", "square-exponent", "--depth", "5", f"--tol={tol}"],
-                  capsys, "tolerance must be positive and finite")
+                  capsys, message)
 
 
 def test_dim_word_is_a_binary_word_not_a_keyword(capsys):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from dimspec import construction
 from dimspec.construction import (
     DEFAULT_CLOUD_DEPTH_CAP,
     enumerate_word,
@@ -17,6 +19,7 @@ from dimspec.construction import (
     k_set_cloud,
     separation_check,
     sparse_compare,
+    sparse_to_mpf,
     word_index,
 )
 from dimspec.errors import CapExceeded, ConfigError, ExponentBudgetError
@@ -92,6 +95,31 @@ def test_budget_has_a_hard_ceiling():
         f_tail_bound("111", budget=16)
     with pytest.raises(ExponentBudgetError):
         f_value("1111", budget=16)
+
+
+@pytest.mark.parametrize("count", [3.7, 2.5, None, "x"])
+def test_counts_must_be_integers(count):
+    # A fractional count is never truncated, and a non-number is a
+    # ConfigError rather than a TypeError.
+    with pytest.raises(ConfigError, match="budget must be an integer"):
+        f_value("1", budget=count)
+    with pytest.raises(ConfigError, match="budget must be an integer"):
+        f_tail_bound("1", budget=count)
+    with pytest.raises(ConfigError, match="budget must be an integer"):
+        g_value("1", budget=count)
+    with pytest.raises(ConfigError, match="digits must be an integer"):
+        separation_check("10", "11").difference_approx(count)
+    with pytest.raises(ConfigError, match="digits must be an integer"):
+        k_set_cloud(1)[1].approx(count)
+    with pytest.raises(ConfigError, match="digits must be an integer"):
+        sparse_to_mpf((), count)
+
+
+@pytest.mark.parametrize("digits", [0, -100])
+def test_digits_must_be_positive(digits):
+    # A display window of no bits would drop every term and read 0.
+    with pytest.raises(ConfigError, match="digits must be at least 1"):
+        sparse_to_mpf((2, 12), digits)
 
 
 def test_f_tail_bound_values():
@@ -193,6 +221,46 @@ def test_separation_always_satisfied(length, data):
     chk = separation_check(wa, wb)
     assert chk.satisfied
     assert chk.margin >= 0.0
+
+
+equal_length_pairs = st.integers(min_value=1, max_value=8).flatmap(
+    lambda n: st.lists(st.text(alphabet="01", min_size=n, max_size=n),
+                       min_size=2, max_size=2, unique=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(equal_length_pairs)
+def test_separation_margin_matches_oracle(pair):
+    omega, tau = pair
+    chk = separation_check(omega, tau)
+    assert chk.satisfied
+    assert chk.margin == oracles.oracle_separation_margin(omega, tau)
+
+
+def _validated(monkeypatch):
+    """Record every word construction.validate_word sees."""
+    seen = []
+    real = construction.validate_word
+
+    def spy(word):
+        seen.append(word)
+        return real(word)
+
+    monkeypatch.setattr(construction, "validate_word", spy)
+    return seen
+
+
+def test_separation_check_validates_only_its_two_words(monkeypatch):
+    seen = _validated(monkeypatch)
+    separation_check("0110101", "0111001")
+    assert seen == ["0110101", "0111001"]
+
+
+@pytest.mark.parametrize("depth", [0, 1, 4, 8])
+def test_k_set_cloud_validates_each_word_at_most_once(monkeypatch, depth):
+    seen = _validated(monkeypatch)
+    k_set_cloud(depth)
+    assert max(Counter(seen).values(), default=0) <= 1
 
 
 def test_separation_difference_dominated_by_prefix_weight():

@@ -47,6 +47,8 @@ COUNTS = {
     "prec": lambda n: dimspec.moran_bounds(
         dimspec.ContractionFamily.square_exponent(), (1, 2), 0.5, 1e-20, 100 + n),
     "k_set_cloud": construction.k_set_cloud,
+    "budget": lambda n: construction.f_value("1", budget=n),
+    "digits": lambda n: construction.sparse_to_mpf((2, 12), n),
     "cantor_truncation": metrics.cantor_truncation,
     "enumerate_word": construction.enumerate_word,
     "scale_range": lambda n: metrics.box_dimension_estimate(

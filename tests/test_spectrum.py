@@ -20,6 +20,15 @@ def test_depth_four_cloud_hits_known_subsets():
     assert len(cloud.points) == 4
 
 
+@pytest.mark.parametrize("tol", [-1, -1e-12])
+def test_expand_spectrum_names_the_callers_tol(tol):
+    # The base solve runs at min(1e-10, 16 * tol); the error names the
+    # caller's tol, not that one.
+    with pytest.raises(ConfigError) as err:
+        expand_spectrum(SQEXP, 4, tol=tol)
+    assert str(err.value) == f"tolerance must be positive and finite, got {tol}"
+
+
 def test_cloud_points_sorted_by_value():
     cloud = expand_spectrum(SQEXP, 5)
     mids = cloud.midpoints()
@@ -68,8 +77,8 @@ class _SerialPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, jobs, chunksize=1):
-        return [fn(job) for job in jobs]
+    def starmap(self, fn, jobs, chunksize=1):
+        return [fn(*job) for job in jobs]
 
 
 @pytest.mark.parametrize("cpus,workers,processes", [(2, 5000, 2), (8, 3, 3), (None, 4, 1)])
