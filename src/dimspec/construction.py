@@ -92,8 +92,7 @@ def _check_budget(word: str, budget: int) -> int:
 
 def g_value(word: str, budget: int = DEFAULT_INDEX_BUDGET) -> Fraction:
     """Weight g(word) = 4**(-word_index(word)!) as an exact Fraction."""
-    _check_budget(word, budget)
-    return Fraction(1, 1 << g_exponent(word))
+    return Fraction(1, 1 << 2 * math.factorial(_check_budget(word, budget)))
 
 
 def f_value(word: str, budget: int = DEFAULT_INDEX_BUDGET) -> Fraction:

@@ -14,9 +14,10 @@ sum at hi stays at or below 1, the true root is inside [lo, hi] no
 matter what rounding did.  One evaluator, moran_bounds, returns both
 sums together with the slope of the sum.
 
-Solving is split from proving (solve, then certify).  The log of the
-sum, the pressure, is convex and decreasing in s, so Newton's method
-started left of the root climbs to it monotonically.  The Newton
+Solving is split from proving (solve, then certify).  The sum S and its
+log, the pressure, are convex and decreasing in s, so Newton's method
+on either, started left of the root, climbs to it monotonically: the
+double tier steps on the pressure, the mpmath tier on S - 1.  The Newton
 iterate x is only a guess: the returned endpoints are the floats just
 outside x -/+ 0.4 tol, and they are accepted only once they are
 certified.  A root above the ambient bound 1 (a ratio sum above 1) gets
@@ -42,20 +43,26 @@ slack; the one assumption is that libmp's log, multiply and exp are
 accurate to 16 ulp at the precision they run at, which is 16 bits above
 the fixed point (the accuracy note in families.py).  Both tiers cut a
 full infinite selector at the same n_cut, the first whose double tail
-majorant is below tol/4 (_truncation).  The mpmath tier polishes the
-double Newton iterate with Newton steps at working precision (or
-starts afresh when the double Newton failed).  After every step it
-checks the bracket around the new iterate from the evaluation that
-step was taken at, a point x_k inside it, with no further sum, and the
-first bracket that certifies ends the solve: S and |S'| decrease, so
-with the certified lower moment M <= |S'(x_k)| that the evaluation returns,
-S(lo) >= S_lo(x_k) + (x_k - lo) M, and S(hi) <= S_hi(x_k) - (hi - x_k) M
-times a factor that bounds how much |S'| falls between x_k and hi (the
-mean-value form of interval Newton; Moore, "Interval Analysis", 1966).
-Both are computed exactly, in integers, then rounded away from 1 to
-floats (_mean_value).  The double tier escalates automatically when its
-dead zone (where neither one-sided test is conclusive) is wider than
-the tolerance.
+majorant is below tol/4 (_truncation).  The mpmath tier starts from
+the double Newton iterate (or afresh when the double Newton failed)
+and runs Newton on S - 1 in fixed point (_fixed_newton): the iterate
+is an integer in units of 2**-q, q >= prec, and each step is read off
+the evaluation's own integers, the midpoint of its two sums minus 1
+over its lower moment M <= |S'|, floored onto the grid.  After every
+step it checks the bracket around the new iterate, whose ends are
+rounded to floats exactly, from the evaluation that step was taken
+at, a point x_k inside it, with no further sum, and the first bracket
+that certifies ends the solve: S and |S'| decrease, so
+S(lo) >= S_lo(x_k) + (x_k - lo) M, and
+S(hi) <= S_hi(x_k) - (hi - x_k) M times a factor that bounds how much
+|S'| falls between x_k and hi (the mean-value form of interval Newton;
+Moore, "Interval Analysis", 1966).  Both are computed exactly, in
+integers, then rounded away from 1 to floats (_mean_value); those are
+cert_lo and cert_hi.  Where tol is far below the float spacing near
+the root, lo and hi are the floats just outside the root -/+ 0.4 tol
+whichever path Newton takes.  The double tier escalates
+automatically when its dead zone (where neither one-sided test is
+conclusive) is wider than the tolerance.
 """
 
 from __future__ import annotations
@@ -68,10 +75,7 @@ from itertools import islice
 from operator import index, mul
 
 import mpmath
-from mpmath.libmp import (
-    from_float, from_man_exp, mpf_add, mpf_div, mpf_le, mpf_log, mpf_mul, mpf_sub,
-    round_ceiling, round_floor, round_nearest, to_float,
-)
+from mpmath.libmp import from_float, from_man_exp, mpf_le, round_nearest, to_float
 
 from .errors import ConfigError, DivergentSum, ToleranceNotReachable, require_int
 from .families import _raw, ln_enclosure, power_enclosure, term_sums
@@ -283,7 +287,8 @@ def _fixed_bounds(family, indices, tol, prec):
     sum over the summed terms of |ln ratio(a)| * ratio(a)**s (the
     lower terms times their log enclosures, rounded down), and
     ln_max >= |ln ratio(a)| for every summed symbol a; slope is the
-    float estimate of S'(s) for Newton steps.  For a named family
+    float estimate of S'(s) that moran_bounds returns (the mpmath
+    tier's Newton steps read moment instead).  For a named family
     moment is the term_sums moment times ln(base), and ln_max is
     e(n) * ln(base) with n the last symbol walked.
 
@@ -359,8 +364,9 @@ class DimensionInterval:
     the float hi, or None when hi is the ambient bound 1 (the attractor
     lives in the unit interval, so its dimension never exceeds 1).  Both
     are floats rounded away from 1: the one-sided sums on the double
-    tier, the mean-value bounds from the evaluation that certified on
-    the mpmath tier (_mean_value).
+    tier; on the mpmath tier, the mean-value bounds (_mean_value) from
+    the fixed-point evaluation that certified, the one the last Newton
+    step on S - 1 was taken from.
     When the ratios sum above 1 the Moran root lies above 1 and is not
     reported: the interval is [lo, 1] with hi_is_ambient set, and only
     lo is certified.  exact marks the degenerate empty/singleton cases
@@ -427,30 +433,6 @@ def _newton(bounds, x, tol):
     return None
 
 
-def _polish(sums, x, prec):
-    """Newton's method on the pressure at prec bits from the float x.
-
-    sums is a _fixed_bounds evaluator.  The iterates are raw libmp
-    numbers, every operation rounded to nearest at prec bits.  Yields
-    (x_next, x, evaluation at x) after every step; stops once a step no
-    longer moves x, after NEWTON_STEPS steps, or where the sum diverges
-    or vanishes.
-    """
-    x = from_float(x)
-    for _ in range(NEWTON_STEPS):
-        evaluation = sums(x)
-        if evaluation is None or not evaluation[5] < 0:
-            return
-        lo, hi, _, _, bits, slope = evaluation
-        mid = from_man_exp(lo + hi, -bits - 1, prec, round_nearest)
-        step = mpf_div(mpf_mul(mid, mpf_log(mid, prec, round_nearest), prec, round_nearest),
-                       from_float(slope), prec, round_nearest)
-        x, previous = mpf_sub(x, step, prec, round_nearest), x
-        yield x, previous, evaluation
-        if x == previous:
-            return
-
-
 def _bracket(lo, hi, tol):
     """[lo, hi] clipped to [0, 1]; when even lo lies above 1 (a ratio
     sum above 1), [1 - 2**floor(log2 tol), 1] instead, its lower end
@@ -478,21 +460,35 @@ def _accept(lo, hi, cert_lo, cert_hi, method):
     return f"the {method} upper bound at hi is {cert_hi!r}, above 1"
 
 
-def _offset(a, b):
-    """a - b for raw libmp numbers, exactly: (m, k) with a - b = m * 2**-k
-    and k >= 0."""
-    (sa, ma, ea, _), (sb, mb, eb, _) = a, b
-    e = min(ea, eb, 0)
-    return ((-ma if sa else ma) << (ea - e)) - ((-mb if sb else mb) << (eb - e)), -e
+def _float_of(n, k, up):
+    """n * 2**-k, for ints n and k >= 0, rounded to a float exactly: the
+    largest float <= it, or with up the smallest float >= it.  Python's
+    int division rounds to nearest correctly, subnormals included, and
+    one exact comparison turns that into the directed rounding."""
+    f = n / (1 << k)
+    num, den = f.as_integer_ratio()
+    past = (num << k) - n * den  # sign of f - n * 2**-k
+    if past > 0 and not up or past < 0 and up:
+        f = math.nextafter(f, math.inf if up else -math.inf)
+    return f
 
 
-def _mean_value(lo, hi, at, evaluation):
+def _minus(at, q, x):
+    """at * 2**-q - x for an int at and a float x, exactly: (m, k) with
+    the difference m * 2**-k and k >= q."""
+    num, den = x.as_integer_ratio()
+    j = den.bit_length() - 1
+    k = max(q, j)
+    return (at << (k - q)) - (num << (k - j)), k
+
+
+def _mean_value(lo, hi, at, q, evaluation):
     """Bounds on the Moran sum S at the floats lo and hi from one
-    evaluation at the raw point at: (lower bound at lo, upper bound at
-    hi), computed exactly in integers and rounded to floats away from 1
-    (down, up), or -inf (inf) when at lies above lo (below hi) and gives
-    no such bound.  1 is a float, so comparing the rounded bounds with 1
-    decides exactly what comparing the exact ones would.
+    evaluation at the point at * 2**-q: (lower bound at lo, upper bound
+    at hi), computed exactly in integers and rounded to floats away from
+    1 (down, up), or -inf (inf) when the point lies above lo (below hi)
+    and gives no such bound.  1 is a float, so comparing the rounded
+    bounds with 1 decides exactly what comparing the exact ones would.
 
     S and |S'| decrease, and |S'(s)| >= moment at s <= at, so for
     lo <= at, S(lo) >= S_lo(at) + (at - lo) * moment.  For s in
@@ -504,40 +500,50 @@ def _mean_value(lo, hi, at, evaluation):
     """
     sum_lo, sum_hi, moment, ln_max, bits, _ = evaluation
     lower, upper = -math.inf, math.inf
-    m, k = _offset(at, from_float(lo))
+    m, k = _minus(at, q, lo)
     if m >= 0:
-        lower = to_float(from_man_exp((sum_lo << k) + m * moment, -bits - k), rnd=round_floor)
-    m, k = _offset(from_float(hi), at)
-    if m >= 0:
-        factor = max(0, (1 << (bits + k)) - m * ln_max)
-        upper = to_float(from_man_exp((sum_hi << (bits + 2 * k)) - m * moment * factor,
-                                      -2 * (bits + k)), rnd=round_ceiling)
+        lower = _float_of((sum_lo << k) + m * moment, bits + k, False)
+    m, k = _minus(at, q, hi)  # m * 2**-k = at - hi
+    if m <= 0:
+        factor = max(0, (1 << (bits + k)) + m * ln_max)
+        upper = _float_of((sum_hi << (bits + 2 * k)) + m * moment * factor,
+                          2 * (bits + k), True)
     return lower, upper
 
 
-def _certify(iterates, tol, prec):
-    """Certify the bracket x -/+ 0.4 tol around a Newton iterate x from
-    the Newton evaluation before it, by _mean_value and _accept.
-
-    iterates yields (x, point of the last evaluation, that evaluation),
-    as _polish does, and every state is checked until one certifies.
-    The bracket is the floats just outside x -/+ 0.4 tol, each end first
-    rounded to prec bits, then _bracket.  The first bracket that
-    certifies is returned; when none does, ToleranceNotReachable names
-    the bound that failed last.
+def _fixed_newton(sums, x, tol, prec):
+    """Newton's method on S - 1 in fixed point from x (a float or a
+    dyadic rational), as the module docstring describes: the fields of
+    the first bracket that certifies.  The iterate is an int in units of
+    2**-q, with q >= prec, enough bits to hold x, and 10 bits below the
+    floats near x, so the iterate, not its grid, decides the floats just
+    outside it -/+ 0.4 tol.  The loop ends at a step of 0, after
+    NEWTON_STEPS steps, or where the sum diverges or its moment
+    vanishes; ToleranceNotReachable then names the bound that failed
+    last.
     """
-    half = from_float(0.4 * tol)
+    num, den = x.as_integer_ratio()
+    q = max(prec, den.bit_length() - 1, 64 - math.frexp(x)[1])
+    at = (num << q) // den
     verdict = None
-    for x, at, evaluation in iterates:
-        lo, hi = _bracket(to_float(mpf_sub(x, half, prec, round_nearest), rnd=round_floor),
-                          to_float(mpf_add(x, half, prec, round_nearest), rnd=round_ceiling), tol)
-        verdict = _accept(lo, hi, *_mean_value(lo, hi, at, evaluation), "mean-value")
+    for _ in range(NEWTON_STEPS):
+        evaluation = sums(from_man_exp(at, -q))
+        if evaluation is None or evaluation[2] <= 0:
+            break
+        sum_lo, sum_hi, moment, _, bits, _ = evaluation
+        x = at + ((sum_lo + sum_hi - (2 << bits)) << q) // (2 * moment)
+        lo, hi = _bracket(_float_of(*_minus(x, q, 0.4 * tol), False),
+                          _float_of(*_minus(x, q, -0.4 * tol), True), tol)
+        verdict = _accept(lo, hi, *_mean_value(lo, hi, at, q, evaluation), "mean-value")
         if not isinstance(verdict, str):
             return verdict
+        if x == at:
+            break
+        at = x
     if verdict is None:
         raise ToleranceNotReachable(f"Newton's method does not settle at {prec} bits")
     raise ToleranceNotReachable(f"cannot certify [{lo!r}, {hi!r}] around the Newton iterate"
-                                f" {to_float(x, rnd=round_nearest)!r}: {verdict}")
+                                f" {x / (1 << q)!r}: {verdict}")
 
 
 def _check_tol(tol):
@@ -562,9 +568,9 @@ def solve_dimension(family, subset="full", tol=DEFAULT_TOL, precision_bits=None)
     and the floats just outside root -/+ 0.4 tol are certified by one
     lower and one upper sum, evaluated at exactly those floats.
     Precision escalates from doubles to mpmath automatically unless
-    precision_bits pins a tier; the mpmath tier polishes the same
-    double Newton iterate at working precision and returns the first
-    bracket around a polished iterate that the evaluation before it
+    precision_bits pins a tier; the mpmath tier runs Newton on S - 1
+    in fixed point from the same double Newton iterate and returns the
+    first bracket around an iterate that the evaluation before it
     certifies.  When the mpmath tier cannot certify either,
     ToleranceNotReachable names the bound that failed.
 
@@ -577,7 +583,12 @@ def solve_dimension(family, subset="full", tol=DEFAULT_TOL, precision_bits=None)
     1 - 2**floor(log2 tol), clipped at 0.
     """
     _check_tol(tol)
-    indices = _indices(family, subset)
+    return _solve(family, _indices(family, subset), tol, precision_bits)
+
+
+def _solve(family, indices, tol, precision_bits):
+    """solve_dimension of the symbols indices, as _indices returns them,
+    at a tol _check_tol accepts."""
     if indices is not None and len(indices) <= 1:
         return DimensionInterval(
             lo=0.0, hi=0.0, width_budget=tol, exact=True,
@@ -602,7 +613,7 @@ def solve_dimension(family, subset="full", tol=DEFAULT_TOL, precision_bits=None)
         prec = max(96, int(math.ceil(-math.log2(tol))) + 50)
 
     sums = _fixed_bounds(family, indices, tol, prec)
-    fields = _certify(_polish(sums, start if x is None else x, prec), tol, prec)
+    fields = _fixed_newton(sums, start if x is None else x, tol, prec)
     return DimensionInterval(width_budget=tol, tier="mpmath", precision_bits=prec, **fields)
 
 

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import product, starmap
+from itertools import compress, product, starmap
 from multiprocessing import Pool
 
 from .errors import CapExceeded, ConfigError, require_int
 from .perturbation import increment
-from .solver import DEFAULT_TOL, DimensionInterval, _check_tol, _indices, solve_dimension
+from .solver import DEFAULT_TOL, DimensionInterval, _check_tol, _indices, _solve, solve_dimension
 from .words import longest_common_prefix
 
 DEPTH_CAP = 16
@@ -148,14 +148,19 @@ def expand_spectrum(family, depth, base_symbols=(1, 2), tol=None, workers=1) -> 
         _check_tol(tol)
     base_dim = solve_dimension(family, base_symbols, tol=min(1e-10, tol * 16))
 
+    # Each word goes to the solver as the positions of its 1 bits, which
+    # are valid symbols once the deepest is, so no word is decoded and
+    # validated again, in the pool either.
+    if depth > base_symbols[-1]:
+        family.check_index(depth)
     words = _cloud_words(depth, base_symbols)
-    jobs = [(family, w, tol) for w in words]
+    jobs = [(family, tuple(compress(range(1, depth + 1), map(int, w))), tol, None) for w in words]
     if workers > 1 and len(jobs) >= 8:
         processes = min(workers, os.cpu_count() or 1)
         with Pool(processes=processes) as pool:
-            solved = pool.starmap(solve_dimension, jobs, chunksize=max(1, len(jobs) // (4 * processes)))
+            solved = pool.starmap(_solve, jobs, chunksize=max(1, len(jobs) // (4 * processes)))
     else:
-        solved = starmap(solve_dimension, jobs)
+        solved = starmap(_solve, jobs)
 
     pts = [SpectrumPoint(word=w, interval=iv) for w, iv in zip(words, solved)]
     pts.sort(key=lambda p: (p.interval.mid, p.word))

@@ -256,6 +256,12 @@ def test_separation_check_validates_only_its_two_words(monkeypatch):
     assert seen == ["0110101", "0111001"]
 
 
+def test_f_value_validates_its_word_and_each_charged_prefix_once(monkeypatch):
+    seen = _validated(monkeypatch)
+    assert f_value("0011", budget=10) == oracles.oracle_f_fraction("0011")
+    assert seen == ["0011", "00", "001"]
+
+
 @pytest.mark.parametrize("depth", [0, 1, 4, 8])
 def test_k_set_cloud_validates_each_word_at_most_once(monkeypatch, depth):
     seen = _validated(monkeypatch)

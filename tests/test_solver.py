@@ -1,13 +1,13 @@
 import math
 import time
-from collections import Counter, deque
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import from_float, mpf_sub, round_nearest
+from mpmath.libmp import from_man_exp, round_ceiling, round_floor, to_float
 
 import oracles
 from dimspec import families, solver, spectrum
@@ -20,6 +20,7 @@ from dimspec.solver import (
     pressure_derivative,
     solve_dimension,
 )
+from dimspec.words import subset_of_word
 
 SQEXP = ContractionFamily.square_exponent()
 GEO = ContractionFamily.geometric()
@@ -245,19 +246,20 @@ def test_certificates_sit_at_the_reported_endpoints(case):
 def test_newton_iterate_off_the_root_never_yields_an_interval(monkeypatch, subset, tol):
     # A Newton iterate 0.25 to the right of its start misses the root in
     # both tiers: the double tier's bracket fails and escalates (when tol
-    # is within its reach); the mpmath tier's polish gets stuck there (a
-    # step that no longer moves x ends it), so its one mean-value check
+    # is within its reach); the mpmath tier, allowed one Newton step from
+    # there, checks the new bracket only from the evaluation at the
+    # off-root iterate, which lies above it, so its one mean-value check
     # fails and it raises.
     tiers, refusals = [], []
+    fixed_newton = solver._fixed_newton
 
     def double_off_the_root(bounds, x, tol):
         tiers.append(None)
         return x + 0.25
 
-    def polish_off_the_root(sums, x, prec):
+    def fixed_newton_spy(sums, x, tol, prec):
         tiers.append(prec)
-        x = from_float(x + 0.25)
-        yield x, x, sums(x)
+        return fixed_newton(sums, x, tol, prec)
 
     def refusal_spy(accept):
         def spy(*args):
@@ -268,7 +270,8 @@ def test_newton_iterate_off_the_root_never_yields_an_interval(monkeypatch, subse
         return spy
 
     monkeypatch.setattr(solver, "_newton", double_off_the_root)
-    monkeypatch.setattr(solver, "_polish", polish_off_the_root)
+    monkeypatch.setattr(solver, "_fixed_newton", fixed_newton_spy)
+    monkeypatch.setattr(solver, "NEWTON_STEPS", 1)
     monkeypatch.setattr(solver, "_accept", refusal_spy(solver._accept))
     with pytest.raises(ToleranceNotReachable, match="cannot certify .* around the Newton iterate"):
         solve_dimension(SQEXP, subset, tol=tol)
@@ -276,31 +279,93 @@ def test_newton_iterate_off_the_root_never_yields_an_interval(monkeypatch, subse
     assert len(refusals) == (2 if tol >= solver.TOL_MIN_DOUBLE else 1)
 
 
-def _settled_newton(fam, subset, tol, prec):
-    """The fixed-point evaluator and the last Newton state of the polish
-    from 0, whose step no longer moves x."""
-    sums = solver._fixed_bounds(fam, solver._indices(fam, subset), tol, prec)
-    return sums, deque(solver._polish(sums, 0.0, prec), maxlen=1)[0]
+def _dyadic_fraction(x):
+    """An mpf as an exact Fraction."""
+    man, exp = x.man_exp
+    return Fraction(man) * Fraction(2) ** exp
 
 
 @pytest.mark.parametrize("fam,subset", [(SQEXP, (1, 2, 5)), (T3, (1, 3, 4)),
                                         (ContractionFamily.explicit(["1/3", "1/4", "2/5"]), "full")])
-def test_the_mean_value_check_needs_its_moment_and_its_exponent_bound(fam, subset):
-    # Evaluated at x - 0.3 tol, left of the root, the sum still exceeds
-    # 1 there, so only the moment can carry the upper bound at hi below 1.
-    # With the true evaluation the bracket certifies; with the moment
-    # zeroed, or with the bound on |ln ratio| (e_max * ln base for a
-    # named family) inflated until the factor 1 - e_max (hi - x) ln base
-    # is 0, the same bracket is refused.  Inflating the moment itself
-    # would only loosen both bounds.
+def test_the_mean_value_check_needs_its_moment_and_its_exponent_bound(monkeypatch, fam, subset):
+    # One Newton step from a point 0.3 tol left of the 200-bit root, where
+    # the sum still exceeds 1, so only the moment can carry the upper
+    # bound at hi below 1.  With the true evaluation the bracket
+    # certifies; with the moment zeroed, or with the bound on |ln ratio|
+    # (e_max * ln base for a named family) inflated until the factor
+    # 1 - e_max (hi - x) ln base is 0, the same bracket is refused.
+    # Inflating the moment itself would only loosen both bounds.
     tol, prec = 1e-20, 120
-    sums, (x, _, _) = _settled_newton(fam, subset, tol, prec)
-    at = mpf_sub(x, from_float(0.3 * tol), prec, round_nearest)
-    lo, hi, moment, ln_max, bits, slope = sums(at)
-    assert solver._certify(iter([(x, at, (lo, hi, moment, ln_max, bits, slope))]), tol, prec)
-    for corrupt in [(lo, hi, 0, ln_max, bits, slope), (lo, hi, moment, ln_max << 200, bits, slope)]:
+    indices = solver._indices(fam, subset)
+    root = oracles.bisect_root(lambda s: oracles.ref_sum(fam, indices, s, oracles.PREC))
+    at = _dyadic_fraction(root) - Fraction(0.3 * tol)
+    sums = solver._fixed_bounds(fam, indices, tol, prec)
+    monkeypatch.setattr(solver, "NEWTON_STEPS", 1)
+    assert solver._fixed_newton(sums, at, tol, prec)
+    mean_value = solver._mean_value
+    for corrupt in [lambda lo, hi, moment, ln_max, bits, slope: (lo, hi, 0, ln_max, bits, slope),
+                    lambda lo, hi, moment, ln_max, bits, slope: (lo, hi, moment, ln_max << 200,
+                                                                  bits, slope)]:
+        monkeypatch.setattr(solver, "_mean_value", lambda lo, hi, at, q, evaluation, corrupt=corrupt:
+                            mean_value(lo, hi, at, q, corrupt(*evaluation)))
         with pytest.raises(ToleranceNotReachable, match="mean-value upper bound at hi"):
-            solver._certify(iter([(x, at, corrupt)]), tol, prec)
+            solver._fixed_newton(sums, at, tol, prec)
+
+
+def _float_below(x):
+    """The largest float <= the Fraction x."""
+    f = float(x)
+    return math.nextafter(f, -math.inf) if Fraction(f) > x else f
+
+
+def test_mpmath_tier_endpoints_are_fixed_by_the_root():
+    # The mpmath tier reports the floats just outside x -/+ 0.4 tol for
+    # its last Newton iterate x.  At the auto tol of the depth-10 cloud
+    # every x lies far closer to the root than the root's ends lie to a
+    # float, so lo and hi are the root's own: any Newton path that
+    # certifies gives the same endpoints.
+    cloud = spectrum.expand_spectrum(SQEXP, 10)
+    half = Fraction(0.4 * cloud.tol)
+    for point in cloud.points:
+        iv = point.interval
+        root = _dyadic_fraction(oracles.sqexp_root(subset_of_word(point.word)))
+        assert iv.tier == "mpmath"
+        assert iv.lo == _float_below(root - half)
+        assert iv.hi == -_float_below(-root - half)
+
+
+@st.composite
+def dyadics(draw):
+    """(n, k) with n * 2**-k between about 2**-1140 and 2**1000 in
+    magnitude, or 0: normal and subnormal floats, below-subnormal
+    values, and numerators of up to 1200 bits."""
+    n = draw(st.integers(min_value=-2**1200, max_value=2**1200))
+    return n, max(0, n.bit_length() + draw(st.integers(min_value=-1000, max_value=1140)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(dyadics())
+@example((1, 1075))
+@example((3, 1076))  # libmp's round_floor gives 2**-1074 here, rounding twice
+@example((-3, 1076))
+@example((2**53 + 1, 53))
+@example((-(2**1101) - 1, 2100))
+@example((2**1101 + 3, 2176))
+@example((0, 5))
+def test_dyadics_round_to_floats_exactly(case):
+    # The ends of the mpmath tier's bracket and its mean-value bounds are
+    # exact dyadics rounded to floats down and up.  Every result is
+    # checked against its definition; normal results also against
+    # libmp's directed rounding, which rounds to 53 bits and then to the
+    # float, so it can miss in the subnormal range (its docstring says so).
+    n, k = case
+    x = Fraction(n, 1 << k)
+    down, up = solver._float_of(n, k, False), solver._float_of(n, k, True)
+    assert Fraction(down) <= x < Fraction(math.nextafter(down, math.inf))
+    assert Fraction(math.nextafter(up, -math.inf)) < x <= Fraction(up)
+    if min(abs(down), abs(up)) >= 2.0**-1022:
+        assert down == to_float(from_man_exp(n, -k), rnd=round_floor)
+        assert up == to_float(from_man_exp(n, -k), rnd=round_ceiling)
 
 
 def _counting_chains(monkeypatch):
@@ -319,9 +384,9 @@ def _counting_chains(monkeypatch):
 @pytest.mark.parametrize("depth", [10, 11, 12, 14])
 def test_deep_cloud_solves_mostly_certify_from_their_first_evaluation(monkeypatch, depth):
     # Each square-exponent cloud word at the auto tol runs on the mpmath
-    # tier.  The polish stops at the first evaluation that certifies its
-    # bracket; where the double Newton iterate already bounds it, that is
-    # the first one.  None may need a third.
+    # tier.  Its fixed-point Newton stops at the first evaluation that
+    # certifies its bracket; where the double Newton iterate already
+    # bounds it, that is the first one.  None may need a third.
     chains = _counting_chains(monkeypatch)
     tol = spectrum._auto_tol(SQEXP, depth, (1, 2))
     costs = Counter()
@@ -359,21 +424,22 @@ def test_fixed_tier_sums_the_double_tier_cut(monkeypatch, fam, s, tol):
 
 def test_escalation_reuses_the_double_newton_iterate(monkeypatch):
     # The double tier cannot certify square-exponent full at 1e-13; the
-    # mpmath tier polishes the double iterate instead of solving again.
+    # mpmath tier starts its Newton from the double iterate instead of
+    # solving again.
     calls = []
-    newton, polish = solver._newton, solver._polish
+    newton, fixed_newton = solver._newton, solver._fixed_newton
 
     def newton_spy(bounds, x, tol):
         x = newton(bounds, x, tol)
         calls.append((None, x))
         return x
 
-    def polish_spy(sums, x, prec):
+    def fixed_newton_spy(sums, x, tol, prec):
         calls.append((prec, x))
-        return polish(sums, x, prec)
+        return fixed_newton(sums, x, tol, prec)
 
     monkeypatch.setattr(solver, "_newton", newton_spy)
-    monkeypatch.setattr(solver, "_polish", polish_spy)
+    monkeypatch.setattr(solver, "_fixed_newton", fixed_newton_spy)
     iv = solve_dimension(SQEXP, "full", tol=1e-13)
     assert iv.tier == "mpmath"
     assert [prec for prec, _ in calls] == [None, 96]

@@ -108,6 +108,19 @@ def test_depth_and_base_validation():
                 expand_spectrum(family, 2, base_symbols=full)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cloud_words_are_solved_as_their_subsets(workers):
+    # The cloud hands the solver each word's symbols, not the word; every
+    # point is still the word's own solve, and a word past the end of a
+    # finite family is the ConfigError the word's solve would raise.
+    cloud = expand_spectrum(SQEXP, 5, tol=1e-20, workers=workers)
+    assert all(p.interval == solve_dimension(SQEXP, p.word, tol=1e-20) for p in cloud.points)
+    family = ContractionFamily.explicit(["1/2", "1/3", "1/4"])
+    with pytest.raises(ConfigError, match="^index 5 out of range for explicit family of size 3$"):
+        expand_spectrum(family, 5, tol=1e-9, workers=workers)
+    assert expand_spectrum(family, 3, base_symbols=(1, 3), tol=1e-9).points[0].word == "101"
+
+
 # (1.5, 2) used to run the (1, 2) cloud, and depth 4.7 depth 4
 @pytest.mark.parametrize("depth,base", [(4, (1.5, 2)), (4.7, (1, 2))])
 def test_non_integer_base_symbols_and_depth_are_config_errors(depth, base):
