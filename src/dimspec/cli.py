@@ -417,14 +417,17 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         text, code = _execute(args)
+        if args.out:
+            try:
+                Path(args.out).write_text(text)
+            except OSError as exc:
+                raise ConfigError(f"cannot write --out {args.out}: {exc.strerror}") from None
     except DimspecError as exc:
         record = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(json.dumps(record, sort_keys=True))
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 1)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
     return code
 

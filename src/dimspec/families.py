@@ -12,8 +12,8 @@ ratio(a) = base**(-e(a)) with an increasing convex integer exponent e:
 
 For the infinite families one closed-form tail majorant bounds the sum
 of ratio(a)**s over all a > N, which is what makes certified upper sums
-possible.  All families here have finiteness exponent theta = 0: the
-sum of ratio(a)**s is finite for every s > 0 and infinite at s = 0.
+possible.  The sum of ratio(a)**s over every symbol of a named family
+is finite for every s > 0 and infinite at s = 0.
 
 Terms come in two tiers.  term_double and tail_majorant evaluate in
 doubles.  The mpmath tier encloses terms in fixed point between two
@@ -22,7 +22,9 @@ term_sums walks a named row once from y = base**(-s) by integer multiply
 and shift, rounded down for the lower sum and up for the upper sum, with
 its tail majorant in the same integers.  ln_enclosure encloses |ln ratio|
 in the same integers, for the derivative bounds the mpmath tier
-certifies with.
+certifies with.  The mpmath tier's point s is an exact dyadic
+at * 2**-q, passed as the int pair (at, q); libmp numbers are built
+here alone, and dyadic_mpf turns fixed-point units into an mpf.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 
-from mpmath.libmp import from_float, from_rational, mpf_exp, mpf_log, mpf_mul, round_nearest, to_fixed
+from mpmath import mp
+from mpmath.libmp import from_man_exp, from_rational, mpf_exp, mpf_log, mpf_mul, round_nearest, to_fixed
 
 from .errors import ConfigError, ToleranceNotReachable
 
@@ -138,11 +141,6 @@ class ContractionFamily:
         """(base, e) of a named family, ratio(a) = base**(-e(a)); None
         for an explicit family."""
         return None if self._ratios is not None else (self._base, self._e)
-
-    @property
-    def theta(self) -> float:
-        """Finiteness exponent: inf of s with a finite moran sum."""
-        return 0.0
 
     def check_index(self, a) -> int:
         """a as a validated int; ConfigError for anything that is not an
@@ -259,7 +257,8 @@ class ContractionFamily:
 #
 # An enclosure of x at `bits` bits is a pair of ints lo <= x * 2**bits <= hi.
 # power_enclosure(v, s, bits) encloses v**s = exp(s * ln v) with one libmp
-# exp at w = bits + EXP_GUARD_BITS + bit_length(ceil s) bits.
+# exp at w = bits + EXP_GUARD_BITS + max(0, k) bits, for s = at * 2**-q
+# below 2**k, k = at.bit_length() - q.
 #
 # Accuracy assumption: libmp's from_rational, mpf_log, mpf_mul and mpf_exp
 # at w bits each return a value within 2**(4-w) relative of the exact
@@ -280,14 +279,6 @@ def _ln(numerator: int, denominator: int, bits: int):
     return mpf_log(from_rational(numerator, denominator, bits, round_nearest), bits)
 
 
-def _raw(s):
-    """s (a raw libmp number, an mpf, a float or an int) as a raw libmp
-    number, exactly."""
-    if type(s) is tuple:
-        return s
-    return s._mpf_ if hasattr(s, "_mpf_") else from_float(float(s))
-
-
 @lru_cache(maxsize=256)
 def ln_enclosure(numerator: int, denominator: int, bits: int) -> tuple[int, int]:
     """(lo, hi) with lo <= |ln(numerator/denominator)| * 2**bits <= hi,
@@ -303,23 +294,29 @@ def ln_enclosure(numerator: int, denominator: int, bits: int) -> tuple[int, int]
     return max(mid - WIDEN_UNITS, 0), mid + WIDEN_UNITS
 
 
+def dyadic_mpf(units: int, bits: int):
+    """units * 2**-bits as an mpf, exactly."""
+    return mp.make_mpf(from_man_exp(units, -bits))
+
+
 def power_enclosure(value: Fraction, s, bits: int) -> tuple[int, int]:
     """(lo, hi) with lo <= value**s * 2**bits <= hi <= 2**bits, for
-    0 < value <= 1 and s >= 0: one exp."""
-    s = _raw(s)
-    sign, _, exp, bc = s
-    if sign:
+    0 < value <= 1 and s = at * 2**-q >= 0 given as the int pair
+    (at, q): one exp."""
+    at, q = s
+    if at < 0:
         raise ConfigError("fixed-point powers need s >= 0")
-    w = bits + EXP_GUARD_BITS + max(0, exp + bc)
+    w = bits + EXP_GUARD_BITS + max(0, at.bit_length() - q)
     ln = _ln(value.numerator, value.denominator, w)
-    mid = to_fixed(mpf_exp(mpf_mul(s, ln, w), w), bits)
+    mid = to_fixed(mpf_exp(mpf_mul(from_man_exp(at, -q), ln, w), w), bits)
     return max(mid - WIDEN_UNITS, 0), min(mid + WIDEN_UNITS, 1 << bits)
 
 
 def term_sums(family, s, bits, n, selected=None):
     """Sums of the terms ratio(a)**s = y**e(a), y = base**(-s), of a
     named family over a = 1..n, each term enclosed at `bits` bits:
-    (lo, hi, moment, tail), ints in units of 2**-bits.
+    (lo, hi, moment, tail), ints in units of 2**-bits.  s = at * 2**-q
+    is the int pair (at, q), as power_enclosure takes it.
 
     A term is added when selected is None or a is in selected.  lo and
     hi enclose the sum, and moment is the sum of the lower terms times

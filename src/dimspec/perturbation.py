@@ -129,30 +129,32 @@ def exponent_fit(family, base_subset, b_range, tol=None) -> PerturbationReport:
     dimension delta as ratio(b) goes to 0; finite sweeps land close but
     systematically below (the correction term decays only like
     ratio(b)**delta itself).  The report's ratio_min and ratio_max bound
-    increment / ratio(b)**delta across the sweep.  A sweep needs two
-    distinct perturbing ratios (ConfigError otherwise).
+    increment / ratio(b)**delta across the sweep.  The sweep is checked
+    before any solve, on the ratios the fit logs: one that underflows to
+    0 in doubles is InsufficientPrecision, and fewer than two distinct
+    ones is a ConfigError.
     """
     import numpy as np
 
     base = _indices(family, base_subset)
     bs = [_extended(family, base, b)[0] for b in b_range]
-    if not bs:
-        raise ConfigError("empty perturbation sweep")
+    ratios = [family.term_double(b, 1.0) for b in bs]
+    if 0.0 in ratios:
+        raise InsufficientPrecision(
+            f"ratio({bs[ratios.index(0.0)]}) underflows to 0 in doubles, so its log cannot be fitted")
+    xs = [math.log(r) for r in ratios]
+    if len(set(xs)) < 2:
+        raise ConfigError("the sweep needs two distinct perturbing ratios")
     base_dim = solve_dimension(family, base, tol=min(1e-11, tol or DEFAULT_TOL))
     delta = base_dim.mid
 
     entries = []
-    for b in bs:
+    for b, ratio_b in zip(bs, ratios):
         (lo, hi), _, _ = increment(family, base, b, tol=tol)
-        entries.append(
-            SweepEntry(b=b, ratio_b=family.term_double(b, 1.0), increment_lo=lo, increment_hi=hi)
-        )
+        entries.append(SweepEntry(b=b, ratio_b=ratio_b, increment_lo=lo, increment_hi=hi))
 
-    xs = np.array([math.log(e.ratio_b) for e in entries])
-    if len(set(xs.tolist())) < 2:
-        raise ConfigError("the sweep needs two distinct perturbing ratios")
     ys = np.array([math.log(e.increment_mid) for e in entries])
-    slope, intercept, resid = fit_line(xs, ys)
+    slope, intercept, resid = fit_line(np.array(xs), ys)
     normalised = [e.increment_mid / e.ratio_b**delta for e in entries]
 
     return PerturbationReport(

@@ -46,7 +46,8 @@ full infinite selector at the same n_cut, the first whose double tail
 majorant is below tol/4 (_truncation).  The mpmath tier starts from
 the double Newton iterate (or afresh when the double Newton failed)
 and runs Newton on S - 1 in fixed point (_fixed_newton): the iterate
-is an integer in units of 2**-q, q >= prec, and each step is read off
+is an integer at in units of 2**-q, q >= prec, evaluated as the exact
+int pair (at, q) with no mpmath number built here, each step read off
 the evaluation's own integers, the midpoint of its two sums minus 1
 over its lower moment M <= |S'|, floored onto the grid.  After every
 step it checks the bracket around the new iterate, whose ends are
@@ -74,11 +75,8 @@ from dataclasses import dataclass
 from itertools import islice
 from operator import index, mul
 
-import mpmath
-from mpmath.libmp import from_float, from_man_exp, mpf_le, round_nearest, to_float
-
 from .errors import ConfigError, DivergentSum, ToleranceNotReachable, require_int
-from .families import _raw, ln_enclosure, power_enclosure, term_sums
+from .families import dyadic_mpf, ln_enclosure, power_enclosure, term_sums
 from .words import subset_of_word
 
 # Relative slack applied to double-precision sums.  Covers the rounding
@@ -108,8 +106,6 @@ PRESSURE_TOL = 1e-15
 NEWTON_STEPS = 64
 
 LN2 = math.log(2.0)
-
-_make_mpf = mpmath.mp.make_mpf
 
 # Fixed-point bits beyond the requested precision, before the bits for
 # the largest term and the number of terms (_fixed_bits).
@@ -147,14 +143,16 @@ def moran_bounds(family, subset, s, tol, prec=None):
     until the double tail majorant drops below tol/4, in both tiers
     (ToleranceNotReachable when MAX_TERMS terms do not get it there).
     prec None evaluates in doubles (_double_bounds).  An integer
-    evaluates in fixed point at no fewer than prec bits and returns the
-    sums as exact dyadic mpfs; it refuses with ToleranceNotReachable,
-    before any walk, a named family's index above MAX_TERMS and an s
-    that needs more than MAX_FIXED_BITS bits.  prec is checked as
+    evaluates in fixed point at no fewer than prec bits, at s exactly
+    (an mpf keeps every bit, anything else is read as a float), and
+    returns the sums as exact dyadic mpfs; it refuses with
+    ToleranceNotReachable, before any walk, a named family's index above
+    MAX_TERMS, an s beyond the float range and an s that needs more
+    than MAX_FIXED_BITS bits.  prec is checked as
     solve_dimension checks precision_bits: ConfigError below 24 bits,
     ToleranceNotReachable for a tol below its resolution.  The slope
     d/ds of the partial sum is an estimate for Newton steps, not a
-    bound.  At s <= theta the full selector diverges: (inf, inf, -inf).
+    bound.  At s = 0 the full selector diverges: (inf, inf, -inf).
     """
     if not s >= 0:
         raise ConfigError(f"moran_bounds needs s >= 0, got {s}")
@@ -162,11 +160,24 @@ def moran_bounds(family, subset, s, tol, prec=None):
     if prec is None:
         return _double_bounds(family, indices, tol)(s)
     prec = _precision(prec, tol)
-    sums = _fixed_bounds(family, indices, tol, prec)(_raw(s))
+    sums = _fixed_bounds(family, indices, tol, prec)(_pair(s))
     if sums is None:
         return math.inf, math.inf, -math.inf
     lo, hi, _, _, bits, slope = sums
-    return _dyadic(lo, bits), _dyadic(hi, bits), slope
+    return dyadic_mpf(lo, bits), dyadic_mpf(hi, bits), slope
+
+
+def _pair(s):
+    """moran_bounds' s >= 0 as the int pair (at, q), s = at * 2**-q with
+    q >= 0, exactly as moran_bounds reads it."""
+    if float(s) == math.inf:
+        raise ToleranceNotReachable(f"s = {s} lies beyond the float range and the"
+                                    f" {MAX_FIXED_BITS} fixed-point bits of any sum")
+    if hasattr(s, "man_exp"):
+        man, exp = s.man_exp
+        return (man << exp, 0) if exp >= 0 else (man, -exp)
+    num, den = float(s).as_integer_ratio()
+    return num, den.bit_length() - 1
 
 
 def _precision(prec, tol):
@@ -219,7 +230,7 @@ def _double_sums(family, indices, tol):
     def sums(s):
         selected, tail = weights, 0.0
         if indices is None:
-            if s <= family.theta:
+            if s <= 0:
                 return math.inf, math.inf, -math.inf, 0
             n, tail = _truncation(lambda n_cut: family.tail_majorant(n_cut, s), tol / 4)
             weights.extend(-e(a) * log2_base for a in range(len(weights) + 1, n + 1))
@@ -272,16 +283,12 @@ def _fixed_bits(prec, s, top, n_terms):
     return rest + math.ceil(lead)
 
 
-def _dyadic(units, bits):
-    """units * 2**-bits as an mpf, exactly."""
-    return _make_mpf(from_man_exp(units, -bits))
-
-
 def _fixed_bounds(family, indices, tol, prec):
     """moran_bounds(family, indices, s, tol, prec) in fixed point, as a
-    function of a raw libmp s, for the length of one solve.
+    function of s = at * 2**-q, given as the int pair (at, q), for the
+    length of one solve.
 
-    It returns None where the full selector diverges (s <= theta), and
+    It returns None where the full selector diverges (s = 0), and
     otherwise (lo, hi, moment, ln_max, bits, slope): ints in units of
     2**-bits, with lo <= S(s) <= hi for the Moran sum S, moment <= the
     sum over the summed terms of |ln ratio(a)| * ratio(a)**s (the
@@ -313,7 +320,8 @@ def _fixed_bounds(family, indices, tol, prec):
         n_terms = len(indices)
 
         def sums(s):
-            bits = _fixed_bits(prec, to_float(s, rnd=round_nearest), top, n_terms)
+            at, q = s
+            bits = _fixed_bits(prec, at / (1 << q), top, n_terms)
             lo = hi = moment = ln_max = 0
             slope = 0.0
             for r, k, w in weights:
@@ -330,7 +338,6 @@ def _fixed_bounds(family, indices, tol, prec):
 
     base, e = family.row
     ln_base = math.log(base)
-    theta = from_float(family.theta)
     selected = None if indices is None else set(indices)
     n_terms = indices[-1] if indices else 0
     if n_terms > MAX_TERMS:
@@ -339,10 +346,11 @@ def _fixed_bounds(family, indices, tol, prec):
     top = -family.log2_ratio(indices[0] if indices else 1)
 
     def sums(s):
-        s_float = to_float(s, rnd=round_nearest)
+        at, q = s
+        s_float = at / (1 << q)
         n = n_terms
         if indices is None:
-            if mpf_le(s, theta):
+            if at <= 0:
                 return None
             n, _ = _truncation(lambda n_cut: family.tail_majorant(n_cut, s_float), tol / 4)
         bits = _fixed_bits(prec, s_float, top, n)
@@ -527,7 +535,7 @@ def _fixed_newton(sums, x, tol, prec):
     at = (num << q) // den
     verdict = None
     for _ in range(NEWTON_STEPS):
-        evaluation = sums(from_man_exp(at, -q))
+        evaluation = sums((at, q))
         if evaluation is None or evaluation[2] <= 0:
             break
         sum_lo, sum_hi, moment, _, bits, _ = evaluation

@@ -247,6 +247,18 @@ def test_perturb_over_one_symbol_is_a_config_error(capsys):
     assert "two distinct perturbing ratios" in error["message"]
 
 
+def test_perturb_with_underflowing_ratios_is_a_numeric_error(capsys):
+    # Both increments certify, but ratios 1e-400 and 1e-401 underflow to
+    # 0 in doubles; the fit used to take math.log(0.0), a bare ValueError
+    # with exit 1 and no error record.
+    code, out = run(["perturb", "--ratios", "1e-300", "1e-300", "1e-400", "1e-401",
+                     "--subset", "1,2", "--b-range", "3:4"], capsys)
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error["type"] == "InsufficientPrecision"
+    assert "ratio(3) underflows" in error["message"]
+
+
 def test_point_commands_reject_raw_ratios(capsys):
     code, out = run(["boxdim", "--ratios", "0.5", "0.25", "--depth", "6"], capsys)
     assert code == 2
@@ -325,6 +337,14 @@ def test_out_file_writing(tmp_path, capsys):
     assert code == 0
     doc = json.loads(target.read_text())
     assert abs(doc["result"]["mid"] - 0.6309297535714574) < 1e-9
+
+
+@pytest.mark.parametrize("where", ["missing/result.json", "."])
+def test_an_out_path_that_cannot_be_written_is_a_config_error(tmp_path, capsys, where):
+    # A missing directory or a directory used to end in a bare
+    # FileNotFoundError or IsADirectoryError traceback with exit 1.
+    _config_error(["dim", "--ratios", "1/3", "1/3", "--no-timestamp",
+                   "--out", str(tmp_path / where)], capsys, "cannot write --out")
 
 
 # --- verify ------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from dimspec.families import (
     power_enclosure,
     term_sums,
 )
+from dimspec.solver import _pair
 
 NAMED = ("square-exponent", "geometric", "type-three")
 kinds = st.sampled_from(NAMED)
@@ -121,11 +122,6 @@ def test_describe_roundtrip():
         assert again == fam
 
 
-def test_theta_is_zero_for_all_kinds():
-    for name in ("square-exponent", "geometric", "type-three", "cantor-pair"):
-        assert ContractionFamily.from_name(name).theta == 0.0
-
-
 # --- the exponent table against the per-kind formulas it replaced -------------
 
 @given(kinds, st.integers(min_value=1, max_value=200))
@@ -173,7 +169,7 @@ def _units(value, bits):
 
 def _term_enclosure(fam, a, s, bits):
     """term_sums's enclosure of ratio(a)**s alone."""
-    lo, hi, _, _ = term_sums(fam, s, bits, a, {a})
+    lo, hi, _, _ = term_sums(fam, _pair(s), bits, a, {a})
     return lo, hi
 
 
@@ -195,7 +191,7 @@ def test_term_enclosures_contain_the_per_kind_formulas(kind, a, s):
 def test_tail_enclosures_majorise_the_per_kind_formulas(kind, n_cut, s):
     fam = ContractionFamily(kind)
     for bits in (96, 200):
-        tail = _outcome(lambda: term_sums(fam, s, bits, n_cut)[3])
+        tail = _outcome(lambda: term_sums(fam, _pair(s), bits, n_cut)[3])
         with mpmath.workprec(bits + 64):
             step = fam._tail_exponents(n_cut)[1]
             den = 1 - mpmath.power(NAMED_FAMILIES[kind][0], -step * mpmath.mpf(s))
@@ -209,11 +205,11 @@ def test_tail_enclosures_majorise_the_per_kind_formulas(kind, n_cut, s):
 
 
 def test_power_enclosure_is_tight_and_needs_a_nonnegative_power():
-    lo, hi = power_enclosure(Fraction(1, 2), 1.0, 100)
+    lo, hi = power_enclosure(Fraction(1, 2), (1, 0), 100)
     assert lo <= 2**99 <= hi and hi - lo <= 2 * WIDEN_UNITS
-    assert power_enclosure(Fraction(1, 3), 0.0, 64) == (2**64 - WIDEN_UNITS, 2**64)
+    assert power_enclosure(Fraction(1, 3), (0, 0), 64) == (2**64 - WIDEN_UNITS, 2**64)
     with pytest.raises(ConfigError):
-        power_enclosure(Fraction(1, 2), -0.5, 64)
+        power_enclosure(Fraction(1, 2), (-1, 1), 64)
 
 
 @settings(max_examples=150, deadline=None)
@@ -233,7 +229,7 @@ def test_tail_majorant_rejects_a_flat_exponent_step():
     with pytest.raises(ConfigError):
         fam.tail_majorant(0, 1.0)
     with pytest.raises(ConfigError):
-        term_sums(fam, 1.0, 96, 0)
+        term_sums(fam, (1, 0), 96, 0)
 
 
 # --- index validation -------------------------------------------------------------

@@ -89,6 +89,20 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert unused == []
 
 
+def test_the_solver_imports_nothing_from_mpmath():
+    # The fixed tier's point is the int pair (at, q) from the Newton
+    # iterate to the one exp, so libmp numbers are built in families.py
+    # alone; function-level imports count too.
+    path = Path(dimspec.__file__).parent / "solver.py"
+    modules = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules.append(node.module or "")
+    assert [m for m in modules if m.split(".")[0] == "mpmath"] == []
+
+
 def _private_definitions(path):
     """Module-level _names a module defines (functions, classes and
     assigned names; dunders excluded), with their lines."""

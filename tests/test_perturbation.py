@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from dimspec import cli
+from dimspec import cli, perturbation
 from dimspec.errors import ConfigError, InsufficientPrecision
 from dimspec.families import ContractionFamily
 from dimspec.perturbation import (
@@ -107,6 +107,19 @@ def test_a_sweep_needs_two_distinct_ratios():
                                   (ContractionFamily.type_three(), (3, 4), [1, 2])):
         with pytest.raises(ConfigError, match="two distinct perturbing ratios"):
             exponent_fit(family, base, b_range)
+
+
+def test_a_sweep_is_checked_before_any_solve(monkeypatch):
+    # --b-range 3:3 used to solve the base before refusing, and ratios
+    # that underflow used to reach math.log(0.0) after every increment.
+    solves = []
+    monkeypatch.setattr(perturbation, "solve_dimension", lambda *args, **kw: solves.append(args))
+    with pytest.raises(ConfigError, match="two distinct perturbing ratios"):
+        exponent_fit(ContractionFamily.explicit(["1/2", "1/3", "1/5"]), (1, 2), [3])
+    tiny = ContractionFamily.explicit(["1e-300", "1e-300", "1e-400", "1e-401"])
+    with pytest.raises(InsufficientPrecision, match=r"ratio\(3\) underflows"):
+        exponent_fit(tiny, (1, 2), [3, 4])
+    assert solves == []
 
 
 def test_perturbation_rejects_fractional_indices():

@@ -55,6 +55,20 @@ def test_moran_sum_empty_and_negative():
             moran_bounds(SQEXP, "full", -0.1, 1e-13, prec)
 
 
+def test_fixed_point_moran_bounds_keep_every_bit_of_an_mpf_s():
+    # s = 1/3 at 200 bits differs from float(s) by about 1e-17, far more
+    # than the width of 200-bit sums, so only sums at the exact s
+    # enclose the sum there.
+    with mpmath.workprec(200):
+        s = mpmath.mpf(1) / 3
+    exact = moran_bounds(SQEXP, (1, 2, 3), s, 1e-40, 200)
+    rounded = moran_bounds(SQEXP, (1, 2, 3), float(s), 1e-40, 200)
+    with mpmath.workprec(400):
+        total = mpmath.fsum(mpmath.power(2, -(a * a) * s) for a in (1, 2, 3))
+        assert exact[0] <= total <= exact[1]
+        assert not rounded[0] <= total <= rounded[1]
+
+
 @given(st.floats(min_value=0.3, max_value=3.0))
 def test_moran_sum_bounds_are_ordered(s):
     lower, upper, _ = moran_bounds(SQEXP, "full", s, 1e-13)
@@ -683,7 +697,7 @@ def test_tiny_s_raises_a_dimspec_error():
     _raises_fast(moran_bounds, GEO, "full", 1e-17, 1e-13)
     _raises_fast(pressure_derivative, GEO, "full", 1e-17)
     # The fixed-point tail at 96 bits: 1 - y with y = 2**(-s) rounds up to 0.
-    _raises_fast(term_sums, GEO, mpmath.mpf(2) ** -120, 96, 8)
+    _raises_fast(term_sums, GEO, (1, 120), 96, 8)
 
 
 def test_fixed_tier_refuses_an_index_beyond_max_terms():
@@ -699,13 +713,14 @@ def test_fixed_tier_refuses_an_index_beyond_max_terms():
     assert iv.lo <= solve_dimension(SQEXP, (1, 2), tol=1e-10).hi
 
 
-@pytest.mark.parametrize("s", [2.6e5, 1e300, math.inf])
+@pytest.mark.parametrize("s", [2.6e5, 1e300, math.inf, mpmath.mpf(2) ** 2000, mpmath.mpf("inf")])
 @pytest.mark.parametrize("fam,subset", [(SQEXP, "full"), (GEO, (1, 2)),
                                         (ContractionFamily.explicit(["1/3", "1/5"]), "full")])
 def test_fixed_tier_refuses_an_s_past_its_bit_cap(fam, subset, s):
     # The largest term sits s * log2(1/ratio) bits below 1; an s that
     # needs more than MAX_FIXED_BITS bits is refused before any integer
-    # is built, so 1e300 and inf fail at once like 2.6e5.
+    # is built, so 1e300 and inf fail at once like 2.6e5.  An mpf inf
+    # has the mantissa 0, so it must not be read as its mantissa.
     _raises_fast(moran_bounds, fam, subset, s, 1e-10, 128,
                  error=ToleranceNotReachable, match="fixed-point bits", seconds=0.1)
 
