@@ -20,9 +20,10 @@ doubles.  The mpmath tier encloses terms in fixed point between two
 integers: power_enclosure encloses one ratio**s with one exp, and
 term_sums walks a named row once from y = base**(-s) by integer multiply
 and shift, rounded down for the lower sum and up for the upper sum, with
-its tail majorant in the same integers.  ln_enclosure encloses |ln ratio|
-in the same integers, for the derivative bounds the mpmath tier
-certifies with.  The mpmath tier's point s is an exact dyadic
+its tail majorant in the same integers.  term_table encloses the terms
+symbol by symbol instead, for the words of a cloud to share.
+ln_enclosure encloses |ln ratio| in the same integers, for the
+derivative bounds the mpmath tier certifies with.  The mpmath tier's point s is an exact dyadic
 at * 2**-q, passed as the int pair (at, q); libmp numbers are built
 here alone, and dyadic_mpf turns fixed-point units into an mpf.
 """
@@ -312,63 +313,98 @@ def power_enclosure(value: Fraction, s, bits: int) -> tuple[int, int]:
     return max(mid - WIDEN_UNITS, 0), min(mid + WIDEN_UNITS, 1 << bits)
 
 
+class _Powers(dict):
+    """Enclosures (lo, hi) of y**k, y = base**(-s), at `bits` bits, keyed
+    by k >= 0: one power_enclosure encloses y, and every other power is
+    filled in on first use by square and multiply over the powers already
+    held.  The product of lower (upper) bounds of non-negative numbers,
+    floored (ceiled), is a lower (upper) bound."""
+
+    def __init__(self, base, s, bits):
+        one = 1 << bits
+        super().__init__({0: (one, one), 1: power_enclosure(Fraction(1, base), s, bits)})
+        self.bits = bits
+
+    def __missing__(self, k):
+        x, z = (self[k - 1], self[1]) if k % 2 else (self[k // 2],) * 2
+        bits = self.bits
+        self[k] = power = x[0] * z[0] >> bits, (x[1] * z[1] + (1 << bits) - 1) >> bits
+        return power
+
+
 def term_sums(family, s, bits, n, selected=None):
     """Sums of the terms ratio(a)**s = y**e(a), y = base**(-s), of a
     named family over a = 1..n, each term enclosed at `bits` bits:
-    (lo, hi, moment, tail), ints in units of 2**-bits.  s = at * 2**-q
-    is the int pair (at, q), as power_enclosure takes it.
+    (lo, hi, moment, moment_hi, tail), ints in units of 2**-bits.
+    s = at * 2**-q is the int pair (at, q), as power_enclosure takes it.
 
     A term is added when selected is None or a is in selected.  lo and
-    hi enclose the sum, and moment is the sum of the lower terms times
-    e(a).  For the full selector (selected None) tail majorises the
-    terms beyond n: the next term over 1 - its step factor, rounded up
-    (the geometric majorant of tail_majorant); ConfigError when
-    e(n+2) == e(n+1), ToleranceNotReachable when the step factor rounds
-    up to 1.  A finite selection has tail 0.
+    hi enclose the sum, moment is the sum of the lower terms times e(a)
+    and moment_hi that of the upper terms times e(a), so the two enclose
+    the sum of e(a) * ratio(a)**s.  For the full selector (selected
+    None) moment_hi is None, since nothing majorises the tail's moment,
+    and tail majorises the terms beyond n: the next term over 1 - its
+    step factor, rounded up (the geometric majorant of tail_majorant);
+    ConfigError when e(n+2) == e(n+1), ToleranceNotReachable when the
+    step factor rounds up to 1.  A finite selection has tail 0.
 
-    One power_enclosure encloses y.  Each step multiplies the term by
-    its step factor y**(e(a+1) - e(a)), and the step factor by y to the
-    second difference of e, rounded down for lo and up for hi, so
+    One power_enclosure encloses y (_Powers).  Each step multiplies the
+    term by its step factor y**(e(a+1) - e(a)), and the step factor by y
+    to the second difference of e, rounded down for lo and up for hi, so
     square-exponent costs 2 multiplies per symbol and geometric one.
     """
     base, e = family.row
     one = 1 << bits
     up = one - 1  # (x + up) >> bits rounds x / 2**bits up
-    powers = {0: (one, one), 1: power_enclosure(Fraction(1, base), s, bits)}
-
-    def power(k):
-        """Enclosure of y**k, k >= 0, by square and multiply over the
-        cached powers: the product of lower (upper) bounds of
-        non-negative numbers, floored (ceiled), is a lower (upper) bound."""
-        if k not in powers:
-            if k % 2:
-                x, z = power(k - 1), powers[1]
-            else:
-                x = z = power(k // 2)
-            powers[k] = x[0] * z[0] >> bits, (x[1] * z[1] + up) >> bits
-        return powers[k]
-
+    powers = _Powers(base, s, bits)
     e0, e1, e2 = e(1), e(2), e(3)
-    t_lo, t_hi = power(e0)
-    d_lo, d_hi = power(e1 - e0)
-    lo = hi = moment = 0
+    t_lo, t_hi = powers[e0]
+    d_lo, d_hi = powers[e1 - e0]
+    lo = hi = moment = moment_hi = 0
     for a in range(1, n + 1):
-        if selected is None or a in selected:
+        if selected is None:
             lo += t_lo
             hi += t_hi
             moment += e0 * t_lo
+        elif a in selected:
+            lo += t_lo
+            hi += t_hi
+            moment += e0 * t_lo
+            moment_hi += e0 * t_hi
         t_lo = t_lo * d_lo >> bits
         t_hi = (t_hi * d_hi + up) >> bits
         bend = e2 - e1 - e1 + e0
         if bend:
-            c_lo, c_hi = powers[bend] if bend in powers else power(bend)
+            c_lo, c_hi = powers[bend]
             d_lo = d_lo * c_lo >> bits
             d_hi = (d_hi * c_hi + up) >> bits
         e0, e1, e2 = e1, e2, e(a + 3)
     if selected is not None:
-        return lo, hi, moment, 0
+        return lo, hi, moment, moment_hi, 0
     if e1 == e0:
         raise ConfigError(f"a tail majorant needs e(n+2) > e(n+1), got n = {n}")
     if d_hi >= one:
         raise ToleranceNotReachable(f"s is too small for a tail majorant at {bits} bits")
-    return lo, hi, moment, -(-t_hi * one // (one - d_hi))
+    return lo, hi, moment, None, -(-t_hi * one // (one - d_hi))
+
+
+def term_table(family, s, bits, n):
+    """Per-symbol enclosures at `bits` bits for a = 1..n, a list of
+    (t_lo, t_hi, l_lo, l_hi) with t_lo <= ratio(a)**s * 2**bits <= t_hi
+    and l_lo <= |ln ratio(a)| * 2**bits <= l_hi.  s = at * 2**-q is the
+    int pair (at, q).
+
+    A named family's term y**e(a) is the power _Powers holds, and
+    |ln ratio(a)| = e(a) * ln(base) is enclosed by e(a) times one
+    ln_enclosure; an explicit family takes one power_enclosure and one
+    ln_enclosure per distinct ratio.
+    """
+    if family.is_infinite:
+        base, e = family.row
+        powers = _Powers(base, s, bits)
+        ln_lo, ln_hi = ln_enclosure(1, base, bits)
+        return [powers[e(a)] + (e(a) * ln_lo, e(a) * ln_hi) for a in range(1, n + 1)]
+    ratios = [family.ratio(a) for a in range(1, n + 1)]
+    enclosures = {r: power_enclosure(r, s, bits) + ln_enclosure(r.numerator, r.denominator, bits)
+                  for r in set(ratios)}
+    return [enclosures[r] for r in ratios]

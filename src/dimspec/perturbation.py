@@ -53,11 +53,7 @@ def increment(family, base_subset, b, tol=None):
     base = _indices(family, base_subset)
     b, extended = _extended(family, base, b)
     if tol is None:
-        pilot = solve_dimension(family, base, tol=1e-9)
-        tol = min(DEFAULT_TOL, family.term_double(b, pilot.mid) / 64.0)
-        if tol == 0.0:
-            raise InsufficientPrecision(
-                f"the increment scale ratio({b})**{pilot.mid!r} / 64 underflows to 0 in doubles")
+        tol = _scale_tol(family, b, _pilot(family, base))
 
     for attempt_tol in (tol, tol / 64.0):
         d0 = solve_dimension(family, base, tol=attempt_tol)
@@ -74,6 +70,22 @@ def increment(family, base_subset, b, tol=None):
     raise InsufficientPrecision(
         f"increment enclosure [{lo}, {hi}] not positive at tol {attempt_tol}"
     )
+
+
+def _pilot(family, base):
+    """The coarse solve of the base that increment's default tol reads."""
+    return solve_dimension(family, base, tol=1e-9)
+
+
+def _scale_tol(family, b, pilot):
+    """increment's default tol for adjoining b to a base whose pilot
+    solve is pilot: ratio(b)**delta / 64, capped at DEFAULT_TOL;
+    InsufficientPrecision when it underflows to 0 in doubles."""
+    tol = min(DEFAULT_TOL, family.term_double(b, pilot.mid) / 64.0)
+    if tol == 0.0:
+        raise InsufficientPrecision(
+            f"the increment scale ratio({b})**{pilot.mid!r} / 64 underflows to 0 in doubles")
+    return tol
 
 
 def _difference(a, b, toward):
@@ -148,9 +160,12 @@ def exponent_fit(family, base_subset, b_range, tol=None) -> PerturbationReport:
     base_dim = solve_dimension(family, base, tol=min(1e-11, tol or DEFAULT_TOL))
     delta = base_dim.mid
 
+    # With tol None every symbol's tol comes from one pilot solve.
+    pilot = _pilot(family, base) if tol is None else None
     entries = []
     for b, ratio_b in zip(bs, ratios):
-        (lo, hi), _, _ = increment(family, base, b, tol=tol)
+        b_tol = tol if pilot is None else _scale_tol(family, b, pilot)
+        (lo, hi), _, _ = increment(family, base, b, tol=b_tol)
         entries.append(SweepEntry(b=b, ratio_b=ratio_b, increment_lo=lo, increment_hi=hi))
 
     ys = np.array([math.log(e.increment_mid) for e in entries])

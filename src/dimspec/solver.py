@@ -52,18 +52,32 @@ the evaluation's own integers, the midpoint of its two sums minus 1
 over its lower moment M <= |S'|, floored onto the grid.  After every
 step it checks the bracket around the new iterate, whose ends are
 rounded to floats exactly, from the evaluation that step was taken
-at, a point x_k inside it, with no further sum, and the first bracket
-that certifies ends the solve: S and |S'| decrease, so
-S(lo) >= S_lo(x_k) + (x_k - lo) M, and
+at, a point x_k, with no further sum, and the first bracket that
+certifies ends the solve: S and |S'| decrease, so on the near side
+of each end S(lo) >= S_lo(x_k) + (x_k - lo) M for x_k >= lo, and
 S(hi) <= S_hi(x_k) - (hi - x_k) M times a factor that bounds how much
-|S'| falls between x_k and hi (the mean-value form of interval Newton;
-Moore, "Interval Analysis", 1966).  Both are computed exactly, in
-integers, then rounded away from 1 to floats (_mean_value); those are
-cert_lo and cert_hi.  Where tol is far below the float spacing near
-the root, lo and hi are the floats just outside the root -/+ 0.4 tol
-whichever path Newton takes.  The double tier escalates
-automatically when its dead zone (where neither one-sided test is
-conclusive) is wider than the tolerance.
+|S'| falls between x_k and hi, for x_k <= hi (the mean-value form of
+interval Newton; Moore, "Interval Analysis", 1966).  A finite
+selection's evaluation also bounds |S'(x_k)| <= M_hi, which bounds
+the far sides: S(lo) >= S_lo(x_k) - (lo - x_k) M_hi for x_k < lo, and
+S(hi) <= S_hi(x_k) + (x_k - hi) M_hi (1 + 2 L (x_k - hi)) for x_k > hi
+while 2 L (x_k - hi) < 1, with L >= every summed |ln ratio|.  All are
+computed exactly, in integers, then rounded away from 1 to floats
+(_mean_value); those are cert_lo and cert_hi.  Where tol is far below
+the float spacing near the root, lo and hi are the floats just
+outside the root -/+ 0.4 tol whichever path Newton takes.  The double
+tier escalates automatically when its dead zone (where neither
+one-sided test is conclusive) is wider than the tolerance.
+
+The words of an mpmath-tier cloud (spectrum.expand_spectrum) share
+work through two hooks of _solve: the double Newton starts at a point
+the caller knows lies left of the root (the word's parent's lo), and
+the first fixed-point evaluation is the double iterate rounded to the
+grid 2**-g, g = ceil(-log2(tol)/2) + 8, read off a table of
+per-symbol enclosures that every word on that grid point shares
+(_CloudTables, whose docstring bounds what the rounding costs the
+certificate).  The far-side bounds are what let a point off the
+bracket certify it.  Single solves never snap to the grid.
 """
 
 from __future__ import annotations
@@ -73,10 +87,10 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
-from operator import index, mul
+from operator import index, itemgetter, mul
 
 from .errors import ConfigError, DivergentSum, ToleranceNotReachable, require_int
-from .families import dyadic_mpf, ln_enclosure, power_enclosure, term_sums
+from .families import dyadic_mpf, ln_enclosure, power_enclosure, term_sums, term_table
 from .words import subset_of_word
 
 # Relative slack applied to double-precision sums.  Covers the rounding
@@ -163,7 +177,7 @@ def moran_bounds(family, subset, s, tol, prec=None):
     sums = _fixed_bounds(family, indices, tol, prec)(_pair(s))
     if sums is None:
         return math.inf, math.inf, -math.inf
-    lo, hi, _, _, bits, slope = sums
+    lo, hi, _, _, _, bits, slope = sums
     return dyadic_mpf(lo, bits), dyadic_mpf(hi, bits), slope
 
 
@@ -289,15 +303,18 @@ def _fixed_bounds(family, indices, tol, prec):
     length of one solve.
 
     It returns None where the full selector diverges (s = 0), and
-    otherwise (lo, hi, moment, ln_max, bits, slope): ints in units of
-    2**-bits, with lo <= S(s) <= hi for the Moran sum S, moment <= the
-    sum over the summed terms of |ln ratio(a)| * ratio(a)**s (the
-    lower terms times their log enclosures, rounded down), and
-    ln_max >= |ln ratio(a)| for every summed symbol a; slope is the
+    otherwise (lo, hi, moment, moment_hi, ln_max, bits, slope): ints in
+    units of 2**-bits, with lo <= S(s) <= hi for the Moran sum S,
+    moment <= M(s) <= moment_hi for the sum M(s) over the summed terms
+    of |ln ratio(a)| * ratio(a)**s (the lower terms times their log
+    enclosures, rounded down; the upper terms times theirs, rounded up),
+    and ln_max >= |ln ratio(a)| for every summed symbol a; slope is the
     float estimate of S'(s) that moran_bounds returns (the mpmath
-    tier's Newton steps read moment instead).  For a named family
-    moment is the term_sums moment times ln(base), and ln_max is
-    e(n) * ln(base) with n the last symbol walked.
+    tier's Newton steps read moment instead).  For a finite selection
+    M(s) = |S'(s)|; a full selector's moment_hi is None, since no
+    majorant of its tail's moment is known.  For a named family moment
+    and moment_hi are the term_sums moments times ln(base), and ln_max
+    is e(n) * ln(base) with n the last symbol walked.
 
     Named families call term_sums once (one exp per evaluation);
     explicit families enclose each distinct selected ratio once.  The
@@ -322,7 +339,7 @@ def _fixed_bounds(family, indices, tol, prec):
         def sums(s):
             at, q = s
             bits = _fixed_bits(prec, at / (1 << q), top, n_terms)
-            lo = hi = moment = ln_max = 0
+            lo = hi = moment = moment_hi = ln_max = 0
             slope = 0.0
             for r, k, w in weights:
                 t_lo, t_hi = power_enclosure(r, s, bits)
@@ -330,9 +347,10 @@ def _fixed_bounds(family, indices, tol, prec):
                 lo += k * t_lo
                 hi += k * t_hi
                 moment += k * ln_lo * t_lo
+                moment_hi += k * ln_hi * t_hi
                 ln_max = max(ln_max, ln_hi)
                 slope += k * w * (t_lo / (1 << bits))
-            return lo, hi, moment >> bits, ln_max, bits, LN2 * slope
+            return lo, hi, moment >> bits, -(-moment_hi >> bits), ln_max, bits, LN2 * slope
 
         return sums
 
@@ -354,12 +372,74 @@ def _fixed_bounds(family, indices, tol, prec):
                 return None
             n, _ = _truncation(lambda n_cut: family.tail_majorant(n_cut, s_float), tol / 4)
         bits = _fixed_bits(prec, s_float, top, n)
-        lo, hi, moment, tail = term_sums(family, s, bits, n, selected)
+        lo, hi, moment, moment_hi, tail = term_sums(family, s, bits, n, selected)
         ln_lo, ln_hi = ln_enclosure(1, base, bits)
-        return (lo, hi + tail, moment * ln_lo >> bits, e(n) * ln_hi,
+        if moment_hi is not None:
+            moment_hi = -(-moment_hi * ln_hi >> bits)
+        return (lo, hi + tail, moment * ln_lo >> bits, moment_hi, e(n) * ln_hi,
                 bits, -ln_base * (moment / (1 << bits)))
 
     return sums
+
+
+class _CloudTables:
+    """The fixed-point evaluations the words of one cloud share.
+
+    A word's first mpmath-tier point is its double Newton iterate x
+    rounded to the nearest multiple p of 2**-g, g = ceil(-log2(tol)/2) + 8.
+    Words whose iterates round to the same p read one table of
+    per-symbol enclosures there (families.term_table over the symbols
+    1..depth), built the first time a word needs it and kept as long as
+    this object, which a cloud makes afresh for each subtree of words it
+    solves.  Every table is at the same bits, fixed for the whole cloud:
+    _fixed_bits at the cloud's prec, at s = 1 (every root a bracket
+    reports lies in [0, 1]), with the largest base ratio's term (the
+    smallest base symbol's, for a named family) and depth terms.  A
+    word's sums there are its symbols' entries added up, and its moments
+    their products with the log enclosures, rounded down and up.
+
+    Why g: snapping moves the point by d <= 2**-(g+1), so
+    d**2 <= tol * 2**-18.  The losses from a point at distance D from
+    the root are quadratic in D: over D, |S'| changes by a factor within
+    exp(-/+ ln_max * D), so Newton's iterate misses the root by at most
+    2 * ln_max * D**2, and each mean-value bound (_mean_value) falls
+    short of the true sum at its end by at most 2 * ln_max * D'**2 * |S'|,
+    D' the distance from the point to that end (a finite selection's
+    moments enclose |S'| itself).  The snap's own part of these, d in
+    place of D, is at most 4 * ln_max * d**2 * |S'| <=
+    ln_max * 2**-16 * tol * |S'|, a tenth of the margin 0.4 * tol * |S'|
+    each end of the bracket keeps while ln_max <= 2600 (256 ln 2 for a
+    square-exponent cloud at the depth cap).  The rest is the double
+    iterate's own loss, which an unsnapped solve bears too; where tol is
+    far below the float spacing, the margin is the distance from the
+    root to the floats lo and hi instead, typically half an ulp.
+    Correctness never rests on the grid: a bracket the table's
+    evaluation does not certify falls through to the next Newton
+    evaluation, at the unsnapped iterate, from the word's own sums.
+    """
+
+    def __init__(self, family, base, depth, tol):
+        self.family, self.depth = family, depth
+        self.g = math.ceil(-math.log2(tol) / 2) + 8
+        self.bits = _fixed_bits(_auto_prec(tol), 1.0, -max(map(family.log2_ratio, base)), depth)
+        self.tables = {}
+
+    def evaluation(self, x, indices):
+        """(point, evaluation): x rounded to the nearest multiple of
+        2**-g, a float (x itself where 2**-g is below x's spacing), and
+        the evaluation of the symbols indices there, as _fixed_bounds
+        returns it but at the table's bits and with slope None."""
+        p = round(math.ldexp(x, self.g))
+        table = self.tables.get(p)
+        if table is None:
+            rows = term_table(self.family, (p, self.g), self.bits, self.depth)
+            t_lo, t_hi, l_lo, l_hi = zip((0, 0, 0, 0), *rows)  # 0 pads symbol 0
+            table = self.tables[p] = (t_lo, t_hi, tuple(map(mul, t_lo, l_lo)),
+                                      tuple(map(mul, t_hi, l_hi)), l_hi)
+        t_lo, t_hi, m_lo, m_hi, l_hi = map(itemgetter(*indices), table)
+        bits = self.bits
+        return math.ldexp(p, -self.g), (sum(t_lo), sum(t_hi), sum(m_lo) >> bits,
+                                        -(-sum(m_hi) >> bits), max(l_hi), bits, None)
 
 
 @dataclass(frozen=True)
@@ -494,51 +574,67 @@ def _mean_value(lo, hi, at, q, evaluation):
     """Bounds on the Moran sum S at the floats lo and hi from one
     evaluation at the point at * 2**-q: (lower bound at lo, upper bound
     at hi), computed exactly in integers and rounded to floats away from
-    1 (down, up), or -inf (inf) when the point lies above lo (below hi)
-    and gives no such bound.  1 is a float, so comparing the rounded
-    bounds with 1 decides exactly what comparing the exact ones would.
+    1 (down, up), or -inf (inf) where the evaluation gives no such
+    bound.  1 is a float, so comparing the rounded bounds with 1
+    decides exactly what comparing the exact ones would.
 
-    S and |S'| decrease, and |S'(s)| >= moment at s <= at, so for
-    lo <= at, S(lo) >= S_lo(at) + (at - lo) * moment.  For s in
-    [at, hi] every summed term is at least its value at at times
-    1 - ln_max * (hi - at), so for at <= hi,
-    S(hi) <= S_hi(at) - (hi - at) * moment * max(0, 1 - ln_max * (hi - at)).
+    S and |S'| decrease, and M(s) = sum of |ln ratio(a)| * ratio(a)**s
+    over the summed terms is at most |S'(s)|, so moment <= |S'(s)| at
+    s <= at.  On the near side of each end:
+      for lo <= at, S(lo) >= S_lo(at) + (at - lo) * moment;
+      for at <= hi, every summed term on [at, hi] is at least its value
+      at at times 1 - ln_max * (hi - at), so
+      S(hi) <= S_hi(at) - (hi - at) * moment * max(0, 1 - ln_max * (hi - at)).
     A tail beyond the summed terms only adds to |S'|, and S_hi(at)
-    majorises it at at.
+    majorises it at at.  The far sides need moment_hi >= |S'(at)|, which
+    only a finite selection has (M = |S'| there):
+      for at < lo, |S'| <= |S'(at)| on [at, lo], so
+      S(lo) >= S_lo(at) - (lo - at) * moment_hi;
+      for at > hi, with d = at - hi, every term on [hi, at] is at most
+      its value at at times exp(ln_max * d) <= 1 + 2 * ln_max * d while
+      2 * ln_max * d < 1 (exp(x) <= 1 + 2x for 0 <= x <= 1/2), so
+      S(hi) <= S_hi(at) + d * moment_hi * (1 + 2 * ln_max * d).
+    Otherwise the far side gives -inf (at lo) or inf (at hi).
     """
-    sum_lo, sum_hi, moment, ln_max, bits, _ = evaluation
+    sum_lo, sum_hi, moment, moment_hi, ln_max, bits, _ = evaluation
     lower, upper = -math.inf, math.inf
-    m, k = _minus(at, q, lo)
-    if m >= 0:
-        lower = _float_of((sum_lo << k) + m * moment, bits + k, False)
+    m, k = _minus(at, q, lo)  # m * 2**-k = at - lo
+    if m >= 0 or moment_hi is not None:
+        lower = _float_of((sum_lo << k) + m * (moment if m >= 0 else moment_hi),
+                          bits + k, False)
     m, k = _minus(at, q, hi)  # m * 2**-k = at - hi
+    one = 1 << (bits + k)
     if m <= 0:
-        factor = max(0, (1 << (bits + k)) + m * ln_max)
-        upper = _float_of((sum_hi << (bits + 2 * k)) + m * moment * factor,
-                          2 * (bits + k), True)
+        rate, factor = moment, max(0, one + m * ln_max)
+    elif moment_hi is not None and 2 * m * ln_max < one:
+        rate, factor = moment_hi, one + 2 * m * ln_max
+    else:
+        return lower, upper
+    upper = _float_of((sum_hi << (bits + 2 * k)) + m * rate * factor, 2 * (bits + k), True)
     return lower, upper
 
 
-def _fixed_newton(sums, x, tol, prec):
+def _fixed_newton(sums, x, tol, prec, first=None):
     """Newton's method on S - 1 in fixed point from x (a float or a
     dyadic rational), as the module docstring describes: the fields of
     the first bracket that certifies.  The iterate is an int in units of
     2**-q, with q >= prec, enough bits to hold x, and 10 bits below the
     floats near x, so the iterate, not its grid, decides the floats just
-    outside it -/+ 0.4 tol.  The loop ends at a step of 0, after
-    NEWTON_STEPS steps, or where the sum diverges or its moment
-    vanishes; ToleranceNotReachable then names the bound that failed
-    last.
+    outside it -/+ 0.4 tol.  first, when given, is an evaluation at x
+    itself (a cloud table's), taken instead of sums there; every later
+    one is sums'.  The loop ends at a step of 0, after NEWTON_STEPS
+    steps, or where the sum diverges or its moment vanishes;
+    ToleranceNotReachable then names the bound that failed last.
     """
     num, den = x.as_integer_ratio()
     q = max(prec, den.bit_length() - 1, 64 - math.frexp(x)[1])
     at = (num << q) // den
     verdict = None
     for _ in range(NEWTON_STEPS):
-        evaluation = sums((at, q))
+        evaluation, first = first or sums((at, q)), None
         if evaluation is None or evaluation[2] <= 0:
             break
-        sum_lo, sum_hi, moment, _, bits, _ = evaluation
+        sum_lo, sum_hi, moment, _, _, bits, _ = evaluation
         x = at + ((sum_lo + sum_hi - (2 << bits)) << q) // (2 * moment)
         lo, hi = _bracket(_float_of(*_minus(x, q, 0.4 * tol), False),
                           _float_of(*_minus(x, q, -0.4 * tol), True), tol)
@@ -552,6 +648,11 @@ def _fixed_newton(sums, x, tol, prec):
         raise ToleranceNotReachable(f"Newton's method does not settle at {prec} bits")
     raise ToleranceNotReachable(f"cannot certify [{lo!r}, {hi!r}] around the Newton iterate"
                                 f" {x / (1 << q)!r}: {verdict}")
+
+
+def _auto_prec(tol):
+    """The mpmath tier's working precision for tol when none is pinned."""
+    return max(96, int(math.ceil(-math.log2(tol))) + 50)
 
 
 def _check_tol(tol):
@@ -594,9 +695,13 @@ def solve_dimension(family, subset="full", tol=DEFAULT_TOL, precision_bits=None)
     return _solve(family, _indices(family, subset), tol, precision_bits)
 
 
-def _solve(family, indices, tol, precision_bits):
+def _solve(family, indices, tol, precision_bits, start=None, tables=None):
     """solve_dimension of the symbols indices, as _indices returns them,
-    at a tol _check_tol accepts."""
+    at a tol _check_tol accepts.
+
+    A cloud word passes two more: start, a point left of its root where
+    the double Newton begins (its parent's lo), and its cloud's
+    _CloudTables, whose grid evaluation is the mpmath tier's first."""
     if indices is not None and len(indices) <= 1:
         return DimensionInterval(
             lo=0.0, hi=0.0, width_budget=tol, exact=True,
@@ -605,9 +710,10 @@ def _solve(family, indices, tol, precision_bits):
 
     prec = None if precision_bits is None else _precision(precision_bits, tol)
     double = _double_bounds(family, indices, tol)
-    # The sum is at least 2 at s = 0 for two or more symbols; the full
-    # root of every named family lies above 1/2.
-    start = 0.0 if indices is not None else 0.5
+    if start is None:
+        # The sum is at least 2 at s = 0 for two or more symbols; the
+        # full root of every named family lies above 1/2.
+        start = 0.0 if indices is not None else 0.5
     x = _newton(double, start, tol)
     if prec is None:
         if tol >= TOL_MIN_DOUBLE and x is not None:
@@ -618,10 +724,14 @@ def _solve(family, indices, tol, precision_bits):
                     return DimensionInterval(width_budget=tol, **verdict)
             except ToleranceNotReachable:
                 pass  # escalate to the mpmath tier, as on a refusal
-        prec = max(96, int(math.ceil(-math.log2(tol))) + 50)
+        prec = _auto_prec(tol)
 
-    sums = _fixed_bounds(family, indices, tol, prec)
-    fields = _fixed_newton(sums, start if x is None else x, tol, prec)
+    first = None
+    if x is None:
+        x = start
+    elif tables is not None:
+        x, first = tables.evaluation(x, indices)
+    fields = _fixed_newton(_fixed_bounds(family, indices, tol, prec), x, tol, prec, first)
     return DimensionInterval(width_budget=tol, tier="mpmath", precision_bits=prec, **fields)
 
 

@@ -15,15 +15,29 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import compress, product, starmap
+from itertools import chain, compress, product, starmap
 from multiprocessing import Pool
 
 from .errors import CapExceeded, ConfigError, require_int
 from .perturbation import increment
-from .solver import DEFAULT_TOL, DimensionInterval, _check_tol, _indices, _solve, solve_dimension
+from .solver import (
+    DEFAULT_TOL,
+    TOL_MIN_DOUBLE,
+    DimensionInterval,
+    _check_tol,
+    _CloudTables,
+    _indices,
+    _solve,
+    solve_dimension,
+)
 from .words import longest_common_prefix
 
 DEPTH_CAP = 16
+
+# A cloud is solved as the subtrees of its first SPLIT_BITS free
+# positions, whatever the worker count, so every word is solved the
+# same way, certificates included, serially and in any pool.
+SPLIT_BITS = 3
 
 
 @dataclass(frozen=True)
@@ -101,6 +115,28 @@ def _auto_tol(family, depth: int, base_symbols) -> float:
     return min(DEFAULT_TOL, max(tol, 1e-60))
 
 
+def _solve_subtree(family, base_symbols, depth, tol, start, words):
+    """Intervals of the words of one subtree: index tuples in
+    lexicographic order, so word m runs its last free positions through
+    the binary digits of m.
+
+    Below TOL_MIN_DOUBLE, where the double Newton iterate is only the
+    mpmath tier's start, word m's double Newton starts at the lo of word
+    m & (m - 1), its parent: the word with its last free 1 cleared, a
+    subset, whose root lies left of its own.  Word 0 starts at start, a
+    lower bound on the base's root.  The words share one _CloudTables.
+    Otherwise every word is solved as solve_dimension solves it.
+    """
+    if tol >= TOL_MIN_DOUBLE:
+        return [_solve(family, indices, tol, None) for indices in words]
+    tables = _CloudTables(family, base_symbols, depth, tol)
+    solved = []
+    for m, indices in enumerate(words):
+        lo = solved[m & (m - 1)].lo if m else start
+        solved.append(_solve(family, indices, tol, None, lo, tables))
+    return solved
+
+
 def _spacing_constant(points, base_mid: float) -> float:
     """Max over adjacent pairs of gap / 2**(-s*(l+1)**2), l = shared
     prefix length.  A fitted measurement, not a guarantee: it
@@ -124,10 +160,10 @@ def expand_spectrum(family, depth, base_symbols=(1, 2), tol=None, workers=1) -> 
     ConfigError for every family.  Words have the given length, carry
     '1' at each base symbol and run through all assignments elsewhere
     (2**(depth - len(base)) points, lexicographic generation, sorted by
-    midpoint).  Deterministic for any worker count: the work split
-    never changes the arithmetic.
-    workers > 1 solves the words in a process pool of at most
-    os.cpu_count() processes.
+    midpoint).  Deterministic for any worker count: the words are
+    solved in the fixed subtrees of _solve_subtree, serially or in the
+    pool alike.  workers > 1 solves the subtrees in a process pool of at
+    most os.cpu_count() processes.
     """
     depth = require_int(depth, "depth")
     workers = require_int(workers, "workers")
@@ -154,15 +190,17 @@ def expand_spectrum(family, depth, base_symbols=(1, 2), tol=None, workers=1) -> 
     if depth > base_symbols[-1]:
         family.check_index(depth)
     words = _cloud_words(depth, base_symbols)
-    jobs = [(family, tuple(compress(range(1, depth + 1), map(int, w))), tol, None) for w in words]
-    if workers > 1 and len(jobs) >= 8:
-        processes = min(workers, os.cpu_count() or 1)
-        with Pool(processes=processes) as pool:
-            solved = pool.starmap(_solve, jobs, chunksize=max(1, len(jobs) // (4 * processes)))
+    indices = [tuple(compress(range(1, depth + 1), map(int, w))) for w in words]
+    size = len(words) >> min(SPLIT_BITS, depth - len(base_symbols))
+    jobs = [(family, base_symbols, depth, tol, base_dim.lo, indices[i:i + size])
+            for i in range(0, len(words), size)]
+    if workers > 1 and len(words) >= 8:
+        with Pool(processes=min(workers, os.cpu_count() or 1)) as pool:
+            solved = pool.starmap(_solve_subtree, jobs)
     else:
-        solved = starmap(_solve, jobs)
+        solved = starmap(_solve_subtree, jobs)
 
-    pts = [SpectrumPoint(word=w, interval=iv) for w, iv in zip(words, solved)]
+    pts = [SpectrumPoint(word=w, interval=iv) for w, iv in zip(words, chain.from_iterable(solved))]
     pts.sort(key=lambda p: (p.interval.mid, p.word))
     spacing = _spacing_constant(pts, base_dim.mid)
     return SpectrumCloud(

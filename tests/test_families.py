@@ -169,7 +169,7 @@ def _units(value, bits):
 
 def _term_enclosure(fam, a, s, bits):
     """term_sums's enclosure of ratio(a)**s alone."""
-    lo, hi, _, _ = term_sums(fam, _pair(s), bits, a, {a})
+    lo, hi, _, _, _ = term_sums(fam, _pair(s), bits, a, {a})
     return lo, hi
 
 
@@ -191,7 +191,7 @@ def test_term_enclosures_contain_the_per_kind_formulas(kind, a, s):
 def test_tail_enclosures_majorise_the_per_kind_formulas(kind, n_cut, s):
     fam = ContractionFamily(kind)
     for bits in (96, 200):
-        tail = _outcome(lambda: term_sums(fam, _pair(s), bits, n_cut)[3])
+        tail = _outcome(lambda: term_sums(fam, _pair(s), bits, n_cut)[4])
         with mpmath.workprec(bits + 64):
             step = fam._tail_exponents(n_cut)[1]
             den = 1 - mpmath.power(NAMED_FAMILIES[kind][0], -step * mpmath.mpf(s))

@@ -103,6 +103,52 @@ def test_the_solver_imports_nothing_from_mpmath():
     assert [m for m in modules if m.split(".")[0] == "mpmath"] == []
 
 
+# Calls that build a mutable container, and decorators that memoise.
+MUTABLE_CALLS = {"dict", "list", "set", "bytearray", "defaultdict", "OrderedDict", "Counter", "deque"}
+CACHE_DECORATORS = {"lru_cache", "cache", "cached_property"}
+
+
+def _module_state(source):
+    """The lines of a module that keep state between calls: a mutable
+    container bound at module level or in a class body (a literal, a
+    comprehension or a MUTABLE_CALLS call), and any function decorated
+    with a cache, however it is named or called."""
+    def name(node):
+        node = node.func if isinstance(node, ast.Call) else node
+        return getattr(node, "id", None) or getattr(node, "attr", None)
+
+    found = []
+    tree = ast.parse(source)
+    bodies = [tree.body] + [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
+    for node in (node for body in bodies for node in body):
+        value = getattr(node, "value", None) if isinstance(
+            node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) else None
+        if isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)) \
+                or isinstance(value, ast.Call) and name(value) in MUTABLE_CALLS:
+            found.append(node.lineno)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                name(d) in CACHE_DECORATORS for d in node.decorator_list):
+            found.append(node.lineno)
+    return found
+
+
+def test_the_module_state_lint_sees_containers_and_caches():
+    source = ("import functools\nA = {}\nB = [x for x in ()]\nC = set()\nD = (1, 2)\n"
+              "class E:\n    seen = dict()\n    @functools.lru_cache(maxsize=8)\n"
+              "    def f(self):\n        local = []\n")
+    assert sorted(_module_state(source)) == [2, 3, 4, 7, 9]
+
+
+@pytest.mark.parametrize("module", ["solver.py", "spectrum.py"])
+def test_the_solver_and_the_cloud_keep_no_state_between_calls(module):
+    # A cloud's tables live for one expand_spectrum call.  A container
+    # or cache at module level would let one call's work serve the next,
+    # a memoisation that shows as speed in a benchmark repeating calls.
+    path = Path(dimspec.__file__).parent / module
+    assert _module_state(path.read_text()) == []
+
+
 def _private_definitions(path):
     """Module-level _names a module defines (functions, classes and
     assigned names; dunders excluded), with their lines."""

@@ -122,6 +122,19 @@ def test_a_sweep_is_checked_before_any_solve(monkeypatch):
     assert solves == []
 
 
+def test_exponent_fit_solves_its_pilot_once(monkeypatch):
+    # One solve of the base for the fit, one pilot for every symbol's
+    # tol, and the base and the extension of each of the 8 symbols: 18.
+    # Every symbol used to re-run the pilot (25 solves, 17 of the base).
+    solves = []
+    solve = perturbation.solve_dimension
+    monkeypatch.setattr(perturbation, "solve_dimension",
+                        lambda family, subset, tol: solves.append(subset) or solve(family, subset, tol=tol))
+    exponent_fit(SQEXP, (1, 2), range(3, 11))
+    assert len(solves) == 18
+    assert solves.count((1, 2)) == 10
+
+
 def test_perturbation_rejects_fractional_indices():
     with pytest.raises(ConfigError):
         increment(SQEXP, [1.5, 2], 4)

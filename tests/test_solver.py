@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import from_man_exp, round_ceiling, round_floor, to_float
 
@@ -271,9 +271,9 @@ def test_newton_iterate_off_the_root_never_yields_an_interval(monkeypatch, subse
         tiers.append(None)
         return x + 0.25
 
-    def fixed_newton_spy(sums, x, tol, prec):
+    def fixed_newton_spy(sums, x, tol, prec, first=None):
         tiers.append(prec)
-        return fixed_newton(sums, x, tol, prec)
+        return fixed_newton(sums, x, tol, prec, first)
 
     def refusal_spy(accept):
         def spy(*args):
@@ -317,13 +317,70 @@ def test_the_mean_value_check_needs_its_moment_and_its_exponent_bound(monkeypatc
     monkeypatch.setattr(solver, "NEWTON_STEPS", 1)
     assert solver._fixed_newton(sums, at, tol, prec)
     mean_value = solver._mean_value
-    for corrupt in [lambda lo, hi, moment, ln_max, bits, slope: (lo, hi, 0, ln_max, bits, slope),
-                    lambda lo, hi, moment, ln_max, bits, slope: (lo, hi, moment, ln_max << 200,
-                                                                  bits, slope)]:
+    for corrupt in [lambda lo, hi, moment, moment_hi, ln_max, bits, slope:
+                    (lo, hi, 0, moment_hi, ln_max, bits, slope),
+                    lambda lo, hi, moment, moment_hi, ln_max, bits, slope:
+                    (lo, hi, moment, moment_hi, ln_max << 200, bits, slope)]:
         monkeypatch.setattr(solver, "_mean_value", lambda lo, hi, at, q, evaluation, corrupt=corrupt:
                             mean_value(lo, hi, at, q, corrupt(*evaluation)))
         with pytest.raises(ToleranceNotReachable, match="mean-value upper bound at hi"):
             solver._fixed_newton(sums, at, tol, prec)
+
+
+@st.composite
+def mean_value_cases(draw):
+    """(family, subset, tol, interval, at): a named or explicit finite
+    selection, or a named full selector, a tol in [1e-40, 1e-14], the
+    certified interval of its root at tol, and a point at, an exact
+    dyadic Fraction, within 4 grid steps 2**-g (g as for a cloud at tol)
+    of either end of the interval, 0.01 to 2 above it, or 5% to 95% of
+    the way from 0 to its lower end."""
+    kind = draw(st.sampled_from(["square-exponent", "geometric", "type-three", "explicit"]))
+    if kind == "explicit":
+        ratios = draw(st.lists(st.fractions(min_value=Fraction(1, 50), max_value=Fraction(9, 10),
+                                            max_denominator=100), min_size=2, max_size=6))
+        fam = ContractionFamily.explicit(ratios)
+        subset = draw(st.sets(st.integers(1, len(ratios)), min_size=2))
+    else:
+        fam = ContractionFamily(kind)
+        subset = draw(st.one_of(st.just("full"),
+                                st.sets(st.integers(1, 14), min_size=2, max_size=8)))
+    tol = 10.0 ** draw(st.floats(min_value=-40.0, max_value=-14.0))
+    iv = solve_dimension(fam, subset, tol=tol)
+    g = math.ceil(-math.log2(tol) / 2) + 8
+    near = st.tuples(st.sampled_from([iv.lo, iv.hi]), st.integers(-4 << 10, 4 << 10)).map(
+        lambda end_k: Fraction(end_k[0]) + Fraction(end_k[1], 1 << (g + 10)))
+    above = st.floats(min_value=0.01, max_value=2.0).map(lambda d: Fraction(iv.hi + d))
+    below = st.floats(min_value=0.05, max_value=0.95).map(lambda u: Fraction(iv.lo * u))
+    return fam, subset, tol, iv, draw(st.one_of(near, above, below))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mean_value_cases())
+@example((SQEXP, (1, 2, 5), 1e-30, solve_dimension(SQEXP, (1, 2, 5), tol=1e-30), Fraction(0.48)))
+@example((SQEXP, "full", 1e-25, solve_dimension(SQEXP, "full", tol=1e-25), Fraction(0.5)))
+@example((SQEXP, "full", 1e-25, solve_dimension(SQEXP, "full", tol=1e-25), Fraction(0.51)))
+def test_mean_value_bounds_hold_on_both_sides_of_the_bracket(case):
+    # The bounds _mean_value draws from one evaluation hold against the
+    # 200-bit sums at lo and at hi, whichever side of each end the point
+    # lies.  A far side (the point below lo, or above hi) needs the upper
+    # moment, which a full selector lacks, and above hi also
+    # 2 * ln_max * (at - hi) < 1; otherwise it is -inf (inf).
+    fam, subset, tol, iv, at = case
+    assume(at > 0)
+    indices = solver._indices(fam, subset)
+    pair = at.numerator, at.denominator.bit_length() - 1
+    evaluation = solver._fixed_bounds(fam, indices, tol, solver._auto_prec(tol))(pair)
+    lower, upper = solver._mean_value(iv.lo, iv.hi, *pair, evaluation)
+    assert lower <= oracles.ref_sum(fam, indices, iv.lo, oracles.PREC)
+    assert upper >= oracles.ref_sum(fam, indices, iv.hi, oracles.PREC)
+    _, _, _, moment_hi, ln_max, bits, _ = evaluation
+    assert (moment_hi is None) == (indices is None)
+    if at < iv.lo:
+        assert (lower == -math.inf) == (moment_hi is None)
+    if at > iv.hi:
+        reach = Fraction(2 * ln_max, 1 << bits) * (at - Fraction(iv.hi))
+        assert (upper == math.inf) == (moment_hi is None or reach >= 1)
 
 
 def _float_below(x):
@@ -395,21 +452,32 @@ def _counting_chains(monkeypatch):
     return chains
 
 
-@pytest.mark.parametrize("depth", [10, 11, 12, 14])
+@pytest.mark.parametrize("depth", [10, 11, 12, 13, 14])
 def test_deep_cloud_solves_mostly_certify_from_their_first_evaluation(monkeypatch, depth):
     # Each square-exponent cloud word at the auto tol runs on the mpmath
-    # tier.  Its fixed-point Newton stops at the first evaluation that
-    # certifies its bracket; where the double Newton iterate already
-    # bounds it, that is the first one.  None may need a third.
-    chains = _counting_chains(monkeypatch)
-    tol = spectrum._auto_tol(SQEXP, depth, (1, 2))
-    costs = Counter()
-    for word in spectrum._cloud_words(depth, (1, 2)):
-        chains.clear()
-        assert solve_dimension(SQEXP, word, tol=tol).tier == "mpmath"
-        costs[len(chains)] += 1
-    assert set(costs) <= {1, 2}
-    assert costs[1] >= 3 / 4 * 2 ** (depth - 2)
+    # tier, and its first fixed-point evaluation is its cloud's table at
+    # its double iterate snapped to the grid.  Every word certifies from
+    # that one evaluation: none reaches its own sums.
+    evaluations = []
+    fixed_newton = solver._fixed_newton
+
+    def fixed_newton_spy(sums, x, tol, prec, first=None):
+        counts = [first is not None]
+        evaluations.append(counts)
+
+        def counted(s):
+            counts.append(True)
+            return sums(s)
+
+        return fixed_newton(counted, x, tol, prec, first)
+
+    monkeypatch.setattr(solver, "_fixed_newton", fixed_newton_spy)
+    cloud = spectrum.expand_spectrum(SQEXP, depth)
+    # the base's solve, at 16 tol, comes first and reads no table
+    base, *words = evaluations
+    assert base[0] is False
+    assert len(words) == len(cloud.points) == 2 ** (depth - 2)
+    assert all(counts == [True] for counts in words)
 
 
 def test_full_selector_cut_between_a_quarter_and_half_tol_walks_no_chain(monkeypatch):
@@ -448,9 +516,9 @@ def test_escalation_reuses_the_double_newton_iterate(monkeypatch):
         calls.append((None, x))
         return x
 
-    def fixed_newton_spy(sums, x, tol, prec):
+    def fixed_newton_spy(sums, x, tol, prec, first=None):
         calls.append((prec, x))
-        return fixed_newton(sums, x, tol, prec)
+        return fixed_newton(sums, x, tol, prec, first)
 
     monkeypatch.setattr(solver, "_newton", newton_spy)
     monkeypatch.setattr(solver, "_fixed_newton", fixed_newton_spy)

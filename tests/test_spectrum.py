@@ -1,12 +1,13 @@
 import pytest
 
 import oracles
-from dimspec import spectrum
+from dimspec import families, solver, spectrum
 from dimspec.errors import CapExceeded, ConfigError, InsufficientPrecision
 from dimspec.families import ContractionFamily
 from dimspec.perturbation import increment
 from dimspec.solver import solve_dimension
 from dimspec.spectrum import DEPTH_CAP, branch_increment, expand_spectrum
+from dimspec.words import subset_of_word
 
 SQEXP = ContractionFamily.square_exponent()
 
@@ -111,14 +112,85 @@ def test_depth_and_base_validation():
 @pytest.mark.parametrize("workers", [1, 2])
 def test_cloud_words_are_solved_as_their_subsets(workers):
     # The cloud hands the solver each word's symbols, not the word; every
-    # point is still the word's own solve, and a word past the end of a
-    # finite family is the ConfigError the word's solve would raise.
+    # point has the ends, tier, precision and budget of the word's own
+    # solve.  Its certificates come from its cloud's table, not from the
+    # solve's evaluation, and hold against the 200-bit sums at lo and hi.
+    # A word past the end of a finite family is the ConfigError the
+    # word's solve would raise.
     cloud = expand_spectrum(SQEXP, 5, tol=1e-20, workers=workers)
-    assert all(p.interval == solve_dimension(SQEXP, p.word, tol=1e-20) for p in cloud.points)
+    for point in cloud.points:
+        iv, alone = point.interval, solve_dimension(SQEXP, point.word, tol=1e-20)
+        assert ((iv.lo, iv.hi, iv.tier, iv.precision_bits, iv.width_budget)
+                == (alone.lo, alone.hi, alone.tier, alone.precision_bits, alone.width_budget))
+        indices = subset_of_word(point.word)
+        assert (oracles.ref_sum(SQEXP, indices, iv.lo, oracles.PREC) >= iv.cert_lo >= 1
+                >= iv.cert_hi >= oracles.ref_sum(SQEXP, indices, iv.hi, oracles.PREC))
     family = ContractionFamily.explicit(["1/2", "1/3", "1/4"])
     with pytest.raises(ConfigError, match="^index 5 out of range for explicit family of size 3$"):
         expand_spectrum(family, 5, tol=1e-9, workers=workers)
     assert expand_spectrum(family, 3, base_symbols=(1, 3), tol=1e-9).points[0].word == "101"
+
+
+def test_cloud_certificates_do_not_depend_on_the_worker_count(monkeypatch):
+    # The words are solved in fixed subtrees, each from its parents' ends
+    # and its own tables, so the whole cloud, certificates included, is
+    # the same serially, through the pool branch and in a real pool.
+    one = expand_spectrum(SQEXP, 8, tol=1e-20, workers=1)
+    real = expand_spectrum(SQEXP, 8, tol=1e-20, workers=2)
+    monkeypatch.setattr(spectrum, "Pool", _SerialPool)
+    assert expand_spectrum(SQEXP, 8, tol=1e-20, workers=2) == one == real
+
+
+def test_a_table_evaluation_that_does_not_certify_falls_through(monkeypatch):
+    # On a grid of quarters a word's first point lies far from its root,
+    # so the table's evaluation there cannot certify; the solve goes on
+    # from the unsnapped iterate with the word's own sums and ends at the
+    # same endpoints.
+    class Quarters(solver._CloudTables):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.g = 2
+
+    own = []  # evaluations of each solve's own sums, the base's first
+    fixed_bounds = solver._fixed_bounds
+
+    def counted(*args):
+        sums, i = fixed_bounds(*args), len(own)
+        own.append(0)
+
+        def counting(s):
+            own[i] += 1
+            return sums(s)
+
+        return counting
+
+    fine = expand_spectrum(SQEXP, 8, tol=1e-20)
+    monkeypatch.setattr(spectrum, "_CloudTables", Quarters)
+    monkeypatch.setattr(solver, "_fixed_bounds", counted)
+    coarse = expand_spectrum(SQEXP, 8, tol=1e-20)
+    assert len(own) == len(coarse.points) + 1 and min(own) >= 1
+    assert ([(p.word, p.interval.lo, p.interval.hi) for p in coarse.points]
+            == [(p.word, p.interval.lo, p.interval.hi) for p in fine.points])
+
+
+def test_no_table_outlives_its_cloud(monkeypatch):
+    # The cloud's tables live for one expand_spectrum call, so a second
+    # identical call builds them all again: as many exps as the first.
+    calls = []
+    enclosure = families.power_enclosure
+
+    def counted(*args):
+        calls.append(args)
+        return enclosure(*args)
+
+    monkeypatch.setattr(families, "power_enclosure", counted)
+    monkeypatch.setattr(solver, "power_enclosure", counted)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        expand_spectrum(SQEXP, 10)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 # (1.5, 2) used to run the (1, 2) cloud, and depth 4.7 depth 4
