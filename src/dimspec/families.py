@@ -18,14 +18,16 @@ is finite for every s > 0 and infinite at s = 0.
 Terms come in two tiers.  term_double and tail_majorant evaluate in
 doubles.  The mpmath tier encloses terms in fixed point between two
 integers: power_enclosure encloses one ratio**s with one exp, and
-term_sums walks a named row once from y = base**(-s) by integer multiply
-and shift, rounded down for the lower sum and up for the upper sum, with
-its tail majorant in the same integers.  term_table encloses the terms
-symbol by symbol instead, for the words of a cloud to share.
-ln_enclosure encloses |ln ratio| in the same integers, for the
-derivative bounds the mpmath tier certifies with.  The mpmath tier's point s is an exact dyadic
-at * 2**-q, passed as the int pair (at, q); libmp numbers are built
-here alone, and dyadic_mpf turns fixed-point units into an mpf.
+ln_enclosure encloses |ln ratio|, for the derivative bounds the mpmath
+tier certifies with.  The solver reaches both through two functions.
+term_sums walks a named family's full selector once from
+y = base**(-s) by integer multiply and shift, rounded down for the
+lower sum and up for the upper sum, with its tail majorant in the same
+integers.  term_table gives the rows of any finite list of symbols,
+named or explicit, which single solves and cloud words sum alike.
+The mpmath tier's point s is an exact dyadic at * 2**-q, passed as the
+int pair (at, q); libmp numbers are built here alone, and dyadic_mpf
+turns fixed-point units into an mpf.
 """
 
 from __future__ import annotations
@@ -332,21 +334,19 @@ class _Powers(dict):
         return power
 
 
-def term_sums(family, s, bits, n, selected=None):
-    """Sums of the terms ratio(a)**s = y**e(a), y = base**(-s), of a
-    named family over a = 1..n, each term enclosed at `bits` bits:
-    (lo, hi, moment, moment_hi, tail), ints in units of 2**-bits.
+def term_sums(family, s, bits, n):
+    """The full selector's partial sum of a named family over a = 1..n,
+    each term ratio(a)**s = y**e(a), y = base**(-s), enclosed at `bits`
+    bits: (lo, hi, moment, ln_max, tail), ints in units of 2**-bits.
     s = at * 2**-q is the int pair (at, q), as power_enclosure takes it.
 
-    A term is added when selected is None or a is in selected.  lo and
-    hi enclose the sum, moment is the sum of the lower terms times e(a)
-    and moment_hi that of the upper terms times e(a), so the two enclose
-    the sum of e(a) * ratio(a)**s.  For the full selector (selected
-    None) moment_hi is None, since nothing majorises the tail's moment,
-    and tail majorises the terms beyond n: the next term over 1 - its
-    step factor, rounded up (the geometric majorant of tail_majorant);
-    ConfigError when e(n+2) == e(n+1), ToleranceNotReachable when the
-    step factor rounds up to 1.  A finite selection has tail 0.
+    lo and hi enclose the sum.  moment, the lower terms times e(a) times
+    the lower ln_enclosure of ln(base), rounded down, is at most the sum
+    of |ln ratio(a)| * ratio(a)**s; ln_max, e(n) times the upper one,
+    bounds every walked |ln ratio(a)|.  tail majorises the terms beyond
+    n: the next term over 1 - its step factor, rounded up (the geometric
+    majorant of tail_majorant); ConfigError when e(n+2) == e(n+1),
+    ToleranceNotReachable when the step factor rounds up to 1.
 
     One power_enclosure encloses y (_Powers).  Each step multiplies the
     term by its step factor y**(e(a+1) - e(a)), and the step factor by y
@@ -360,17 +360,11 @@ def term_sums(family, s, bits, n, selected=None):
     e0, e1, e2 = e(1), e(2), e(3)
     t_lo, t_hi = powers[e0]
     d_lo, d_hi = powers[e1 - e0]
-    lo = hi = moment = moment_hi = 0
+    lo = hi = moment = 0
     for a in range(1, n + 1):
-        if selected is None:
-            lo += t_lo
-            hi += t_hi
-            moment += e0 * t_lo
-        elif a in selected:
-            lo += t_lo
-            hi += t_hi
-            moment += e0 * t_lo
-            moment_hi += e0 * t_hi
+        lo += t_lo
+        hi += t_hi
+        moment += e0 * t_lo
         t_lo = t_lo * d_lo >> bits
         t_hi = (t_hi * d_hi + up) >> bits
         bend = e2 - e1 - e1 + e0
@@ -379,32 +373,36 @@ def term_sums(family, s, bits, n, selected=None):
             d_lo = d_lo * c_lo >> bits
             d_hi = (d_hi * c_hi + up) >> bits
         e0, e1, e2 = e1, e2, e(a + 3)
-    if selected is not None:
-        return lo, hi, moment, moment_hi, 0
     if e1 == e0:
         raise ConfigError(f"a tail majorant needs e(n+2) > e(n+1), got n = {n}")
     if d_hi >= one:
         raise ToleranceNotReachable(f"s is too small for a tail majorant at {bits} bits")
-    return lo, hi, moment, None, -(-t_hi * one // (one - d_hi))
+    ln_lo, ln_hi = ln_enclosure(1, base, bits)
+    return lo, hi, moment * ln_lo >> bits, e(n) * ln_hi, -(-t_hi * one // (one - d_hi))
 
 
-def term_table(family, s, bits, n):
-    """Per-symbol enclosures at `bits` bits for a = 1..n, a list of
-    (t_lo, t_hi, l_lo, l_hi) with t_lo <= ratio(a)**s * 2**bits <= t_hi
-    and l_lo <= |ln ratio(a)| * 2**bits <= l_hi.  s = at * 2**-q is the
-    int pair (at, q).
+def term_table(family, s, bits, symbols):
+    """One row per symbol a of symbols, in their order, enclosing its
+    term at `bits` bits: (t_lo, t_hi, m_lo, m_hi, l_hi), ints with
+    t_lo <= ratio(a)**s * 2**bits <= t_hi, l_lo <= |ln ratio(a)| *
+    2**bits <= l_hi, m_lo = t_lo * l_lo and m_hi = t_hi * l_hi.  s =
+    at * 2**-q is the int pair (at, q).  This is how every finite
+    selection is evaluated, named or explicit, alone or as a cloud word.
 
     A named family's term y**e(a) is the power _Powers holds, and
     |ln ratio(a)| = e(a) * ln(base) is enclosed by e(a) times one
-    ln_enclosure; an explicit family takes one power_enclosure and one
-    ln_enclosure per distinct ratio.
+    ln_enclosure, so only the listed symbols are visited; an explicit
+    family takes one power_enclosure and one ln_enclosure per distinct
+    ratio.
     """
     if family.is_infinite:
         base, e = family.row
         powers = _Powers(base, s, bits)
         ln_lo, ln_hi = ln_enclosure(1, base, bits)
-        return [powers[e(a)] + (e(a) * ln_lo, e(a) * ln_hi) for a in range(1, n + 1)]
-    ratios = [family.ratio(a) for a in range(1, n + 1)]
-    enclosures = {r: power_enclosure(r, s, bits) + ln_enclosure(r.numerator, r.denominator, bits)
-                  for r in set(ratios)}
-    return [enclosures[r] for r in ratios]
+        terms = [(k * ln_lo, k * ln_hi) + powers[k] for k in map(e, symbols)]
+    else:
+        ratios = list(map(family.ratio, symbols))
+        distinct = {r: ln_enclosure(r.numerator, r.denominator, bits) + power_enclosure(r, s, bits)
+                    for r in set(ratios)}
+        terms = map(distinct.__getitem__, ratios)
+    return [(t_lo, t_hi, t_lo * l_lo, t_hi * l_hi, l_hi) for l_lo, l_hi, t_lo, t_hi in terms]

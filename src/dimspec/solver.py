@@ -34,14 +34,17 @@ double tier sums plain doubles, widens them by a generous relative
 slack, and takes the two one-sided sums at exactly the floats lo and
 hi.  The mpmath tier, at a working precision prec chosen from the
 requested tolerance, sums fixed-point integers: every term is enclosed
-between two integers at bits >= prec bits (families.term_sums,
-families.power_enclosure), from one exp per evaluation for a named
-family and one per distinct ratio for an explicit one, and products
-are rounded down in the lower sum and up in the upper sum.  Its sums
-are exact dyadics S * 2**-bits, certified by monotonicity alone with no
-slack; the one assumption is that libmp's log, multiply and exp are
-accurate to 16 ulp at the precision they run at, which is 16 bits above
-the fixed point (the accuracy note in families.py).  Both tiers cut a
+between two integers at bits >= prec bits, from one exp per evaluation
+for a named family and one per distinct ratio for an explicit one, and
+products are rounded down in the lower sum and up in the upper sum.
+A full selector's terms come from one walk (families.term_sums); a
+finite selection's, named or explicit, solved alone or as a cloud word,
+from its own per-symbol rows (families.term_table), which one helper
+adds up (_sum_rows).  Its sums are exact dyadics S * 2**-bits,
+certified by monotonicity alone with no slack; the one assumption is
+that libmp's log, multiply and exp are accurate to 16 ulp at the
+precision they run at, which is 16 bits above the fixed point (the
+accuracy note in families.py).  Both tiers cut a
 full infinite selector at the same n_cut, the first whose double tail
 majorant is below tol/4 (_truncation).  The mpmath tier starts from
 the double Newton iterate (or afresh when the double Newton failed)
@@ -73,8 +76,8 @@ The words of an mpmath-tier cloud (spectrum.expand_spectrum) share
 work through two hooks of _solve: the double Newton starts at a point
 the caller knows lies left of the root (the word's parent's lo), and
 the first fixed-point evaluation is the double iterate rounded to the
-grid 2**-g, g = ceil(-log2(tol)/2) + 8, read off a table of
-per-symbol enclosures that every word on that grid point shares
+grid 2**-g, g = ceil(-log2(tol)/2) + 8, summed from a table of
+term_table rows that every word on that grid point shares
 (_CloudTables, whose docstring bounds what the rounding costs the
 certificate).  The far-side bounds are what let a point off the
 bracket certify it.  Single solves never snap to the grid.
@@ -84,13 +87,12 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 from operator import index, itemgetter, mul
 
 from .errors import ConfigError, DivergentSum, ToleranceNotReachable, require_int
-from .families import dyadic_mpf, ln_enclosure, power_enclosure, term_sums, term_table
+from .families import dyadic_mpf, term_sums, term_table
 from .words import subset_of_word
 
 # Relative slack applied to double-precision sums.  Covers the rounding
@@ -160,13 +162,15 @@ def moran_bounds(family, subset, s, tol, prec=None):
     evaluates in fixed point at no fewer than prec bits, at s exactly
     (an mpf keeps every bit, anything else is read as a float), and
     returns the sums as exact dyadic mpfs; it refuses with
-    ToleranceNotReachable, before any walk, a named family's index above
-    MAX_TERMS, an s beyond the float range and an s that needs more
-    than MAX_FIXED_BITS bits.  prec is checked as
+    ToleranceNotReachable, before any evaluation, a named family's
+    index above MAX_TERMS, an s beyond the float range and an s that
+    needs more than MAX_FIXED_BITS bits.  prec is checked as
     solve_dimension checks precision_bits: ConfigError below 24 bits,
     ToleranceNotReachable for a tol below its resolution.  The slope
     d/ds of the partial sum is an estimate for Newton steps, not a
-    bound.  At s = 0 the full selector diverges: (inf, inf, -inf).
+    bound; in fixed point it is minus the lower moment (_fixed_bounds),
+    rounded to a float.  At s = 0 the full selector diverges:
+    (inf, inf, -inf).
     """
     if not s >= 0:
         raise ConfigError(f"moran_bounds needs s >= 0, got {s}")
@@ -177,8 +181,8 @@ def moran_bounds(family, subset, s, tol, prec=None):
     sums = _fixed_bounds(family, indices, tol, prec)(_pair(s))
     if sums is None:
         return math.inf, math.inf, -math.inf
-    lo, hi, _, _, _, bits, slope = sums
-    return dyadic_mpf(lo, bits), dyadic_mpf(hi, bits), slope
+    lo, hi, moment, _, _, bits = sums
+    return dyadic_mpf(lo, bits), dyadic_mpf(hi, bits), -moment / (1 << bits)
 
 
 def _pair(s):
@@ -279,7 +283,7 @@ def _double_bounds(family, indices, tol):
 def _fixed_bits(prec, s, top, n_terms):
     """Fixed-point bits for prec-bit sums at s: prec, plus the bits the
     largest term 2**-(s*top) sits below 1, plus guard bits for the
-    rounding of up to n_terms walked terms.
+    rounding of up to n_terms summed terms.
 
     The bits only decide how tight the sums are; directed rounding
     certifies them at any bits.  With 2 bits per bit of n_terms they
@@ -303,83 +307,74 @@ def _fixed_bounds(family, indices, tol, prec):
     length of one solve.
 
     It returns None where the full selector diverges (s = 0), and
-    otherwise (lo, hi, moment, moment_hi, ln_max, bits, slope): ints in
-    units of 2**-bits, with lo <= S(s) <= hi for the Moran sum S,
-    moment <= M(s) <= moment_hi for the sum M(s) over the summed terms
-    of |ln ratio(a)| * ratio(a)**s (the lower terms times their log
-    enclosures, rounded down; the upper terms times theirs, rounded up),
-    and ln_max >= |ln ratio(a)| for every summed symbol a; slope is the
-    float estimate of S'(s) that moran_bounds returns (the mpmath
-    tier's Newton steps read moment instead).  For a finite selection
-    M(s) = |S'(s)|; a full selector's moment_hi is None, since no
-    majorant of its tail's moment is known.  For a named family moment
-    and moment_hi are the term_sums moments times ln(base), and ln_max
-    is e(n) * ln(base) with n the last symbol walked.
+    otherwise the evaluation (lo, hi, moment, moment_hi, ln_max, bits):
+    ints in units of 2**-bits, with lo <= S(s) <= hi for the Moran sum
+    S, moment <= M(s) <= moment_hi for the sum M(s) over the summed
+    terms of |ln ratio(a)| * ratio(a)**s, and ln_max >= |ln ratio(a)|
+    for every summed symbol a.  For a finite selection M(s) = |S'(s)|;
+    a full selector's moment_hi is None, since no majorant of its
+    tail's moment is known.  The lower moment is also the slope
+    estimate moran_bounds returns, and what the Newton steps read.
 
-    Named families call term_sums once (one exp per evaluation);
-    explicit families enclose each distinct selected ratio once.  The
-    lower sum adds the floor enclosures and the upper sum the ceiling
-    enclosures plus the fixed-point tail majorant, so both are certified
-    by monotonicity alone, with no relative slack.
+    A finite selection, named or explicit, is summed from its own
+    term_table rows (_sum_rows), so a named family visits only the
+    symbols selected.  The largest term, which sizes the bits, is
+    looked up on the first evaluation, so a cloud word that certifies
+    from its table does no fixed-tier work of its own.  A named index above
+    MAX_TERMS, the cap the full selector's cut obeys, is refused with
+    ToleranceNotReachable before any evaluation.
 
     A full selector is cut where the double tier cuts it, by _truncation
     on the double closed form family.tail_majorant at tol/4, before any
     term is walked; term_sums then walks to that cut, and the upper sum
     adds its fixed-point tail, so the sums are certified whatever the
-    cut.  A finite selection is walked to its largest index, and one
-    above MAX_TERMS, the cap the full selector's cut obeys, is refused
-    with ToleranceNotReachable before any walk.
+    cut.  Lower sums add floor enclosures and upper sums ceiling
+    enclosures, so both are certified by monotonicity alone, with no
+    relative slack.
     """
-    if not family.is_infinite:
-        groups = Counter((family.ratio(a), family.log2_ratio(a)) for a in indices)
-        weights = [(r, k, w) for (r, w), k in groups.items()]
-        top = -max((w for _, _, w in weights), default=0.0)
-        n_terms = len(indices)
+    if indices is not None:
+        if family.is_infinite and indices and indices[-1] > MAX_TERMS:
+            raise ToleranceNotReachable(
+                f"symbol {indices[-1]} lies beyond the {MAX_TERMS} terms the fixed tier takes")
+
+        top = None
 
         def sums(s):
+            nonlocal top
+            if top is None:
+                top = -max(map(family.log2_ratio, indices), default=0.0)
             at, q = s
-            bits = _fixed_bits(prec, at / (1 << q), top, n_terms)
-            lo = hi = moment = moment_hi = ln_max = 0
-            slope = 0.0
-            for r, k, w in weights:
-                t_lo, t_hi = power_enclosure(r, s, bits)
-                ln_lo, ln_hi = ln_enclosure(r.numerator, r.denominator, bits)
-                lo += k * t_lo
-                hi += k * t_hi
-                moment += k * ln_lo * t_lo
-                moment_hi += k * ln_hi * t_hi
-                ln_max = max(ln_max, ln_hi)
-                slope += k * w * (t_lo / (1 << bits))
-            return lo, hi, moment >> bits, -(-moment_hi >> bits), ln_max, bits, LN2 * slope
+            bits = _fixed_bits(prec, at / (1 << q), top, len(indices))
+            return _sum_rows(zip(_PAD, *term_table(family, s, bits, indices)), bits)
 
         return sums
 
-    base, e = family.row
-    ln_base = math.log(base)
-    selected = None if indices is None else set(indices)
-    n_terms = indices[-1] if indices else 0
-    if n_terms > MAX_TERMS:
-        raise ToleranceNotReachable(
-            f"symbol {n_terms} lies beyond the {MAX_TERMS} terms a fixed-point walk takes")
-    top = -family.log2_ratio(indices[0] if indices else 1)
+    top = -family.log2_ratio(1)
 
     def sums(s):
         at, q = s
+        if at <= 0:
+            return None
         s_float = at / (1 << q)
-        n = n_terms
-        if indices is None:
-            if at <= 0:
-                return None
-            n, _ = _truncation(lambda n_cut: family.tail_majorant(n_cut, s_float), tol / 4)
+        n, _ = _truncation(lambda n_cut: family.tail_majorant(n_cut, s_float), tol / 4)
         bits = _fixed_bits(prec, s_float, top, n)
-        lo, hi, moment, moment_hi, tail = term_sums(family, s, bits, n, selected)
-        ln_lo, ln_hi = ln_enclosure(1, base, bits)
-        if moment_hi is not None:
-            moment_hi = -(-moment_hi * ln_hi >> bits)
-        return (lo, hi + tail, moment * ln_lo >> bits, moment_hi, e(n) * ln_hi,
-                bits, -ln_base * (moment / (1 << bits)))
+        lo, hi, moment, ln_max, tail = term_sums(family, s, bits, n)
+        return lo, hi + tail, moment, None, ln_max, bits
 
     return sums
+
+
+# A row of zeros, which pads an empty selection and a cloud's symbol 0.
+_PAD = (0, 0, 0, 0, 0)
+
+
+def _sum_rows(columns, bits):
+    """The evaluation of a finite selection, as _fixed_bounds returns
+    it, from its term_table rows at `bits` bits given as their five
+    columns (zip(_PAD, *rows)): the terms added up, the moments rounded
+    down and up to units of 2**-bits, and the largest |ln ratio| bound."""
+    t_lo, t_hi, m_lo, m_hi, l_hi = columns
+    return sum(t_lo), sum(t_hi), sum(m_lo) >> bits, -(-sum(m_hi) >> bits), max(l_hi), bits
 
 
 class _CloudTables:
@@ -387,16 +382,16 @@ class _CloudTables:
 
     A word's first mpmath-tier point is its double Newton iterate x
     rounded to the nearest multiple p of 2**-g, g = ceil(-log2(tol)/2) + 8.
-    Words whose iterates round to the same p read one table of
-    per-symbol enclosures there (families.term_table over the symbols
-    1..depth), built the first time a word needs it and kept as long as
-    this object, which a cloud makes afresh for each subtree of words it
-    solves.  Every table is at the same bits, fixed for the whole cloud:
-    _fixed_bits at the cloud's prec, at s = 1 (every root a bracket
-    reports lies in [0, 1]), with the largest base ratio's term (the
-    smallest base symbol's, for a named family) and depth terms.  A
-    word's sums there are its symbols' entries added up, and its moments
-    their products with the log enclosures, rounded down and up.
+    Words whose iterates round to the same p read one table there, the
+    term_table rows of the symbols 1..depth, built the first time a word
+    needs it and kept as long as this object, which a cloud makes
+    afresh for each subtree of words it solves.  Every table is at the
+    same bits, fixed for the whole cloud: _fixed_bits at the cloud's
+    prec, at s = 1 (every root a bracket reports lies in [0, 1]), with
+    the largest base ratio's term (the smallest base symbol's, for a
+    named family) and depth terms, kept as columns, so that a word's
+    evaluation there is _sum_rows over its own symbols' entries, as a
+    single solve's is over its rows.
 
     Why g: snapping moves the point by d <= 2**-(g+1), so
     d**2 <= tol * 2**-18.  The losses from a point at distance D from
@@ -428,18 +423,13 @@ class _CloudTables:
         """(point, evaluation): x rounded to the nearest multiple of
         2**-g, a float (x itself where 2**-g is below x's spacing), and
         the evaluation of the symbols indices there, as _fixed_bounds
-        returns it but at the table's bits and with slope None."""
+        returns it but at the table's bits."""
         p = round(math.ldexp(x, self.g))
         table = self.tables.get(p)
         if table is None:
-            rows = term_table(self.family, (p, self.g), self.bits, self.depth)
-            t_lo, t_hi, l_lo, l_hi = zip((0, 0, 0, 0), *rows)  # 0 pads symbol 0
-            table = self.tables[p] = (t_lo, t_hi, tuple(map(mul, t_lo, l_lo)),
-                                      tuple(map(mul, t_hi, l_hi)), l_hi)
-        t_lo, t_hi, m_lo, m_hi, l_hi = map(itemgetter(*indices), table)
-        bits = self.bits
-        return math.ldexp(p, -self.g), (sum(t_lo), sum(t_hi), sum(m_lo) >> bits,
-                                        -(-sum(m_hi) >> bits), max(l_hi), bits, None)
+            rows = term_table(self.family, (p, self.g), self.bits, range(1, self.depth + 1))
+            table = self.tables[p] = tuple(zip(_PAD, *rows))  # _PAD is symbol 0
+        return math.ldexp(p, -self.g), _sum_rows(map(itemgetter(*indices), table), self.bits)
 
 
 @dataclass(frozen=True)
@@ -596,7 +586,7 @@ def _mean_value(lo, hi, at, q, evaluation):
       S(hi) <= S_hi(at) + d * moment_hi * (1 + 2 * ln_max * d).
     Otherwise the far side gives -inf (at lo) or inf (at hi).
     """
-    sum_lo, sum_hi, moment, moment_hi, ln_max, bits, _ = evaluation
+    sum_lo, sum_hi, moment, moment_hi, ln_max, bits = evaluation
     lower, upper = -math.inf, math.inf
     m, k = _minus(at, q, lo)  # m * 2**-k = at - lo
     if m >= 0 or moment_hi is not None:
@@ -634,7 +624,7 @@ def _fixed_newton(sums, x, tol, prec, first=None):
         evaluation, first = first or sums((at, q)), None
         if evaluation is None or evaluation[2] <= 0:
             break
-        sum_lo, sum_hi, moment, _, _, bits, _ = evaluation
+        sum_lo, sum_hi, moment, _, _, bits = evaluation
         x = at + ((sum_lo + sum_hi - (2 << bits)) << q) // (2 * moment)
         lo, hi = _bracket(_float_of(*_minus(x, q, 0.4 * tol), False),
                           _float_of(*_minus(x, q, -0.4 * tol), True), tol)

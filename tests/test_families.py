@@ -18,6 +18,7 @@ from dimspec.families import (
     parse_ratio,
     power_enclosure,
     term_sums,
+    term_table,
 )
 from dimspec.solver import _pair
 
@@ -168,8 +169,8 @@ def _units(value, bits):
 
 
 def _term_enclosure(fam, a, s, bits):
-    """term_sums's enclosure of ratio(a)**s alone."""
-    lo, hi, _, _, _ = term_sums(fam, _pair(s), bits, a, {a})
+    """term_table's enclosure of ratio(a)**s alone."""
+    [(lo, hi, _, _, _)] = term_table(fam, _pair(s), bits, [a])
     return lo, hi
 
 
@@ -221,6 +222,45 @@ def test_ln_enclosure_encloses_the_log_at_400_more_bits(ratio, bits):
         exact = -mpmath.log(mpmath.mpf(ratio.numerator) / ratio.denominator) * mpmath.mpf(2) ** bits
         assert lo <= exact <= hi
     assert 0 <= lo and hi - lo <= 2 * WIDEN_UNITS
+
+
+@st.composite
+def table_cases(draw):
+    """(family, symbols): a named family with any list of indices up to
+    10**6 (repeats, any order, possibly empty), or an explicit family
+    with any list of its own indices."""
+    if draw(st.booleans()):
+        return ContractionFamily(draw(kinds)), draw(st.lists(st.integers(1, 10**6), max_size=8))
+    ratios = draw(st.lists(st.fractions(min_value=Fraction(1, 10**6), max_value=Fraction(999, 1000),
+                                        max_denominator=10**6), min_size=1, max_size=6))
+    fam = ContractionFamily.explicit(ratios)
+    return fam, draw(st.lists(st.integers(1, len(ratios)), max_size=8))
+
+
+def _ref_ln(fam, a):
+    """|ln ratio(a)| at the current mpmath precision; a named ratio is
+    read as its term at s = 1, since 2**-(10**12) has no Fraction."""
+    if fam.is_infinite:
+        return -mpmath.log(oracles.ref_term_mp(fam.kind, a, 1))
+    return -mpmath.log(mpmath.mpf(fam.ratio(a).numerator) / fam.ratio(a).denominator)
+
+
+@settings(max_examples=150, deadline=None)
+@given(table_cases(), powers, st.integers(min_value=64, max_value=200))
+def test_term_table_rows_enclose_each_term_and_its_log(case, s, bits):
+    # Every finite selection is evaluated from these rows, so each one
+    # must enclose its own term and |ln ratio| whatever the other
+    # symbols listed, and carry the products the moments add up.
+    fam, symbols = case
+    rows = term_table(fam, _pair(s), bits, symbols)
+    assert len(rows) == len(symbols)
+    with mpmath.workprec(bits + oracles.PREC):
+        for a, (t_lo, t_hi, m_lo, m_hi, l_hi) in zip(symbols, rows):
+            term, ln = _units(oracles.ref_term(fam, a, s), bits), _units(_ref_ln(fam, a), bits)
+            assert t_lo <= term <= t_hi
+            assert ln <= l_hi and m_hi == t_hi * l_hi
+            # m_lo = t_lo * l_lo for some l_lo <= |ln ratio| * 2**bits
+            assert m_lo == 0 if t_lo == 0 else m_lo % t_lo == 0 and m_lo // t_lo <= ln
 
 
 def test_tail_majorant_rejects_a_flat_exponent_step():

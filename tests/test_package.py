@@ -103,6 +103,16 @@ def test_the_solver_imports_nothing_from_mpmath():
     assert [m for m in modules if m.split(".")[0] == "mpmath"] == []
 
 
+def test_the_solver_names_no_term_enclosure():
+    # Fixed-point terms reach the solver only through term_sums (the
+    # full selector's walk) and term_table (a finite selection's rows),
+    # so it encloses no power and no log of its own.
+    path = Path(dimspec.__file__).parent / "solver.py"
+    names = {getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))}
+    assert names & {"power_enclosure", "ln_enclosure"} == set()
+
+
 # Calls that build a mutable container, and decorators that memoise.
 MUTABLE_CALLS = {"dict", "list", "set", "bytearray", "defaultdict", "OrderedDict", "Counter", "deque"}
 CACHE_DECORATORS = {"lru_cache", "cache", "cached_property"}

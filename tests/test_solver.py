@@ -12,7 +12,7 @@ from mpmath.libmp import from_man_exp, round_ceiling, round_floor, to_float
 import oracles
 from dimspec import families, solver, spectrum
 from dimspec.errors import ConfigError, DimspecError, DivergentSum, ToleranceNotReachable
-from dimspec.families import ContractionFamily, term_sums
+from dimspec.families import ContractionFamily, term_sums, term_table
 from dimspec.solver import (
     DEFAULT_TOL,
     moran_bounds,
@@ -317,10 +317,10 @@ def test_the_mean_value_check_needs_its_moment_and_its_exponent_bound(monkeypatc
     monkeypatch.setattr(solver, "NEWTON_STEPS", 1)
     assert solver._fixed_newton(sums, at, tol, prec)
     mean_value = solver._mean_value
-    for corrupt in [lambda lo, hi, moment, moment_hi, ln_max, bits, slope:
-                    (lo, hi, 0, moment_hi, ln_max, bits, slope),
-                    lambda lo, hi, moment, moment_hi, ln_max, bits, slope:
-                    (lo, hi, moment, moment_hi, ln_max << 200, bits, slope)]:
+    for corrupt in [lambda lo, hi, moment, moment_hi, ln_max, bits:
+                    (lo, hi, 0, moment_hi, ln_max, bits),
+                    lambda lo, hi, moment, moment_hi, ln_max, bits:
+                    (lo, hi, moment, moment_hi, ln_max << 200, bits)]:
         monkeypatch.setattr(solver, "_mean_value", lambda lo, hi, at, q, evaluation, corrupt=corrupt:
                             mean_value(lo, hi, at, q, corrupt(*evaluation)))
         with pytest.raises(ToleranceNotReachable, match="mean-value upper bound at hi"):
@@ -374,7 +374,7 @@ def test_mean_value_bounds_hold_on_both_sides_of_the_bracket(case):
     lower, upper = solver._mean_value(iv.lo, iv.hi, *pair, evaluation)
     assert lower <= oracles.ref_sum(fam, indices, iv.lo, oracles.PREC)
     assert upper >= oracles.ref_sum(fam, indices, iv.hi, oracles.PREC)
-    _, _, _, moment_hi, ln_max, bits, _ = evaluation
+    _, _, _, moment_hi, ln_max, bits = evaluation
     assert (moment_hi is None) == (indices is None)
     if at < iv.lo:
         assert (lower == -math.inf) == (moment_hi is None)
@@ -444,9 +444,9 @@ def _counting_chains(monkeypatch):
     chain of terms walked: the list [n] of the n it walks to."""
     chains = []
 
-    def counted(family, s, bits, n, selected=None):
+    def counted(family, s, bits, n):
         chains.append([n])
-        return term_sums(family, s, bits, n, selected)
+        return term_sums(family, s, bits, n)
 
     monkeypatch.setattr(solver, "term_sums", counted)
     return chains
@@ -478,6 +478,24 @@ def test_deep_cloud_solves_mostly_certify_from_their_first_evaluation(monkeypatc
     assert base[0] is False
     assert len(words) == len(cloud.points) == 2 ** (depth - 2)
     assert all(counts == [True] for counts in words)
+
+
+def test_a_sparse_named_selection_evaluates_only_its_own_symbols(monkeypatch):
+    # A finite selection is summed from its own term_table rows, so
+    # (1, 2, 10**6) walks no chain through the symbols it leaves out:
+    # every evaluation builds three rows.
+    chains = _counting_chains(monkeypatch)
+    tables = []
+
+    def counted(family, s, bits, symbols):
+        rows = term_table(family, s, bits, symbols)
+        tables.append((tuple(symbols), len(rows)))
+        return rows
+
+    monkeypatch.setattr(solver, "term_table", counted)
+    iv = solve_dimension(SQEXP, (1, 2, 10**6), tol=1e-30)
+    assert iv.tier == "mpmath" and chains == []
+    assert tables and set(tables) == {((1, 2, 10**6), 3)}
 
 
 def test_full_selector_cut_between_a_quarter_and_half_tol_walks_no_chain(monkeypatch):
@@ -769,8 +787,8 @@ def test_tiny_s_raises_a_dimspec_error():
 
 
 def test_fixed_tier_refuses_an_index_beyond_max_terms():
-    # The fixed-point walk steps through every symbol up to the largest
-    # selected one, so past MAX_TERMS it refuses before walking; the
+    # The fixed tier takes no named symbol past MAX_TERMS, the cap the
+    # full selector's cut obeys, and refuses before evaluating; the
     # double tier sums only the selected terms.
     far = (1, 2, solver.MAX_TERMS + 1)
     for fn, args in [(solve_dimension, (SQEXP, far, 1e-20)),

@@ -184,7 +184,6 @@ def test_no_table_outlives_its_cloud(monkeypatch):
         return enclosure(*args)
 
     monkeypatch.setattr(families, "power_enclosure", counted)
-    monkeypatch.setattr(solver, "power_enclosure", counted)
     counts = []
     for _ in range(2):
         calls.clear()
