@@ -20,14 +20,15 @@ doubles.  The mpmath tier encloses terms in fixed point between two
 integers: power_enclosure encloses one ratio**s with one exp, and
 ln_enclosure encloses |ln ratio|, for the derivative bounds the mpmath
 tier certifies with.  The solver reaches both through two functions.
-term_sums walks a named family's full selector once from
-y = base**(-s) by integer multiply and shift, rounded down for the
-lower sum and up for the upper sum, with its tail majorant in the same
-integers.  term_table gives the rows of any finite list of symbols,
-named or explicit, which single solves and cloud words sum alike.
-The mpmath tier's point s is an exact dyadic at * 2**-q, passed as the
-int pair (at, q); libmp numbers are built here alone, and dyadic_mpf
-turns fixed-point units into an mpf.
+term_table gives the rows of any finite list of symbols, named or
+explicit, which single solves, cloud words and the full selector's cut
+sum alike; a named family's terms step from y = base**(-s) by integer
+multiply and shift along each run of consecutive symbols, rounded down
+for the lower sum and up for the upper sum.  term_tail majorises the
+full selector's tail in the same integers.  The mpmath tier's point s
+is an exact dyadic at * 2**-q, passed as the int pair (at, q); libmp
+numbers are built here alone, and dyadic_mpf turns fixed-point units
+into an mpf.
 """
 
 from __future__ import annotations
@@ -316,15 +317,15 @@ def power_enclosure(value: Fraction, s, bits: int) -> tuple[int, int]:
 
 
 class _Powers(dict):
-    """Enclosures (lo, hi) of y**k, y = base**(-s), at `bits` bits, keyed
-    by k >= 0: one power_enclosure encloses y, and every other power is
-    filled in on first use by square and multiply over the powers already
-    held.  The product of lower (upper) bounds of non-negative numbers,
-    floored (ceiled), is a lower (upper) bound."""
+    """Enclosures (lo, hi) of y**k at `bits` bits, keyed by k >= 0, from
+    y, the enclosure of y**1 (one power_enclosure of base**(-s)): every
+    other power is filled in on first use by square and multiply over
+    the powers already held.  The product of lower (upper) bounds of
+    non-negative numbers, floored (ceiled), is a lower (upper) bound."""
 
-    def __init__(self, base, s, bits):
+    def __init__(self, y, bits):
         one = 1 << bits
-        super().__init__({0: (one, one), 1: power_enclosure(Fraction(1, base), s, bits)})
+        super().__init__({0: (one, one), 1: y})
         self.bits = bits
 
     def __missing__(self, k):
@@ -334,75 +335,72 @@ class _Powers(dict):
         return power
 
 
-def term_sums(family, s, bits, n):
-    """The full selector's partial sum of a named family over a = 1..n,
-    each term ratio(a)**s = y**e(a), y = base**(-s), enclosed at `bits`
-    bits: (lo, hi, moment, ln_max, tail), ints in units of 2**-bits.
-    s = at * 2**-q is the int pair (at, q), as power_enclosure takes it.
-
-    lo and hi enclose the sum.  moment, the lower terms times e(a) times
-    the lower ln_enclosure of ln(base), rounded down, is at most the sum
-    of |ln ratio(a)| * ratio(a)**s; ln_max, e(n) times the upper one,
-    bounds every walked |ln ratio(a)|.  tail majorises the terms beyond
-    n: the next term over 1 - its step factor, rounded up (the geometric
-    majorant of tail_majorant); ConfigError when e(n+2) == e(n+1),
-    ToleranceNotReachable when the step factor rounds up to 1.
-
-    One power_enclosure encloses y (_Powers).  Each step multiplies the
-    term by its step factor y**(e(a+1) - e(a)), and the step factor by y
-    to the second difference of e, rounded down for lo and up for hi, so
-    square-exponent costs 2 multiplies per symbol and geometric one.
-    """
-    base, e = family.row
-    one = 1 << bits
-    up = one - 1  # (x + up) >> bits rounds x / 2**bits up
-    powers = _Powers(base, s, bits)
-    e0, e1, e2 = e(1), e(2), e(3)
-    t_lo, t_hi = powers[e0]
-    d_lo, d_hi = powers[e1 - e0]
-    lo = hi = moment = 0
-    for a in range(1, n + 1):
-        lo += t_lo
-        hi += t_hi
-        moment += e0 * t_lo
-        t_lo = t_lo * d_lo >> bits
-        t_hi = (t_hi * d_hi + up) >> bits
-        bend = e2 - e1 - e1 + e0
-        if bend:
-            c_lo, c_hi = powers[bend]
-            d_lo = d_lo * c_lo >> bits
-            d_hi = (d_hi * c_hi + up) >> bits
-        e0, e1, e2 = e1, e2, e(a + 3)
-    if e1 == e0:
-        raise ConfigError(f"a tail majorant needs e(n+2) > e(n+1), got n = {n}")
-    if d_hi >= one:
-        raise ToleranceNotReachable(f"s is too small for a tail majorant at {bits} bits")
-    ln_lo, ln_hi = ln_enclosure(1, base, bits)
-    return lo, hi, moment * ln_lo >> bits, e(n) * ln_hi, -(-t_hi * one // (one - d_hi))
-
-
 def term_table(family, s, bits, symbols):
     """One row per symbol a of symbols, in their order, enclosing its
     term at `bits` bits: (t_lo, t_hi, m_lo, m_hi, l_hi), ints with
     t_lo <= ratio(a)**s * 2**bits <= t_hi, l_lo <= |ln ratio(a)| *
     2**bits <= l_hi, m_lo = t_lo * l_lo and m_hi = t_hi * l_hi.  s =
-    at * 2**-q is the int pair (at, q).  This is how every finite
-    selection is evaluated, named or explicit, alone or as a cloud word.
+    at * 2**-q is the int pair (at, q).  This is how every selection is
+    evaluated, named or explicit, alone, as a cloud word or as the full
+    selector's cut.
 
-    A named family's term y**e(a) is the power _Powers holds, and
-    |ln ratio(a)| = e(a) * ln(base) is enclosed by e(a) times one
-    ln_enclosure, so only the listed symbols are visited; an explicit
-    family takes one power_enclosure and one ln_enclosure per distinct
-    ratio.
+    A named family visits only the listed symbols (_named_terms); an
+    explicit family takes one power_enclosure and one ln_enclosure per
+    distinct ratio.
     """
     if family.is_infinite:
-        base, e = family.row
-        powers = _Powers(base, s, bits)
-        ln_lo, ln_hi = ln_enclosure(1, base, bits)
-        terms = [(k * ln_lo, k * ln_hi) + powers[k] for k in map(e, symbols)]
+        terms = _named_terms(family.row, s, bits, symbols)
     else:
         ratios = list(map(family.ratio, symbols))
         distinct = {r: ln_enclosure(r.numerator, r.denominator, bits) + power_enclosure(r, s, bits)
                     for r in set(ratios)}
         terms = map(distinct.__getitem__, ratios)
     return [(t_lo, t_hi, t_lo * l_lo, t_hi * l_hi, l_hi) for l_lo, l_hi, t_lo, t_hi in terms]
+
+
+def _named_terms(row, s, bits, symbols):
+    """(l_lo, l_hi, t_lo, t_hi) per symbol a of a named family's row
+    (base, e): |ln ratio(a)| = e(a) * ln(base) from one ln_enclosure, and
+    ratio(a)**s = y**e(a), y = base**(-s), from one power_enclosure.
+    Along a run of consecutive symbols each term is the one before times
+    the step factor y**(e(a) - e(a-1)), and that factor the one before
+    times y to the second difference of e, rounded down for lo and up
+    for hi (2 multiplies per square-exponent symbol); a run starts from
+    _Powers, with step factor y**0 = 1.
+    """
+    base, e = row
+    powers = _Powers(power_enclosure(Fraction(1, base), s, bits), bits)
+    ln_lo, ln_hi = ln_enclosure(1, base, bits)
+    up = (1 << bits) - 1  # (x + up) >> bits rounds x / 2**bits up
+    last = None
+    for a in symbols:
+        k = e(a)
+        if a - 1 != last:
+            (t_lo, t_hi), (d_lo, d_hi), gap = powers[k], powers[0], 0
+        else:
+            if k - last_k != gap:
+                c_lo, c_hi = powers[k - last_k - gap]
+                d_lo, d_hi = d_lo * c_lo >> bits, (d_hi * c_hi + up) >> bits
+            t_lo, t_hi, gap = t_lo * d_lo >> bits, (t_hi * d_hi + up) >> bits, k - last_k
+        last, last_k = a, k
+        yield k * ln_lo, k * ln_hi, t_lo, t_hi
+
+
+def term_tail(family, rows, bits):
+    """An upper bound, in units of 2**-bits, for the sum of ratio(a)**s
+    over all a > n of a named family, from rows, its term_table rows of
+    the symbols 1..n at `bits` bits, n >= 1: y**e(n+1) over
+    1 - y**(e(n+2) - e(n+1)), y = base**(-s), both powers rounded up and
+    the quotient rounded up (the geometric majorant of tail_majorant).
+    The powers are filled from symbol 1's row, which encloses y itself
+    (e(1) = 1 in every named family), so the tail takes no exp of its
+    own.  ConfigError when e(n+2) == e(n+1), ToleranceNotReachable when
+    the step factor rounds up to 1.
+    """
+    head, step = family._tail_exponents(len(rows))
+    powers = _Powers(rows[0][:2], bits)
+    one = 1 << bits
+    d_hi = powers[step][1]
+    if d_hi >= one:
+        raise ToleranceNotReachable(f"s is too small for a tail majorant at {bits} bits")
+    return -(-powers[head][1] * one // (one - d_hi))

@@ -37,15 +37,15 @@ requested tolerance, sums fixed-point integers: every term is enclosed
 between two integers at bits >= prec bits, from one exp per evaluation
 for a named family and one per distinct ratio for an explicit one, and
 products are rounded down in the lower sum and up in the upper sum.
-A full selector's terms come from one walk (families.term_sums); a
-finite selection's, named or explicit, solved alone or as a cloud word,
-from its own per-symbol rows (families.term_table), which one helper
-adds up (_sum_rows).  Its sums are exact dyadics S * 2**-bits,
-certified by monotonicity alone with no slack; the one assumption is
-that libmp's log, multiply and exp are accurate to 16 ulp at the
-precision they run at, which is 16 bits above the fixed point (the
-accuracy note in families.py).  Both tiers cut a
-full infinite selector at the same n_cut, the first whose double tail
+Every selection, solved alone, as a cloud word or as the full
+selector's cut 1..n_cut, is summed from its own per-symbol rows
+(families.term_table) by one helper (_sum_rows), the full selector's
+upper sum plus its tail (families.term_tail).  The sums are exact
+dyadics S * 2**-bits, certified by monotonicity alone with no slack;
+the one assumption is that libmp's log, multiply and exp are accurate
+to 16 ulp at the precision they run at, which is 16 bits above the
+fixed point (the accuracy note in families.py).  Both tiers cut a full
+infinite selector at the same n_cut, the first whose double tail
 majorant is below tol/4 (_truncation).  The mpmath tier starts from
 the double Newton iterate (or afresh when the double Newton failed)
 and runs Newton on S - 1 in fixed point (_fixed_newton): the iterate
@@ -92,7 +92,7 @@ from itertools import islice
 from operator import index, itemgetter, mul
 
 from .errors import ConfigError, DivergentSum, ToleranceNotReachable, require_int
-from .families import dyadic_mpf, term_sums, term_table
+from .families import dyadic_mpf, term_table, term_tail
 from .words import subset_of_word
 
 # Relative slack applied to double-precision sums.  Covers the rounding
@@ -232,18 +232,22 @@ def _double_sums(family, indices, tol):
 
     Each symbol's log2 ratio w is decoded once, not once per term of
     every evaluation; a term is 2.0 ** (s * w), the expression
-    family.term_double evaluates, so every sum is the same float.  The
-    full selector's weights are read off the family's (base, e) row as
+    family.term_double evaluates, so every sum is the same float.  A
+    named family's weights are read off its (base, e) row as
     -e(a) * log2(base), the float family.log2_ratio(a) returns, with no
-    index check per symbol; they grow with the largest n_cut seen, up
+    index check per symbol (_indices and the cloud validate the
+    symbols); the full selector's grow with the largest n_cut seen, up
     to MAX_TERMS, so they are packed 8 bytes each.
     """
-    if indices is None:
+    if family.is_infinite:
         base, e = family.row
         log2_base = math.log2(base)
-        weights = array("d")
+
+        def weight(a):
+            return -e(a) * log2_base
     else:
-        weights = [family.log2_ratio(a) for a in indices]
+        weight = family.log2_ratio
+    weights = array("d") if indices is None else list(map(weight, indices))
 
     def sums(s):
         selected, tail = weights, 0.0
@@ -251,7 +255,7 @@ def _double_sums(family, indices, tol):
             if s <= 0:
                 return math.inf, math.inf, -math.inf, 0
             n, tail = _truncation(lambda n_cut: family.tail_majorant(n_cut, s), tol / 4)
-            weights.extend(-e(a) * log2_base for a in range(len(weights) + 1, n + 1))
+            weights.extend(map(weight, range(len(weights) + 1, n + 1)))
             selected = islice(weights, n)
         terms = [2.0 ** (s * w) for w in selected]
         return math.fsum(terms), tail, LN2 * math.fsum(map(mul, terms, weights)), len(terms)
@@ -316,50 +320,42 @@ def _fixed_bounds(family, indices, tol, prec):
     tail's moment is known.  The lower moment is also the slope
     estimate moran_bounds returns, and what the Newton steps read.
 
-    A finite selection, named or explicit, is summed from its own
-    term_table rows (_sum_rows), so a named family visits only the
-    symbols selected.  The largest term, which sizes the bits, is
-    looked up on the first evaluation, so a cloud word that certifies
-    from its table does no fixed-tier work of its own.  A named index above
-    MAX_TERMS, the cap the full selector's cut obeys, is refused with
-    ToleranceNotReachable before any evaluation.
-
-    A full selector is cut where the double tier cuts it, by _truncation
-    on the double closed form family.tail_majorant at tol/4, before any
-    term is walked; term_sums then walks to that cut, and the upper sum
-    adds its fixed-point tail, so the sums are certified whatever the
-    cut.  Lower sums add floor enclosures and upper sums ceiling
-    enclosures, so both are certified by monotonicity alone, with no
-    relative slack.
+    Every selection is summed from its term_table rows (_sum_rows), so
+    a named family visits only the symbols selected.  A full selector's
+    are the symbols 1..n_cut, cut where the double tier cuts it (by
+    _truncation on family.tail_majorant at tol/4) before any row is
+    built, and its upper sum adds families.term_tail, so the sums are
+    certified whatever the cut.  A finite selection's largest term,
+    which sizes the bits, is looked up on its first evaluation, so a
+    cloud word that certifies from its table does no fixed-tier work of
+    its own.  A named index above MAX_TERMS, the cap the full selector's
+    cut obeys, is refused with ToleranceNotReachable before any
+    evaluation.  Lower sums add floor enclosures and upper sums ceiling
+    enclosures, so both are certified by monotonicity alone.
     """
-    if indices is not None:
-        if family.is_infinite and indices and indices[-1] > MAX_TERMS:
-            raise ToleranceNotReachable(
-                f"symbol {indices[-1]} lies beyond the {MAX_TERMS} terms the fixed tier takes")
+    if family.is_infinite and indices and indices[-1] > MAX_TERMS:
+        raise ToleranceNotReachable(
+            f"symbol {indices[-1]} lies beyond the {MAX_TERMS} terms the fixed tier takes")
 
-        top = None
-
-        def sums(s):
-            nonlocal top
-            if top is None:
-                top = -max(map(family.log2_ratio, indices), default=0.0)
-            at, q = s
-            bits = _fixed_bits(prec, at / (1 << q), top, len(indices))
-            return _sum_rows(zip(_PAD, *term_table(family, s, bits, indices)), bits)
-
-        return sums
-
-    top = -family.log2_ratio(1)
+    top = -family.log2_ratio(1) if indices is None else None
 
     def sums(s):
+        nonlocal top
         at, q = s
-        if at <= 0:
-            return None
-        s_float = at / (1 << q)
-        n, _ = _truncation(lambda n_cut: family.tail_majorant(n_cut, s_float), tol / 4)
-        bits = _fixed_bits(prec, s_float, top, n)
-        lo, hi, moment, ln_max, tail = term_sums(family, s, bits, n)
-        return lo, hi + tail, moment, None, ln_max, bits
+        s_float, symbols = at / (1 << q), indices
+        if symbols is None:
+            if at <= 0:
+                return None
+            n, _ = _truncation(lambda n_cut: family.tail_majorant(n_cut, s_float), tol / 4)
+            symbols = range(1, n + 1)
+        if top is None:
+            top = -max(map(family.log2_ratio, indices), default=0.0)
+        bits = _fixed_bits(prec, s_float, top, len(symbols))
+        rows = term_table(family, s, bits, symbols)
+        lo, hi, moment, moment_hi, ln_max, bits = _sum_rows(zip(_PAD, *rows), bits)
+        if indices is None:
+            hi, moment_hi = hi + term_tail(family, rows, bits), None
+        return lo, hi, moment, moment_hi, ln_max, bits
 
     return sums
 
@@ -369,8 +365,8 @@ _PAD = (0, 0, 0, 0, 0)
 
 
 def _sum_rows(columns, bits):
-    """The evaluation of a finite selection, as _fixed_bounds returns
-    it, from its term_table rows at `bits` bits given as their five
+    """The evaluation of some term_table rows at `bits` bits, as
+    _fixed_bounds returns a finite selection's, from the rows' five
     columns (zip(_PAD, *rows)): the terms added up, the moments rounded
     down and up to units of 2**-bits, and the largest |ln ratio| bound."""
     t_lo, t_hi, m_lo, m_hi, l_hi = columns

@@ -102,7 +102,7 @@ def _cloud_words(depth: int, base_symbols: tuple[int, ...]) -> list[str]:
     return [template % bits for bits in product("01", repeat=depth - len(base_symbols))]
 
 
-def _auto_tol(family, depth: int, base_symbols) -> float:
+def _auto_tol(family, depth: int) -> float:
     """Pick a tolerance resolving the finest expected gap at this depth.
 
     The deepest toggled symbol contributes about ratio(depth)**s, with s
@@ -179,7 +179,7 @@ def expand_spectrum(family, depth, base_symbols=(1, 2), tol=None, workers=1) -> 
         raise CapExceeded(f"spectrum depth {depth} exceeds cap {DEPTH_CAP}")
 
     if tol is None:
-        tol = _auto_tol(family, depth, base_symbols)
+        tol = _auto_tol(family, depth)
     else:
         _check_tol(tol)
     base_dim = solve_dimension(family, base_symbols, tol=min(1e-10, tol * 16))

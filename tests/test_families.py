@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from dimspec import families
 from dimspec.errors import ConfigError, ToleranceNotReachable
 from dimspec.families import (
     NAMED_FAMILIES,
@@ -17,8 +18,8 @@ from dimspec.families import (
     ln_enclosure,
     parse_ratio,
     power_enclosure,
-    term_sums,
     term_table,
+    term_tail,
 )
 from dimspec.solver import _pair
 
@@ -60,6 +61,12 @@ def test_row_is_the_table_row_and_survives_pickling():
         assert fam.row == row
         assert pickle.loads(pickle.dumps(fam)).row == row
     assert ContractionFamily.explicit(["1/3", "1/2"]).row is None
+
+
+def test_symbol_one_of_every_named_family_is_base_to_the_minus_one():
+    # term_tail fills its powers from symbol 1's term_table row, which
+    # encloses y = base**(-s) itself because e(1) = 1.
+    assert [e(1) for _, e in NAMED_FAMILIES.values()] == [1] * len(NAMED_FAMILIES)
 
 
 def test_explicit_family_is_finite():
@@ -192,7 +199,8 @@ def test_term_enclosures_contain_the_per_kind_formulas(kind, a, s):
 def test_tail_enclosures_majorise_the_per_kind_formulas(kind, n_cut, s):
     fam = ContractionFamily(kind)
     for bits in (96, 200):
-        tail = _outcome(lambda: term_sums(fam, _pair(s), bits, n_cut)[4])
+        rows = term_table(fam, _pair(s), bits, range(1, n_cut + 1))
+        tail = _outcome(lambda: term_tail(fam, rows, bits))
         with mpmath.workprec(bits + 64):
             step = fam._tail_exponents(n_cut)[1]
             den = 1 - mpmath.power(NAMED_FAMILIES[kind][0], -step * mpmath.mpf(s))
@@ -225,12 +233,27 @@ def test_ln_enclosure_encloses_the_log_at_400_more_bits(ratio, bits):
 
 
 @st.composite
+def _runs(draw):
+    """Runs of consecutive indices, which term_table steps along, spliced
+    with jumps to any index up to 10**6 and repeats of the index before."""
+    symbols = []
+    starts = st.one_of(st.integers(1, 40), st.integers(1, 10**6))
+    for start, length, repeat in draw(st.lists(
+            st.tuples(starts, st.integers(1, 12), st.booleans()), max_size=4)):
+        symbols += range(start, start + length)
+        if repeat:
+            symbols.append(symbols[-1])
+    return symbols
+
+
+@st.composite
 def table_cases(draw):
     """(family, symbols): a named family with any list of indices up to
-    10**6 (repeats, any order, possibly empty), or an explicit family
-    with any list of its own indices."""
+    10**6 (repeats, any order, possibly empty) or runs of them, or an
+    explicit family with any list of its own indices."""
     if draw(st.booleans()):
-        return ContractionFamily(draw(kinds)), draw(st.lists(st.integers(1, 10**6), max_size=8))
+        anywhere = st.lists(st.integers(1, 10**6), max_size=8)
+        return ContractionFamily(draw(kinds)), draw(st.one_of(anywhere, _runs()))
     ratios = draw(st.lists(st.fractions(min_value=Fraction(1, 10**6), max_value=Fraction(999, 1000),
                                         max_denominator=10**6), min_size=1, max_size=6))
     fam = ContractionFamily.explicit(ratios)
@@ -263,13 +286,30 @@ def test_term_table_rows_enclose_each_term_and_its_log(case, s, bits):
             assert m_lo == 0 if t_lo == 0 else m_lo % t_lo == 0 and m_lo // t_lo <= ln
 
 
+def test_a_run_of_symbols_steps_from_term_to_term(monkeypatch):
+    # Along consecutive symbols each term is the one before times its
+    # step factor, so square-exponent 1..12 fills y**2 and y**3 for the
+    # first step and multiplies by y**2 after that: two powers, not a
+    # square-and-multiply chain per symbol.
+    fills = []
+    missing = families._Powers.__missing__
+
+    def filled(self, k):
+        fills.append(k)
+        return missing(self, k)
+
+    monkeypatch.setattr(families._Powers, "__missing__", filled)
+    rows = term_table(ContractionFamily.square_exponent(), (1, 1), 200, range(1, 13))
+    assert len(rows) == 12 and len(fills) <= 2
+
+
 def test_tail_majorant_rejects_a_flat_exponent_step():
     # type-three has ratio(1) == ratio(2), so no geometric bound starts at 0
     fam = ContractionFamily.type_three()
     with pytest.raises(ConfigError):
         fam.tail_majorant(0, 1.0)
     with pytest.raises(ConfigError):
-        term_sums(fam, (1, 0), 96, 0)
+        term_tail(fam, [], 96)
 
 
 # --- index validation -------------------------------------------------------------

@@ -104,13 +104,39 @@ def test_the_solver_imports_nothing_from_mpmath():
 
 
 def test_the_solver_names_no_term_enclosure():
-    # Fixed-point terms reach the solver only through term_sums (the
-    # full selector's walk) and term_table (a finite selection's rows),
-    # so it encloses no power and no log of its own.
+    # Fixed-point terms reach the solver only through term_table (the
+    # rows of a finite selection or of the full selector's cut) and
+    # term_tail (the full selector's tail), so it encloses no power and
+    # no log of its own.
     path = Path(dimspec.__file__).parent / "solver.py"
     names = {getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
              for node in ast.walk(ast.parse(path.read_text(), str(path)))}
     assert names & {"power_enclosure", "ln_enclosure"} == set()
+
+
+def _unread_parameters(path):
+    """Parameters of the functions and lambdas of a module that their
+    bodies, nested functions included, never read."""
+    unread = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [
+            a for a in (args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        unread += [f"{path.name}:{node.lineno} {name}({a.arg})" for a in params if a.arg not in read]
+    return unread
+
+
+def test_every_parameter_is_read():
+    # A parameter that its function never reads is an input that changes
+    # nothing; callers pass it for no effect.
+    package = Path(dimspec.__file__).parent
+    assert [u for path in sorted(package.glob("*.py")) for u in _unread_parameters(path)] == []
 
 
 # Calls that build a mutable container, and decorators that memoise.

@@ -12,7 +12,7 @@ from mpmath.libmp import from_man_exp, round_ceiling, round_floor, to_float
 import oracles
 from dimspec import families, solver, spectrum
 from dimspec.errors import ConfigError, DimspecError, DivergentSum, ToleranceNotReachable
-from dimspec.families import ContractionFamily, term_sums, term_table
+from dimspec.families import ContractionFamily, term_table, term_tail
 from dimspec.solver import (
     DEFAULT_TOL,
     moran_bounds,
@@ -439,17 +439,18 @@ def test_dyadics_round_to_floats_exactly(case):
         assert up == to_float(from_man_exp(n, -k), rnd=round_ceiling)
 
 
-def _counting_chains(monkeypatch):
-    """Spy on solver.term_sums and return a list that gets one entry per
-    chain of terms walked: the list [n] of the n it walks to."""
-    chains = []
+def _counting_tables(monkeypatch):
+    """Spy on solver.term_table and return a list that gets one entry per
+    call: the symbols it lists, as a tuple, and the number of rows."""
+    tables = []
 
-    def counted(family, s, bits, n):
-        chains.append([n])
-        return term_sums(family, s, bits, n)
+    def counted(family, s, bits, symbols):
+        rows = term_table(family, s, bits, symbols)
+        tables.append((tuple(symbols), len(rows)))
+        return rows
 
-    monkeypatch.setattr(solver, "term_sums", counted)
-    return chains
+    monkeypatch.setattr(solver, "term_table", counted)
+    return tables
 
 
 @pytest.mark.parametrize("depth", [10, 11, 12, 13, 14])
@@ -482,44 +483,37 @@ def test_deep_cloud_solves_mostly_certify_from_their_first_evaluation(monkeypatc
 
 def test_a_sparse_named_selection_evaluates_only_its_own_symbols(monkeypatch):
     # A finite selection is summed from its own term_table rows, so
-    # (1, 2, 10**6) walks no chain through the symbols it leaves out:
-    # every evaluation builds three rows.
-    chains = _counting_chains(monkeypatch)
-    tables = []
-
-    def counted(family, s, bits, symbols):
-        rows = term_table(family, s, bits, symbols)
-        tables.append((tuple(symbols), len(rows)))
-        return rows
-
-    monkeypatch.setattr(solver, "term_table", counted)
+    # (1, 2, 10**6) lists none of the symbols it leaves out: every
+    # evaluation builds three rows.
+    tables = _counting_tables(monkeypatch)
     iv = solve_dimension(SQEXP, (1, 2, 10**6), tol=1e-30)
-    assert iv.tier == "mpmath" and chains == []
+    assert iv.tier == "mpmath"
     assert tables and set(tables) == {((1, 2, 10**6), 3)}
 
 
 def test_full_selector_cut_between_a_quarter_and_half_tol_walks_no_chain(monkeypatch):
     # The geometric tail after MAX_TERMS terms at s = 5.68e-5 lies in
     # [tol/4, tol/2) at tol 1e-13: no cut meets tol/4, so the fixed tier
-    # must refuse before walking 2**20 terms.
+    # must refuse before building 2**20 rows.
     s, tol = 5.68e-5, 1e-13
     assert tol / 4 <= GEO.tail_majorant(solver.MAX_TERMS, s) < tol / 2
-    chains = _counting_chains(monkeypatch)
+    tables = _counting_tables(monkeypatch)
     with pytest.raises(ToleranceNotReachable, match="truncation limit"):
         moran_bounds(GEO, "full", s, tol, 96)
-    assert all(not advances for advances in chains)
+    assert tables == []
 
 
 @pytest.mark.parametrize("fam,s,tol", [(SQEXP, 0.3, 1e-30), (SQEXP, 0.55, 1e-20),
                                        (GEO, 0.05, 1e-25), (GEO, 1.0, 1e-12),
                                        (T3, 0.6, 1e-40), (T3, 2.0, 1e-15)])
 def test_fixed_tier_sums_the_double_tier_cut(monkeypatch, fam, s, tol):
-    # One truncation rule: the fixed-point terms are walked once, to the
-    # n_cut the double tier's tail majorant picks at tol/4.
+    # One truncation rule: the fixed-point sums are the rows of the
+    # symbols 1..n_cut, the n_cut the double tier's tail majorant picks
+    # at tol/4, built once.
     n_cut, _ = solver._truncation(lambda n: fam.tail_majorant(n, s), tol / 4)
-    chains = _counting_chains(monkeypatch)
+    tables = _counting_tables(monkeypatch)
     moran_bounds(fam, "full", s, tol, max(96, math.ceil(-math.log2(tol)) + 50))
-    assert chains == [[n_cut]]
+    assert tables == [(tuple(range(1, n_cut + 1)), n_cut)]
 
 
 def test_escalation_reuses_the_double_newton_iterate(monkeypatch):
@@ -783,7 +777,7 @@ def test_tiny_s_raises_a_dimspec_error():
     _raises_fast(moran_bounds, GEO, "full", 1e-17, 1e-13)
     _raises_fast(pressure_derivative, GEO, "full", 1e-17)
     # The fixed-point tail at 96 bits: 1 - y with y = 2**(-s) rounds up to 0.
-    _raises_fast(term_sums, GEO, (1, 120), 96, 8)
+    _raises_fast(term_tail, GEO, term_table(GEO, (1, 120), 96, range(1, 9)), 96)
 
 
 def test_fixed_tier_refuses_an_index_beyond_max_terms():

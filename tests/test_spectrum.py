@@ -192,6 +192,36 @@ def test_no_table_outlives_its_cloud(monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
+def test_a_deep_cloud_fills_few_powers_and_decodes_no_word(monkeypatch):
+    # A cloud table lists the symbols 1..depth, one run, so its rows
+    # step from term to term: two powers filled per square-exponent
+    # table, not a chain per symbol.  The words were validated once, so
+    # their double-tier weights come off the family's row, with no
+    # log2_ratio or check_index call per word.
+    fills, decoded = [], []
+    missing = families._Powers.__missing__
+
+    def filled(self, k):
+        fills.append(k)
+        return missing(self, k)
+
+    def spy(name):
+        method = getattr(ContractionFamily, name)
+
+        def counted(self, a):
+            decoded.append(name)
+            return method(self, a)
+
+        return counted
+
+    monkeypatch.setattr(families._Powers, "__missing__", filled)
+    for name in ("log2_ratio", "check_index"):
+        monkeypatch.setattr(ContractionFamily, name, spy(name))
+    cloud = expand_spectrum(SQEXP, 11)
+    assert len(fills) <= 300
+    assert len(decoded) < len(cloud.points) == 512
+
+
 # (1.5, 2) used to run the (1, 2) cloud, and depth 4.7 depth 4
 @pytest.mark.parametrize("depth,base", [(4, (1.5, 2)), (4.7, (1, 2))])
 def test_non_integer_base_symbols_and_depth_are_config_errors(depth, base):
