@@ -72,15 +72,20 @@ outside the root -/+ 0.4 tol whichever path Newton takes.  The double
 tier escalates automatically when its dead zone (where neither
 one-sided test is conclusive) is wider than the tolerance.
 
-The words of an mpmath-tier cloud (spectrum.expand_spectrum) share
-work through two hooks of _solve: the double Newton starts at a point
+The words of a cloud (spectrum.expand_spectrum) share work, on either
+tier, through two hooks of _solve: the double Newton starts at a point
 the caller knows lies left of the root (the word's parent's lo), and
-the first fixed-point evaluation is the double iterate rounded to the
-grid 2**-g, g = ceil(-log2(tol)/2) + 8, summed from a table of
-term_table rows that every word on that grid point shares
-(_CloudTables, whose docstring bounds what the rounding costs the
-certificate).  The far-side bounds are what let a point off the
-bracket certify it.  Single solves never snap to the grid.
+one _CloudTables per subtree of words holds what they share.  Its
+weights, the double-tier log2 ratios of the symbols 1..depth, are read
+once, and each word's double sums take its symbols' entries, the same
+floats its own solve would read.  A word that reaches the mpmath tier
+takes as its first fixed-point evaluation the double iterate rounded
+to the grid 2**-g, g = ceil(-log2(tol)/2) + 8, summed from a table of
+term_table rows that every word on that grid point shares (built only
+when a word needs it; the _CloudTables docstring bounds what the
+rounding costs the certificate).  The far-side bounds are what let a
+point off the bracket certify it.  Single solves read their own
+weights and never snap to the grid.
 """
 
 from __future__ import annotations
@@ -225,29 +230,34 @@ def _truncation(tail, limit):
     return n_cut, rest
 
 
-def _double_sums(family, indices, tol):
+def _weight(family):
+    """The double tier's log2 ratio of a symbol, as a function of the
+    symbol: a named family's read off its (base, e) row as
+    -e(a) * log2(base), the float family.log2_ratio(a) returns, with no
+    index check (_indices and the cloud validate the symbols); an
+    explicit family's family.log2_ratio."""
+    if not family.is_infinite:
+        return family.log2_ratio
+    base, e = family.row
+    log2_base = math.log2(base)
+    return lambda a: -e(a) * log2_base
+
+
+def _double_sums(family, indices, tol, weights=None):
     """The double tier's one term loop, unwidened: a function of s, for
     the length of one solve, returning (fsum of the terms, tail
     majorant, slope of the partial sum, number of terms).
 
-    Each symbol's log2 ratio w is decoded once, not once per term of
-    every evaluation; a term is 2.0 ** (s * w), the expression
+    Each symbol's log2 ratio w (_weight) is decoded once, not once per
+    term of every evaluation; a term is 2.0 ** (s * w), the expression
     family.term_double evaluates, so every sum is the same float.  A
-    named family's weights are read off its (base, e) row as
-    -e(a) * log2(base), the float family.log2_ratio(a) returns, with no
-    index check per symbol (_indices and the cloud validate the
-    symbols); the full selector's grow with the largest n_cut seen, up
-    to MAX_TERMS, so they are packed 8 bytes each.
+    cloud word, a finite selection, passes its own weights, picked from
+    its cloud's _CloudTables; a full selector's grow with the largest
+    n_cut seen, up to MAX_TERMS, so they are packed 8 bytes each.
     """
-    if family.is_infinite:
-        base, e = family.row
-        log2_base = math.log2(base)
-
-        def weight(a):
-            return -e(a) * log2_base
-    else:
-        weight = family.log2_ratio
-    weights = array("d") if indices is None else list(map(weight, indices))
+    if weights is None:
+        weight = _weight(family)
+        weights = array("d") if indices is None else list(map(weight, indices))
 
     def sums(s):
         selected, tail = weights, 0.0
@@ -263,15 +273,16 @@ def _double_sums(family, indices, tol):
     return sums
 
 
-def _double_bounds(family, indices, tol):
+def _double_bounds(family, indices, tol, weights=None):
     """moran_bounds(family, indices, s, tol) in doubles, as a function
-    of s for one solve: _double_sums widened by SLACK_DOUBLE.  A sum
-    below 2**-700 gets twice that slack and (terms + 2) * 2**-1074 for
-    subnormal and underflowed terms on top, the lower sum clipped at 0;
-    an empty sum stays 0.  A larger sum needs no absolute widening: it
-    is below half the spacing of the doubles above 2**-999, so adding
-    it would round back to the same sums."""
-    sums = _double_sums(family, indices, tol)
+    of s for one solve: _double_sums (with a cloud word's weights, when
+    given) widened by SLACK_DOUBLE.  A sum below 2**-700 gets twice
+    that slack and (terms + 2) * 2**-1074 for subnormal and underflowed
+    terms on top, the lower sum clipped at 0; an empty sum stays 0.  A
+    larger sum needs no absolute widening: it is below half the spacing
+    of the doubles above 2**-999, so adding it would round back to the
+    same sums."""
+    sums = _double_sums(family, indices, tol, weights)
 
     def bounds(s):
         total, tail, slope, n_terms = sums(s)
@@ -374,14 +385,21 @@ def _sum_rows(columns, bits):
 
 
 class _CloudTables:
-    """The fixed-point evaluations the words of one cloud share.
+    """What the words of one cloud share: their double-tier weights and
+    their fixed-point evaluations.
+
+    weights[a] is the log2 weight (_weight) of each symbol a of
+    1..depth, read once for the cloud, weights[0] padding symbol 0; a
+    word's double sums take its symbols' entries, the floats its own
+    solve would read, so its sums are the same floats.
 
     A word's first mpmath-tier point is its double Newton iterate x
     rounded to the nearest multiple p of 2**-g, g = ceil(-log2(tol)/2) + 8.
     Words whose iterates round to the same p read one table there, the
     term_table rows of the symbols 1..depth, built the first time a word
     needs it and kept as long as this object, which a cloud makes
-    afresh for each subtree of words it solves.  Every table is at the
+    afresh for each subtree of words it solves, so a double-tier cloud
+    builds one only where a word escalates.  Every table is at the
     same bits, fixed for the whole cloud: _fixed_bits at the cloud's
     prec, at s = 1 (every root a bracket reports lies in [0, 1]), with
     the largest base ratio's term (the smallest base symbol's, for a
@@ -411,8 +429,9 @@ class _CloudTables:
 
     def __init__(self, family, base, depth, tol):
         self.family, self.depth = family, depth
+        self.weights = [0.0, *map(_weight(family), range(1, depth + 1))]
         self.g = math.ceil(-math.log2(tol) / 2) + 8
-        self.bits = _fixed_bits(_auto_prec(tol), 1.0, -max(map(family.log2_ratio, base)), depth)
+        self.bits = _fixed_bits(_auto_prec(tol), 1.0, -max(self.weights[a] for a in base), depth)
         self.tables = {}
 
     def evaluation(self, x, indices):
@@ -685,9 +704,10 @@ def _solve(family, indices, tol, precision_bits, start=None, tables=None):
     """solve_dimension of the symbols indices, as _indices returns them,
     at a tol _check_tol accepts.
 
-    A cloud word passes two more: start, a point left of its root where
-    the double Newton begins (its parent's lo), and its cloud's
-    _CloudTables, whose grid evaluation is the mpmath tier's first."""
+    A cloud word, on either tier, passes two more: start, a point left
+    of its root where the double Newton begins (its parent's lo), and
+    its cloud's _CloudTables, whose weights its double sums take and
+    whose grid evaluation is the mpmath tier's first."""
     if indices is not None and len(indices) <= 1:
         return DimensionInterval(
             lo=0.0, hi=0.0, width_budget=tol, exact=True,
@@ -695,7 +715,8 @@ def _solve(family, indices, tol, precision_bits, start=None, tables=None):
         )
 
     prec = None if precision_bits is None else _precision(precision_bits, tol)
-    double = _double_bounds(family, indices, tol)
+    weights = None if tables is None else [tables.weights[a] for a in indices]
+    double = _double_bounds(family, indices, tol, weights)
     if start is None:
         # The sum is at least 2 at s = 0 for two or more symbols; the
         # full root of every named family lies above 1/2.

@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import chain, compress, product, starmap
+from itertools import chain, product, starmap
 from multiprocessing import Pool
 
 from .errors import CapExceeded, ConfigError, require_int
 from .perturbation import increment
 from .solver import (
     DEFAULT_TOL,
-    TOL_MIN_DOUBLE,
     DimensionInterval,
     _check_tol,
     _CloudTables,
@@ -30,7 +29,6 @@ from .solver import (
     _solve,
     solve_dimension,
 )
-from .words import longest_common_prefix
 
 DEPTH_CAP = 16
 
@@ -102,6 +100,17 @@ def _cloud_words(depth: int, base_symbols: tuple[int, ...]) -> list[str]:
     return [template % bits for bits in product("01", repeat=depth - len(base_symbols))]
 
 
+def _cloud_indices(depth: int, base_symbols: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The symbols of each word of _cloud_words, in its order, built
+    position by position: each free position splits every word so far
+    into the word without the symbol and then the word with it."""
+    indices = [()]
+    for i in range(1, depth + 1):
+        split = ((i,),) if i in base_symbols else ((), (i,))
+        indices = [w + v for w in indices for v in split]
+    return indices
+
+
 def _auto_tol(family, depth: int) -> float:
     """Pick a tolerance resolving the finest expected gap at this depth.
 
@@ -120,15 +129,13 @@ def _solve_subtree(family, base_symbols, depth, tol, start, words):
     lexicographic order, so word m runs its last free positions through
     the binary digits of m.
 
-    Below TOL_MIN_DOUBLE, where the double Newton iterate is only the
-    mpmath tier's start, word m's double Newton starts at the lo of word
+    Whatever the tier, word m's double Newton starts at the lo of word
     m & (m - 1), its parent: the word with its last free 1 cleared, a
     subset, whose root lies left of its own.  Word 0 starts at start, a
-    lower bound on the base's root.  The words share one _CloudTables.
-    Otherwise every word is solved as solve_dimension solves it.
+    lower bound on the base's root.  The words share one _CloudTables:
+    their double-tier weights, and the fixed-point tables of the words
+    that reach the mpmath tier.
     """
-    if tol >= TOL_MIN_DOUBLE:
-        return [_solve(family, indices, tol, None) for indices in words]
     tables = _CloudTables(family, base_symbols, depth, tol)
     solved = []
     for m, indices in enumerate(words):
@@ -137,16 +144,19 @@ def _solve_subtree(family, base_symbols, depth, tol, start, words):
     return solved
 
 
-def _spacing_constant(points, base_mid: float) -> float:
+def _spacing_constant(points, depth: int, base_mid: float) -> float:
     """Max over adjacent pairs of gap / 2**(-s*(l+1)**2), l = shared
-    prefix length.  A fitted measurement, not a guarantee: it
-    calibrates the covering radius formula against the realised gaps."""
+    prefix length, read off the words as integers: two words of length
+    depth first differ at position depth - (a ^ b).bit_length() + 1.
+    A fitted measurement, not a guarantee: it calibrates the covering
+    radius formula against the realised gaps."""
     best = 0.0
-    for p, q in zip(points, points[1:]):
+    codes = [int(p.word, 2) for p in points]
+    for p, q, a, b in zip(points, points[1:], codes, codes[1:]):
         gap = q.interval.mid - p.interval.mid
         if gap <= 0.0:
             continue
-        level = len(longest_common_prefix(p.word, q.word)) + 1
+        level = depth - (a ^ b).bit_length() + 1
         denom = 2.0 ** (-base_mid * level * level)
         best = max(best, gap / denom)
     return best if best > 0.0 else 1.0
@@ -190,7 +200,7 @@ def expand_spectrum(family, depth, base_symbols=(1, 2), tol=None, workers=1) -> 
     if depth > base_symbols[-1]:
         family.check_index(depth)
     words = _cloud_words(depth, base_symbols)
-    indices = [tuple(compress(range(1, depth + 1), map(int, w))) for w in words]
+    indices = _cloud_indices(depth, base_symbols)
     size = len(words) >> min(SPLIT_BITS, depth - len(base_symbols))
     jobs = [(family, base_symbols, depth, tol, base_dim.lo, indices[i:i + size])
             for i in range(0, len(words), size)]
@@ -202,7 +212,7 @@ def expand_spectrum(family, depth, base_symbols=(1, 2), tol=None, workers=1) -> 
 
     pts = [SpectrumPoint(word=w, interval=iv) for w, iv in zip(words, chain.from_iterable(solved))]
     pts.sort(key=lambda p: (p.interval.mid, p.word))
-    spacing = _spacing_constant(pts, base_dim.mid)
+    spacing = _spacing_constant(pts, depth, base_dim.mid)
     return SpectrumCloud(
         family=family.describe(),
         base_symbols=base_symbols,

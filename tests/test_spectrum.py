@@ -1,13 +1,15 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from dimspec import families, solver, spectrum
 from dimspec.errors import CapExceeded, ConfigError, InsufficientPrecision
 from dimspec.families import ContractionFamily
 from dimspec.perturbation import increment
-from dimspec.solver import solve_dimension
+from dimspec.solver import DimensionInterval, solve_dimension
 from dimspec.spectrum import DEPTH_CAP, branch_increment, expand_spectrum
-from dimspec.words import subset_of_word
+from dimspec.words import longest_common_prefix, subset_of_word
 
 SQEXP = ContractionFamily.square_exponent()
 
@@ -111,12 +113,15 @@ def test_depth_and_base_validation():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_cloud_words_are_solved_as_their_subsets(workers):
-    # The cloud hands the solver each word's symbols, not the word; every
-    # point has the ends, tier, precision and budget of the word's own
-    # solve.  Its certificates come from its cloud's table, not from the
-    # solve's evaluation, and hold against the 200-bit sums at lo and hi.
-    # A word past the end of a finite family is the ConfigError the
-    # word's solve would raise.
+    # The cloud hands the solver each word's symbols, not the word.  On
+    # the mpmath tier, as here, every point has the ends, tier, precision
+    # and budget of the word's own solve: the float spacing, not the
+    # Newton path, decides its ends.  A double-tier word's ends may
+    # differ from its own solve's in the last bits, since its Newton
+    # starts at its parent's lo.  Its certificates come from its cloud's
+    # table, not from the solve's evaluation, and hold against the
+    # 200-bit sums at lo and hi.  A word past the end of a finite family
+    # is the ConfigError the word's solve would raise.
     cloud = expand_spectrum(SQEXP, 5, tol=1e-20, workers=workers)
     for point in cloud.points:
         iv, alone = point.interval, solve_dimension(SQEXP, point.word, tol=1e-20)
@@ -139,6 +144,29 @@ def test_cloud_certificates_do_not_depend_on_the_worker_count(monkeypatch):
     real = expand_spectrum(SQEXP, 8, tol=1e-20, workers=2)
     monkeypatch.setattr(spectrum, "Pool", _SerialPool)
     assert expand_spectrum(SQEXP, 8, tol=1e-20, workers=2) == one == real
+
+
+@pytest.mark.parametrize("family", [
+    ContractionFamily.geometric(),
+    ContractionFamily.type_three(),
+    ContractionFamily.explicit(["0.3", "0.2", "0.15", "0.1", "0.08", "0.06", "0.04", "0.03"]),
+], ids=["geometric", "type-three", "explicit"])
+def test_double_tier_clouds_are_certified_and_do_not_depend_on_the_worker_count(
+        monkeypatch, family):
+    # Each word's double Newton starts at its parent's lo and its sums
+    # take the cloud's weights; every point is still certified against
+    # the 200-bit sums, and the words are solved in the same subtrees,
+    # from the same starts, serially, through the pool branch and in a
+    # real pool.
+    one = expand_spectrum(family, 8, tol=1e-10, workers=1)
+    for point in one.points:
+        iv, indices = point.interval, subset_of_word(point.word)
+        assert iv.tier == "double"
+        assert (oracles.ref_sum(family, indices, iv.lo, oracles.PREC) >= iv.cert_lo >= 1
+                >= iv.cert_hi >= oracles.ref_sum(family, indices, iv.hi, oracles.PREC))
+    real = expand_spectrum(family, 8, tol=1e-10, workers=2)
+    monkeypatch.setattr(spectrum, "Pool", _SerialPool)
+    assert expand_spectrum(family, 8, tol=1e-10, workers=2) == one == real
 
 
 def test_a_table_evaluation_that_does_not_certify_falls_through(monkeypatch):
@@ -220,6 +248,74 @@ def test_a_deep_cloud_fills_few_powers_and_decodes_no_word(monkeypatch):
     cloud = expand_spectrum(SQEXP, 11)
     assert len(fills) <= 300
     assert len(decoded) < len(cloud.points) == 512
+
+
+def test_a_double_tier_cloud_starts_each_word_at_its_parent(monkeypatch):
+    # A geometric depth-13 cloud is solved on the double tier.  Started
+    # at its parent's lo, a word takes about 5 sum evaluations, against
+    # 8.8 from 0; the base's and the auto tol's pilot solve count too.
+    evaluations = []
+    double_bounds = solver._double_bounds
+
+    def counted(*args):
+        bounds = double_bounds(*args)
+
+        def counting(s):
+            evaluations.append(s)
+            return bounds(s)
+
+        return counting
+
+    monkeypatch.setattr(solver, "_double_bounds", counted)
+    cloud = expand_spectrum(ContractionFamily.geometric(), 13)
+    assert {p.interval.tier for p in cloud.points} == {"double"}
+    assert len(evaluations) <= 6 * len(cloud.points) == 6 * 2048
+
+
+def test_a_cloud_reads_its_weights_once_per_subtree(monkeypatch):
+    # Every word's double sums take their weights from its subtree's
+    # _CloudTables, read once for the symbols 1..depth: a geometric
+    # depth-13 cloud reads e(a) 13 times in each of its 8 subtrees, plus
+    # 2 for the base, 13 for the auto tol's pilot and 1 for its gap, not
+    # once per symbol of each word.
+    calls = []
+    base, e = families.NAMED_FAMILIES["geometric"]
+
+    def counted(a):
+        calls.append(a)
+        return e(a)
+
+    monkeypatch.setitem(families.NAMED_FAMILIES, "geometric", (base, counted))
+    cloud = expand_spectrum(ContractionFamily.geometric(), 13)
+    assert len(cloud.points) == 2048
+    assert len(calls) <= (1 << spectrum.SPLIT_BITS) * 13 + 2 + 13 + 1
+
+
+@settings(max_examples=60)
+@given(st.integers(min_value=1, max_value=10), st.data())
+def test_cloud_indices_and_levels_match_the_words(depth, data):
+    # The index tuples are built position by position in the words'
+    # order, and the spacing constant reads each shared prefix off the
+    # words' integer codes; both agree with decoding the words.
+    base = tuple(sorted(data.draw(st.sets(st.integers(1, depth), min_size=1))))
+    words = spectrum._cloud_words(depth, base)
+    assert spectrum._cloud_indices(depth, base) == list(map(subset_of_word, words))
+    for a, b in data.draw(st.lists(st.tuples(st.sampled_from(words), st.sampled_from(words)))):
+        level = depth - (int(a, 2) ^ int(b, 2)).bit_length() + 1
+        assert level == len(longest_common_prefix(a, b)) + 1
+    mids = sorted(data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(words),
+                                     max_size=len(words))))
+    order = data.draw(st.permutations(words))
+    points = [spectrum.SpectrumPoint(w, DimensionInterval(m, m, 1e-10))
+              for w, m in zip(order, mids)]
+    base_mid = data.draw(st.floats(0.0, 1.0))
+    best = 0.0
+    for p, q in zip(points, points[1:]):
+        gap = q.interval.mid - p.interval.mid
+        if gap > 0.0:
+            level = len(longest_common_prefix(p.word, q.word)) + 1
+            best = max(best, gap / 2.0 ** (-base_mid * level * level))
+    assert spectrum._spacing_constant(points, depth, base_mid) == (best if best > 0.0 else 1.0)
 
 
 # (1.5, 2) used to run the (1, 2) cloud, and depth 4.7 depth 4
