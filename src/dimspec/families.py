@@ -336,8 +336,9 @@ class _Powers(dict):
 
 
 def term_table(family, s, bits, symbols):
-    """One row per symbol a of symbols, in their order, enclosing its
-    term at `bits` bits: (t_lo, t_hi, m_lo, m_hi, l_hi), ints with
+    """An iterator over one row per symbol a of symbols, in their order,
+    each made as it is read, enclosing its term at `bits` bits:
+    (t_lo, t_hi, m_lo, m_hi, l_hi), ints with
     t_lo <= ratio(a)**s * 2**bits <= t_hi, l_lo <= |ln ratio(a)| *
     2**bits <= l_hi, m_lo = t_lo * l_lo and m_hi = t_hi * l_hi.  s =
     at * 2**-q is the int pair (at, q).  This is how every selection is
@@ -355,7 +356,7 @@ def term_table(family, s, bits, symbols):
         distinct = {r: ln_enclosure(r.numerator, r.denominator, bits) + power_enclosure(r, s, bits)
                     for r in set(ratios)}
         terms = map(distinct.__getitem__, ratios)
-    return [(t_lo, t_hi, t_lo * l_lo, t_hi * l_hi, l_hi) for l_lo, l_hi, t_lo, t_hi in terms]
+    return ((t_lo, t_hi, t_lo * l_lo, t_hi * l_hi, l_hi) for l_lo, l_hi, t_lo, t_hi in terms)
 
 
 def _named_terms(row, s, bits, symbols):
@@ -386,10 +387,10 @@ def _named_terms(row, s, bits, symbols):
         yield k * ln_lo, k * ln_hi, t_lo, t_hi
 
 
-def term_tail(family, rows, bits):
+def term_tail(family, row, n, bits):
     """An upper bound, in units of 2**-bits, for the sum of ratio(a)**s
-    over all a > n of a named family, from rows, its term_table rows of
-    the symbols 1..n at `bits` bits, n >= 1: y**e(n+1) over
+    over all a > n of a named family, n >= 1, from row, symbol 1's
+    term_table row at `bits` bits: y**e(n+1) over
     1 - y**(e(n+2) - e(n+1)), y = base**(-s), both powers rounded up and
     the quotient rounded up (the geometric majorant of tail_majorant).
     The powers are filled from symbol 1's row, which encloses y itself
@@ -397,8 +398,8 @@ def term_tail(family, rows, bits):
     own.  ConfigError when e(n+2) == e(n+1), ToleranceNotReachable when
     the step factor rounds up to 1.
     """
-    head, step = family._tail_exponents(len(rows))
-    powers = _Powers(rows[0][:2], bits)
+    head, step = family._tail_exponents(n)
+    powers = _Powers(row[:2], bits)
     one = 1 << bits
     d_hi = powers[step][1]
     if d_hi >= one:

@@ -24,8 +24,17 @@ windows is attached for trend checks.  Classification into the three
 qualitative types follows from the scalars alone: all near 1, all near
 0, or a reciprocal-shaped middle band fitted by min(1, c/x).
 
-Costs, for n distinct points.  A covering count is one binary search
-per interval it places.  Each center's distances are sorted once, by
+Costs, for n distinct points.  A profile counts all its scales in one
+pass (_covering_counts).  No interval crosses a gap with w[i+1] >=
+fl(w[i] + eps), since an interval from p <= w[i] ends at fl(p + eps)
+<= fl(w[i] + eps), so those gaps split the window into clusters whose
+counts add up to the greedy walk's; one comparison per gap and scale
+finds and counts them.  The clusters that need more than one interval,
+from every scale, are walked in lockstep, one searchsorted per step
+for all of them.  Scales with few clusters, small windows and the last
+few walkers take the walk, one binary search per interval placed.  On
+the depth-13 Cantor cloud the 108 local windows count in about 10 ms
+instead of 40 ms.  Each center's distances are sorted once, by
 _distances, which merges the two sorted runs (left and right
 neighbours) in O(n) with a stable sort; the window radii and the gap
 statistic read that one array.  A window is an index range of the
@@ -48,7 +57,6 @@ Every public metric raises ConfigError on a non-finite point.
 from __future__ import annotations
 
 import math
-import statistics
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
@@ -63,6 +71,12 @@ MAX_SCALES = 60
 JUMP_RATIO = 4.0
 N_CENTERS = 9
 MIN_FIT_SCALES = 3
+# _covering_counts: vectorise a scale with more than one cluster per
+# HEAD_SHARE points, when such scales have MIN_HEADS clusters in all,
+# and walk the last WALKERS clusters that need more than one interval.
+HEAD_SHARE = 64
+MIN_HEADS = 100
+WALKERS = 32
 
 
 def _exact(x) -> Fraction:
@@ -114,20 +128,82 @@ def covering_count(sorted_pts, eps) -> int:
     return _covering_count(sorted_pts, eps)
 
 
-def _covering_count(pts, eps) -> int:
-    """covering_count on checked input.  Each interval [p, p + eps)
-    ends at the first point >= p + eps, found by bisection; the search
-    starts past p, so the count always moves forward, also when p + eps
-    rounds back to p (then the interval holds the copies of p only)."""
+def _covering_count(pts, eps, start=0, stop=None) -> int:
+    """covering_count on checked input, of the points pts[start:stop]
+    of the list pts.  Each interval [p, p + eps) ends at the first point
+    >= p + eps, found by bisection; the search starts past p, so the
+    count always moves forward, also when p + eps rounds back to p (then
+    the interval holds the copies of p only)."""
     n = 0
-    i = 0
-    m = len(pts)
+    i = start
+    m = len(pts) if stop is None else stop
     while i < m:
         p = pts[i]
         lim = p + eps
         n += 1
-        i = bisect_left(pts, lim, i + 1) if lim > p else bisect_right(pts, p, i + 1)
+        i = bisect_left(pts, lim, i + 1, m) if lim > p else bisect_right(pts, p, i + 1, m)
     return n
+
+
+def _covering_counts(pts, scales, gaps) -> list[int]:
+    """[_covering_count(pts, eps) for eps in scales] on the sorted
+    distinct float array pts; gaps holds its consecutive differences,
+    sorted.
+
+    Exactness: an interval placed at p <= w[i] ends at fl(p + eps) <=
+    fl(w[i] + eps), as rounding is monotone, so no interval crosses a
+    gap with w[i+1] >= fl(w[i] + eps), and the count is the sum of the
+    walk's counts over the clusters between such gaps.
+
+    The clusters of every scale are found at once, by one comparison per
+    gap and scale, and counted with no walk.  A cluster needs more than
+    one interval only when its last point is >= fl(first + eps); those
+    clusters, from every scale, are walked together, each step one
+    searchsorted for the same fl(p + eps) that the walk bisects for,
+    until WALKERS or fewer are left, which the walk finishes.  That
+    costs a comparison per point and scale, and saves a bisection per
+    cluster, so it is taken only at the scales with more than one
+    cluster per HEAD_SHARE points, and only when those have MIN_HEADS
+    clusters in all; the gaps count the clusters in advance, those of
+    at least eps.  The other scales, and small windows, are walked.
+    """
+    import numpy as np
+
+    n = len(pts)
+    lst = pts.tolist()
+    fast = []
+    if n * len(scales) >= MIN_HEADS:
+        heads = (n - np.searchsorted(gaps, scales)).tolist()
+        fast = [k for k, h in enumerate(heads) if h * HEAD_SHARE > n]
+        if sum(heads[k] for k in fast) < MIN_HEADS:
+            fast = []
+    counts = [0 if k in fast else _covering_count(lst, e) for k, e in enumerate(scales)]
+    if not fast:
+        return counts
+    eps = np.array([scales[k] for k in fast])
+    # p + eps may overflow to inf, as it does in the walk's floats.
+    with np.errstate(over="ignore"):
+        # head[r, i]: w[i] starts a cluster at the scale eps[r].
+        head = np.ones((len(eps), n), dtype=bool)
+        np.greater_equal(pts[1:], pts[:-1] + eps[:, None], out=head[:, 1:])
+        flat = np.flatnonzero(head)
+        row, first = np.divmod(flat, n)
+        last = np.append(flat[1:], head.size) - 1 - row * n
+        fast_counts = np.bincount(row, minlength=len(eps))
+        e = eps[row]
+        walk = pts[last] >= pts[first] + e
+        pos, last, e, row = first[walk], last[walk], e[walk], row[walk]
+        # Each walker's current interval is counted; a step places the next.
+        while len(pos) > WALKERS:
+            pos = np.maximum(np.searchsorted(pts, pts[pos] + e, "left"), pos + 1)
+            live = pos <= last
+            pos, last, e, row = pos[live], last[live], e[live], row[live]
+            fast_counts += np.bincount(row, minlength=len(eps))
+    for k, c in zip(fast, fast_counts.tolist()):
+        counts[k] = c
+    for i, j, ek, r in zip(pos.tolist(), last.tolist(), e.tolist(), row.tolist()):
+        counts[fast[r]] += _covering_count(lst, ek, i, j + 1) - 1
+    return counts
 
 
 @dataclass(frozen=True)
@@ -168,15 +244,20 @@ def _profile(pts, floor_rule="min", scale_range=None):
     or more survive."""
     import numpy as np
 
+    pts = np.asarray(pts, dtype=float)
     n = len(pts)
     if n < 2:
         return None
-    diam = pts[-1] - pts[0]
-    gaps = [b - a for a, b in zip(pts, pts[1:])]
+    diam = float(pts[-1]) - float(pts[0])
+    gaps = pts[1:] - pts[:-1]
+    gaps.sort()  # the floor and _covering_counts read them sorted
     if floor_rule == "min":
-        floor = 2.0 * min(gaps)
+        floor = 2.0 * float(gaps[0])
     elif floor_rule == "median":
-        floor = 2.0 * statistics.median(gaps)
+        # the middle gap, or the mean (a + b) / 2 of the two middle
+        # ones, as statistics.median takes it
+        mid = (n - 1) // 2
+        floor = 2.0 * float(gaps[mid] if n % 2 == 0 else (gaps[mid - 1] + gaps[mid]) / 2)
     else:
         raise ConfigError(f"unknown floor rule {floor_rule!r}")
 
@@ -199,7 +280,7 @@ def _profile(pts, floor_rule="min", scale_range=None):
             break
         scales.append(eps)
         k += 1
-    counts = [_covering_count(pts, e) for e in scales]
+    counts = _covering_counts(pts, scales, gaps)
     while len(counts) >= 2 and counts[-1] == n and counts[-2] == n:
         counts.pop()
         scales.pop()
@@ -281,7 +362,7 @@ def _series_radii(d, hits):
 
 def _windows(pts, x):
     """The window function of center x: r -> the points of the sorted
-    array pts within distance r of x, as a list.
+    array pts within distance r of x, as a slice of pts.
 
     The differences pts - x are computed once, and each window is the
     slice between two binary searches instead of a mask over the whole
@@ -295,7 +376,7 @@ def _windows(pts, x):
     rel = pts - x
 
     def window(r):
-        return pts[np.searchsorted(rel, -r, "left"):np.searchsorted(rel, r, "right")].tolist()
+        return pts[np.searchsorted(rel, -r, "left"):np.searchsorted(rel, r, "right")]
 
     return window
 

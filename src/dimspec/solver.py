@@ -117,6 +117,9 @@ TOL_MIN_DOUBLE = 4e-14
 # Truncation ceiling for adaptive partial sums of infinite families.
 MAX_TERMS = 1 << 20
 
+# Rows of a full selector's cut held at once while they are summed.
+ROW_CHUNK = 4096
+
 DEFAULT_TOL = 1e-10
 
 # Truncation tolerance of pressure's Moran sums.
@@ -336,10 +339,12 @@ def _fixed_bounds(family, indices, tol, prec):
     are the symbols 1..n_cut, cut where the double tier cuts it (by
     _truncation on family.tail_majorant at tol/4) before any row is
     built, and its upper sum adds families.term_tail, so the sums are
-    certified whatever the cut.  A finite selection's largest term,
-    which sizes the bits, is looked up on its first evaluation, so a
-    cloud word that certifies from its table does no fixed-tier work of
-    its own.  A named index above MAX_TERMS, the cap the full selector's
+    certified whatever the cut.  Its rows are totalled ROW_CHUNK at a
+    time as term_table makes them, keeping symbol 1's row for the tail,
+    so a cut at MAX_TERMS holds no more than one chunk.  A finite
+    selection's largest term, which sizes the bits, is looked up on its
+    first evaluation, so a cloud word that certifies from its table does
+    no fixed-tier work of its own.  A named index above MAX_TERMS, the cap the full selector's
     cut obeys, is refused with ToleranceNotReachable before any
     evaluation.  Lower sums add floor enclosures and upper sums ceiling
     enclosures, so both are certified by monotonicity alone.
@@ -363,10 +368,15 @@ def _fixed_bounds(family, indices, tol, prec):
             top = -max(map(family.log2_ratio, indices), default=0.0)
         bits = _fixed_bits(prec, s_float, top, len(symbols))
         rows = term_table(family, s, bits, symbols)
-        lo, hi, moment, moment_hi, ln_max, bits = _sum_rows(zip(_PAD, *rows), bits)
-        if indices is None:
-            hi, moment_hi = hi + term_tail(family, rows, bits), None
-        return lo, hi, moment, moment_hi, ln_max, bits
+        if indices is not None:
+            return _sum_rows(zip(_PAD, *rows), bits)
+        parts, row1 = [], None
+        rows = iter(rows)
+        for chunk in iter(lambda: list(islice(rows, ROW_CHUNK)), []):
+            row1 = row1 or chunk[0]
+            parts.append(_totals(zip(*chunk)))
+        lo, hi, moment, _, ln_max, bits = _sum_rows(zip(*parts), bits)
+        return lo, hi + term_tail(family, row1, len(symbols), bits), moment, None, ln_max, bits
 
     return sums
 
@@ -380,8 +390,15 @@ def _sum_rows(columns, bits):
     _fixed_bounds returns a finite selection's, from the rows' five
     columns (zip(_PAD, *rows)): the terms added up, the moments rounded
     down and up to units of 2**-bits, and the largest |ln ratio| bound."""
+    t_lo, t_hi, m_lo, m_hi, l_hi = _totals(columns)
+    return t_lo, t_hi, m_lo >> bits, -(-m_hi >> bits), l_hi, bits
+
+
+def _totals(columns):
+    """The five columns of some term_table rows as one row: the sums of
+    the first four, the largest of the fifth."""
     t_lo, t_hi, m_lo, m_hi, l_hi = columns
-    return sum(t_lo), sum(t_hi), sum(m_lo) >> bits, -(-sum(m_hi) >> bits), max(l_hi), bits
+    return sum(t_lo), sum(t_hi), sum(m_lo), sum(m_hi), max(l_hi)
 
 
 class _CloudTables:

@@ -130,13 +130,15 @@ def oracle_separation_margin(omega: str, tau: str) -> float:
 # and a boolean mask per window.  The fast kernels must agree with these exactly (==).
 
 def ref_covering_count(sorted_pts, eps):
+    """Where p + eps rounds back to p, the interval holds the copies of p."""
     n = 0
     i = 0
     m = len(sorted_pts)
     while i < m:
-        lim = sorted_pts[i] + eps
+        p = sorted_pts[i]
+        lim = p + eps
         n += 1
-        while i < m and sorted_pts[i] < lim:
+        while i < m and (sorted_pts[i] < lim or sorted_pts[i] == p):
             i += 1
     return n
 

@@ -157,7 +157,8 @@ def test_metric_documents_match_the_reference_kernels(monkeypatch, capsys):
         best = oracles.ref_uniform_perfectness_gaps(points)
         return metrics.GapReport(*best)
 
-    monkeypatch.setattr(metrics, "_covering_count", oracles.ref_covering_count)
+    monkeypatch.setattr(metrics, "_covering_counts", lambda pts, scales, gaps: [
+        oracles.ref_covering_count([float(p) for p in pts], e) for e in scales])
     monkeypatch.setattr(metrics, "_windows", lambda pts, x: lambda r: oracles.ref_window(pts, x, r))
     monkeypatch.setattr(metrics, "fit_reciprocal_band", oracles.ref_fit_reciprocal_band)
     monkeypatch.setattr(metrics, "uniform_perfectness_gaps", reference_gaps)

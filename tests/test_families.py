@@ -199,8 +199,8 @@ def test_term_enclosures_contain_the_per_kind_formulas(kind, a, s):
 def test_tail_enclosures_majorise_the_per_kind_formulas(kind, n_cut, s):
     fam = ContractionFamily(kind)
     for bits in (96, 200):
-        rows = term_table(fam, _pair(s), bits, range(1, n_cut + 1))
-        tail = _outcome(lambda: term_tail(fam, rows, bits))
+        row1 = next(term_table(fam, _pair(s), bits, [1]))
+        tail = _outcome(lambda: term_tail(fam, row1, n_cut, bits))
         with mpmath.workprec(bits + 64):
             step = fam._tail_exponents(n_cut)[1]
             den = 1 - mpmath.power(NAMED_FAMILIES[kind][0], -step * mpmath.mpf(s))
@@ -275,7 +275,7 @@ def test_term_table_rows_enclose_each_term_and_its_log(case, s, bits):
     # must enclose its own term and |ln ratio| whatever the other
     # symbols listed, and carry the products the moments add up.
     fam, symbols = case
-    rows = term_table(fam, _pair(s), bits, symbols)
+    rows = list(term_table(fam, _pair(s), bits, symbols))
     assert len(rows) == len(symbols)
     with mpmath.workprec(bits + oracles.PREC):
         for a, (t_lo, t_hi, m_lo, m_hi, l_hi) in zip(symbols, rows):
@@ -299,7 +299,7 @@ def test_a_run_of_symbols_steps_from_term_to_term(monkeypatch):
         return missing(self, k)
 
     monkeypatch.setattr(families._Powers, "__missing__", filled)
-    rows = term_table(ContractionFamily.square_exponent(), (1, 1), 200, range(1, 13))
+    rows = list(term_table(ContractionFamily.square_exponent(), (1, 1), 200, range(1, 13)))
     assert len(rows) == 12 and len(fills) <= 2
 
 
@@ -309,7 +309,7 @@ def test_tail_majorant_rejects_a_flat_exponent_step():
     with pytest.raises(ConfigError):
         fam.tail_majorant(0, 1.0)
     with pytest.raises(ConfigError):
-        term_tail(fam, [], 96)
+        term_tail(fam, None, 0, 96)
 
 
 # --- index validation -------------------------------------------------------------

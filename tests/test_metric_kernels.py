@@ -3,7 +3,9 @@ straightforward references in oracles.py, compared exactly (==)."""
 
 import math
 import signal
+import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -146,7 +148,7 @@ def test_windows_equal_the_mask_reference(points, radii):
         window = metrics._windows(pts, x)
         for r in [*metrics._distances(pts, x).tolist(), *radii]:
             for radius in (r, math.nextafter(r, -math.inf), math.nextafter(r, math.inf)):
-                assert window(radius) == oracles.ref_window(pts, x, radius)
+                assert window(radius).tolist() == oracles.ref_window(pts, x, radius)
 
 
 @settings(max_examples=50, deadline=None)
@@ -196,11 +198,94 @@ def test_classify_builds_no_window_series(monkeypatch):
 @settings(max_examples=300, deadline=None)
 @given(point_sets.map(sorted), st.floats(min_value=1e-300, max_value=4.0))
 def test_covering_count_equals_the_linear_walk(pts, eps):
-    # The reference never ends when p + eps rounds back to p.
-    assume(all(p + eps > p for p in pts))
     want = oracles.ref_covering_count(pts, eps)
     assert metrics.covering_count(pts, eps) == want
     assert metrics._covering_count(pts, eps) == want
+
+
+# Every way _covering_counts can take a scale: as it dispatches, every
+# scale vectorised with every cluster walked in lockstep, and every
+# scale vectorised with the walk finishing all but two clusters.
+KERNEL_SETTINGS = [
+    {"HEAD_SHARE": metrics.HEAD_SHARE, "MIN_HEADS": metrics.MIN_HEADS, "WALKERS": metrics.WALKERS},
+    {"HEAD_SHARE": math.inf, "MIN_HEADS": 0, "WALKERS": 0},
+    {"HEAD_SHARE": math.inf, "MIN_HEADS": 0, "WALKERS": 2},
+]
+
+
+def _counts_equal_the_walk(pts, scales):
+    """_covering_counts(pts, scales) under every KERNEL_SETTINGS entry
+    equals the linear walk at each scale."""
+    pts = np.asarray(pts, dtype=float)
+    gaps = np.sort(np.diff(pts))
+    want = [oracles.ref_covering_count(pts.tolist(), e) for e in scales]
+    for setting in KERNEL_SETTINGS:
+        with mock.patch.multiple(metrics, **setting):
+            assert metrics._covering_counts(pts, scales, gaps) == want, setting
+
+
+# Arithmetic progressions: runs of equal gaps, also in the last bits.
+progressions = st.tuples(
+    st.floats(-2.0, 2.0), st.sampled_from([1.0, 0.1, 1 / 3, 2.0**-30, 5e-324]), st.integers(2, 80),
+).map(lambda t: [t[0] + k * t[1] for k in range(t[2])])
+distinct_clouds = st.one_of(point_sets, progressions).map(_distinct).filter(lambda p: len(p) >= 1)
+# Scales down to the smallest subnormal: many make p + eps round back to p.
+kernel_scales = st.lists(st.one_of(
+    st.floats(min_value=5e-324, max_value=4.0),
+    st.sampled_from([5e-324, 1e-320, 1e-300, 1e-17, 2.0**-53]),
+), min_size=1, max_size=12)
+
+
+@st.composite
+def clouds_and_scales(draw):
+    """A distinct cloud, with scales that are random or differences of
+    its points, so that p + eps often lands on a point exactly."""
+    pts = draw(distinct_clouds)
+    diffs = st.tuples(st.sampled_from(pts), st.sampled_from(pts)).map(
+        lambda pq: abs(pq[1] - pq[0])).filter(lambda d: d > 0)
+    return pts, draw(st.lists(st.one_of(kernel_scales.map(min), diffs), min_size=1, max_size=12))
+
+
+@settings(max_examples=500, deadline=None)
+@given(clouds_and_scales())
+@example(([0.5, math.nextafter(0.5, 1.0), 0.75], [1e-30, 2.0**-54, 0.2]))
+@example(([0.0, 5e-324, 1e-323, 1.5e-323, 1.0], [5e-324, 1e-323, 0.5]))
+@example(([0.0, 0.25, 0.5, 0.75, 1.0], [0.5, 0.25]))
+# p + eps overflows to inf near the top of the float range.
+@example(([1e308 + k * 7e305 for k in range(100)], [8e307, 7.5e307, 2e306]))
+def test_all_scales_kernel_equals_the_walk_at_every_scale(case):
+    _counts_equal_the_walk(*case)
+
+
+def test_all_scales_kernel_overflows_quietly():
+    # p + eps overflows to inf silently in the walk's Python floats; the
+    # vectorised scales warn no more than the walk does.
+    pts = np.array([1e308 + k * 7e305 for k in range(100)])
+    with mock.patch.multiple(metrics, **KERNEL_SETTINGS[1]), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert metrics._covering_counts(pts, [8e307, 2e306], np.sort(np.diff(pts))) == [1, 34]
+
+
+@pytest.mark.parametrize("family", ["cantor-pair", "geometric", "type-three"])
+def test_all_scales_kernel_equals_the_walk_on_the_metric_windows(family, cloud_cache, monkeypatch):
+    # Every window the depth-13 local profiles count, at its own scales.
+    if family == "cantor-pair":
+        points = metrics.cantor_truncation(13)
+    else:
+        points = cloud_cache.cloud(family, 13).midpoints()
+    windows = {}
+    kernel = metrics._covering_counts
+
+    def recorded(pts, scales, gaps):
+        windows[(len(pts), float(pts[0]), float(pts[-1]))] = (pts, scales)
+        return kernel(pts, scales, gaps)
+
+    monkeypatch.setattr(metrics, "_covering_counts", recorded)
+    metrics.local_dimension_profile(points)
+    monkeypatch.undo()
+    assert len(windows) >= 40
+    for pts, scales in windows.values():
+        _counts_equal_the_walk(pts, scales)
 
 
 def test_covering_count_rejects_unsorted_points():

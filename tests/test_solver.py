@@ -1,7 +1,10 @@
 import math
+import subprocess
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -445,7 +448,7 @@ def _counting_tables(monkeypatch):
     tables = []
 
     def counted(family, s, bits, symbols):
-        rows = term_table(family, s, bits, symbols)
+        rows = list(term_table(family, s, bits, symbols))
         tables.append((tuple(symbols), len(rows)))
         return rows
 
@@ -514,6 +517,29 @@ def test_fixed_tier_sums_the_double_tier_cut(monkeypatch, fam, s, tol):
     tables = _counting_tables(monkeypatch)
     moran_bounds(fam, "full", s, tol, max(96, math.ceil(-math.log2(tol)) + 50))
     assert tables == [(tuple(range(1, n_cut + 1)), n_cut)]
+
+
+# VmHWM is the peak resident set of the child's own memory; ru_maxrss
+# would also count its parent's peak, which an exec carries over.
+LONG_CUT = """
+from dimspec import ContractionFamily, moran_bounds
+lo, hi, slope = moran_bounds(ContractionFamily.geometric(), "full", 1e-4, 1e-13, 96)
+peak = [line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:")]
+print(lo.man_exp, hi.man_exp, slope, *peak)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_a_long_full_selector_cut_is_summed_as_its_rows_are_made():
+    # geometric at s = 1e-4 cuts at 2**20 symbols.  Holding every row
+    # peaked at 495 MB; the sums are the ones those rows gave.
+    src = str(Path(solver.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", LONG_CUT], check=True, capture_output=True,
+                         text=True, env={"PYTHONPATH": src}, timeout=120).stdout.split()
+    assert out[:5] == ["(1286882379266799168309086258579015357178190192119,", "-146)",
+                       "(2573764758533598336618172517158100744670495336467,", "-147)",
+                       "-144269504.03113407"]
+    assert int(out[5]) < 50 * 1024  # kB
 
 
 def test_escalation_reuses_the_double_newton_iterate(monkeypatch):
@@ -777,7 +803,7 @@ def test_tiny_s_raises_a_dimspec_error():
     _raises_fast(moran_bounds, GEO, "full", 1e-17, 1e-13)
     _raises_fast(pressure_derivative, GEO, "full", 1e-17)
     # The fixed-point tail at 96 bits: 1 - y with y = 2**(-s) rounds up to 0.
-    _raises_fast(term_tail, GEO, term_table(GEO, (1, 120), 96, range(1, 9)), 96)
+    _raises_fast(term_tail, GEO, next(term_table(GEO, (1, 120), 96, [1])), 8, 96)
 
 
 def test_fixed_tier_refuses_an_index_beyond_max_terms():
