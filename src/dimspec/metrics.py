@@ -31,11 +31,12 @@ fl(w[i] + eps), since an interval from p <= w[i] ends at fl(p + eps)
 counts add up to the greedy walk's; one comparison per gap and scale
 finds and counts them.  The clusters that need more than one interval,
 from every scale, are walked in lockstep, one searchsorted per step
-for all of them.  Scales with few clusters, small windows and the last
-few walkers take the walk, one binary search per interval placed.  On
-the depth-13 Cantor cloud the 108 local windows count in about 10 ms
-instead of 40 ms.  Each center's distances are sorted once, by
-_distances, which merges the two sorted runs (left and right
+for all of them, in groups of scales that bound its arrays by a
+constant times the window.  Scales with few clusters, small windows and
+the last few walkers take the walk, one binary search per interval
+placed.  On the depth-13 Cantor cloud the 108 local windows count in
+about 10 ms instead of 40 ms.  Each center's distances are sorted
+once, by _distances, which merges the two sorted runs (left and right
 neighbours) in O(n) with a stable sort; the window radii and the gap
 statistic read that one array.  A window is an index range of the
 sorted cloud, found by two binary searches on the differences to its
@@ -71,12 +72,20 @@ MAX_SCALES = 60
 JUMP_RATIO = 4.0
 N_CENTERS = 9
 MIN_FIT_SCALES = 3
-# _covering_counts: vectorise a scale with more than one cluster per
-# HEAD_SHARE points, when such scales have MIN_HEADS clusters in all,
-# and walk the last WALKERS clusters that need more than one interval.
+# _covering_counts walks every scale of a window of fewer than
+# MIN_WINDOW points times scales.  Otherwise it vectorises the scales
+# with more than one cluster per HEAD_SHARE points, when those have
+# MIN_HEADS clusters in all, and walks the rest: with every scale
+# vectorised geometric local windows count 1.21x slower, the geometric
+# global profile 13% faster (BENCH_26.json, gate_off).  The lockstep
+# walk hands its last WALKERS clusters to the walk, and takes the
+# vectorised scales in groups of at most GROUP_ENTRIES points times
+# scales, which bounds its arrays by a constant times the window.
+MIN_WINDOW = 100
 HEAD_SHARE = 64
 MIN_HEADS = 100
 WALKERS = 32
+GROUP_ENTRIES = 1 << 18
 
 
 def _exact(x) -> Fraction:
@@ -155,32 +164,45 @@ def _covering_counts(pts, scales, gaps) -> list[int]:
     gap with w[i+1] >= fl(w[i] + eps), and the count is the sum of the
     walk's counts over the clusters between such gaps.
 
-    The clusters of every scale are found at once, by one comparison per
-    gap and scale, and counted with no walk.  A cluster needs more than
-    one interval only when its last point is >= fl(first + eps); those
-    clusters, from every scale, are walked together, each step one
-    searchsorted for the same fl(p + eps) that the walk bisects for,
-    until WALKERS or fewer are left, which the walk finishes.  That
-    costs a comparison per point and scale, and saves a bisection per
-    cluster, so it is taken only at the scales with more than one
-    cluster per HEAD_SHARE points, and only when those have MIN_HEADS
-    clusters in all; the gaps count the clusters in advance, those of
-    at least eps.  The other scales, and small windows, are walked.
+    The vectorised scales (see MIN_WINDOW and HEAD_SHARE) are counted
+    by _lockstep_counts, GROUP_ENTRIES // len(pts) scales at a time; the
+    gaps count their clusters in advance, those of at least eps.  The
+    other scales are walked.
     """
     import numpy as np
 
     n = len(pts)
     lst = pts.tolist()
     fast = []
-    if n * len(scales) >= MIN_HEADS:
+    if n * len(scales) >= MIN_WINDOW:
         heads = (n - np.searchsorted(gaps, scales)).tolist()
         fast = [k for k, h in enumerate(heads) if h * HEAD_SHARE > n]
         if sum(heads[k] for k in fast) < MIN_HEADS:
             fast = []
     counts = [0 if k in fast else _covering_count(lst, e) for k, e in enumerate(scales)]
-    if not fast:
-        return counts
-    eps = np.array([scales[k] for k in fast])
+    per = max(1, GROUP_ENTRIES // n)
+    for g in range(0, len(fast), per):
+        group = fast[g:g + per]
+        for k, c in zip(group, _lockstep_counts(pts, lst, [scales[k] for k in group])):
+            counts[k] = c
+    return counts
+
+
+def _lockstep_counts(pts, lst, scales) -> list[int]:
+    """The covering counts of the sorted distinct float array pts (lst
+    is pts.tolist()) at scales, from its clusters at every scale at once.
+
+    One comparison per gap and scale finds the clusters and counts them
+    with no walk.  A cluster needs more than one interval only when its
+    last point is >= fl(first + eps); those clusters, from every scale,
+    are walked together, each step one searchsorted for the same
+    fl(p + eps) that the walk bisects for, until WALKERS or fewer are
+    left, which the walk finishes.
+    """
+    import numpy as np
+
+    n = len(pts)
+    eps = np.array(scales)
     # p + eps may overflow to inf, as it does in the walk's floats.
     with np.errstate(over="ignore"):
         # head[r, i]: w[i] starts a cluster at the scale eps[r].
@@ -189,7 +211,7 @@ def _covering_counts(pts, scales, gaps) -> list[int]:
         flat = np.flatnonzero(head)
         row, first = np.divmod(flat, n)
         last = np.append(flat[1:], head.size) - 1 - row * n
-        fast_counts = np.bincount(row, minlength=len(eps))
+        counts = np.bincount(row, minlength=len(eps))
         e = eps[row]
         walk = pts[last] >= pts[first] + e
         pos, last, e, row = first[walk], last[walk], e[walk], row[walk]
@@ -198,11 +220,10 @@ def _covering_counts(pts, scales, gaps) -> list[int]:
             pos = np.maximum(np.searchsorted(pts, pts[pos] + e, "left"), pos + 1)
             live = pos <= last
             pos, last, e, row = pos[live], last[live], e[live], row[live]
-            fast_counts += np.bincount(row, minlength=len(eps))
-    for k, c in zip(fast, fast_counts.tolist()):
-        counts[k] = c
+            counts += np.bincount(row, minlength=len(eps))
+    counts = counts.tolist()
     for i, j, ek, r in zip(pos.tolist(), last.tolist(), e.tolist(), row.tolist()):
-        counts[fast[r]] += _covering_count(lst, ek, i, j + 1) - 1
+        counts[r] += _covering_count(lst, ek, i, j + 1) - 1
     return counts
 
 
