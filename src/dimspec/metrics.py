@@ -32,13 +32,16 @@ counts add up to the greedy walk's; one comparison per gap and scale
 finds and counts them.  The clusters that need more than one interval,
 from every scale, are walked in lockstep, one searchsorted per step
 for all of them, in groups of scales that bound its arrays by a
-constant times the window.  Scales with few clusters, small windows and
-the last few walkers take the walk, one binary search per interval
-placed.  On the depth-13 Cantor cloud the 108 local windows count in
-about 10 ms instead of 40 ms.  Each center's distances are sorted
-once, by _distances, which merges the two sorted runs (left and right
-neighbours) in O(n) with a stable sort; the window radii and the gap
-statistic read that one array.  A window is an index range of the
+constant times the window.  One crossover, CROSSOVER clusters, makes
+both choices: a scale with more clusters is vectorised, the others take
+the walk, one binary search per interval placed, and the lockstep walk
+hands its walkers to the walk once CROSSOVER or fewer are left.  A
+window of CROSSOVER or fewer points walks every scale, as no scale has
+more clusters than points.  On the depth-13 Cantor cloud the 108 local
+windows count in about 10 ms instead of 40 ms.  Each center's distances
+are sorted once, by _distances, which merges the two sorted runs (left
+and right neighbours) in O(n) with a stable sort; the window radii and
+the gap statistic read that one array.  A window is an index range of the
 sorted cloud, found by two binary searches on the differences to its
 center, never a mask over the whole cloud.  classify_type measures
 only the scalar windows, not the nested series.  The gap statistic
@@ -52,7 +55,8 @@ O(n^2) on clouds whose ratios all sit near the maximum, and outside
 the float range of the proof every center is sorted, as before.  The
 reciprocal fit is one vectorised pass over its 8000-point grid, and
 every log-log slope is one fit_line.
-Every public metric raises ConfigError on a non-finite point.
+Every public metric raises ConfigError on a non-finite point, and the
+profiles on a cloud whose diameter overflows the float range.
 """
 
 from __future__ import annotations
@@ -72,19 +76,11 @@ MAX_SCALES = 60
 JUMP_RATIO = 4.0
 N_CENTERS = 9
 MIN_FIT_SCALES = 3
-# _covering_counts walks every scale of a window of fewer than
-# MIN_WINDOW points times scales.  Otherwise it vectorises the scales
-# with more than one cluster per HEAD_SHARE points, when those have
-# MIN_HEADS clusters in all, and walks the rest: with every scale
-# vectorised geometric local windows count 1.21x slower, the geometric
-# global profile 13% faster (BENCH_26.json, gate_off).  The lockstep
-# walk hands its last WALKERS clusters to the walk, and takes the
-# vectorised scales in groups of at most GROUP_ENTRIES points times
-# scales, which bounds its arrays by a constant times the window.
-MIN_WINDOW = 100
-HEAD_SHARE = 64
-MIN_HEADS = 100
-WALKERS = 32
+# _covering_counts vectorises the scales of more than CROSSOVER clusters
+# and hands the lockstep walk's last CROSSOVER walkers to the walk; of 8
+# to 32, 20 slowed the depth-13 metric calls least (BENCH_27.json).
+# GROUP_ENTRIES bounds the lockstep walk's points times scales per group.
+CROSSOVER = 20
 GROUP_ENTRIES = 1 << 18
 
 
@@ -103,6 +99,17 @@ def _distinct_sorted(points) -> list[float]:
     if not all(map(math.isfinite, vals)):
         raise ConfigError("metrics need finite points, got a NaN or infinity")
     return sorted(vals)
+
+
+def _profiled_points(points) -> list[float]:
+    """_distinct_sorted(points), and ConfigError when their diameter
+    overflows the float range: every scale of a profile would be inf.
+    The check reads the Python floats, before numpy sees the points."""
+    pts = _distinct_sorted(points)
+    if len(pts) > 1 and pts[-1] - pts[0] == math.inf:
+        raise ConfigError(f"metrics need a cloud diameter below the float range, "
+                          f"got the points {pts[0]!r} to {pts[-1]!r}")
+    return pts
 
 
 def box_count(points, eps) -> int:
@@ -164,21 +171,21 @@ def _covering_counts(pts, scales, gaps) -> list[int]:
     gap with w[i+1] >= fl(w[i] + eps), and the count is the sum of the
     walk's counts over the clusters between such gaps.
 
-    The vectorised scales (see MIN_WINDOW and HEAD_SHARE) are counted
-    by _lockstep_counts, GROUP_ENTRIES // len(pts) scales at a time; the
-    gaps count their clusters in advance, those of at least eps.  The
-    other scales are walked.
+    A scale is vectorised when it has more than CROSSOVER clusters,
+    counted in advance as the sorted gaps of at least eps, and such
+    scales are counted by _lockstep_counts, GROUP_ENTRIES // len(pts) at
+    a time.  The other scales are walked; so is every scale of a window
+    of CROSSOVER or fewer points, which no scale splits into more
+    clusters than points.
     """
     import numpy as np
 
     n = len(pts)
     lst = pts.tolist()
     fast = []
-    if n * len(scales) >= MIN_WINDOW:
+    if n > CROSSOVER:
         heads = (n - np.searchsorted(gaps, scales)).tolist()
-        fast = [k for k, h in enumerate(heads) if h * HEAD_SHARE > n]
-        if sum(heads[k] for k in fast) < MIN_HEADS:
-            fast = []
+        fast = [k for k, h in enumerate(heads) if h > CROSSOVER]
     counts = [0 if k in fast else _covering_count(lst, e) for k, e in enumerate(scales)]
     per = max(1, GROUP_ENTRIES // n)
     for g in range(0, len(fast), per):
@@ -196,7 +203,7 @@ def _lockstep_counts(pts, lst, scales) -> list[int]:
     with no walk.  A cluster needs more than one interval only when its
     last point is >= fl(first + eps); those clusters, from every scale,
     are walked together, each step one searchsorted for the same
-    fl(p + eps) that the walk bisects for, until WALKERS or fewer are
+    fl(p + eps) that the walk bisects for, until CROSSOVER or fewer are
     left, which the walk finishes.
     """
     import numpy as np
@@ -216,7 +223,7 @@ def _lockstep_counts(pts, lst, scales) -> list[int]:
         walk = pts[last] >= pts[first] + e
         pos, last, e, row = first[walk], last[walk], e[walk], row[walk]
         # Each walker's current interval is counted; a step places the next.
-        while len(pos) > WALKERS:
+        while len(pos) > CROSSOVER:
             pos = np.maximum(np.searchsorted(pts, pts[pos] + e, "left"), pos + 1)
             live = pos <= last
             pos, last, e, row = pos[live], last[live], e[live], row[live]
@@ -327,7 +334,7 @@ def box_dimension_estimate(points, scale_range=None) -> ScaleProfile:
     gap; raises DegenerateScales when fewer than three scales fit
     between those bounds (too few points, or a near-arithmetic set).
     """
-    pts = _distinct_sorted(points)
+    pts = _profiled_points(points)
     prof = _profile(pts, floor_rule="min", scale_range=scale_range)
     if prof is None:
         raise DegenerateScales(
@@ -434,7 +441,7 @@ def _centers(points):
     at evenly spaced order statistics of them."""
     import numpy as np
 
-    pts = np.asarray(_distinct_sorted(points))
+    pts = np.asarray(_profiled_points(points))
     n = len(pts)
     if n < 2:
         raise DegenerateScales(f"local profile needs at least 2 points, got {n}")

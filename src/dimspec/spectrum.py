@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import chain, product, starmap
+from itertools import chain, starmap
 from multiprocessing import Pool
 
 from .errors import CapExceeded, ConfigError, require_int
@@ -93,22 +93,16 @@ class SpectrumCloud:
         return self.spacing_constant * 2.0 ** (-s * self.depth * self.depth)
 
 
-def _cloud_words(depth: int, base_symbols: tuple[int, ...]) -> list[str]:
-    """Words of the given length with '1' at each base symbol, in
-    lexicographic order: product runs the free positions in order."""
-    template = "".join("1" if i in base_symbols else "%s" for i in range(1, depth + 1))
-    return [template % bits for bits in product("01", repeat=depth - len(base_symbols))]
-
-
-def _cloud_indices(depth: int, base_symbols: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The symbols of each word of _cloud_words, in its order, built
-    position by position: each free position splits every word so far
-    into the word without the symbol and then the word with it."""
-    indices = [()]
+def _cloud_words(depth: int, base_symbols: tuple[int, ...]) -> list[tuple[str, tuple[int, ...]]]:
+    """(word, symbols) of every word of the given length with '1' at
+    each base symbol, in lexicographic order, built position by
+    position: each free position splits every word so far into the word
+    without the symbol ('0') and then the word with it ('1')."""
+    words = [("", ())]
     for i in range(1, depth + 1):
-        split = ((i,),) if i in base_symbols else ((), (i,))
-        indices = [w + v for w in indices for v in split]
-    return indices
+        split = (("1", (i,)),) if i in base_symbols else (("0", ()), ("1", (i,)))
+        words = [(w + c, s + t) for w, s in words for c, t in split]
+    return words
 
 
 def _auto_tol(family, depth: int) -> float:
@@ -200,9 +194,8 @@ def expand_spectrum(family, depth, base_symbols=(1, 2), tol=None, workers=1) -> 
     if depth > base_symbols[-1]:
         family.check_index(depth)
     words = _cloud_words(depth, base_symbols)
-    indices = _cloud_indices(depth, base_symbols)
     size = len(words) >> min(SPLIT_BITS, depth - len(base_symbols))
-    jobs = [(family, base_symbols, depth, tol, base_dim.lo, indices[i:i + size])
+    jobs = [(family, base_symbols, depth, tol, base_dim.lo, [s for _, s in words[i:i + size]])
             for i in range(0, len(words), size)]
     if workers > 1 and len(words) >= 8:
         with Pool(processes=min(workers, os.cpu_count() or 1)) as pool:
@@ -210,7 +203,8 @@ def expand_spectrum(family, depth, base_symbols=(1, 2), tol=None, workers=1) -> 
     else:
         solved = starmap(_solve_subtree, jobs)
 
-    pts = [SpectrumPoint(word=w, interval=iv) for w, iv in zip(words, chain.from_iterable(solved))]
+    pts = [SpectrumPoint(word=w, interval=iv)
+           for (w, _), iv in zip(words, chain.from_iterable(solved))]
     pts.sort(key=lambda p: (p.interval.mid, p.word))
     spacing = _spacing_constant(pts, depth, base_dim.mid)
     return SpectrumCloud(

@@ -206,16 +206,15 @@ def test_covering_count_equals_the_linear_walk(pts, eps):
     assert metrics._covering_count(pts, eps) == want
 
 
-# Every way _covering_counts can take a scale: as it dispatches, every
-# scale vectorised with every cluster walked in lockstep, and every
-# scale vectorised in a group of its own with the walk finishing all
-# but two clusters.
+# Every way _covering_counts can take a scale: as it dispatches; with
+# CROSSOVER = 0, every scale vectorised and every cluster walked in
+# lockstep to the end; and with CROSSOVER = 2, every scale of more than
+# two clusters vectorised in a group of its own, the walk taking the
+# other scales and finishing the last two clusters.
 KERNEL_SETTINGS = [
-    {"MIN_WINDOW": metrics.MIN_WINDOW, "HEAD_SHARE": metrics.HEAD_SHARE,
-     "MIN_HEADS": metrics.MIN_HEADS, "WALKERS": metrics.WALKERS,
-     "GROUP_ENTRIES": metrics.GROUP_ENTRIES},
-    {"MIN_WINDOW": 0, "HEAD_SHARE": math.inf, "MIN_HEADS": 0, "WALKERS": 0},
-    {"MIN_WINDOW": 0, "HEAD_SHARE": math.inf, "MIN_HEADS": 0, "WALKERS": 2, "GROUP_ENTRIES": 1},
+    {"CROSSOVER": metrics.CROSSOVER, "GROUP_ENTRIES": metrics.GROUP_ENTRIES},
+    {"CROSSOVER": 0},
+    {"CROSSOVER": 2, "GROUP_ENTRIES": 1},
 ]
 
 
@@ -456,6 +455,28 @@ def test_profiles_of_a_subnormal_cloud_stop_before_the_reciprocal_overflows():
     prof = metrics.local_dimension_profile(SUBNORMAL_CLOUD)
     assert all(c.scalar is None for c in prof.centers)
     assert metrics.classify_type(SUBNORMAL_CLOUD).label == "Unclassified"
+
+
+# Diameters above the largest float: every profile scale would be inf.
+OVERFLOWING_CLOUDS = [
+    [-1.7e308, 0.0, 1.7e308],
+    [-1e308, 1e308],
+    [-1.7e308, -1e300, 0.0, 5e-324, 1e300, 1.7e308],
+]
+
+
+@pytest.mark.parametrize("points", OVERFLOWING_CLOUDS)
+@pytest.mark.parametrize("metric", [
+    metrics.box_dimension_estimate, metrics.local_dimension_profile, metrics.classify_type,
+], ids=["box_dimension_estimate", "local_dimension_profile", "classify_type"])
+def test_profiles_reject_a_cloud_whose_diameter_overflows(metric, points, capfd):
+    # These printed numpy warnings and LAPACK DLASCL lines, then raised
+    # a bare LinAlgError.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="diameter"):
+            metric(points)
+    assert capfd.readouterr().err == ""
 
 
 @pytest.mark.parametrize("eps", [math.inf, math.nan])

@@ -1,6 +1,6 @@
 """The package surface: public names, the deferred numpy import, the
 integer contract for counts, no unused imports, no unread private
-names and no option without a caller."""
+names or constants and no option without a caller."""
 
 import ast
 import math
@@ -185,9 +185,9 @@ def test_the_solver_and_the_cloud_keep_no_state_between_calls(module):
     assert _module_state(path.read_text()) == []
 
 
-def _private_definitions(path):
-    """Module-level _names a module defines (functions, classes and
-    assigned names; dunders excluded), with their lines."""
+def _definitions(path):
+    """Module-level names a module defines (functions, classes and
+    assigned names), with their lines."""
     defined = {}
     for node in ast.parse(path.read_text(), str(path)).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -199,8 +199,7 @@ def _private_definitions(path):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.endswith("__"):
-                defined[name] = node.lineno
+            defined[name] = node.lineno
     return defined
 
 
@@ -218,14 +217,37 @@ def _reads(path):
     return reads
 
 
+def _unread(paths, keep):
+    """The module-level names of the modules at paths, kept by keep(name),
+    that none of those modules reads."""
+    reads = set().union(*map(_reads, paths))
+    return [f"{path.name}:{line} {name}" for path in paths
+            for name, line in _definitions(path).items() if keep(name) and name not in reads]
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
 def test_no_private_name_is_left_unread():
     # A module-level _name that nothing in the package reads is dead
     # code; reads in tests do not count.
-    paths = sorted(Path(dimspec.__file__).parent.glob("*.py"))
-    reads = set().union(*map(_reads, paths))
-    unread = [f"{path.name}:{line} {name}" for path in paths
-              for name, line in _private_definitions(path).items() if name not in reads]
-    assert unread == []
+    assert _unread(sorted(Path(dimspec.__file__).parent.glob("*.py")), _private) == []
+
+
+def test_every_constant_is_read():
+    # A module-level upper-case constant that no code in the package
+    # reads tunes nothing: a setting left behind by a removed mechanism.
+    # Reads in tests do not count, so a test patching it does not keep it.
+    assert _unread(sorted(Path(dimspec.__file__).parent.glob("*.py")), str.isupper) == []
+
+
+def test_the_constant_lint_sees_a_constant_only_tests_read(tmp_path):
+    module, test = tmp_path / "module.py", tmp_path / "test_module.py"
+    module.write_text("LIMIT = 4\nSTEP = 2\n\n\ndef f(x):\n    return x < LIMIT\n")
+    test.write_text("import module\nmodule.STEP = 1\n")
+    assert _unread([module], str.isupper) == ["module.py:2 STEP"]
+    assert _unread([module, test], str.isupper) == []
 
 
 def _options(path):

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -294,12 +296,17 @@ def test_a_cloud_reads_its_weights_once_per_subtree(monkeypatch):
 @settings(max_examples=60)
 @given(st.integers(min_value=1, max_value=10), st.data())
 def test_cloud_indices_and_levels_match_the_words(depth, data):
-    # The index tuples are built position by position in the words'
-    # order, and the spacing constant reads each shared prefix off the
-    # words' integer codes; both agree with decoding the words.
+    # The words and their index tuples are built together, position by
+    # position: the words are those with '1' at each base symbol, in
+    # lexicographic order, and each tuple agrees with decoding its word.
+    # The spacing constant reads each shared prefix off the words'
+    # integer codes, which agrees with comparing the words.
     base = tuple(sorted(data.draw(st.sets(st.integers(1, depth), min_size=1))))
-    words = spectrum._cloud_words(depth, base)
-    assert spectrum._cloud_indices(depth, base) == list(map(subset_of_word, words))
+    pairs = spectrum._cloud_words(depth, base)
+    words = [w for w, _ in pairs]
+    assert words == ["".join(bits) for bits in product("01", repeat=depth)
+                     if all(bits[i - 1] == "1" for i in base)]
+    assert [s for _, s in pairs] == list(map(subset_of_word, words))
     for a, b in data.draw(st.lists(st.tuples(st.sampled_from(words), st.sampled_from(words)))):
         level = depth - (int(a, 2) ^ int(b, 2)).bit_length() + 1
         assert level == len(longest_common_prefix(a, b)) + 1
