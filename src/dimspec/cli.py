@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -78,7 +79,10 @@ def _flag(key):
     return "--" + key.replace("_", "-")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of a process: parse_args leaves it as it was, so
+    every main and run_from_config call shares it."""
     parser = argparse.ArgumentParser(
         prog="dimspec",
         description="Certified dimension computations for infinite contraction systems.",

@@ -361,7 +361,18 @@ def _boundaries(d):
     boundaries of the positive sorted distances d."""
     import numpy as np
 
-    return np.flatnonzero(d[3:] > JUMP_RATIO * d[2:-1]) + 2
+    # JUMP_RATIO * d[i] overflows to inf only where it exceeds every
+    # float, so no d[i + 1] passes it, as none passes the exact product.
+    with np.errstate(over="ignore"):
+        return np.flatnonzero(d[3:] > JUMP_RATIO * d[2:-1]) + 2
+
+
+def _geometric_mean(a, b):
+    """sqrt(a * b) for floats a, b >= 0, also where a * b overflows:
+    then sqrt(a) * sqrt(b), which stays inside the float range."""
+    a, b = float(a), float(b)
+    product = a * b
+    return math.sqrt(product) if product < math.inf else math.sqrt(a) * math.sqrt(b)
 
 
 def _scalar_radius(d, hits, n):
@@ -373,14 +384,14 @@ def _scalar_radius(d, hits, n):
         return None, "empty"
     if len(hits):
         i = hits[0]
-        return math.sqrt(d[i] * d[i + 1]), "boundary"
+        return _geometric_mean(d[i], d[i + 1]), "boundary"
     return float(d[min(len(d) - 1, n // 2)]), "half-sample"
 
 
 def _series_radii(d, hits):
     """Radii of the nested series: every boundary radius plus the
     dyadic nearest-neighbour distances d[4], d[8], ..."""
-    radii = [math.sqrt(d[i] * d[i + 1]) for i in hits]
+    radii = [_geometric_mean(d[i], d[i + 1]) for i in hits]
     m = 4
     while m < len(d):
         radii.append(float(d[m]))

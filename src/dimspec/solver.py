@@ -29,10 +29,21 @@ raises ToleranceNotReachable.
 Two arithmetic tiers exist, and one acceptance rule (_accept) decides
 for both: [lo, hi] is certified when a lower bound on the sum at lo is
 >= 1 and an upper bound on the sum at hi is <= 1, or hi is the ambient
-1.  The tiers differ only in where the two bounds come from.  The
-double tier sums plain doubles, widens them by a generous relative
-slack, and takes the two one-sided sums at exactly the floats lo and
-hi.  The mpmath tier, at a working precision prec chosen from the
+1.  Both tiers take the two bounds from their last Newton evaluation,
+by the mean-value bounds described below.  The double tier sums plain
+doubles and widens them by a generous relative slack, SLACK_DOUBLE,
+which also lowers the moment |S'| it reads off the same terms; that
+the terms are accurate to within it is the double tier's one
+assumption.  Its Newton step rule leaves the last evaluation at a
+point x_e within tol/1000 left of the iterate x, so inside [lo, hi],
+and _near_bounds takes both near-side bounds from it, in floats
+rounded away from 1, with no further sum (two sums fewer per solve than
+the one-sided sums at lo and hi).  The mean-value form loses a factor
+1 - L (hi - x_e) to the curvature, which a steep ratio at a coarse tol
+can take to 0: an end it cannot certify is certified by the one-sided
+sum at exactly that float instead, so the double tier certifies every
+bracket the one-sided sums at lo and hi certify.  The mpmath tier, at a
+working precision prec chosen from the
 requested tolerance, sums fixed-point integers: every term is enclosed
 between two integers at bits >= prec bits, from one exp per evaluation
 for a named family and one per distinct ratio for an explicit one, and
@@ -184,7 +195,7 @@ def moran_bounds(family, subset, s, tol, prec=None):
         raise ConfigError(f"moran_bounds needs s >= 0, got {s}")
     indices = _indices(family, subset)
     if prec is None:
-        return _double_bounds(family, indices, tol)(s)
+        return _double_bounds(family, indices, tol)(s)[:3]
     prec = _precision(prec, tol)
     sums = _fixed_bounds(family, indices, tol, prec)(_pair(s))
     if sums is None:
@@ -249,7 +260,7 @@ def _weight(family):
 def _double_sums(family, indices, tol, weights=None):
     """The double tier's one term loop, unwidened: a function of s, for
     the length of one solve, returning (fsum of the terms, tail
-    majorant, slope of the partial sum, number of terms).
+    majorant, slope of the partial sum, number of terms, weights).
 
     Each symbol's log2 ratio w (_weight) is decoded once, not once per
     term of every evaluation; a term is 2.0 ** (s * w), the expression
@@ -266,34 +277,44 @@ def _double_sums(family, indices, tol, weights=None):
         selected, tail = weights, 0.0
         if indices is None:
             if s <= 0:
-                return math.inf, math.inf, -math.inf, 0
+                return math.inf, math.inf, -math.inf, 0, weights
             n, tail = _truncation(lambda n_cut: family.tail_majorant(n_cut, s), tol / 4)
             weights.extend(map(weight, range(len(weights) + 1, n + 1)))
             selected = islice(weights, n)
         terms = [2.0 ** (s * w) for w in selected]
-        return math.fsum(terms), tail, LN2 * math.fsum(map(mul, terms, weights)), len(terms)
+        return (math.fsum(terms), tail, LN2 * math.fsum(map(mul, terms, weights)), len(terms),
+                weights)
 
     return sums
 
 
 def _double_bounds(family, indices, tol, weights=None):
     """moran_bounds(family, indices, s, tol) in doubles, as a function
-    of s for one solve: _double_sums (with a cloud word's weights, when
+    of s for one solve, and what _near_bounds certifies from: (lower
+    sum, upper sum, slope, moment, weights).
+
+    The sums are _double_sums' (with a cloud word's weights, when
     given) widened by SLACK_DOUBLE.  A sum below 2**-700 gets twice
     that slack and (terms + 2) * 2**-1074 for subnormal and underflowed
     terms on top, the lower sum clipped at 0; an empty sum stays 0.  A
     larger sum needs no absolute widening: it is below half the spacing
     of the doubles above 2**-999, so adding it would round back to the
-    same sums."""
+    same sums.  The moment is a lower bound on the sum of
+    |ln ratio(a)| * ratio(a)**s over the summed terms, so on |S'(s)|:
+    minus the slope lowered by SLACK_DOUBLE once for its terms, under
+    the sums' assumption, and once more for the roundings of
+    _near_bounds' products; below 2**-700 it is 0, which bounds any
+    |S'| (such a sum certifies nothing near 1 anyway)."""
     sums = _double_sums(family, indices, tol, weights)
 
     def bounds(s):
-        total, tail, slope, n_terms = sums(s)
+        total, tail, slope, n_terms, weights = sums(s)
         if total >= 2.0**-700:
-            return total * (1 - SLACK_DOUBLE), (total + tail) * (1 + SLACK_DOUBLE), slope
+            return (total * (1 - SLACK_DOUBLE), (total + tail) * (1 + SLACK_DOUBLE), slope,
+                    -slope * (1 - 2 * SLACK_DOUBLE), weights)
         floor = (n_terms + 2) * 2.0**-1074 if n_terms else 0.0
         return (max(total * (1 - 2 * SLACK_DOUBLE) - floor, 0.0),
-                (total + tail) * (1 + 2 * SLACK_DOUBLE) + floor, slope)
+                (total + tail) * (1 + 2 * SLACK_DOUBLE) + floor, slope, 0.0, weights)
 
     return bounds
 
@@ -473,10 +494,12 @@ class DimensionInterval:
     the Moran sum at the float lo, an upper bound (<= 1) on the sum at
     the float hi, or None when hi is the ambient bound 1 (the attractor
     lives in the unit interval, so its dimension never exceeds 1).  Both
-    are floats rounded away from 1: the one-sided sums on the double
-    tier; on the mpmath tier, the mean-value bounds (_mean_value) from
-    the fixed-point evaluation that certified, the one the last Newton
-    step on S - 1 was taken from.
+    are floats rounded away from 1, the mean-value bounds from the
+    evaluation the last Newton step was taken from: on the double tier
+    _near_bounds', which rest on the terms being accurate to
+    SLACK_DOUBLE (an end they do not certify takes the one-sided sum
+    at exactly that float instead); on the mpmath tier _mean_value's,
+    from the fixed-point evaluation that certified.
     When the ratios sum above 1 the Moran root lies above 1 and is not
     reported: the interval is [lo, 1] with hi_is_ambient set, and only
     lo is certified.  exact marks the degenerate empty/singleton cases
@@ -515,30 +538,32 @@ class DimensionInterval:
 
 
 def _newton(bounds, x, tol):
-    """Newton's method in doubles on the pressure log(sum) from x, or
-    None.
+    """Newton's method in doubles on the pressure log(sum) from x:
+    (iterate, at, evaluation), with evaluation = bounds(at) the last one
+    made, or None.
 
-    bounds(s) returns moran_bounds at s in doubles.  The pressure is
+    bounds(s) returns _double_bounds' evaluation at s.  The pressure is
     convex and decreasing, so from a start left of the root the iterates
     climb monotonically.  Stops once a step is below tol/1000 and below
     the step before it, no longer moves x, or is no longer positive (the
-    sum at x no longer exceeds 1, which is the root up to rounding).  A
-    first step never stops it: a symbol with a huge exponent makes the
-    slope at 0 so steep that the first steps are tiny and far from the
-    root.
+    sum at x no longer exceeds 1, which is the root up to rounding), so
+    at lies in [iterate - tol/1000, iterate].  A first step never stops
+    it: a symbol with a huge exponent makes the slope at 0 so steep that
+    the first steps are tiny and far from the root.
     """
     limit, last = tol / 1000, 0.0
     for _ in range(NEWTON_STEPS):
-        lower, upper, slope = bounds(x)
+        evaluation = bounds(x)
+        lower, upper, slope, _, _ = evaluation
         if not (slope < 0 and upper < math.inf):
             return None
         mid = (lower + upper) / 2
         step = mid * math.log(mid) / slope
         if step >= 0:
-            return x
-        x, previous = x - step, x
-        if -step < limit and -step < last or x == previous:
-            return x
+            return x, x, evaluation
+        at, x = x, x - step
+        if -step < limit and -step < last or x == at:
+            return x, at, evaluation
         last = -step
     return None
 
@@ -568,6 +593,34 @@ def _accept(lo, hi, cert_lo, cert_hi, method):
     if hi == 1.0:
         return dict(lo=lo, hi=hi, cert_lo=cert_lo, hi_is_ambient=True)
     return f"the {method} upper bound at hi is {cert_hi!r}, above 1"
+
+
+def _near_bounds(lo, hi, at, evaluation):
+    """_mean_value's near-side bounds for the double tier: (lower bound
+    on the Moran sum S at lo, upper bound at hi) from _double_bounds'
+    evaluation at the float at:
+      for lo <= at, S(lo) >= S_lo(at) + (at - lo) * moment;
+      for at <= hi, S(hi) <= S_hi(at) - (hi - at) * moment * max(0, 1 - L * (hi - at)),
+    with L >= |ln ratio(a)| for every summed symbol, read as LN2 times
+    the largest |log2 ratio| weight and raised by SLACK_DOUBLE.  A full
+    selector's weights may run past the summed symbols, which only
+    raises L.  The far sides give -inf (at lo) and inf (at hi): hi is
+    clipped to 1 (_bracket), so at may lie above it.
+
+    The products are plain floats: the moment's second SLACK_DOUBLE
+    (_double_bounds) is far more than their few roundings can add, and
+    L's raises L * (hi - at) past every rounding, so 1 minus it, exact
+    from 1/2 on, is never too large.  Only the last addition is rounded
+    outward, one float away from 1."""
+    lower, upper, _, moment, weights = evaluation
+    cert_lo, cert_hi = -math.inf, math.inf
+    if lo <= at:
+        cert_lo = math.nextafter(lower + (at - lo) * moment, -math.inf)
+    if at <= hi:
+        ln_max = -min(weights) * LN2 * (1 + SLACK_DOUBLE)
+        factor = max(0.0, 1.0 - ln_max * (hi - at))
+        cert_hi = math.nextafter(upper - (hi - at) * moment * factor, math.inf)
+    return cert_lo, cert_hi
 
 
 def _float_of(n, k, up):
@@ -696,8 +749,9 @@ def solve_dimension(family, subset="full", tol=DEFAULT_TOL, precision_bits=None)
     The empty subset and singletons yield the exact interval [0, 0]
     (no equation to solve in the first case, root at s = 0 in the
     second).  Otherwise Newton's method in doubles finds the root once,
-    and the floats just outside root -/+ 0.4 tol are certified by one
-    lower and one upper sum, evaluated at exactly those floats.
+    and the floats just outside root -/+ 0.4 tol are certified from its
+    last evaluation by the mean-value bounds (or, at an end those do not
+    certify, by the one-sided sum at exactly that float).
     Precision escalates from doubles to mpmath automatically unless
     precision_bits pins a tier; the mpmath tier runs Newton on S - 1
     in fixed point from the same double Newton iterate and returns the
@@ -738,12 +792,18 @@ def _solve(family, indices, tol, precision_bits, start=None, tables=None):
         # The sum is at least 2 at s = 0 for two or more symbols; the
         # full root of every named family lies above 1/2.
         start = 0.0 if indices is not None else 0.5
-    x = _newton(double, start, tol)
+    found = _newton(double, start, tol)
+    x = None if found is None else found[0]
     if prec is None:
-        if tol >= TOL_MIN_DOUBLE and x is not None:
+        if tol >= TOL_MIN_DOUBLE and found is not None:
             lo, hi = _bracket(x - 0.4 * tol, x + 0.4 * tol, tol)
+            cert_lo, cert_hi = _near_bounds(lo, hi, *found[1:])
             try:
-                verdict = _accept(lo, hi, double(lo)[0], double(hi)[1], "one-sided")
+                if not cert_lo >= 1:
+                    cert_lo = double(lo)[0]
+                if not cert_hi <= 1:
+                    cert_hi = double(hi)[1]
+                verdict = _accept(lo, hi, cert_lo, cert_hi, "double-tier")
                 if not isinstance(verdict, str):
                     return DimensionInterval(width_budget=tol, **verdict)
             except ToleranceNotReachable:
@@ -802,7 +862,7 @@ def pressure_derivative(family, subset, s):
     if indices == ():
         raise ConfigError("pressure derivative of the empty subset is undefined")
     tol = max(2.0**-58 * family.term_double(1, s), 2.0**-1072) if indices is None else 0.0
-    total, _, slope, _ = _double_sums(family, indices, tol)(s)
+    total, _, slope, _, _ = _double_sums(family, indices, tol)(s)
     if total == 0.0 or math.isinf(total) or indices is None and total < 2.0**-1022:
         raise DivergentSum(f"moran sum diverges or vanishes at s={s}")
     return slope / total

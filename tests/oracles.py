@@ -143,6 +143,15 @@ def ref_covering_count(sorted_pts, eps):
     return n
 
 
+def ref_geometric_mean(a, b):
+    """sqrt(a * b) where the product is a float; where it overflows,
+    sqrt(a) * sqrt(b), the float product of the two roots."""
+    a, b = float(a), float(b)
+    if a * b == math.inf:
+        return math.sqrt(a) * math.sqrt(b)
+    return math.sqrt(a * b)
+
+
 def ref_scalar_window_radius(pts, x, jump_ratio=4.0):
     import numpy as np
 
@@ -153,7 +162,7 @@ def ref_scalar_window_radius(pts, x, jump_ratio=4.0):
         return None, "empty"
     for i in range(2, n - 1):
         if d[i + 1] > jump_ratio * d[i]:
-            return math.sqrt(d[i] * d[i + 1]), "boundary"
+            return ref_geometric_mean(d[i], d[i + 1]), "boundary"
     return float(d[min(n - 1, len(pts) // 2)]), "half-sample"
 
 
@@ -165,7 +174,7 @@ def ref_candidate_radii(pts, x, jump_ratio=4.0):
     radii = []
     for i in range(2, len(d) - 1):
         if d[i + 1] > jump_ratio * d[i]:
-            radii.append(math.sqrt(d[i] * d[i + 1]))
+            radii.append(ref_geometric_mean(d[i], d[i + 1]))
     m = 4
     while m < len(d):
         radii.append(float(d[m]))

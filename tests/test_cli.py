@@ -170,6 +170,35 @@ def test_metric_documents_match_the_reference_kernels(monkeypatch, capsys):
 
 # --- error handling -----------------------------------------------------------
 
+def _outcome(argv, capsys):
+    """(exit code, stdout, stderr) of main(argv), argparse's exits included."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_one_parser_serves_every_call_as_a_fresh_one_would(monkeypatch, capsys):
+    # main builds its parser once per process.  A run of commands through
+    # that one parser, a usage error and a ConfigError among them, prints
+    # the same bytes and exits with the same codes as a fresh parser per
+    # call, and --help is unchanged.
+    argvs = [["spectrum", "--family", "geometric", "--depth", "6", "--no-timestamp"],
+             ["classify", "--family", "type-three", "--depth", "8", "--no-timestamp"],
+             ["spectrum", "--family", "geometric", "--depth", "six"],
+             ["spectrum", "--depth", "6", "--no-timestamp"],
+             ["--help"], ["classify", "--help"]]
+    shared = [_outcome(argv, capsys) for argv in argvs]
+    assert cli._build_parser() is cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert shared == [_outcome(argv, capsys) for argv in argvs]
+    assert [code for code, _, _ in shared] == [0, 0, 2, 2, 0, 0]
+    assert "invalid int value: 'six'" in shared[2][2]
+    assert '"ConfigError"' in shared[3][1]
+
+
 def test_config_error_exit_code(capsys):
     code, out = run(["dim", "--family", "square-exponent", "--subset", "1;2"], capsys)
     assert code == 2

@@ -12,14 +12,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from dimspec import metrics
 from dimspec.errors import ConfigError, DegenerateScales
 from dimspec.families import ContractionFamily
-from dimspec.solver import moran_bounds, pressure_derivative, solve_dimension
+from dimspec.solver import moran_bounds, pressure_derivative
 
 # Clouds mixing subnormal and unit distances overflow some ratios to inf,
 # in the references as in the kernels.
@@ -383,17 +383,6 @@ def test_double_tier_sums_equal_term_by_term_sums(selection, s, tol):
     fam, indices = selection
     assert moran_bounds(fam, indices, s, tol) == oracles.term_by_term_bounds(fam, indices, s, tol)
     assert pressure_derivative(fam, indices, s) == oracles.term_by_term_pressure_slope(fam, indices, s)
-
-
-@settings(max_examples=100, deadline=None)
-@given(selections(), tolerances)
-def test_double_tier_certificates_equal_term_by_term_sums(selection, tol):
-    fam, indices = selection
-    iv = solve_dimension(fam, "full" if indices is None else indices, tol=tol)
-    assume(iv.tier == "double")
-    assert iv.cert_lo == oracles.term_by_term_bounds(fam, indices, iv.lo, tol)[0]
-    if not iv.hi_is_ambient:
-        assert iv.cert_hi == oracles.term_by_term_bounds(fam, indices, iv.hi, tol)[1]
 
 
 # --- input contract -------------------------------------------------------------

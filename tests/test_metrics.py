@@ -184,3 +184,21 @@ def test_classify_geometric_cloud(cloud_cache):
     got = classify_type(cloud_cache.cloud("geometric", 12).midpoints())
     assert got.label == "Type I"
     assert all(s is not None and s > 0.9 for s in got.scalars)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("pts", [[0.0, 1e300, 1e305, 1.7e308, 1.0, 2.0, 3.0],
+                                 list(np.linspace(0.0, 1.7e308, 50))])
+def test_a_cloud_almost_as_wide_as_the_float_range_keeps_its_windows(pts, capfd):
+    # Distances above 1.34e154 overflow the product of a boundary's two
+    # distances and JUMP_RATIO times a distance.  The windows stay those
+    # of the same cloud scaled by 2**-600 (exactly, so its boundaries
+    # are the same), with no numpy warning.
+    scaled = [x * 2.0**-600 for x in pts]
+    wide, small = local_dimension_profile(pts), local_dimension_profile(scaled)
+    for c, s in zip(wide.centers, small.centers):
+        assert (c.window_kind, c.window_size) == (s.window_kind, s.window_size)
+        assert c.radius * 2.0**-600 == pytest.approx(s.radius, rel=1e-15)
+        assert [n for _, n, _ in c.series] == [n for _, n, _ in s.series]
+    assert classify_type(pts).label == classify_type(scaled).label
+    assert capfd.readouterr().err == ""

@@ -327,3 +327,31 @@ def test_every_option_has_a_caller():
                     unset.append(f"{path.name}: {qualified}.{param}")
     assert sorted(set(unset) - set(KEPT_OPTIONS)) == []
     assert sorted(set(KEPT_OPTIONS) - set(unset)) == []
+
+
+ONE_FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(n):
+    assert n != n
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_property_leaves_the_rest_of_the_run_reported(tmp_path):
+    # Under the repo's pytest settings (every warning an error), a failing
+    # @given test must be reported as one failure, not end the whole run
+    # with an INTERNALERROR that hides every later test.
+    root = Path(__file__).resolve().parents[1]
+    (tmp_path / "test_one_property.py").write_text(ONE_FAILING_PROPERTY)
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(root / "pyproject.toml"), "--rootdir", str(tmp_path), str(tmp_path)],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120)
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout

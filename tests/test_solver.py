@@ -193,15 +193,6 @@ def _oracle_root(kind, subset):
     return oracles.bisect_root(oracles.ratio_sum([Fraction(1, 2**a) for a in subset]))
 
 
-def _recomputed_certificates(fam, subset, iv):
-    """Lower sum at the reported lo and upper sum at the reported hi, at
-    the reported tier and precision."""
-    prec = iv.precision_bits if iv.tier == "mpmath" else None
-    lower = moran_bounds(fam, subset, iv.lo, iv.width_budget, prec)[0]
-    upper = moran_bounds(fam, subset, iv.hi, iv.width_budget, prec)[1]
-    return float(lower), float(upper)
-
-
 @settings(max_examples=80, deadline=None)
 @given(selections, tolerances)
 def test_enclosure_contains_root_within_newton_width(selection, tol):
@@ -238,22 +229,15 @@ def certified_solves(draw):
 @example((GEO, "full", 1e-20, None))
 @example((ContractionFamily.explicit(["1/3", "1/3", "1/2"]), "full", 1e-9, 80))
 def test_certificates_sit_at_the_reported_endpoints(case):
-    # The double tier certifies with the one-sided sums at lo and hi, so
-    # cert_lo and cert_hi are those sums.  The mpmath tier certifies from
-    # its last Newton evaluation, so they are its mean-value bounds on
-    # the sums at lo and hi; the 200-bit sums must lie beyond them.
+    # Both tiers certify from their last Newton evaluation, so cert_lo
+    # and cert_hi are its mean-value bounds on the sums at lo and hi; the
+    # 200-bit sums must lie beyond them.
     fam, subset, tol, prec = case
     iv = solve_dimension(fam, subset, tol=tol, precision_bits=prec)
-    if iv.tier == "double":
-        lower, upper = _recomputed_certificates(fam, subset, iv)
-        assert iv.cert_lo == lower and iv.cert_lo >= 1.0
-        if not iv.hi_is_ambient:
-            assert iv.cert_hi == upper and iv.cert_hi <= 1.0
-    else:
-        indices = solver._indices(fam, subset)
-        assert 1.0 <= iv.cert_lo <= oracles.ref_sum(fam, indices, iv.lo, oracles.PREC)
-        if not iv.hi_is_ambient:
-            assert oracles.ref_sum(fam, indices, iv.hi, oracles.PREC) <= iv.cert_hi <= 1.0
+    indices = solver._indices(fam, subset)
+    assert 1.0 <= iv.cert_lo <= oracles.ref_sum(fam, indices, iv.lo, oracles.PREC)
+    if not iv.hi_is_ambient:
+        assert oracles.ref_sum(fam, indices, iv.hi, oracles.PREC) <= iv.cert_hi <= 1.0
     if iv.hi_is_ambient:
         assert iv.hi == 1.0 and iv.cert_hi is None
 
@@ -261,18 +245,18 @@ def test_certificates_sit_at_the_reported_endpoints(case):
 @pytest.mark.parametrize("tol", [1e-10, 1e-13, 1e-22])
 @pytest.mark.parametrize("subset", [(1, 2, 5), "full"])
 def test_newton_iterate_off_the_root_never_yields_an_interval(monkeypatch, subset, tol):
-    # A Newton iterate 0.25 to the right of its start misses the root in
-    # both tiers: the double tier's bracket fails and escalates (when tol
-    # is within its reach); the mpmath tier, allowed one Newton step from
-    # there, checks the new bracket only from the evaluation at the
-    # off-root iterate, which lies above it, so its one mean-value check
-    # fails and it raises.
+    # A Newton iterate 0.25 to the right of its start, evaluated there,
+    # misses the root in both tiers: the double tier's bracket fails and
+    # escalates (when tol is within its reach); the mpmath tier, allowed
+    # one Newton step from there, checks the new bracket only from the
+    # evaluation at the off-root iterate, which lies above it, so its one
+    # mean-value check fails and it raises.
     tiers, refusals = [], []
     fixed_newton = solver._fixed_newton
 
     def double_off_the_root(bounds, x, tol):
         tiers.append(None)
-        return x + 0.25
+        return x + 0.25, x + 0.25, bounds(x + 0.25)
 
     def fixed_newton_spy(sums, x, tol, prec, first=None):
         tiers.append(prec)
@@ -384,6 +368,106 @@ def test_mean_value_bounds_hold_on_both_sides_of_the_bracket(case):
     if at > iv.hi:
         reach = Fraction(2 * ln_max, 1 << bits) * (at - Fraction(iv.hi))
         assert (upper == math.inf) == (moment_hi is None or reach >= 1)
+
+
+@st.composite
+def double_tier_solves(draw):
+    """(family, subset, tol) at a tol in [1e-14, 0.1]: a named selection
+    of 2 to 8 symbols of 1..16, half of them with one more steep symbol
+    (square-exponent's term of 40..300 lies below 2**-700 at its root),
+    a named full selector, or an explicit family of 2 to 6 ratios.  The
+    explicit ratios are fractions (a sum above 1 ends at the ambient 1)
+    or powers 2**-k up to k = 2000 (a root below 0.4 tol clips lo to 0)."""
+    tol = 10.0 ** draw(st.floats(min_value=-14.0, max_value=-1.0))
+    kind = draw(st.sampled_from(["named", "full", "fractions", "powers"]))
+    if kind == "full":
+        return ContractionFamily(draw(st.sampled_from(sorted(FULL_SUMS)))), "full", tol
+    if kind == "fractions":
+        ratios = draw(st.lists(st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(99, 100),
+                                            max_denominator=1000), min_size=2, max_size=6))
+        return ContractionFamily.explicit(ratios), "full", tol
+    if kind == "powers":
+        ks = draw(st.lists(st.integers(min_value=1, max_value=2000), min_size=2, max_size=4))
+        return ContractionFamily.explicit([Fraction(1, 2**k) for k in ks]), "full", tol
+    subset = draw(st.sets(st.integers(min_value=1, max_value=16), min_size=2, max_size=8))
+    if draw(st.booleans()):
+        subset.add(draw(st.integers(min_value=40, max_value=300)))
+    return ContractionFamily(draw(st.sampled_from(sorted(FULL_SUMS)))), tuple(sorted(subset)), tol
+
+
+def _two_sum_rule(fam, indices, tol):
+    """How the double tier decided with one-sided sums: the bracket
+    around _newton's iterate, certified by the lower sum at lo and the
+    upper sum at hi, each summed term by term; None where it escalated."""
+    found = solver._newton(solver._double_bounds(fam, indices, tol),
+                           0.5 if indices is None else 0.0, tol)
+    if tol < solver.TOL_MIN_DOUBLE or found is None:
+        return None
+    lo, hi = solver._bracket(found[0] - 0.4 * tol, found[0] + 0.4 * tol, tol)
+    verdict = solver._accept(lo, hi, oracles.term_by_term_bounds(fam, indices, lo, tol)[0],
+                             oracles.term_by_term_bounds(fam, indices, hi, tol)[1], "one-sided")
+    return None if isinstance(verdict, str) else verdict
+
+
+@settings(max_examples=150, deadline=None)
+@given(double_tier_solves())
+@example((SQEXP, (1, 2, 10**9), 1e-10))
+@example((SQEXP, (6, 7, 200), 1e-4))  # the mean-value bound at hi fails; the sum there certifies
+@example((ContractionFamily.explicit(["9/10"] * 3), "full", 1e-10))
+@example((GEO, "full", 1e-10))
+@example((ContractionFamily.explicit([Fraction(1, 2**1000), Fraction(1, 2**900)]), "full", 0.01))
+def test_double_tier_certificates_lie_inside_200_bit_sums(case):
+    # The double tier certifies from its last Newton evaluation, and so
+    # reports the lo, hi and tier that the one-sided sums at lo and hi
+    # did; its certificates lie inside the 200-bit sums there.
+    fam, subset, tol = case
+    indices = solver._indices(fam, subset)
+    expected = _two_sum_rule(fam, indices, tol)
+    try:
+        iv = solve_dimension(fam, subset, tol=tol)
+    except ToleranceNotReachable:
+        assert expected is None
+        return
+    assert iv.tier == ("mpmath" if expected is None else "double")
+    if expected is None:
+        return
+    assert (iv.lo, iv.hi, iv.hi_is_ambient) == (expected["lo"], expected["hi"],
+                                                "hi_is_ambient" in expected)
+    assert 1.0 <= iv.cert_lo <= oracles.ref_sum(fam, indices, iv.lo, oracles.PREC)
+    if not iv.hi_is_ambient:
+        assert oracles.ref_sum(fam, indices, iv.hi, oracles.PREC) <= iv.cert_hi <= 1.0
+
+
+@st.composite
+def near_bound_cases(draw):
+    """(family, indices, tol, lo, at, hi): a selection and tol as
+    double_tier_solves draws them, a point at in [0.01, 1100] (far above
+    a root the sum falls below 2**-700 and the moment to 0), and lo and
+    hi within 2**-30 to 1 of it, lo at least at / 2."""
+    fam, subset, tol = draw(double_tier_solves())
+    at = draw(st.floats(min_value=0.01, max_value=1100.0))
+    lo = at - min(at / 2, 2.0 ** draw(st.floats(min_value=-30.0, max_value=0.0)))
+    hi = at + 2.0 ** draw(st.floats(min_value=-30.0, max_value=0.0))
+    return fam, solver._indices(fam, subset), tol, lo, at, hi
+
+
+@settings(max_examples=150, deadline=None)
+@given(near_bound_cases())
+@example((ContractionFamily.explicit(["1/3", "1/5"]), (1, 2), 1e-10, 699.0, 700.0, 701.0))
+@example((SQEXP, (1, 2), 1e-10, 1099.0, 1100.0, 1101.0))
+@example((SQEXP, (6, 7, 200), 1e-4, 0.0236, 0.0237, 0.0238))
+def test_double_tier_near_bounds_hold_at_any_point(case):
+    # The bounds _near_bounds draws from one double evaluation hold
+    # against the 200-bit sums at lo and hi wherever the point lies
+    # between them, tiny sums and steep symbols included; a point
+    # outside [lo, hi] gives no bound on the far side.
+    fam, indices, tol, lo, at, hi = case
+    evaluation = solver._double_bounds(fam, indices, tol)(at)
+    lower, upper = solver._near_bounds(lo, hi, at, evaluation)
+    assert lower <= oracles.ref_sum(fam, indices, lo, oracles.PREC)
+    assert upper >= oracles.ref_sum(fam, indices, hi, oracles.PREC)
+    if lo < at < hi:
+        assert solver._near_bounds(hi, lo, at, evaluation) == (-math.inf, math.inf)
 
 
 def _float_below(x):
@@ -550,9 +634,9 @@ def test_escalation_reuses_the_double_newton_iterate(monkeypatch):
     newton, fixed_newton = solver._newton, solver._fixed_newton
 
     def newton_spy(bounds, x, tol):
-        x = newton(bounds, x, tol)
-        calls.append((None, x))
-        return x
+        found = newton(bounds, x, tol)
+        calls.append((None, found[0]))
+        return found
 
     def fixed_newton_spy(sums, x, tol, prec, first=None):
         calls.append((prec, x))
@@ -573,7 +657,10 @@ def test_ratio_sum_above_one_keeps_the_ambient_bound():
     assert iv.hi_is_ambient
     assert iv.hi == 1.0 and iv.cert_hi is None
     assert 1.0 - 1e-10 <= iv.lo < 1.0
-    assert iv.cert_lo == pytest.approx(2.7, rel=1e-9)
+    # The mean-value bound from the last Newton point, near the root at
+    # 10.4, is about 1.99; the sum at lo itself is about 2.7.
+    fam = ContractionFamily.explicit(["0.9"] * 3)
+    assert 1.0 <= iv.cert_lo <= oracles.ref_sum(fam, (1, 2, 3), iv.lo, oracles.PREC)
     assert iv.tier == "double"
 
 
