@@ -281,12 +281,9 @@ def _cmd_boxdim(args, config):
 def _cmd_localdim(args, config):
     points = _metric_points(args)
     profile = local_dimension_profile(points)
-    summary = {"n_points": profile.n_points}
-    if args.format == "structured":
-        summary["series"] = [
-            {"center": c.center, "series": [[r, size, s] for r, size, s in c.series]}
-            for c in profile.centers
-        ]
+    series = [{"center": c.center, "series": [[r, size, s] for r, size, s in c.series]}
+              for c in profile.centers]
+    summary = {"n_points": profile.n_points, "series": series}
     header = ["center", "radius", "window_kind", "window_size", "scalar"]
     rows = [
         [c.center, c.radius, c.window_kind, c.window_size, c.scalar]

@@ -270,8 +270,8 @@ class ContractionFamily:
 # y = v**s <= 1 and z = s ln v, the computed exp is then within
 # y * (s + 2|z| + 1) * 2**(4-w) <= (s + 1.8) * 2**(4-w) of y, which is
 # below 2**-10 units of 2**-bits; flooring it and widening by WIDEN_UNITS
-# on each side encloses y.  This is the assumption the mpmath tier's old
-# relative slack of 2**-(prec-8) rested on, at 16 more bits.
+# on each side encloses y.  At w = prec bits it keeps a prec-bit mpf
+# Moran sum within a relative 2**-(prec-8) of the exact sum.
 
 EXP_GUARD_BITS = 16
 WIDEN_UNITS = 2

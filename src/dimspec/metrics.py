@@ -12,9 +12,10 @@ counts remove that noise without touching the scaling exponent.
 
 The scale schedule is dyadic from the diameter down to twice the
 smallest gap (global profiles) or twice the median gap (local window
-profiles, whose smallest gaps are routinely degenerate).  Saturated
-counts at the fine end are trimmed to a single representative and the
-ends are dropped from the fit when enough scales remain.
+profiles, whose smallest gaps are routinely degenerate).  Both floors
+are at least twice the smallest gap, so no count but the finest reaches
+the number of points; the ends are dropped from the fit when enough
+scales remain.
 
 Local profiles estimate a scalar at each of N_CENTERS centers on a
 window chosen by the first lacunarity boundary of the sorted distance
@@ -52,7 +53,7 @@ search per pair, in blocks of GAP_BLOCK pairs; uniform_perfectness_gaps
 proves they find the same maximum.  On the depth-13 Cantor cloud
 (8192 points) that is 2 sorts instead of 8192.  The pairs can number
 O(n^2) on clouds whose ratios all sit near the maximum, and outside
-the float range of the proof every center is sorted, as before.  The
+the float range of the proof every center takes a sort of its own.  The
 reciprocal fit is one vectorised pass over its 8000-point grid, and
 every log-log slope is one fit_line.
 Every public metric raises ConfigError on a non-finite point, and the
@@ -281,13 +282,11 @@ def _profile(pts, floor_rule="min", scale_range=None):
     gaps.sort()  # the floor and _covering_counts read them sorted
     if floor_rule == "min":
         floor = 2.0 * float(gaps[0])
-    elif floor_rule == "median":
-        # the middle gap, or the mean (a + b) / 2 of the two middle
-        # ones, as statistics.median takes it
+    else:
+        # "median": the middle gap, or the mean (a + b) / 2 of the two
+        # middle ones, as statistics.median takes it
         mid = (n - 1) // 2
         floor = 2.0 * float(gaps[mid] if n % 2 == 0 else (gaps[mid - 1] + gaps[mid]) / 2)
-    else:
-        raise ConfigError(f"unknown floor rule {floor_rule!r}")
 
     if scale_range is None:
         k_lo, k_hi = 2, None
@@ -309,9 +308,6 @@ def _profile(pts, floor_rule="min", scale_range=None):
         scales.append(eps)
         k += 1
     counts = _covering_counts(pts, scales, gaps)
-    while len(counts) >= 2 and counts[-1] == n and counts[-2] == n:
-        counts.pop()
-        scales.pop()
     if len(scales) < MIN_FIT_SCALES:
         return None
     fit = slice(1, -1) if len(scales) >= 5 else slice(None)

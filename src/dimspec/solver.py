@@ -26,62 +26,57 @@ certified on its own.  Nothing else is tried: a bracket that fails to
 certify escalates from the double tier to the mpmath tier, and there
 raises ToleranceNotReachable.
 
-Two arithmetic tiers exist, and one acceptance rule (_accept) decides
-for both: [lo, hi] is certified when a lower bound on the sum at lo is
->= 1 and an upper bound on the sum at hi is <= 1, or hi is the ambient
-1.  Both tiers take the two bounds from their last Newton evaluation,
-by the mean-value bounds described below.  The double tier sums plain
-doubles and widens them by a generous relative slack, SLACK_DOUBLE,
-which also lowers the moment |S'| it reads off the same terms; that
-the terms are accurate to within it is the double tier's one
-assumption.  Its Newton step rule leaves the last evaluation at a
-point x_e within tol/1000 left of the iterate x, so inside [lo, hi],
-and _near_bounds takes both near-side bounds from it, in floats
-rounded away from 1, with no further sum (two sums fewer per solve than
-the one-sided sums at lo and hi).  The mean-value form loses a factor
-1 - L (hi - x_e) to the curvature, which a steep ratio at a coarse tol
-can take to 0: an end it cannot certify is certified by the one-sided
-sum at exactly that float instead, so the double tier certifies every
-bracket the one-sided sums at lo and hi certify.  The mpmath tier, at a
-working precision prec chosen from the
-requested tolerance, sums fixed-point integers: every term is enclosed
-between two integers at bits >= prec bits, from one exp per evaluation
-for a named family and one per distinct ratio for an explicit one, and
-products are rounded down in the lower sum and up in the upper sum.
-Every selection, solved alone, as a cloud word or as the full
-selector's cut 1..n_cut, is summed from its own per-symbol rows
-(families.term_table) by one helper (_sum_rows), the full selector's
-upper sum plus its tail (families.term_tail).  The sums are exact
-dyadics S * 2**-bits, certified by monotonicity alone with no slack;
-the one assumption is that libmp's log, multiply and exp are accurate
-to 16 ulp at the precision they run at, which is 16 bits above the
-fixed point (the accuracy note in families.py).  Both tiers cut a full
-infinite selector at the same n_cut, the first whose double tail
-majorant is below tol/4 (_truncation).  The mpmath tier starts from
-the double Newton iterate (or afresh when the double Newton failed)
-and runs Newton on S - 1 in fixed point (_fixed_newton): the iterate
-is an integer at in units of 2**-q, q >= prec, evaluated as the exact
-int pair (at, q) with no mpmath number built here, each step read off
-the evaluation's own integers, the midpoint of its two sums minus 1
-over its lower moment M <= |S'|, floored onto the grid.  After every
-step it checks the bracket around the new iterate, whose ends are
-rounded to floats exactly, from the evaluation that step was taken
-at, a point x_k, with no further sum, and the first bracket that
-certifies ends the solve: S and |S'| decrease, so on the near side
-of each end S(lo) >= S_lo(x_k) + (x_k - lo) M for x_k >= lo, and
-S(hi) <= S_hi(x_k) - (hi - x_k) M times a factor that bounds how much
-|S'| falls between x_k and hi, for x_k <= hi (the mean-value form of
-interval Newton; Moore, "Interval Analysis", 1966).  A finite
-selection's evaluation also bounds |S'(x_k)| <= M_hi, which bounds
-the far sides: S(lo) >= S_lo(x_k) - (lo - x_k) M_hi for x_k < lo, and
-S(hi) <= S_hi(x_k) + (x_k - hi) M_hi (1 + 2 L (x_k - hi)) for x_k > hi
-while 2 L (x_k - hi) < 1, with L >= every summed |ln ratio|.  All are
-computed exactly, in integers, then rounded away from 1 to floats
-(_mean_value); those are cert_lo and cert_hi.  Where tol is far below
-the float spacing near the root, lo and hi are the floats just
-outside the root -/+ 0.4 tol whichever path Newton takes.  The double
-tier escalates automatically when its dead zone (where neither
-one-sided test is conclusive) is wider than the tolerance.
+One certificate step (_certify) serves both arithmetic tiers once
+Newton has settled.  It reads bounds on the sum at lo and at hi off
+the last Newton evaluation, at a point x: S and |S'| decrease, so on
+the near side of each end S(lo) >= S_lo(x) + (x - lo) M for x >= lo,
+and S(hi) <= S_hi(x) - (hi - x) M max(0, 1 - L (hi - x)) for x <= hi,
+with M <= |S'(x)| and L >= every summed |ln ratio| (the mean-value
+form of interval Newton; Moore, "Interval Analysis", 1966; Rump,
+"Verification methods", 2010).  The factor 1 - L (hi - x), which a
+steep ratio at a coarse tol takes to 0, can leave an end uncertified;
+that end takes the one-sided sum at exactly its float instead.  Then
+one acceptance rule (_accept) decides: [lo, hi] is certified when the
+lower bound at lo is >= 1 and the upper bound at hi is <= 1, or hi is
+the ambient 1.  The bounds, rounded away from 1 to floats, are cert_lo
+and cert_hi.  A tol below TOL_MIN_DOUBLE skips the double tier's step.
+
+The double tier sums plain doubles and widens them by a generous
+relative slack, SLACK_DOUBLE, which also lowers the moment M it reads
+off the same terms; that the terms are accurate to within it is the
+double tier's one assumption.  Its Newton step rule leaves the last
+evaluation within tol/1000 left of the iterate, so inside [lo, hi],
+and _near_bounds computes the bounds from it in floats.  The mpmath
+tier, at a working precision prec chosen from the requested tolerance,
+sums fixed-point integers: every term is enclosed between two integers
+at bits >= prec bits, from one exp per evaluation for a named family
+and one per distinct ratio for an explicit one, and products are
+rounded down in the lower sum and up in the upper sum.  Every
+selection, solved alone, as a cloud word or as the full selector's cut
+1..n_cut, is summed from its own per-symbol rows (families.term_table)
+by one helper (_sum_rows), the full selector's upper sum plus its tail
+(families.term_tail).  The sums are exact dyadics S * 2**-bits,
+certified by monotonicity alone with no slack; the one assumption is
+that libmp's log, multiply and exp are accurate to 16 ulp at the
+precision they run at, which is 16 bits above the fixed point (the
+accuracy note in families.py).  Both tiers cut a full infinite selector
+at the same n_cut, the first whose double tail majorant is below tol/4
+(_truncation).  The mpmath tier starts from the double Newton iterate
+(or afresh when the double Newton failed) and runs Newton on S - 1 in
+fixed point (_fixed_newton): the iterate is an integer at in units of
+2**-q, q >= prec, evaluated as the exact int pair (at, q) with no
+mpmath number built here, each step read off the evaluation's own
+integers, the midpoint of its two sums minus 1 over its lower moment
+M, floored onto the grid.  After every step _accept checks the bracket
+around the new iterate, whose ends are rounded to floats exactly, from
+the evaluation that step was taken at, with no further sum, and the
+first bracket that certifies ends the solve; at a settled iterate (a
+step of 0) the check is the certificate step, one-sided sums included.
+A finite selection's evaluation also bounds |S'(x)| <= M_hi, which
+bounds the far sides too; _mean_value states and computes every bound
+exactly, in integers.  Where tol is far below the float spacing near the root, lo
+and hi are the floats just outside the root -/+ 0.4 tol whichever path
+Newton takes.
 
 The words of a cloud (spectrum.expand_spectrum) share work, on either
 tier, through two hooks of _solve: the double Newton starts at a point
@@ -326,9 +321,9 @@ def _fixed_bits(prec, s, top, n_terms):
 
     The bits only decide how tight the sums are; directed rounding
     certifies them at any bits.  With 2 bits per bit of n_terms they
-    stay inside the old mpf evaluator's relative slack of 2**-(prec-8)
-    on every input tested (test_solver.py compares them with that
-    evaluator).  More than MAX_FIXED_BITS bits (65536) is
+    stay inside a prec-bit mpf sum widened by a relative 2**-(prec-8)
+    on every input tested (test_solver.py compares them with
+    oracles.ref_mp_bounds).  More than MAX_FIXED_BITS bits (65536) is
     ToleranceNotReachable, decided in floats before any integer is
     built, so an s of 1e300 or inf is refused at once.
     """
@@ -490,16 +485,14 @@ class DimensionInterval:
     """Certified enclosure [lo, hi] of min(Moran root, 1).
 
     cert_lo and cert_hi are the bounds that certified lo and hi by the
-    one acceptance rule of both tiers (_accept): a lower bound (>= 1) on
+    certificate step of both tiers (_certify): a lower bound (>= 1) on
     the Moran sum at the float lo, an upper bound (<= 1) on the sum at
     the float hi, or None when hi is the ambient bound 1 (the attractor
     lives in the unit interval, so its dimension never exceeds 1).  Both
-    are floats rounded away from 1, the mean-value bounds from the
-    evaluation the last Newton step was taken from: on the double tier
-    _near_bounds', which rest on the terms being accurate to
-    SLACK_DOUBLE (an end they do not certify takes the one-sided sum
-    at exactly that float instead); on the mpmath tier _mean_value's,
-    from the fixed-point evaluation that certified.
+    are floats rounded away from 1: the mean-value bounds from the last
+    Newton evaluation, or at an end those miss, the one-sided sum at
+    exactly that float.  Double-tier bounds rest on the terms being
+    accurate to SLACK_DOUBLE.
     When the ratios sum above 1 the Moran root lies above 1 and is not
     reported: the interval is [lo, 1] with hi_is_ambient set, and only
     lo is certified.  exact marks the degenerate empty/singleton cases
@@ -595,16 +588,31 @@ def _accept(lo, hi, cert_lo, cert_hi, method):
     return f"the {method} upper bound at hi is {cert_hi!r}, above 1"
 
 
+def _certify(lo, hi, bounds, one_sided, method):
+    """The certificate step of both tiers, once Newton has settled.
+    bounds are the mean-value (lower bound at lo, upper bound at hi) of
+    the last Newton evaluation.  An end whose bound misses 1 takes
+    one_sided(end)[0] or [1], the lower or upper sum at exactly that
+    float, instead; a sum that raises ToleranceNotReachable certifies
+    nothing.  Then _accept decides."""
+    cert_lo, cert_hi = bounds
+    try:
+        if not cert_lo >= 1:
+            cert_lo = one_sided(lo)[0]
+        if not cert_hi <= 1:
+            cert_hi = one_sided(hi)[1]
+    except ToleranceNotReachable:
+        pass  # the bound that missed stands, and _accept names it
+    return _accept(lo, hi, cert_lo, cert_hi, method)
+
+
 def _near_bounds(lo, hi, at, evaluation):
-    """_mean_value's near-side bounds for the double tier: (lower bound
-    on the Moran sum S at lo, upper bound at hi) from _double_bounds'
-    evaluation at the float at:
-      for lo <= at, S(lo) >= S_lo(at) + (at - lo) * moment;
-      for at <= hi, S(hi) <= S_hi(at) - (hi - at) * moment * max(0, 1 - L * (hi - at)),
-    with L >= |ln ratio(a)| for every summed symbol, read as LN2 times
-    the largest |log2 ratio| weight and raised by SLACK_DOUBLE.  A full
-    selector's weights may run past the summed symbols, which only
-    raises L.  The far sides give -inf (at lo) and inf (at hi): hi is
+    """The near-side mean-value bounds of the module docstring on the
+    double tier: (lower bound on the Moran sum at lo, upper bound at hi)
+    from _double_bounds' evaluation at the float at, with L read as LN2
+    times the largest |log2 ratio| weight and raised by SLACK_DOUBLE (a
+    full selector's weights may run past the summed symbols, which only
+    raises L).  The far sides give -inf (at lo) and inf (at hi): hi is
     clipped to 1 (_bracket), so at may lie above it.
 
     The products are plain floats: the moment's second SLACK_DOUBLE
@@ -697,10 +705,19 @@ def _fixed_newton(sums, x, tol, prec, first=None):
     floats near x, so the iterate, not its grid, decides the floats just
     outside it -/+ 0.4 tol.  first, when given, is an evaluation at x
     itself (a cloud table's), taken instead of sums there; every later
-    one is sums'.  The loop ends at a step of 0, after NEWTON_STEPS
-    steps, or where the sum diverges or its moment vanishes;
-    ToleranceNotReachable then names the bound that failed last.
+    one is sums'.  At a step of 0 the bracket goes through _certify,
+    which takes sums at a float end its bound misses, and the loop ends
+    there, after NEWTON_STEPS steps, or where the sum diverges or its
+    moment vanishes; ToleranceNotReachable then names the bound that
+    failed last.
     """
+    def one_sided(end):
+        evaluation = sums(_pair(end))
+        if evaluation is None:  # the full selector diverges at s = 0
+            return math.inf, math.inf
+        sum_lo, sum_hi, _, _, _, bits = evaluation
+        return _float_of(sum_lo, bits, False), _float_of(sum_hi, bits, True)
+
     num, den = x.as_integer_ratio()
     q = max(prec, den.bit_length() - 1, 64 - math.frexp(x)[1])
     at = (num << q) // den
@@ -713,7 +730,9 @@ def _fixed_newton(sums, x, tol, prec, first=None):
         x = at + ((sum_lo + sum_hi - (2 << bits)) << q) // (2 * moment)
         lo, hi = _bracket(_float_of(*_minus(x, q, 0.4 * tol), False),
                           _float_of(*_minus(x, q, -0.4 * tol), True), tol)
-        verdict = _accept(lo, hi, *_mean_value(lo, hi, at, q, evaluation), "mean-value")
+        bounds = _mean_value(lo, hi, at, q, evaluation)
+        verdict = (_certify(lo, hi, bounds, one_sided, "mpmath-tier") if x == at
+                   else _accept(lo, hi, *bounds, "mean-value"))
         if not isinstance(verdict, str):
             return verdict
         if x == at:
@@ -749,15 +768,16 @@ def solve_dimension(family, subset="full", tol=DEFAULT_TOL, precision_bits=None)
     The empty subset and singletons yield the exact interval [0, 0]
     (no equation to solve in the first case, root at s = 0 in the
     second).  Otherwise Newton's method in doubles finds the root once,
-    and the floats just outside root -/+ 0.4 tol are certified from its
-    last evaluation by the mean-value bounds (or, at an end those do not
-    certify, by the one-sided sum at exactly that float).
-    Precision escalates from doubles to mpmath automatically unless
-    precision_bits pins a tier; the mpmath tier runs Newton on S - 1
-    in fixed point from the same double Newton iterate and returns the
-    first bracket around an iterate that the evaluation before it
-    certifies.  When the mpmath tier cannot certify either,
-    ToleranceNotReachable names the bound that failed.
+    and the floats just outside root -/+ 0.4 tol are certified by the
+    certificate step of both tiers: the mean-value bounds from the last
+    Newton evaluation, or at an end those miss, the one-sided sum at
+    exactly that float.  Precision escalates from doubles to mpmath
+    automatically unless precision_bits pins a tier; the mpmath tier
+    runs Newton on S - 1 in fixed point from the same double Newton
+    iterate and returns the first bracket around an iterate that the
+    evaluation before it certifies, or that the certificate step
+    certifies once the iterate settles.  When the mpmath tier cannot
+    certify either, ToleranceNotReachable names the bound that failed.
 
     The interval encloses min(root, 1): the attractor lies in the unit
     interval, so 1 is an upper bound that needs no arithmetic.  When the
@@ -793,28 +813,15 @@ def _solve(family, indices, tol, precision_bits, start=None, tables=None):
         # full root of every named family lies above 1/2.
         start = 0.0 if indices is not None else 0.5
     found = _newton(double, start, tol)
-    x = None if found is None else found[0]
-    if prec is None:
-        if tol >= TOL_MIN_DOUBLE and found is not None:
-            lo, hi = _bracket(x - 0.4 * tol, x + 0.4 * tol, tol)
-            cert_lo, cert_hi = _near_bounds(lo, hi, *found[1:])
-            try:
-                if not cert_lo >= 1:
-                    cert_lo = double(lo)[0]
-                if not cert_hi <= 1:
-                    cert_hi = double(hi)[1]
-                verdict = _accept(lo, hi, cert_lo, cert_hi, "double-tier")
-                if not isinstance(verdict, str):
-                    return DimensionInterval(width_budget=tol, **verdict)
-            except ToleranceNotReachable:
-                pass  # escalate to the mpmath tier, as on a refusal
-        prec = _auto_prec(tol)
+    x = start if found is None else found[0]
+    if prec is None and tol >= TOL_MIN_DOUBLE and found is not None:
+        lo, hi = _bracket(x - 0.4 * tol, x + 0.4 * tol, tol)
+        verdict = _certify(lo, hi, _near_bounds(lo, hi, *found[1:]), double, "double-tier")
+        if not isinstance(verdict, str):
+            return DimensionInterval(width_budget=tol, **verdict)
 
-    first = None
-    if x is None:
-        x = start
-    elif tables is not None:
-        x, first = tables.evaluation(x, indices)
+    prec = prec or _auto_prec(tol)
+    x, first = (x, None) if found is None or tables is None else tables.evaluation(x, indices)
     fields = _fixed_newton(_fixed_bounds(family, indices, tol, prec), x, tol, prec, first)
     return DimensionInterval(width_budget=tol, tier="mpmath", precision_bits=prec, **fields)
 

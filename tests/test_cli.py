@@ -138,6 +138,18 @@ def test_localdim_series_in_structured_output(capsys):
     assert len(doc["series"]) == 9
 
 
+def test_localdim_csv_carries_the_series_as_a_json_line(capsys):
+    # The table has no column for the nested series, so the metadata
+    # line carries it, the same list the structured document holds.
+    argv = ["localdim", "--family", "cantor-pair", "--depth", "7", "--no-timestamp"]
+    _, doc = run_json(argv[:-1], capsys)
+    code, out = run(argv + ["--format", "csv"], capsys)
+    assert code == 0
+    meta, header, rows = parse_csv(out)
+    assert json.loads(meta["series"]) == doc["series"]
+    assert meta["n_points"] == "128" and len(rows) == 9
+
+
 # --- fast kernels keep every byte ---------------------------------------------
 
 METRIC_COMMANDS = [
@@ -214,6 +226,17 @@ def test_family_and_ratios_conflict(capsys):
 def test_missing_family(capsys):
     code, out = run(["dim", "--subset", "1,2"], capsys)
     assert code == 2
+    _config_error(["boxdim", "--depth", "5"], capsys, "a named --family is required")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["perturb", "--family", "square-exponent", "--b-range", "5:3"], "lo exceeds hi"),
+    (["perturb", "--family", "square-exponent", "--b-range", "5"], "expected lo:hi"),
+    (["verify", "--criteria", "x"], "bad --criteria 'x'"),
+    (["dim", "--family", "geometric", "--workers", "0"], "--workers must be at least 1"),
+])
+def test_malformed_flags_are_config_errors(capsys, argv, message):
+    _config_error(argv, capsys, message)
 
 
 def _config_error(argv, capsys, message):
@@ -421,6 +444,14 @@ def test_verify_without_timestamp_is_byte_stable(monkeypatch, capsys):
         runs.append((code, captured.out, captured.err))
     assert runs[0] == runs[1]
     assert runs[0][0] == 1  # criterion 3 fails by design
+
+
+def test_verify_csv_is_the_result_lines_and_a_total(capsys):
+    code, out = run(["verify", "--criteria", "1", "--format", "csv", "--no-timestamp"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("criterion 1 PASS") and lines[1] == "passed 1/1"
 
 
 def test_verify_rejects_unknown_criterion(capsys):

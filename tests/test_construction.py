@@ -48,6 +48,14 @@ def test_enumeration_is_length_then_lex():
                       "000", "001", "010", "011", "100", "101", "110", "111"]
 
 
+def test_enumeration_index_starts_at_1_and_stops_at_the_word_cap():
+    with pytest.raises(ConfigError, match="starts at 1"):
+        enumerate_word(0)
+    assert len(enumerate_word((1 << 21) - 1)) == 20
+    with pytest.raises(CapExceeded, match="longer than cap 20"):
+        enumerate_word(1 << 21)
+
+
 # --- weights ------------------------------------------------------------------
 
 def test_g_exponent_examples():
@@ -183,6 +191,8 @@ def test_cloud_order_equals_word_order():
 def test_cloud_depth_cap():
     with pytest.raises(CapExceeded):
         k_set_cloud(DEFAULT_CLOUD_DEPTH_CAP + 1)
+    with pytest.raises(ConfigError, match="depth must be >= 0"):
+        k_set_cloud(-1)
 
 
 # --- separation ---------------------------------------------------------------------

@@ -54,6 +54,23 @@ def test_named_families():
         ContractionFamily.from_name("nope")
 
 
+@pytest.mark.parametrize("kind, ratios, message", [
+    ("geometric", ["1/2"], "takes no explicit ratios"),
+    ("explicit", [], "needs at least one ratio"),
+    ("bogus", None, "unknown family kind"),
+])
+def test_the_family_constructor_rejects_what_it_cannot_build(kind, ratios, message):
+    with pytest.raises(ConfigError, match=message):
+        ContractionFamily(kind, ratios)
+
+
+def test_an_explicit_family_shows_its_first_four_ratios():
+    assert repr(ContractionFamily.explicit(["1/2", "1/3", "1/4", "1/5"])) == (
+        "ContractionFamily(explicit, [1/2, 1/3, 1/4, 1/5])")
+    assert repr(ContractionFamily.explicit(["1/2", "1/3", "1/4", "1/5", "1/6"])) == (
+        "ContractionFamily(explicit, [1/2, 1/3, 1/4, 1/5, ...])")
+
+
 def test_row_is_the_table_row_and_survives_pickling():
     # Worker processes receive pickled families; the solver reads (base, e) off row.
     for kind, row in NAMED_FAMILIES.items():

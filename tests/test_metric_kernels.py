@@ -206,6 +206,43 @@ def test_covering_count_equals_the_linear_walk(pts, eps):
     assert metrics._covering_count(pts, eps) == want
 
 
+def _binade_run(args):
+    """size adjacent floats, starting below steps below the power of two
+    base, so the run's gaps halve where it crosses into base's binade."""
+    base, below, size = args
+    pts = [base]
+    for _ in range(below):
+        pts[0] = math.nextafter(pts[0], 0.0)
+    for _ in range(size - 1):
+        pts.append(math.nextafter(pts[-1], math.inf))
+    return pts
+
+
+binade_runs = st.tuples(st.integers(-1022, 1000).map(lambda k: 2.0**k), st.integers(1, 8),
+                        st.integers(2, 16)).map(_binade_run)
+# Points of either sign with magnitudes from 1e-300 to 1e300.
+magnitudes = st.lists(st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-300.0, 300.0)).map(
+    lambda t: t[0] * 10.0**t[1]), min_size=2, max_size=40)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(random_sets, binade_runs, magnitudes).map(_distinct).filter(lambda p: len(p) >= 2))
+@example([0.0, 0.5, 1.0])
+@example([0.0, 0.9999999999999999, 1.0])
+def test_no_profile_scale_but_the_finest_leaves_every_point_alone(pts):
+    # Both floors are at least twice the smallest gap g, so every scale
+    # but the finest is at least 4 g, and the interval from the left
+    # point p of that gap ends at fl(p + eps) > p + g: it covers the
+    # right point too.  The finest scale may be 2 g exactly, and
+    # fl(p + 2 g) may round down onto p + g where that is a power of two
+    # (p = 1 - 2**-53), so only the finest count can reach n_points.
+    for floor_rule in ("min", "median"):
+        prof = metrics._profile(pts, floor_rule)
+        if prof is not None:
+            assert prof.n_points == len(pts)
+            assert max(prof.counts[:-1]) < prof.n_points
+
+
 # Every way _covering_counts can take a scale: as it dispatches; with
 # CROSSOVER = 0, every scale vectorised and every cluster walked in
 # lockstep to the end; and with CROSSOVER = 2, every scale of more than

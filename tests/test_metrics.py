@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dimspec.errors import CapExceeded, ConfigError, DegenerateScales
+from dimspec.errors import CapExceeded, ConfigError, DegenerateScales, NumericError
 from dimspec.metrics import (
     box_count,
     box_dimension_estimate,
@@ -159,6 +159,16 @@ def test_reciprocal_fit_recovers_constant():
     c_fit, resid = fit_reciprocal_band(xs, ys)
     assert abs(c_fit - c_true) < 0.01
     assert resid < 1e-3
+
+
+def test_reciprocal_fit_needs_two_centers():
+    with pytest.raises(NumericError, match="at least 2 centers"):
+        fit_reciprocal_band([0.5], [1.0])
+
+
+def test_cantor_truncation_rejects_a_negative_depth():
+    with pytest.raises(ConfigError, match="depth must be >= 0"):
+        cantor_truncation(-1)
 
 
 def test_classify_cantor_is_unclassified():

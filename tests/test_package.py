@@ -1,6 +1,7 @@
 """The package surface: public names, the deferred numpy import, the
 integer contract for counts, no unused imports, no unread private
-names or constants and no option without a caller."""
+names or constants, no statement after an unconditional jump and no
+option without a caller."""
 
 import ast
 import math
@@ -248,6 +249,54 @@ def test_the_constant_lint_sees_a_constant_only_tests_read(tmp_path):
     test.write_text("import module\nmodule.STEP = 1\n")
     assert _unread([module], str.isupper) == ["module.py:2 STEP"]
     assert _unread([module, test], str.isupper) == []
+
+
+def _unreachable(path):
+    """Statements of a module that follow a return, raise, break or
+    continue in the same block, by line."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        for field in ("body", "orelse", "finalbody"):
+            block = getattr(node, field, None)
+            if isinstance(block, list):
+                found += [f"{path.name}:{after.lineno}" for stmt, after in zip(block, block[1:])
+                          if isinstance(stmt, (ast.Return, ast.Raise, ast.Break, ast.Continue))]
+    return found
+
+
+def test_no_statement_follows_a_return_raise_break_or_continue():
+    # A statement after an unconditional jump in its own block never runs.
+    package = Path(dimspec.__file__).parent
+    assert [u for path in sorted(package.glob("*.py")) for u in _unreachable(path)] == []
+
+
+UNREACHABLE = """
+def f(xs):
+    for x in xs:
+        if x:
+            break
+            x += 1
+        else:
+            continue
+            x -= 1
+    while xs:
+        xs.pop()
+    else:
+        try:
+            return 1
+            xs = 2
+        except ValueError:
+            raise
+            xs = 3
+        finally:
+            return xs
+"""
+
+
+def test_the_unreachable_lint_sees_every_kind_of_block(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(UNREACHABLE)
+    assert _unreachable(module) == ["module.py:6", "module.py:9", "module.py:15", "module.py:18"]
 
 
 def _options(path):

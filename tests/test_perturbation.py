@@ -66,6 +66,13 @@ def test_increment_below_the_float_spacing_says_no_tol_resolves_it():
         increment(SQEXP, (1, 2), 11)
 
 
+def test_increment_that_its_retry_does_not_separate_names_the_tol():
+    # At tol 1 and at the retry's 1/64 the enclosures of {1, 2} and
+    # {1, 2, 4} still overlap, wider than a few ulps of the endpoints.
+    with pytest.raises(InsufficientPrecision, match="not positive at tol 0.015625"):
+        increment(SQEXP, (1, 2), 4, tol=1.0)
+
+
 def test_increment_retries_a_caller_tol_that_does_not_separate():
     # tol 0.05 leaves the dimensions of {1, 2} and {1, 2, 3} overlapping;
     # the retry at tol / 64 separates them

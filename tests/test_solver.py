@@ -49,6 +49,7 @@ def test_moran_sum_explicit_subset():
 def test_moran_sum_diverges_at_theta():
     assert moran_bounds(SQEXP, "full", 0.0, 1e-13) == (math.inf, math.inf, -math.inf)
     assert moran_bounds(GEO, "full", 0.0, 1e-13) == (math.inf, math.inf, -math.inf)
+    assert moran_bounds(GEO, "full", 0.0, 1e-10, 96) == (math.inf, math.inf, -math.inf)
 
 
 def test_moran_sum_empty_and_negative():
@@ -468,6 +469,90 @@ def test_double_tier_near_bounds_hold_at_any_point(case):
     assert upper >= oracles.ref_sum(fam, indices, hi, oracles.PREC)
     if lo < at < hi:
         assert solver._near_bounds(hi, lo, at, evaluation) == (-math.inf, math.inf)
+
+
+STEEP_SOLVES = [(SQEXP, (6, 7, 200), 1e-4, (0.023682940348785413, 0.023762940348785417)),
+                (ContractionFamily.explicit([Fraction(1, 2**1000), Fraction(1, 2**900)]), "full",
+                 0.01, (0.0, 0.0050536438645468725))]
+
+
+@pytest.mark.parametrize("fam, subset, tol, ends", STEEP_SOLVES)
+def test_the_mpmath_tier_takes_the_one_sided_sum_where_the_mean_value_bound_misses(
+        fam, subset, tol, ends):
+    # L (hi - x) exceeds 1 at these coarse tols, so the mean-value bound
+    # at hi is no better than the upper sum at the settled iterate x,
+    # above 1.  The certificate step takes the upper sum at hi instead,
+    # on the mpmath tier as on the double tier.
+    indices = solver._indices(fam, subset)
+    iv = solve_dimension(fam, subset, tol=tol, precision_bits=96)
+    assert (iv.lo, iv.hi, iv.tier) == (*ends, "mpmath")
+    assert 1.0 <= iv.cert_lo <= oracles.ref_sum(fam, indices, iv.lo, oracles.PREC)
+    assert oracles.ref_sum(fam, indices, iv.hi, oracles.PREC) <= iv.cert_hi <= 1.0
+
+
+@st.composite
+def steep_coarse_solves(draw):
+    """(family, subset, tol) at a tol in [1e-6, 0.1]: square-exponent's
+    symbols 1..12 with one of 40..300 added, whose |ln ratio| is 1100 to
+    62000, or an explicit family of two to four powers 2**-k, k up to
+    2000."""
+    tol = 10.0 ** draw(st.floats(min_value=-6.0, max_value=-1.0))
+    if draw(st.booleans()):
+        ks = draw(st.lists(st.integers(min_value=1, max_value=2000), min_size=2, max_size=4))
+        return ContractionFamily.explicit([Fraction(1, 2**k) for k in ks]), "full", tol
+    subset = draw(st.sets(st.integers(min_value=1, max_value=12), min_size=1, max_size=6))
+    return SQEXP, (*sorted(subset), draw(st.integers(min_value=40, max_value=300))), tol
+
+
+@settings(max_examples=60, deadline=None)
+@given(steep_coarse_solves())
+@example((SQEXP, (6, 7, 200), 1e-4))
+@example((ContractionFamily.explicit([Fraction(1, 2**1000), Fraction(1, 2**900)]), "full", 0.01))
+def test_a_pinned_mpmath_solve_certifies_wherever_the_double_tier_does(case):
+    # Both tiers take the same certificate step, so a steep selection at
+    # a coarse tol that the double tier certifies also certifies at 96
+    # bits, its certificates inside the 200-bit sums at its own ends.
+    fam, subset, tol = case
+    indices = solver._indices(fam, subset)
+    assume(solve_dimension(fam, subset, tol=tol).tier == "double")
+    iv = solve_dimension(fam, subset, tol=tol, precision_bits=96)
+    assert iv.tier == "mpmath"
+    assert 1.0 <= iv.cert_lo <= oracles.ref_sum(fam, indices, iv.lo, oracles.PREC)
+    if not iv.hi_is_ambient:
+        assert oracles.ref_sum(fam, indices, iv.hi, oracles.PREC) <= iv.cert_hi <= 1.0
+
+
+def test_a_one_sided_sum_that_raises_certifies_nothing():
+    # The bound that missed stands, and the one acceptance rule decides:
+    # a refused lower sum leaves lo uncertified, a refused upper sum at
+    # the ambient 1 leaves only lo certified.
+    def refuses(end):
+        raise ToleranceNotReachable(f"no sum at {end}")
+
+    assert solver._certify(0.25, 0.5, (0.75, 0.5), refuses, "test") == (
+        "the test lower bound at lo is 0.75, below 1")
+    assert solver._certify(0.25, 0.5, (1.5, 1.25), refuses, "test") == (
+        "the test upper bound at hi is 1.25, above 1")
+    assert solver._certify(0.5, 1.0, (1.5, 1.25), refuses, "test") == dict(
+        lo=0.5, hi=1.0, cert_lo=1.5, hi_is_ambient=True)
+    assert solver._certify(0.25, 0.5, (0.75, 1.25), lambda end: (2.0, 0.5), "test") == dict(
+        lo=0.25, hi=0.5, cert_lo=2.0, cert_hi=0.5)
+
+
+@pytest.mark.parametrize("subset, start", [((1, 2, 5), 0.0), ("full", 0.5)])
+def test_the_mpmath_tier_starts_afresh_when_the_double_newton_fails(monkeypatch, subset, start):
+    starts = []
+    fixed_newton = solver._fixed_newton
+
+    def fixed_newton_spy(sums, x, tol, prec, first=None):
+        starts.append((x, first))
+        return fixed_newton(sums, x, tol, prec, first)
+
+    monkeypatch.setattr(solver, "_newton", lambda bounds, x, tol: None)
+    monkeypatch.setattr(solver, "_fixed_newton", fixed_newton_spy)
+    iv = solve_dimension(SQEXP, subset, tol=1e-10)
+    assert starts == [(start, None)]
+    assert iv.tier == "mpmath" and iv.lo < iv.hi
 
 
 def _float_below(x):
@@ -984,6 +1069,11 @@ def test_pressure_derivative_of_a_subnormal_full_sum_diverges(fam, s):
 def test_pressure_derivative_diverges_at_theta():
     with pytest.raises(DivergentSum):
         pressure_derivative(SQEXP, "full", 0.0)
+
+
+def test_pressure_derivative_of_the_empty_subset_is_a_config_error():
+    with pytest.raises(ConfigError, match="empty subset"):
+        pressure_derivative(SQEXP, (), 0.5)
 
 
 def test_pressure_derivative_negative_everywhere():

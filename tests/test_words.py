@@ -52,6 +52,13 @@ def test_validate_word_rejects_junk():
     for bad in ([1.5], [2, 1.0], 3):
         with pytest.raises(ConfigError):
             word_of_subset(bad)
+    with pytest.raises(ConfigError, match="word must be a str"):
+        validate_word(5)
+    with pytest.raises(ConfigError, match="start at 1"):
+        word_of_subset([0, 2])
+    assert len(word_of_subset([20])) == 20
+    with pytest.raises(ConfigError, match="longer than cap 20"):
+        word_of_subset([21])
 
 
 @given(words, words)
