@@ -11,7 +11,7 @@ partial sum rounded down can only underestimate, the partial sum plus a
 closed-form tail majorant rounded up can only overestimate.  If the
 pessimistic lower sum at lo still reaches 1 and the pessimistic upper
 sum at hi stays at or below 1, the true root is inside [lo, hi] no
-matter what rounding did.  One evaluator, moran_bounds, returns both
+matter what rounding did.  One function, moran_bounds, returns both
 sums together with the slope of the sum.
 
 Solving is split from proving (solve, then certify).  The sum S and its
@@ -41,12 +41,14 @@ lower bound at lo is >= 1 and the upper bound at hi is <= 1, or hi is
 the ambient 1.  The bounds, rounded away from 1 to floats, are cert_lo
 and cert_hi.  A tol below TOL_MIN_DOUBLE skips the double tier's step.
 
-The double tier sums plain doubles and widens them by a generous
-relative slack, SLACK_DOUBLE, which also lowers the moment M it reads
-off the same terms; that the terms are accurate to within it is the
-double tier's one assumption.  Its Newton step rule leaves the last
-evaluation within tol/1000 left of the iterate, so inside [lo, hi],
-and _near_bounds computes the bounds from it in floats.  The mpmath
+The double tier evaluates through one closure per solve
+(_double_bounds), its one term loop: it sums plain doubles and widens
+them in place by a generous relative slack, SLACK_DOUBLE, which also
+lowers the moment M it reads off the same terms; that the terms are
+accurate to within it is the double tier's one assumption.  Its Newton
+step rule leaves the last evaluation within tol/1000 left of the
+iterate, so inside [lo, hi], and _near_bounds computes the bounds from
+it in floats.  The mpmath
 tier, at a working precision prec chosen from the requested tolerance,
 sums fixed-point integers: every term is enclosed between two integers
 at bits >= prec bits, from one exp per evaluation for a named family
@@ -162,7 +164,11 @@ def _indices(family, subset):
         raise ConfigError(
             "a subset is 'full', a binary word or a collection of integer"
             f" symbol indices, got {subset!r}") from None
-    return tuple(map(family.check_index, subset))
+    if not family.is_infinite:
+        return tuple(map(family.check_index, subset))
+    if subset:
+        family.check_index(subset[0])  # a named family bounds its indices below only
+    return tuple(subset)
 
 
 def moran_bounds(family, subset, s, tol, prec=None):
@@ -239,77 +245,64 @@ def _truncation(tail, limit):
     return n_cut, rest
 
 
-def _weight(family):
-    """The double tier's log2 ratio of a symbol, as a function of the
-    symbol: a named family's read off its (base, e) row as
-    -e(a) * log2(base), the float family.log2_ratio(a) returns, with no
-    index check (_indices and the cloud validate the symbols); an
-    explicit family's family.log2_ratio."""
+def _weights(family, symbols):
+    """The double tier's log2 ratios of symbols, as a list: a named
+    family's read off its (base, e) row as -e(a) * log2(base), the float
+    family.log2_ratio(a) returns, with no index check (_indices and the
+    cloud validate the symbols); an explicit family's family.log2_ratio."""
     if not family.is_infinite:
-        return family.log2_ratio
+        return list(map(family.log2_ratio, symbols))
     base, e = family.row
     log2_base = math.log2(base)
-    return lambda a: -e(a) * log2_base
-
-
-def _double_sums(family, indices, tol, weights=None):
-    """The double tier's one term loop, unwidened: a function of s, for
-    the length of one solve, returning (fsum of the terms, tail
-    majorant, slope of the partial sum, number of terms, weights).
-
-    Each symbol's log2 ratio w (_weight) is decoded once, not once per
-    term of every evaluation; a term is 2.0 ** (s * w), the expression
-    family.term_double evaluates, so every sum is the same float.  A
-    cloud word, a finite selection, passes its own weights, picked from
-    its cloud's _CloudTables; a full selector's grow with the largest
-    n_cut seen, up to MAX_TERMS, so they are packed 8 bytes each.
-    """
-    if weights is None:
-        weight = _weight(family)
-        weights = array("d") if indices is None else list(map(weight, indices))
-
-    def sums(s):
-        selected, tail = weights, 0.0
-        if indices is None:
-            if s <= 0:
-                return math.inf, math.inf, -math.inf, 0, weights
-            n, tail = _truncation(lambda n_cut: family.tail_majorant(n_cut, s), tol / 4)
-            weights.extend(map(weight, range(len(weights) + 1, n + 1)))
-            selected = islice(weights, n)
-        terms = [2.0 ** (s * w) for w in selected]
-        return (math.fsum(terms), tail, LN2 * math.fsum(map(mul, terms, weights)), len(terms),
-                weights)
-
-    return sums
+    return [-e(a) * log2_base for a in symbols]
 
 
 def _double_bounds(family, indices, tol, weights=None):
-    """moran_bounds(family, indices, s, tol) in doubles, as a function
-    of s for one solve, and what _near_bounds certifies from: (lower
-    sum, upper sum, slope, moment, weights).
+    """The double tier's one evaluator: moran_bounds(family, indices, s,
+    tol) in doubles, as one closure of s for one solve, returning what
+    _near_bounds certifies from, (lower sum, upper sum, slope, moment,
+    weights, total), total the unwidened fsum pressure_derivative reads.
 
-    The sums are _double_sums' (with a cloud word's weights, when
-    given) widened by SLACK_DOUBLE.  A sum below 2**-700 gets twice
-    that slack and (terms + 2) * 2**-1074 for subnormal and underflowed
-    terms on top, the lower sum clipped at 0; an empty sum stays 0.  A
-    larger sum needs no absolute widening: it is below half the spacing
-    of the doubles above 2**-999, so adding it would round back to the
-    same sums.  The moment is a lower bound on the sum of
+    It runs the one term loop.  Each symbol's log2 ratio w (_weights) is
+    read once per solve; a term is 2.0 ** (s * w), the expression
+    family.term_double evaluates, so every sum is the same float (at
+    s = 0 a finite selection's terms are that float, 1.0, with no pow).
+    A cloud word, a finite selection, passes its own weights, picked
+    from its cloud's _CloudTables; a full selector's grow with the
+    largest n_cut seen, up to MAX_TERMS, so they are packed 8 bytes each.
+
+    The sums are widened by SLACK_DOUBLE.  A sum below 2**-700 gets
+    twice that slack and (terms + 2) * 2**-1074 for subnormal and
+    underflowed terms on top, the lower sum clipped at 0; an empty sum
+    stays 0.  A larger sum needs no absolute widening: it is below half
+    the spacing of the doubles above 2**-999, so adding it would round
+    back to the same sums.  The moment is a lower bound on the sum of
     |ln ratio(a)| * ratio(a)**s over the summed terms, so on |S'(s)|:
     minus the slope lowered by SLACK_DOUBLE once for its terms, under
     the sums' assumption, and once more for the roundings of
     _near_bounds' products; below 2**-700 it is 0, which bounds any
-    |S'| (such a sum certifies nothing near 1 anyway)."""
-    sums = _double_sums(family, indices, tol, weights)
+    |S'| (such a sum certifies nothing near 1 anyway).  Where the full
+    selector diverges (s = 0) every sum is infinite."""
+    if weights is None:
+        weights = array("d") if indices is None else _weights(family, indices)
+    down, up, down2 = 1 - SLACK_DOUBLE, 1 + SLACK_DOUBLE, 1 - 2 * SLACK_DOUBLE
 
     def bounds(s):
-        total, tail, slope, n_terms, weights = sums(s)
+        selected, tail = weights, 0.0
+        if indices is None:
+            if s <= 0:
+                return math.inf, math.inf, -math.inf, math.inf, weights, math.inf
+            n, tail = _truncation(lambda n_cut: family.tail_majorant(n_cut, s), tol / 4)
+            weights.extend(_weights(family, range(len(weights) + 1, n + 1)))
+            selected = islice(weights, n)
+        terms = [2.0 ** (s * w) for w in selected] if s else [1.0] * len(weights)
+        total = math.fsum(terms)
+        slope = LN2 * math.fsum(map(mul, terms, weights))
         if total >= 2.0**-700:
-            return (total * (1 - SLACK_DOUBLE), (total + tail) * (1 + SLACK_DOUBLE), slope,
-                    -slope * (1 - 2 * SLACK_DOUBLE), weights)
-        floor = (n_terms + 2) * 2.0**-1074 if n_terms else 0.0
-        return (max(total * (1 - 2 * SLACK_DOUBLE) - floor, 0.0),
-                (total + tail) * (1 + 2 * SLACK_DOUBLE) + floor, slope, 0.0, weights)
+            return total * down, (total + tail) * up, slope, -slope * down2, weights, total
+        floor = (len(terms) + 2) * 2.0**-1074 if terms else 0.0
+        return (max(total * down2 - floor, 0.0), (total + tail) * (1 + 2 * SLACK_DOUBLE) + floor,
+                slope, 0.0, weights, total)
 
     return bounds
 
@@ -421,7 +414,7 @@ class _CloudTables:
     """What the words of one cloud share: their double-tier weights and
     their fixed-point evaluations.
 
-    weights[a] is the log2 weight (_weight) of each symbol a of
+    weights[a] is the log2 weight (_weights) of each symbol a of
     1..depth, read once for the cloud, weights[0] padding symbol 0; a
     word's double sums take its symbols' entries, the floats its own
     solve would read, so its sums are the same floats.
@@ -462,7 +455,7 @@ class _CloudTables:
 
     def __init__(self, family, base, depth, tol):
         self.family, self.depth = family, depth
-        self.weights = [0.0, *map(_weight(family), range(1, depth + 1))]
+        self.weights = [0.0, *_weights(family, range(1, depth + 1))]
         self.g = math.ceil(-math.log2(tol) / 2) + 8
         self.bits = _fixed_bits(_auto_prec(tol), 1.0, -max(self.weights[a] for a in base), depth)
         self.tables = {}
@@ -480,7 +473,7 @@ class _CloudTables:
         return math.ldexp(p, -self.g), _sum_rows(map(itemgetter(*indices), table), self.bits)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DimensionInterval:
     """Certified enclosure [lo, hi] of min(Moran root, 1).
 
@@ -508,6 +501,13 @@ class DimensionInterval:
     exact: bool = False
     tier: str = "double"
     precision_bits: int = 53
+
+    def __init__(self, lo, hi, width_budget, cert_lo=None, cert_hi=None, hi_is_ambient=False,
+                 exact=False, tier="double", precision_bits=53):
+        # Every solve ends here: one write of the dict, half the cost of frozen setattrs.
+        self.__dict__.update(lo=lo, hi=hi, width_budget=width_budget, cert_lo=cert_lo,
+                             cert_hi=cert_hi, hi_is_ambient=hi_is_ambient, exact=exact,
+                             tier=tier, precision_bits=precision_bits)
 
     @property
     def mid(self) -> float:
@@ -547,7 +547,7 @@ def _newton(bounds, x, tol):
     limit, last = tol / 1000, 0.0
     for _ in range(NEWTON_STEPS):
         evaluation = bounds(x)
-        lower, upper, slope, _, _ = evaluation
+        lower, upper, slope, _, _, _ = evaluation
         if not (slope < 0 and upper < math.inf):
             return None
         mid = (lower + upper) / 2
@@ -573,18 +573,19 @@ def _bracket(lo, hi, tol):
     return max(lo, 0.0), min(hi, 1.0)
 
 
-def _accept(lo, hi, cert_lo, cert_hi, method):
+def _accept(hi, cert_lo, cert_hi, method):
     """The one acceptance rule of both tiers: the DimensionInterval
-    fields of [lo, hi] when cert_lo, a lower bound on the Moran sum at
-    lo, is >= 1 and either cert_hi, an upper bound on the sum at hi, is
-    <= 1 or hi is the ambient 1 (then only lo is certified); otherwise
-    the reason, naming the method's bound that fails."""
+    fields (cert_lo, cert_hi, hi_is_ambient) of a bracket [lo, hi] when
+    cert_lo, a lower bound on the Moran sum at lo, is >= 1 and either
+    cert_hi, an upper bound on the sum at hi, is <= 1 or hi is the
+    ambient 1 (then only lo is certified, and cert_hi is None);
+    otherwise the reason, naming the method's bound that fails."""
     if not cert_lo >= 1:
         return f"the {method} lower bound at lo is {cert_lo!r}, below 1"
     if cert_hi <= 1:
-        return dict(lo=lo, hi=hi, cert_lo=cert_lo, cert_hi=cert_hi)
+        return cert_lo, cert_hi, False
     if hi == 1.0:
-        return dict(lo=lo, hi=hi, cert_lo=cert_lo, hi_is_ambient=True)
+        return cert_lo, None, True
     return f"the {method} upper bound at hi is {cert_hi!r}, above 1"
 
 
@@ -603,7 +604,7 @@ def _certify(lo, hi, bounds, one_sided, method):
             cert_hi = one_sided(hi)[1]
     except ToleranceNotReachable:
         pass  # the bound that missed stands, and _accept names it
-    return _accept(lo, hi, cert_lo, cert_hi, method)
+    return _accept(hi, cert_lo, cert_hi, method)
 
 
 def _near_bounds(lo, hi, at, evaluation):
@@ -620,7 +621,7 @@ def _near_bounds(lo, hi, at, evaluation):
     L's raises L * (hi - at) past every rounding, so 1 minus it, exact
     from 1/2 on, is never too large.  Only the last addition is rounded
     outward, one float away from 1."""
-    lower, upper, _, moment, weights = evaluation
+    lower, upper, _, moment, weights, _ = evaluation
     cert_lo, cert_hi = -math.inf, math.inf
     if lo <= at:
         cert_lo = math.nextafter(lower + (at - lo) * moment, -math.inf)
@@ -699,11 +700,11 @@ def _mean_value(lo, hi, at, q, evaluation):
 
 def _fixed_newton(sums, x, tol, prec, first=None):
     """Newton's method on S - 1 in fixed point from x (a float or a
-    dyadic rational), as the module docstring describes: the fields of
-    the first bracket that certifies.  The iterate is an int in units of
-    2**-q, with q >= prec, enough bits to hold x, and 10 bits below the
-    floats near x, so the iterate, not its grid, decides the floats just
-    outside it -/+ 0.4 tol.  first, when given, is an evaluation at x
+    dyadic rational), as the module docstring describes: the mpmath-tier
+    DimensionInterval of the first bracket that certifies.  The iterate
+    is an int in units of 2**-q, with q >= prec, enough bits to hold x,
+    and 10 bits below the floats near x, so the iterate, not its grid,
+    decides the floats just outside it -/+ 0.4 tol.  first, when given, is an evaluation at x
     itself (a cloud table's), taken instead of sums there; every later
     one is sums'.  At a step of 0 the bracket goes through _certify,
     which takes sums at a float end its bound misses, and the loop ends
@@ -732,9 +733,9 @@ def _fixed_newton(sums, x, tol, prec, first=None):
                           _float_of(*_minus(x, q, -0.4 * tol), True), tol)
         bounds = _mean_value(lo, hi, at, q, evaluation)
         verdict = (_certify(lo, hi, bounds, one_sided, "mpmath-tier") if x == at
-                   else _accept(lo, hi, *bounds, "mean-value"))
+                   else _accept(hi, *bounds, "mean-value"))
         if not isinstance(verdict, str):
-            return verdict
+            return DimensionInterval(lo, hi, tol, *verdict, tier="mpmath", precision_bits=prec)
         if x == at:
             break
         at = x
@@ -800,10 +801,7 @@ def _solve(family, indices, tol, precision_bits, start=None, tables=None):
     its cloud's _CloudTables, whose weights its double sums take and
     whose grid evaluation is the mpmath tier's first."""
     if indices is not None and len(indices) <= 1:
-        return DimensionInterval(
-            lo=0.0, hi=0.0, width_budget=tol, exact=True,
-            cert_lo=None, cert_hi=None,
-        )
+        return DimensionInterval(0.0, 0.0, tol, exact=True)
 
     prec = None if precision_bits is None else _precision(precision_bits, tol)
     weights = None if tables is None else [tables.weights[a] for a in indices]
@@ -818,12 +816,11 @@ def _solve(family, indices, tol, precision_bits, start=None, tables=None):
         lo, hi = _bracket(x - 0.4 * tol, x + 0.4 * tol, tol)
         verdict = _certify(lo, hi, _near_bounds(lo, hi, *found[1:]), double, "double-tier")
         if not isinstance(verdict, str):
-            return DimensionInterval(width_budget=tol, **verdict)
+            return DimensionInterval(lo, hi, tol, *verdict)
 
     prec = prec or _auto_prec(tol)
     x, first = (x, None) if found is None or tables is None else tables.evaluation(x, indices)
-    fields = _fixed_newton(_fixed_bounds(family, indices, tol, prec), x, tol, prec, first)
-    return DimensionInterval(width_budget=tol, tier="mpmath", precision_bits=prec, **fields)
+    return _fixed_newton(_fixed_bounds(family, indices, tol, prec), x, tol, prec, first)
 
 
 def pressure(family, subset, s):
@@ -869,7 +866,7 @@ def pressure_derivative(family, subset, s):
     if indices == ():
         raise ConfigError("pressure derivative of the empty subset is undefined")
     tol = max(2.0**-58 * family.term_double(1, s), 2.0**-1072) if indices is None else 0.0
-    total, _, slope, _, _ = _double_sums(family, indices, tol)(s)
+    _, _, slope, _, _, total = _double_bounds(family, indices, tol)(s)
     if total == 0.0 or math.isinf(total) or indices is None and total < 2.0**-1022:
         raise DivergentSum(f"moran sum diverges or vanishes at s={s}")
     return slope / total

@@ -416,6 +416,10 @@ tolerances = st.floats(min_value=1e-13, max_value=1e-4)
 
 @settings(max_examples=150, deadline=None)
 @given(selections(), st.floats(min_value=0.01, max_value=3.0), tolerances)
+# At s = 0 a finite selection's terms are 1.0, with no pow.
+@example((NAMED[0], (1, 2, 5)), 0.0, 1e-10)
+@example((NAMED[1], (2, 3, 7, 20)), 0.0, 1e-4)
+@example((ContractionFamily.explicit(["1/3", "1/4", "2/5"]), (1, 3)), 0.0, 1e-13)
 def test_double_tier_sums_equal_term_by_term_sums(selection, s, tol):
     fam, indices = selection
     assert moran_bounds(fam, indices, s, tol) == oracles.term_by_term_bounds(fam, indices, s, tol)
@@ -440,6 +444,14 @@ def _within(seconds, fn, *args):
 
 def test_covering_count_with_eps_below_an_ulp_ends():
     assert _within(5, metrics.covering_count, [0.5, 0.6], 1e-30) == 2
+
+
+@pytest.mark.xfail(strict=True, reason="an interval ends at the rounded fl(p + eps), not at p + eps")
+def test_covering_count_ends_an_interval_at_the_exact_p_plus_eps():
+    # [1 - 2**-53, 1 + 2**-53) covers the last two points, so two
+    # intervals cover all three; fl(1 - 2**-53 + 2**-52) rounds to 1,
+    # the counting kernels end the interval there and count 3.
+    assert metrics.covering_count([0.0, 0.9999999999999999, 1.0], 2.0**-52) == 2
 
 
 @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])

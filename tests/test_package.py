@@ -115,6 +115,27 @@ def test_the_solver_names_no_term_enclosure():
     assert names & {"power_enclosure", "ln_enclosure"} == set()
 
 
+def _double_terms(source):
+    """The lines of the expressions 2.0 ** (<name> * <name>) in source:
+    a double-tier term, a power of two at a product of two names."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+            and isinstance(node.left, ast.Constant) and node.left.value == 2.0
+            and isinstance(node.right, ast.BinOp) and isinstance(node.right.op, ast.Mult)
+            and isinstance(node.right.left, ast.Name) and isinstance(node.right.right, ast.Name)]
+
+
+def test_the_double_tier_has_one_term_loop():
+    # Every double-tier sum, of a finite selection or of a full
+    # selector's cut, comes from one loop of terms 2.0 ** (s * w): a
+    # second loop for some selections would fork the sums it must keep
+    # bit for bit the same.
+    assert _double_terms("a = 2.0 ** (s * w)\nb = [2.0 ** (x * y) for y in z]\n"
+                         "c = 2.0 ** (s * 3) + 2.0 ** s + 3.0 ** (s * w)\n") == [1, 2]
+    path = Path(dimspec.__file__).parent / "solver.py"
+    assert len(_double_terms(path.read_text())) == 1
+
+
 def _unread_parameters(path):
     """Parameters of the functions and lambdas of a module that their
     bodies, nested functions included, never read."""

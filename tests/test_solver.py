@@ -1,4 +1,8 @@
+import dataclasses
+import inspect
 import math
+import pickle
+import random
 import subprocess
 import sys
 import time
@@ -397,17 +401,18 @@ def double_tier_solves(draw):
 
 
 def _two_sum_rule(fam, indices, tol):
-    """How the double tier decided with one-sided sums: the bracket
-    around _newton's iterate, certified by the lower sum at lo and the
-    upper sum at hi, each summed term by term; None where it escalated."""
+    """How the double tier decided with one-sided sums: (lo, hi,
+    hi_is_ambient) of the bracket around _newton's iterate, certified by
+    the lower sum at lo and the upper sum at hi, each summed term by
+    term; None where it escalated."""
     found = solver._newton(solver._double_bounds(fam, indices, tol),
                            0.5 if indices is None else 0.0, tol)
     if tol < solver.TOL_MIN_DOUBLE or found is None:
         return None
     lo, hi = solver._bracket(found[0] - 0.4 * tol, found[0] + 0.4 * tol, tol)
-    verdict = solver._accept(lo, hi, oracles.term_by_term_bounds(fam, indices, lo, tol)[0],
+    verdict = solver._accept(hi, oracles.term_by_term_bounds(fam, indices, lo, tol)[0],
                              oracles.term_by_term_bounds(fam, indices, hi, tol)[1], "one-sided")
-    return None if isinstance(verdict, str) else verdict
+    return None if isinstance(verdict, str) else (lo, hi, verdict[2])
 
 
 @settings(max_examples=150, deadline=None)
@@ -432,8 +437,7 @@ def test_double_tier_certificates_lie_inside_200_bit_sums(case):
     assert iv.tier == ("mpmath" if expected is None else "double")
     if expected is None:
         return
-    assert (iv.lo, iv.hi, iv.hi_is_ambient) == (expected["lo"], expected["hi"],
-                                                "hi_is_ambient" in expected)
+    assert (iv.lo, iv.hi, iv.hi_is_ambient) == expected
     assert 1.0 <= iv.cert_lo <= oracles.ref_sum(fam, indices, iv.lo, oracles.PREC)
     if not iv.hi_is_ambient:
         assert oracles.ref_sum(fam, indices, iv.hi, oracles.PREC) <= iv.cert_hi <= 1.0
@@ -533,10 +537,9 @@ def test_a_one_sided_sum_that_raises_certifies_nothing():
         "the test lower bound at lo is 0.75, below 1")
     assert solver._certify(0.25, 0.5, (1.5, 1.25), refuses, "test") == (
         "the test upper bound at hi is 1.25, above 1")
-    assert solver._certify(0.5, 1.0, (1.5, 1.25), refuses, "test") == dict(
-        lo=0.5, hi=1.0, cert_lo=1.5, hi_is_ambient=True)
-    assert solver._certify(0.25, 0.5, (0.75, 1.25), lambda end: (2.0, 0.5), "test") == dict(
-        lo=0.25, hi=0.5, cert_lo=2.0, cert_hi=0.5)
+    assert solver._certify(0.5, 1.0, (1.5, 1.25), refuses, "test") == (1.5, None, True)
+    assert solver._certify(0.25, 0.5, (0.75, 1.25), lambda end: (2.0, 0.5), "test") == (
+        2.0, 0.5, False)
 
 
 @pytest.mark.parametrize("subset, start", [((1, 2, 5), 0.0), ("full", 0.5)])
@@ -1112,3 +1115,130 @@ def test_solver_rejects_a_bare_integer_subset():
 def test_solver_rejects_non_numeric_indices():
     with pytest.raises(ConfigError):
         solve_dimension(SQEXP, ["a", "b"])
+
+
+def test_a_solve_error_names_the_smallest_bad_index():
+    # Indices are sorted before they are checked: a named family checks
+    # its smallest, an explicit family each one in turn.
+    with pytest.raises(ConfigError, match="start at 1, got -3$"):
+        solve_dimension(SQEXP, (5, 0, -3))
+    with pytest.raises(ConfigError, match="index 7 out of range"):
+        solve_dimension(ContractionFamily.explicit(["1/2", "1/3", "1/4"]), (2, 9, 7))
+
+
+def test_solve_dimension_keeps_its_signature():
+    # Callers bind its arguments by name (the CLI, and tracers that wrap it).
+    assert str(inspect.signature(solve_dimension)) == (
+        "(family, subset='full', tol=1e-10, precision_bits=None)")
+
+
+@dataclasses.dataclass(frozen=True)
+class _GeneratedInterval:
+    """DimensionInterval's fields with dataclasses' own frozen __init__."""
+
+    lo: float
+    hi: float
+    width_budget: float
+    cert_lo: float | None = None
+    cert_hi: float | None = None
+    hi_is_ambient: bool = False
+    exact: bool = False
+    tier: str = "double"
+    precision_bits: int = 53
+
+
+def test_the_interval_record_behaves_as_a_frozen_dataclass():
+    # Its hand-written __init__ writes the instance dict once; fields,
+    # equality, hash, repr, replace, pickling and frozenness are those
+    # of the dataclass it declares.
+    names = ["lo", "hi", "width_budget", "cert_lo", "cert_hi", "hi_is_ambient", "exact", "tier",
+             "precision_bits"]
+    assert [f.name for f in dataclasses.fields(solver.DimensionInterval)] == names
+    assert [f.name for f in dataclasses.fields(_GeneratedInterval)] == names
+    cases = [solve_dimension(SQEXP, (1, 2, 5)), solve_dimension(GEO, "full"),
+             solve_dimension(SQEXP, (1, 2), tol=1e-30), solve_dimension(SQEXP, (3,))]
+    for iv in cases:
+        ref = _GeneratedInterval(*dataclasses.astuple(iv))
+        assert repr(iv) == repr(ref).replace("_GeneratedInterval", "DimensionInterval")
+        assert hash(iv) == hash(ref)
+        assert vars(iv) == vars(ref)
+        twin = solver.DimensionInterval(**dataclasses.asdict(iv))
+        assert twin == iv and hash(twin) == hash(iv)
+        assert pickle.loads(pickle.dumps(iv)) == iv
+        moved = dataclasses.replace(iv, hi=2.0)
+        assert moved != iv and vars(moved) == {**vars(iv), "hi": 2.0}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            iv.lo = 0.0
+    # the same defaults
+    assert vars(solver.DimensionInterval(0.25, 0.5, 1e-10)) == vars(_GeneratedInterval(0.25, 0.5, 1e-10))
+
+
+# --- the double tier's Newton paths -----------------------------------------------
+
+def _counting_evaluations(monkeypatch):
+    """A list that grows by one entry, the point, per double-tier evaluation."""
+    evaluations = []
+    double_bounds = solver._double_bounds
+
+    def counted(*args):
+        bounds = double_bounds(*args)
+
+        def counting(s):
+            evaluations.append(s)
+            return bounds(s)
+
+        return counting
+
+    monkeypatch.setattr(solver, "_double_bounds", counted)
+    return evaluations
+
+
+def test_finite_solves_take_their_recorded_newton_paths(monkeypatch):
+    # The 2000 square-exponent subsets perfbench's dim-perturb workload
+    # draws at seed 1, drawn the same way: a leaner evaluator takes the
+    # same Newton steps, 13792 evaluations in all.
+    rng = random.Random(1)
+    subsets = [sorted(rng.sample(range(1, 13), rng.randint(2, 8))) for _ in range(2000)]
+    evaluations = _counting_evaluations(monkeypatch)
+    for subset in subsets:
+        assert solve_dimension(SQEXP, subset, tol=1e-10).tier == "double"
+    assert len(evaluations) == 13792
+
+
+@pytest.mark.parametrize("kind, total", [("geometric", 6594), ("type-three", 6222)])
+def test_double_tier_clouds_take_their_recorded_newton_paths(monkeypatch, kind, total):
+    # Every evaluation of a depth-13 cloud: the auto tol's pilot, the
+    # base and the 2048 words, each word started at its parent's lo.
+    evaluations = _counting_evaluations(monkeypatch)
+    cloud = spectrum.expand_spectrum(ContractionFamily(kind), 13)
+    assert len(cloud.points) == 2048
+    assert len(evaluations) == total
+
+
+@st.composite
+def cloud_words(draw):
+    """(family, depth, indices): a named family or an explicit one of
+    depth ratios, a depth of 2 to 16, and a word's symbols, two or more
+    of 1..depth."""
+    depth = draw(st.integers(min_value=2, max_value=16))
+    if draw(st.booleans()):
+        fam = ContractionFamily(draw(st.sampled_from(["square-exponent", "geometric", "type-three"])))
+    else:
+        fam = ContractionFamily.explicit(draw(st.lists(
+            st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(999, 1000),
+                         max_denominator=1000), min_size=depth, max_size=depth)))
+    indices = tuple(sorted(draw(st.sets(st.integers(min_value=1, max_value=depth), min_size=2))))
+    return fam, depth, indices
+
+
+@settings(max_examples=150, deadline=None)
+@given(cloud_words(), st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=3.0)))
+def test_a_cloud_word_evaluates_as_its_own_solve(case, s):
+    # A cloud word's double sums take its symbols' weights from its
+    # subtree's _CloudTables; the whole evaluation, weights included, is
+    # the one the word's own solve makes.
+    fam, depth, indices = case
+    tables = solver._CloudTables(fam, (1, 2), depth, DEFAULT_TOL)
+    weights = [tables.weights[a] for a in indices]
+    assert solver._double_bounds(fam, indices, DEFAULT_TOL, weights)(s) == \
+        solver._double_bounds(fam, indices, DEFAULT_TOL)(s)
