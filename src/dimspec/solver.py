@@ -65,15 +65,16 @@ accuracy note in families.py).  Both tiers cut a full infinite selector
 at the same n_cut, the first whose double tail majorant is below tol/4
 (_truncation).  The mpmath tier starts from the double Newton iterate
 (or afresh when the double Newton failed) and runs Newton on S - 1 in
-fixed point (_fixed_newton): the iterate is an integer at in units of
-2**-q, q >= prec, evaluated as the exact int pair (at, q) with no
-mpmath number built here, each step read off the evaluation's own
-integers, the midpoint of its two sums minus 1 over its lower moment
-M, floored onto the grid.  After every step _accept checks the bracket
-around the new iterate, whose ends are rounded to floats exactly, from
-the evaluation that step was taken at, with no further sum, and the
-first bracket that certifies ends the solve; at a settled iterate (a
-step of 0) the check is the certificate step, one-sided sums included.
+fixed point (_fixed_newton, one _fixed_step per evaluation): the
+iterate is an integer at in units of 2**-q, q >= prec, evaluated as
+the exact int pair (at, q) with no mpmath number built here, each step
+read off the evaluation's own integers, the midpoint of its two sums
+minus 1 over its lower moment M, floored onto the grid.  After every
+step _accept checks the bracket around the new iterate, whose ends are
+rounded to floats exactly, from the evaluation that step was taken at,
+with no further sum, and the first bracket that certifies ends the
+solve; at a settled iterate (a step of 0) the check is the certificate
+step, one-sided sums included.
 A finite selection's evaluation also bounds |S'(x)| <= M_hi, which
 bounds the far sides too; _mean_value states and computes every bound
 exactly, in integers.  Where tol is far below the float spacing near the root, lo
@@ -91,9 +92,15 @@ takes as its first fixed-point evaluation the double iterate rounded
 to the grid 2**-g, g = ceil(-log2(tol)/2) + 8, summed from a table of
 term_table rows that every word on that grid point shares (built only
 when a word needs it; the _CloudTables docstring bounds what the
-rounding costs the certificate).  The far-side bounds are what let a
-point off the bracket certify it.  Single solves read their own
-weights and never snap to the grid.
+rounding costs the certificate).  Below TOL_MIN_DOUBLE a word is its
+parent plus one symbol b, so at the grid point p its parent certified
+from, its integer sums are the parent's plus row b of p's table: where
+a gate on the distance between the two roots lets it, the word first
+takes one Newton step (_fixed_step, the step _fixed_newton takes) from
+that evaluation, with no double Newton, and is done if the bracket
+certifies.  The far-side bounds are what let a point off the bracket
+certify it.  Single solves read their own weights and never snap to
+the grid.
 """
 
 from __future__ import annotations
@@ -101,6 +108,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import islice
 from operator import index, itemgetter, mul
 
@@ -378,13 +386,13 @@ def _fixed_bounds(family, indices, tol, prec):
         bits = _fixed_bits(prec, s_float, top, len(symbols))
         rows = term_table(family, s, bits, symbols)
         if indices is not None:
-            return _sum_rows(zip(_PAD, *rows), bits)
+            return _sum_rows(_totals(zip(_PAD, *rows)), bits)
         parts, row1 = [], None
         rows = iter(rows)
         for chunk in iter(lambda: list(islice(rows, ROW_CHUNK)), []):
             row1 = row1 or chunk[0]
             parts.append(_totals(zip(*chunk)))
-        lo, hi, moment, _, ln_max, bits = _sum_rows(zip(*parts), bits)
+        lo, hi, moment, _, ln_max, bits = _sum_rows(_totals(zip(*parts)), bits)
         return lo, hi + term_tail(family, row1, len(symbols), bits), moment, None, ln_max, bits
 
     return sums
@@ -394,12 +402,12 @@ def _fixed_bounds(family, indices, tol, prec):
 _PAD = (0, 0, 0, 0, 0)
 
 
-def _sum_rows(columns, bits):
+def _sum_rows(totals, bits):
     """The evaluation of some term_table rows at `bits` bits, as
-    _fixed_bounds returns a finite selection's, from the rows' five
-    columns (zip(_PAD, *rows)): the terms added up, the moments rounded
-    down and up to units of 2**-bits, and the largest |ln ratio| bound."""
-    t_lo, t_hi, m_lo, m_hi, l_hi = _totals(columns)
+    _fixed_bounds returns a finite selection's, from the rows' _totals:
+    the terms added up, the moments rounded down and up to units of
+    2**-bits, and the largest |ln ratio| bound."""
+    t_lo, t_hi, m_lo, m_hi, l_hi = totals
     return t_lo, t_hi, m_lo >> bits, -(-m_hi >> bits), l_hi, bits
 
 
@@ -411,8 +419,9 @@ def _totals(columns):
 
 
 class _CloudTables:
-    """What the words of one cloud share: their double-tier weights and
-    their fixed-point evaluations.
+    """What the words of one subtree of a cloud share: their double-tier
+    weights, their fixed-point tables and the points their mpmath-tier
+    evaluations certified from.
 
     weights[a] is the log2 weight (_weights) of each symbol a of
     1..depth, read once for the cloud, weights[0] padding symbol 0; a
@@ -420,13 +429,13 @@ class _CloudTables:
     solve would read, so its sums are the same floats.
 
     A word's first mpmath-tier point is its double Newton iterate x
-    rounded to the nearest multiple p of 2**-g, g = ceil(-log2(tol)/2) + 8.
-    Words whose iterates round to the same p read one table there, the
-    term_table rows of the symbols 1..depth, built the first time a word
-    needs it and kept as long as this object, which a cloud makes
-    afresh for each subtree of words it solves, so a double-tier cloud
-    builds one only where a word escalates.  Every table is at the
-    same bits, fixed for the whole cloud: _fixed_bits at the cloud's
+    rounded to the nearest multiple p of 2**-g, g = ceil(-log2(tol)/2) + 8
+    (newton).  Words whose iterates round to the same p read one table
+    there, the term_table rows of the symbols 1..depth, built the first
+    time a word needs it and kept as long as this object, which a cloud
+    makes afresh for each subtree of words it solves, so a double-tier
+    cloud builds one only where a word escalates.  Every table is at
+    the same bits, fixed for the whole cloud: _fixed_bits at the cloud's
     prec, at s = 1 (every root a bracket reports lies in [0, 1]), with
     the largest base ratio's term (the smallest base symbol's, for a
     named family) and depth terms, kept as columns, so that a word's
@@ -448,29 +457,95 @@ class _CloudTables:
     iterate's own loss, which an unsnapped solve bears too; where tol is
     far below the float spacing, the margin is the distance from the
     root to the floats lo and hi instead, typically half an ulp.
-    Correctness never rests on the grid: a bracket the table's
-    evaluation does not certify falls through to the next Newton
-    evaluation, at the unsnapped iterate, from the word's own sums.
+
+    A word certified from its table records p, and on the mpmath tier
+    its child, the word plus one symbol b, first tries p itself
+    (inherit): there the child's integer sums are the word's plus row b
+    of p's table, so one evaluation and one Newton step decide it, with
+    no double Newton, snap or table of its own.  The gate (near) lets it
+    try only where the loss above stays a tenth of the margin: the roots
+    of the word and its child lie D <= r_b**lo / M_min apart, lo the
+    word's lo and M_min the base's |S'(1)|, which bounds every word's
+    |S'| below on [0, 1], and the child tries p while
+    2 * L * D**2 <= max(0.4 * tol, ulp(lo) / 2) / 10, L its largest
+    |ln ratio|.  Correctness never rests on the grid or the gate: a
+    bracket a table's evaluation does not certify falls through, from
+    the snapped point to Newton with the word's own sums, from its
+    parent's point to the word's own solve.
     """
 
     def __init__(self, family, base, depth, tol):
-        self.family, self.depth = family, depth
+        self.family, self.depth, self.tol = family, depth, tol
         self.weights = [0.0, *_weights(family, range(1, depth + 1))]
         self.g = math.ceil(-math.log2(tol) / 2) + 8
-        self.bits = _fixed_bits(_auto_prec(tol), 1.0, -max(self.weights[a] for a in base), depth)
-        self.tables = {}
+        self.prec = _auto_prec(tol)
+        self.bits = _fixed_bits(self.prec, 1.0, -max(self.weights[a] for a in base), depth)
+        self.slope = -LN2 * math.fsum(w * 2.0 ** w for w in map(self.weights.__getitem__, base))
+        self.tables, self.points = {}, {}
 
-    def evaluation(self, x, indices):
-        """(point, evaluation): x rounded to the nearest multiple of
-        2**-g, a float (x itself where 2**-g is below x's spacing), and
-        the evaluation of the symbols indices there, as _fixed_bounds
-        returns it but at the table's bits."""
-        p = round(math.ldexp(x, self.g))
+    def table(self, p):
+        """The term_table rows of the symbols 0..depth at p * 2**-g, as
+        five columns indexed by symbol, _PAD for symbol 0."""
         table = self.tables.get(p)
         if table is None:
             rows = term_table(self.family, (p, self.g), self.bits, range(1, self.depth + 1))
-            table = self.tables[p] = tuple(zip(_PAD, *rows))  # _PAD is symbol 0
-        return math.ldexp(p, -self.g), _sum_rows(map(itemgetter(*indices), table), self.bits)
+            table = self.tables[p] = tuple(zip(_PAD, *rows))
+        return table
+
+    def newton(self, sums, x, indices):
+        """_fixed_newton of the word indices, whose own sums are sums, from
+        its double iterate x: its first evaluation is the table's at x
+        rounded to the nearest multiple p of 2**-g (x itself where 2**-g
+        is below x's spacing).  A bracket that certifies there records
+        the point and the word's _totals there for its children; one
+        that does not goes on from the iterate that step reached with the
+        word's own sums."""
+        p = round(math.ldexp(x, self.g))
+        at, q = _grid(math.ldexp(p, -self.g), self.prec)
+        table = self.table(p)
+        totals = _totals(map(itemgetter(*indices), table))
+        step = _fixed_step(at, q, _sum_rows(totals, self.bits), self.tol, self.prec, sums)
+        if step and not isinstance(step[3], str):
+            self.points[indices] = table, at, q, totals
+            return step[3]
+        return _fixed_newton(sums, Fraction(step[0] if step else at, 1 << q), self.tol, self.prec)
+
+    def near(self, indices, b, lo):
+        """The gate: whether the word indices, its parent's symbols plus
+        b, lies near enough to its parent's root, whose lo is lo, to try
+        its parent's point."""
+        distance = 2.0 ** (lo * self.weights[b]) / self.slope
+        loss, margin = 2 * distance**2 * -LN2, max(0.4 * self.tol, math.ulp(lo) / 2)
+        # |ln ratio(b)| <= L, so b alone turns most words away before L is read
+        return (loss * self.weights[b] <= margin / 10
+                and loss * min(map(self.weights.__getitem__, indices)) <= margin / 10)
+
+    def inherit(self, parent, indices, lo):
+        """The mpmath-tier interval of the word indices, the symbols parent
+        plus one more, b, certified from one Newton step at the point its
+        parent certified from, the parent's lo being lo; None where the
+        parent recorded no point, the gate turns the word away or the
+        bracket does not certify.  The word's totals there are its
+        parent's plus row b of the point's table: the integers _sum_rows
+        gives over its own symbols.  A word that certifies records the
+        point and its totals."""
+        point = self.points.get(parent)
+        if point is None:
+            return None
+        b = sum(indices) - sum(parent)
+        if not self.near(indices, b, lo):
+            return None
+        table, at, q, totals = point
+        # _totals of the word's rows: the parent's plus row b
+        t_lo, t_hi, m_lo, m_hi, l_hi = totals
+        r_lo, r_hi, n_lo, n_hi, k_hi = map(itemgetter(b), table)
+        totals = t_lo + r_lo, t_hi + r_hi, m_lo + n_lo, m_hi + n_hi, max(l_hi, k_hi)
+        sums = _fixed_bounds(self.family, indices, self.tol, self.prec)
+        step = _fixed_step(at, q, _sum_rows(totals, self.bits), self.tol, self.prec, sums)
+        if not step or isinstance(step[3], str):
+            return None
+        self.points[indices] = table, at, q, totals
+        return step[3]
 
 
 @dataclass(frozen=True, init=False)
@@ -698,44 +773,72 @@ def _mean_value(lo, hi, at, q, evaluation):
     return lower, upper
 
 
-def _fixed_newton(sums, x, tol, prec, first=None):
+def _grid(x, prec):
+    """_fixed_newton's first iterate from x (a float or a dyadic
+    rational): the int pair (at, q), at * 2**-q the largest multiple of
+    2**-q <= x, with q >= prec, enough bits to hold x, and 10 bits below
+    the floats near x, so the iterate, not its grid, decides the floats
+    just outside it -/+ 0.4 tol."""
+    num, den = x.as_integer_ratio()
+    q = max(prec, den.bit_length() - 1, 64 - math.frexp(x)[1])
+    return (num << q) // den, q
+
+
+def _one_sided(sums, end):
+    """The (lower, upper) fixed-point Moran sums at exactly the float
+    end, rounded to floats down and up; (inf, inf) where the full
+    selector diverges (s = 0)."""
+    evaluation = sums(_pair(end))
+    if evaluation is None:
+        return math.inf, math.inf
+    sum_lo, sum_hi, _, _, _, bits = evaluation
+    return _float_of(sum_lo, bits, False), _float_of(sum_hi, bits, True)
+
+
+def _fixed_step(at, q, evaluation, tol, prec, sums):
+    """One Newton step on S - 1 in fixed point, as the module docstring
+    describes, from an evaluation at at * 2**-q: (x, lo, hi, verdict),
+    or None where the sum diverges (evaluation None) or its lower moment
+    vanishes.  x, in units of 2**-q, is the midpoint of the two sums
+    minus 1 over the lower moment, floored onto the grid; [lo, hi] is
+    the bracket around it, its ends the floats just outside x -/+ 0.4 tol
+    rounded exactly; verdict is the mpmath-tier DimensionInterval of
+    [lo, hi] if it certifies, else the reason it does not.  _accept
+    decides from the evaluation's mean-value bounds alone, and at a step
+    of 0 (x == at) _certify, which takes sums at an end its bound
+    misses."""
+    if evaluation is None or evaluation[2] <= 0:
+        return None
+    sum_lo, sum_hi, moment, _, _, bits = evaluation
+    x = at + ((sum_lo + sum_hi - (2 << bits)) << q) // (2 * moment)
+    lo, hi = _bracket(_float_of(*_minus(x, q, 0.4 * tol), False),
+                      _float_of(*_minus(x, q, -0.4 * tol), True), tol)
+    bounds = _mean_value(lo, hi, at, q, evaluation)
+    verdict = (_certify(lo, hi, bounds, lambda end: _one_sided(sums, end), "mpmath-tier")
+               if x == at else _accept(hi, *bounds, "mean-value"))
+    if not isinstance(verdict, str):
+        verdict = DimensionInterval(lo, hi, tol, *verdict, tier="mpmath", precision_bits=prec)
+    return x, lo, hi, verdict
+
+
+def _fixed_newton(sums, x, tol, prec):
     """Newton's method on S - 1 in fixed point from x (a float or a
     dyadic rational), as the module docstring describes: the mpmath-tier
     DimensionInterval of the first bracket that certifies.  The iterate
-    is an int in units of 2**-q, with q >= prec, enough bits to hold x,
-    and 10 bits below the floats near x, so the iterate, not its grid,
-    decides the floats just outside it -/+ 0.4 tol.  first, when given, is an evaluation at x
-    itself (a cloud table's), taken instead of sums there; every later
-    one is sums'.  At a step of 0 the bracket goes through _certify,
-    which takes sums at a float end its bound misses, and the loop ends
-    there, after NEWTON_STEPS steps, or where the sum diverges or its
-    moment vanishes; ToleranceNotReachable then names the bound that
-    failed last.
+    starts at _grid(x, prec), and each step (_fixed_step) reads sums
+    there.  The loop ends at a step of 0, after NEWTON_STEPS steps, or
+    where the sum diverges or its moment vanishes; ToleranceNotReachable
+    then names the bound that failed last.
     """
-    def one_sided(end):
-        evaluation = sums(_pair(end))
-        if evaluation is None:  # the full selector diverges at s = 0
-            return math.inf, math.inf
-        sum_lo, sum_hi, _, _, _, bits = evaluation
-        return _float_of(sum_lo, bits, False), _float_of(sum_hi, bits, True)
-
-    num, den = x.as_integer_ratio()
-    q = max(prec, den.bit_length() - 1, 64 - math.frexp(x)[1])
-    at = (num << q) // den
+    at, q = _grid(x, prec)
     verdict = None
     for _ in range(NEWTON_STEPS):
-        evaluation, first = first or sums((at, q)), None
-        if evaluation is None or evaluation[2] <= 0:
+        step = _fixed_step(at, q, sums((at, q)), tol, prec, sums)
+        if step is None:
             break
-        sum_lo, sum_hi, moment, _, _, bits = evaluation
-        x = at + ((sum_lo + sum_hi - (2 << bits)) << q) // (2 * moment)
-        lo, hi = _bracket(_float_of(*_minus(x, q, 0.4 * tol), False),
-                          _float_of(*_minus(x, q, -0.4 * tol), True), tol)
-        bounds = _mean_value(lo, hi, at, q, evaluation)
-        verdict = (_certify(lo, hi, bounds, one_sided, "mpmath-tier") if x == at
-                   else _accept(hi, *bounds, "mean-value"))
+        x, lo, hi, verdict = step
         if not isinstance(verdict, str):
-            return DimensionInterval(lo, hi, tol, *verdict, tier="mpmath", precision_bits=prec)
+            return verdict
         if x == at:
             break
         at = x
@@ -798,8 +901,8 @@ def _solve(family, indices, tol, precision_bits, start=None, tables=None):
 
     A cloud word, on either tier, passes two more: start, a point left
     of its root where the double Newton begins (its parent's lo), and
-    its cloud's _CloudTables, whose weights its double sums take and
-    whose grid evaluation is the mpmath tier's first."""
+    its subtree's _CloudTables, whose weights its double sums take and
+    whose newton runs its mpmath tier from a table's evaluation."""
     if indices is not None and len(indices) <= 1:
         return DimensionInterval(0.0, 0.0, tol, exact=True)
 
@@ -819,8 +922,10 @@ def _solve(family, indices, tol, precision_bits, start=None, tables=None):
             return DimensionInterval(lo, hi, tol, *verdict)
 
     prec = prec or _auto_prec(tol)
-    x, first = (x, None) if found is None or tables is None else tables.evaluation(x, indices)
-    return _fixed_newton(_fixed_bounds(family, indices, tol, prec), x, tol, prec, first)
+    sums = _fixed_bounds(family, indices, tol, prec)
+    if found is None or tables is None:
+        return _fixed_newton(sums, x, tol, prec)
+    return tables.newton(sums, x, indices)
 
 
 def pressure(family, subset, s):

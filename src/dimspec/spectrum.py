@@ -16,12 +16,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import chain, starmap
-from multiprocessing import Pool
 
 from .errors import CapExceeded, ConfigError, require_int
 from .perturbation import increment
 from .solver import (
     DEFAULT_TOL,
+    TOL_MIN_DOUBLE,
     DimensionInterval,
     _check_tol,
     _CloudTables,
@@ -123,19 +123,35 @@ def _solve_subtree(family, base_symbols, depth, tol, start, words):
     lexicographic order, so word m runs its last free positions through
     the binary digits of m.
 
-    Whatever the tier, word m's double Newton starts at the lo of word
-    m & (m - 1), its parent: the word with its last free 1 cleared, a
-    subset, whose root lies left of its own.  Word 0 starts at start, a
-    lower bound on the base's root.  The words share one _CloudTables:
-    their double-tier weights, and the fixed-point tables of the words
-    that reach the mpmath tier.
+    Word m's parent is word m & (m - 1): the word with its last free 1
+    cleared, a subset, whose root lies left of its own.  Whatever the
+    tier, word m's double Newton starts at its parent's lo, and word 0
+    at start, a lower bound on the base's root.  The words share one
+    _CloudTables: their double-tier weights, the fixed-point tables of
+    the words that reach the mpmath tier and the points those certified
+    from.  Below TOL_MIN_DOUBLE every word is on the mpmath tier, and a
+    word first tries the point its parent certified from
+    (_CloudTables.inherit); one that does not certify there is solved
+    as any other word.
     """
     tables = _CloudTables(family, base_symbols, depth, tol)
+    fixed_tier = tol < TOL_MIN_DOUBLE
     solved = []
     for m, indices in enumerate(words):
-        lo = solved[m & (m - 1)].lo if m else start
-        solved.append(_solve(family, indices, tol, None, lo, tables))
+        parent = m & (m - 1)
+        lo = solved[parent].lo if m else start
+        interval = tables.inherit(words[parent], indices, lo) if m and fixed_tier else None
+        solved.append(interval or _solve(family, indices, tol, None, lo, tables))
     return solved
+
+
+def Pool(processes):
+    """multiprocessing.Pool(processes), imported on the first pool a
+    cloud opens, so that a serial cloud and the CLI never load
+    multiprocessing."""
+    from multiprocessing import Pool
+
+    return Pool(processes=processes)
 
 
 def _spacing_constant(points, depth: int, base_mid: float) -> float:

@@ -1,7 +1,7 @@
-"""The package surface: public names, the deferred numpy import, the
-integer contract for counts, no unused imports, no unread private
-names or constants, no statement after an unconditional jump and no
-option without a caller."""
+"""The package surface: public names, the deferred numpy and
+multiprocessing imports, the integer contract for counts, no unused
+imports, no unread private names or constants, no statement after an
+unconditional jump and no option without a caller."""
 
 import ast
 import math
@@ -34,6 +34,21 @@ def test_solving_and_the_dim_command_do_not_import_numpy():
     # numpy (about 13 MB resident) loads only when a metric or a fit runs.
     src = str(Path(dimspec.__file__).resolve().parents[1])
     subprocess.run([sys.executable, "-c", SOLVE_WITHOUT_NUMPY], check=True,
+                   env={"PYTHONPATH": src}, timeout=120)
+
+
+CLI_WITHOUT_MULTIPROCESSING = """
+import sys
+import dimspec.cli
+assert "multiprocessing" not in sys.modules, "multiprocessing was imported"
+"""
+
+
+def test_importing_the_cli_does_not_import_multiprocessing():
+    # A cloud opens a process pool only for workers > 1, so the module
+    # loads on that call, not on every cold start.
+    src = str(Path(dimspec.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", CLI_WITHOUT_MULTIPROCESSING], check=True,
                    env={"PYTHONPATH": src}, timeout=120)
 
 

@@ -263,9 +263,9 @@ def test_newton_iterate_off_the_root_never_yields_an_interval(monkeypatch, subse
         tiers.append(None)
         return x + 0.25, x + 0.25, bounds(x + 0.25)
 
-    def fixed_newton_spy(sums, x, tol, prec, first=None):
+    def fixed_newton_spy(sums, x, tol, prec):
         tiers.append(prec)
-        return fixed_newton(sums, x, tol, prec, first)
+        return fixed_newton(sums, x, tol, prec)
 
     def refusal_spy(accept):
         def spy(*args):
@@ -547,14 +547,14 @@ def test_the_mpmath_tier_starts_afresh_when_the_double_newton_fails(monkeypatch,
     starts = []
     fixed_newton = solver._fixed_newton
 
-    def fixed_newton_spy(sums, x, tol, prec, first=None):
-        starts.append((x, first))
-        return fixed_newton(sums, x, tol, prec, first)
+    def fixed_newton_spy(sums, x, tol, prec):
+        starts.append(x)
+        return fixed_newton(sums, x, tol, prec)
 
     monkeypatch.setattr(solver, "_newton", lambda bounds, x, tol: None)
     monkeypatch.setattr(solver, "_fixed_newton", fixed_newton_spy)
     iv = solve_dimension(SQEXP, subset, tol=1e-10)
-    assert starts == [(start, None)]
+    assert starts == [start]
     assert iv.tier == "mpmath" and iv.lo < iv.hi
 
 
@@ -566,18 +566,32 @@ def _float_below(x):
 
 def test_mpmath_tier_endpoints_are_fixed_by_the_root():
     # The mpmath tier reports the floats just outside x -/+ 0.4 tol for
-    # its last Newton iterate x.  At the auto tol of the depth-10 cloud
-    # every x lies far closer to the root than the root's ends lie to a
-    # float, so lo and hi are the root's own: any Newton path that
-    # certifies gives the same endpoints.
-    cloud = spectrum.expand_spectrum(SQEXP, 10)
-    half = Fraction(0.4 * cloud.tol)
-    for point in cloud.points:
-        iv = point.interval
-        root = _dyadic_fraction(oracles.sqexp_root(subset_of_word(point.word)))
-        assert iv.tier == "mpmath"
-        assert iv.lo == _float_below(root - half)
-        assert iv.hi == -_float_below(-root - half)
+    # its last Newton iterate x.  At the auto tol of the depth-10 and
+    # depth-11 clouds every x lies far closer to the root than the
+    # root's ends lie to a float, so lo and hi are the root's own: any
+    # Newton path that certifies gives the same endpoints, a word's
+    # certified at the point its parent certified from, at the end of a
+    # chain of such words, included.
+    for depth in (10, 11):
+        cloud = spectrum.expand_spectrum(SQEXP, depth)
+        half = Fraction(0.4 * cloud.tol)
+        for point in cloud.points:
+            iv = point.interval
+            root = _dyadic_fraction(oracles.sqexp_root(subset_of_word(point.word)))
+            assert iv.tier == "mpmath"
+            assert iv.lo == _float_below(root - half)
+            assert iv.hi == -_float_below(-root - half)
+
+
+@pytest.mark.parametrize("depth", [10, 11])
+def test_deep_cloud_certificates_lie_inside_200_bit_sums(depth):
+    # Most words certify from their parent's point, with sums that are
+    # the parent's plus one table row; every certificate still bounds
+    # the 200-bit sum at its end from the right side of 1.
+    for point in spectrum.expand_spectrum(SQEXP, depth).points:
+        iv, indices = point.interval, subset_of_word(point.word)
+        assert (oracles.ref_sum(SQEXP, indices, iv.lo, oracles.PREC) >= iv.cert_lo >= 1
+                >= iv.cert_hi >= oracles.ref_sum(SQEXP, indices, iv.hi, oracles.PREC))
 
 
 @st.composite
@@ -631,29 +645,78 @@ def _counting_tables(monkeypatch):
 @pytest.mark.parametrize("depth", [10, 11, 12, 13, 14])
 def test_deep_cloud_solves_mostly_certify_from_their_first_evaluation(monkeypatch, depth):
     # Each square-exponent cloud word at the auto tol runs on the mpmath
-    # tier, and its first fixed-point evaluation is its cloud's table at
-    # its double iterate snapped to the grid.  Every word certifies from
-    # that one evaluation: none reaches its own sums.
-    evaluations = []
-    fixed_newton = solver._fixed_newton
+    # tier and certifies from exactly one fixed-point evaluation, a
+    # table's: at the point its parent certified from, or else at its
+    # double iterate snapped to the grid.  No word reaches its own sums,
+    # and no word tries its parent's point and fails there.
+    steps, own, words, starts = [], [], [], []
+    fixed_step, fixed_bounds = solver._fixed_step, solver._fixed_bounds
 
-    def fixed_newton_spy(sums, x, tol, prec, first=None):
-        counts = [first is not None]
-        evaluations.append(counts)
+    def step_spy(at, q, *args):
+        steps.append((at, q))
+        return fixed_step(at, q, *args)
 
-        def counted(s):
-            counts.append(True)
+    def bounds_spy(*args):
+        sums, i = fixed_bounds(*args), len(own)
+        own.append(0)
+
+        def counting(s):
+            own[i] += 1
             return sums(s)
 
-        return fixed_newton(counted, x, tol, prec, first)
+        return counting
 
-    monkeypatch.setattr(solver, "_fixed_newton", fixed_newton_spy)
+    class Recording(solver._CloudTables):
+        def __init__(self, *args):
+            super().__init__(*args)
+            starts.append(len(steps))
+
+        def newton(self, sums, x, indices):
+            point = math.ldexp(round(math.ldexp(x, self.g)), -self.g)
+            words.append((indices, solver._grid(point, self.prec)))
+            return super().newton(sums, x, indices)
+
+        def inherit(self, parent, indices, lo):
+            point = self.points.get(parent, (None,) * 4)[1:3]
+            interval = super().inherit(parent, indices, lo)
+            if interval:
+                words.append((indices, point))
+            return interval
+
+    monkeypatch.setattr(solver, "_fixed_step", step_spy)
+    monkeypatch.setattr(solver, "_fixed_bounds", bounds_spy)
+    monkeypatch.setattr(spectrum, "_CloudTables", Recording)
     cloud = spectrum.expand_spectrum(SQEXP, depth)
-    # the base's solve, at 16 tol, comes first and reads no table
-    base, *words = evaluations
-    assert base[0] is False
-    assert len(words) == len(cloud.points) == 2 ** (depth - 2)
-    assert all(counts == [True] for counts in words)
+    # the base's solve, at 16 tol, comes first and evaluates its own sums
+    assert own[0] >= 1 and not any(own[1:])
+    assert sorted(indices for indices, _ in words) == sorted(
+        subset_of_word(p.word) for p in cloud.points)
+    assert len(words) == 2 ** (depth - 2)
+    assert steps[starts[0]:] == [point for _, point in words]
+
+
+def test_a_deep_cloud_builds_few_tables_and_few_double_sums(monkeypatch):
+    # Of the 512 words of the depth-11 square-exponent cloud, at least
+    # 85% certify at the point their parent certified from, with no
+    # double Newton and no table of their own; without that the cloud
+    # builds 124 tables and makes 909 double evaluations.  The base's
+    # and the auto tol's pilot solve count too.
+    tables = _counting_tables(monkeypatch)
+    evaluations = _counting_evaluations(monkeypatch)
+    inherited = []
+
+    class Recording(solver._CloudTables):
+        def inherit(self, parent, indices, lo):
+            interval = super().inherit(parent, indices, lo)
+            inherited.append(interval is not None)
+            return interval
+
+    monkeypatch.setattr(spectrum, "_CloudTables", Recording)
+    cloud = spectrum.expand_spectrum(SQEXP, 11)
+    assert len(cloud.points) == 512
+    assert sum(symbols == tuple(range(1, 12)) for symbols, _ in tables) <= 64
+    assert len(evaluations) <= 200
+    assert sum(inherited) >= 0.85 * 512
 
 
 def test_a_sparse_named_selection_evaluates_only_its_own_symbols(monkeypatch):
@@ -726,9 +789,9 @@ def test_escalation_reuses_the_double_newton_iterate(monkeypatch):
         calls.append((None, found[0]))
         return found
 
-    def fixed_newton_spy(sums, x, tol, prec, first=None):
+    def fixed_newton_spy(sums, x, tol, prec):
         calls.append((prec, x))
-        return fixed_newton(sums, x, tol, prec, first)
+        return fixed_newton(sums, x, tol, prec)
 
     monkeypatch.setattr(solver, "_newton", newton_spy)
     monkeypatch.setattr(solver, "_fixed_newton", fixed_newton_spy)

@@ -195,12 +195,62 @@ def test_a_table_evaluation_that_does_not_certify_falls_through(monkeypatch):
         return counting
 
     fine = expand_spectrum(SQEXP, 8, tol=1e-20)
+    ends = [(p.word, p.interval.lo, p.interval.hi) for p in fine.points]
     monkeypatch.setattr(spectrum, "_CloudTables", Quarters)
     monkeypatch.setattr(solver, "_fixed_bounds", counted)
     coarse = expand_spectrum(SQEXP, 8, tol=1e-20)
     assert len(own) == len(coarse.points) + 1 and min(own) >= 1
-    assert ([(p.word, p.interval.lo, p.interval.hi) for p in coarse.points]
-            == [(p.word, p.interval.lo, p.interval.hi) for p in fine.points])
+    assert [(p.word, p.interval.lo, p.interval.hi) for p in coarse.points] == ends
+
+    # A word that certifies from no table records no point, so no child
+    # tried one above.  With the gate open, every child of a word that
+    # did tries its parent's point, however far its root lies from
+    # there; those that do not certify there are solved as any other
+    # word, and the cloud ends at the same endpoints.
+    tries, certified = [], []
+
+    class Open(solver._CloudTables):
+        def near(self, indices, b, lo):
+            tries.append(indices)
+            return True
+
+        def inherit(self, parent, indices, lo):
+            interval = super().inherit(parent, indices, lo)
+            certified.extend([indices] if interval else [])
+            return interval
+
+    monkeypatch.setattr(spectrum, "_CloudTables", Open)
+    monkeypatch.setattr(solver, "_fixed_bounds", fixed_bounds)
+    opened = expand_spectrum(SQEXP, 8, tol=1e-20)
+    assert 0 < len(certified) < len(tries)
+    assert [(p.word, p.interval.lo, p.interval.hi) for p in opened.points] == ends
+
+
+@pytest.mark.parametrize("family", [ContractionFamily.geometric(), ContractionFamily.type_three()],
+                         ids=["geometric", "type-three"])
+def test_a_cloud_whose_roots_lie_apart_makes_no_inherited_attempt(monkeypatch, family):
+    # At tol 1e-20 every word is on the mpmath tier, but a geometric or
+    # type-three word's root lies too far from its parent's for the
+    # gate: no word tries its parent's point, and every point has the
+    # ends, tier and precision of the word's own solve, with
+    # certificates inside the 200-bit sums.
+    gates = []
+
+    class Spy(solver._CloudTables):
+        def near(self, indices, b, lo):
+            gates.append(super().near(indices, b, lo))
+            return gates[-1]
+
+    monkeypatch.setattr(spectrum, "_CloudTables", Spy)
+    cloud = expand_spectrum(family, 8, tol=1e-20)
+    assert gates and not any(gates)
+    for point in cloud.points:
+        iv, alone = point.interval, solve_dimension(family, point.word, tol=1e-20)
+        assert ((iv.lo, iv.hi, iv.tier, iv.precision_bits)
+                == (alone.lo, alone.hi, "mpmath", alone.precision_bits))
+        indices = subset_of_word(point.word)
+        assert (oracles.ref_sum(family, indices, iv.lo, oracles.PREC) >= iv.cert_lo >= 1
+                >= iv.cert_hi >= oracles.ref_sum(family, indices, iv.hi, oracles.PREC))
 
 
 def test_no_table_outlives_its_cloud(monkeypatch):
