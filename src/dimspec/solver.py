@@ -88,19 +88,17 @@ one _CloudTables per subtree of words holds what they share.  Its
 weights, the double-tier log2 ratios of the symbols 1..depth, are read
 once, and each word's double sums take its symbols' entries, the same
 floats its own solve would read.  A word that reaches the mpmath tier
-takes as its first fixed-point evaluation the double iterate rounded
-to the grid 2**-g, g = ceil(-log2(tol)/2) + 8, summed from a table of
-term_table rows that every word on that grid point shares (built only
-when a word needs it; the _CloudTables docstring bounds what the
-rounding costs the certificate).  Below TOL_MIN_DOUBLE a word is its
-parent plus one symbol b, so at the grid point p its parent certified
-from, its integer sums are the parent's plus row b of p's table: where
-a gate on the distance between the two roots lets it, the word first
-takes one Newton step (_fixed_step, the step _fixed_newton takes) from
-that evaluation, with no double Newton, and is done if the bracket
-certifies.  The far-side bounds are what let a point off the bracket
-certify it.  Single solves read their own weights and never snap to
-the grid.
+takes its first fixed-point evaluation where a single solve would,
+at _grid of its double iterate, summed from a table there of the
+term_table rows of the symbols 1..depth.  A word is its parent plus
+one symbol b, so at the point p its parent certified from, its integer
+sums are the parent's plus row b of p's table: where a gate on the
+distance between the two roots lets it, the word first takes one
+Newton step (_fixed_step, the step _fixed_newton takes) from that
+evaluation, with no double Newton, and is done if the bracket
+certifies (the _CloudTables docstring bounds what the distance costs
+the certificate).  The far-side bounds are what let a point off the
+bracket certify it.  Single solves read their own weights.
 """
 
 from __future__ import annotations
@@ -420,89 +418,71 @@ def _totals(columns):
 
 class _CloudTables:
     """What the words of one subtree of a cloud share: their double-tier
-    weights, their fixed-point tables and the points their mpmath-tier
-    evaluations certified from.
+    weights and the points their mpmath-tier evaluations certified
+    from, with a table at each.
 
     weights[a] is the log2 weight (_weights) of each symbol a of
     1..depth, read once for the cloud, weights[0] padding symbol 0; a
     word's double sums take its symbols' entries, the floats its own
     solve would read, so its sums are the same floats.
 
-    A word's first mpmath-tier point is its double Newton iterate x
-    rounded to the nearest multiple p of 2**-g, g = ceil(-log2(tol)/2) + 8
-    (newton).  Words whose iterates round to the same p read one table
-    there, the term_table rows of the symbols 1..depth, built the first
-    time a word needs it and kept as long as this object, which a cloud
-    makes afresh for each subtree of words it solves, so a double-tier
-    cloud builds one only where a word escalates.  Every table is at
-    the same bits, fixed for the whole cloud: _fixed_bits at the cloud's
-    prec, at s = 1 (every root a bracket reports lies in [0, 1]), with
-    the largest base ratio's term (the smallest base symbol's, for a
-    named family) and depth terms, kept as columns, so that a word's
-    evaluation there is _sum_rows over its own symbols' entries, as a
-    single solve's is over its rows.
+    A word that reaches the mpmath tier first evaluates at _grid(x,
+    prec), x its double Newton iterate, the first iterate of a single
+    solve (newton), summed from a table there: the term_table rows of
+    the symbols 1..depth, kept as columns.  Every table is at the same
+    bits, fixed for the whole cloud: _fixed_bits at the cloud's prec,
+    at s = 1 (every root a bracket reports lies in [0, 1]), with the
+    largest base ratio's term (the smallest base symbol's, for a named
+    family) and depth terms, so that a word's evaluation there is
+    _sum_rows over its own symbols' entries, as a single solve's is
+    over its rows.  A cloud makes this object afresh for each subtree
+    of words it solves, so a double-tier cloud builds a table only
+    where a word escalates.
 
-    Why g: snapping moves the point by d <= 2**-(g+1), so
-    d**2 <= tol * 2**-18.  The losses from a point at distance D from
-    the root are quadratic in D: over D, |S'| changes by a factor within
-    exp(-/+ ln_max * D), so Newton's iterate misses the root by at most
-    2 * ln_max * D**2, and each mean-value bound (_mean_value) falls
-    short of the true sum at its end by at most 2 * ln_max * D'**2 * |S'|,
-    D' the distance from the point to that end (a finite selection's
-    moments enclose |S'| itself).  The snap's own part of these, d in
-    place of D, is at most 4 * ln_max * d**2 * |S'| <=
-    ln_max * 2**-16 * tol * |S'|, a tenth of the margin 0.4 * tol * |S'|
-    each end of the bracket keeps while ln_max <= 2600 (256 ln 2 for a
-    square-exponent cloud at the depth cap).  The rest is the double
-    iterate's own loss, which an unsnapped solve bears too; where tol is
-    far below the float spacing, the margin is the distance from the
-    root to the floats lo and hi instead, typically half an ulp.
-
-    A word certified from its table records p, and on the mpmath tier
-    its child, the word plus one symbol b, first tries p itself
+    A word certified from a table records the point and the table, and
+    its child, the word plus one symbol b, first tries that point
     (inherit): there the child's integer sums are the word's plus row b
-    of p's table, so one evaluation and one Newton step decide it, with
-    no double Newton, snap or table of its own.  The gate (near) lets it
-    try only where the loss above stays a tenth of the margin: the roots
-    of the word and its child lie D <= r_b**lo / M_min apart, lo the
-    word's lo and M_min the base's |S'(1)|, which bounds every word's
-    |S'| below on [0, 1], and the child tries p while
+    of the table, so one evaluation and one Newton step decide it, with
+    no double Newton or table of its own.  The losses from a point at
+    distance D from the root are quadratic in D: over D, |S'| changes by
+    a factor within exp(-/+ ln_max * D), so Newton's iterate misses the
+    root by at most 2 * ln_max * D**2, and each mean-value bound
+    (_mean_value) falls short of the true sum at its end by at most
+    2 * ln_max * D'**2 * |S'|, D' the distance from the point to that
+    end (a finite selection's moments enclose |S'| itself).  The gate
+    (near) lets the child try only where this loss stays a tenth of the
+    margin each end of the bracket keeps, 0.4 * tol, or where tol is far
+    below the float spacing, the distance from the root to the floats
+    lo and hi, typically half an ulp: the roots of the word and its
+    child lie D <= r_b**lo / M_min apart, lo the word's lo and M_min the
+    base's |S'(1)|, which bounds every word's |S'| below on [0, 1], and
+    the child tries the point while
     2 * L * D**2 <= max(0.4 * tol, ulp(lo) / 2) / 10, L its largest
-    |ln ratio|.  Correctness never rests on the grid or the gate: a
-    bracket a table's evaluation does not certify falls through, from
-    the snapped point to Newton with the word's own sums, from its
-    parent's point to the word's own solve.
+    |ln ratio|.  Correctness never rests on the gate: a bracket a
+    table's evaluation does not certify falls through, from the word's
+    first point to Newton with the word's own sums, from its parent's
+    point to the word's own solve.
     """
 
     def __init__(self, family, base, depth, tol):
         self.family, self.depth, self.tol = family, depth, tol
         self.weights = [0.0, *_weights(family, range(1, depth + 1))]
-        self.g = math.ceil(-math.log2(tol) / 2) + 8
         self.prec = _auto_prec(tol)
         self.bits = _fixed_bits(self.prec, 1.0, -max(self.weights[a] for a in base), depth)
         self.slope = -LN2 * math.fsum(w * 2.0 ** w for w in map(self.weights.__getitem__, base))
-        self.tables, self.points = {}, {}
-
-    def table(self, p):
-        """The term_table rows of the symbols 0..depth at p * 2**-g, as
-        five columns indexed by symbol, _PAD for symbol 0."""
-        table = self.tables.get(p)
-        if table is None:
-            rows = term_table(self.family, (p, self.g), self.bits, range(1, self.depth + 1))
-            table = self.tables[p] = tuple(zip(_PAD, *rows))
-        return table
+        self.points = {}
 
     def newton(self, sums, x, indices):
         """_fixed_newton of the word indices, whose own sums are sums, from
-        its double iterate x: its first evaluation is the table's at x
-        rounded to the nearest multiple p of 2**-g (x itself where 2**-g
-        is below x's spacing).  A bracket that certifies there records
-        the point and the word's _totals there for its children; one
-        that does not goes on from the iterate that step reached with the
-        word's own sums."""
-        p = round(math.ldexp(x, self.g))
-        at, q = _grid(math.ldexp(p, -self.g), self.prec)
-        table = self.table(p)
+        its double iterate x: its first evaluation is at _grid(x, prec),
+        summed from the table of the symbols 0..depth there, _PAD for
+        symbol 0.  A bracket that certifies there records the point and
+        the word's _totals there for its children; one that does not
+        goes on from the iterate that step reached with the word's own
+        sums."""
+        at, q = _grid(x, self.prec)
+        table = tuple(zip(_PAD, *term_table(self.family, (at, q), self.bits,
+                                            range(1, self.depth + 1))))
         totals = _totals(map(itemgetter(*indices), table))
         step = _fixed_step(at, q, _sum_rows(totals, self.bits), self.tol, self.prec, sums)
         if step and not isinstance(step[3], str):

@@ -21,7 +21,6 @@ from .errors import CapExceeded, ConfigError, require_int
 from .perturbation import increment
 from .solver import (
     DEFAULT_TOL,
-    TOL_MIN_DOUBLE,
     DimensionInterval,
     _check_tol,
     _CloudTables,
@@ -127,20 +126,19 @@ def _solve_subtree(family, base_symbols, depth, tol, start, words):
     cleared, a subset, whose root lies left of its own.  Whatever the
     tier, word m's double Newton starts at its parent's lo, and word 0
     at start, a lower bound on the base's root.  The words share one
-    _CloudTables: their double-tier weights, the fixed-point tables of
-    the words that reach the mpmath tier and the points those certified
-    from.  Below TOL_MIN_DOUBLE every word is on the mpmath tier, and a
-    word first tries the point its parent certified from
-    (_CloudTables.inherit); one that does not certify there is solved
-    as any other word.
+    _CloudTables: their double-tier weights and the points the words
+    that reach the mpmath tier certified from, with a table at each.
+    At any tol, a word whose parent recorded such a point first tries
+    it (_CloudTables.inherit); one that does not certify there is
+    solved as any other word.  A subtree that has recorded no point,
+    as on every double-tier cloud, makes no such attempt.
     """
     tables = _CloudTables(family, base_symbols, depth, tol)
-    fixed_tier = tol < TOL_MIN_DOUBLE
     solved = []
     for m, indices in enumerate(words):
         parent = m & (m - 1)
         lo = solved[parent].lo if m else start
-        interval = tables.inherit(words[parent], indices, lo) if m and fixed_tier else None
+        interval = tables.inherit(words[parent], indices, lo) if tables.points else None
         solved.append(interval or _solve(family, indices, tol, None, lo, tables))
     return solved
 
@@ -197,6 +195,11 @@ def expand_spectrum(family, depth, base_symbols=(1, 2), tol=None, workers=1) -> 
         raise ConfigError(f"depth {depth} cannot hold base symbol {base_symbols[-1]}")
     if depth > DEPTH_CAP:
         raise CapExceeded(f"spectrum depth {depth} exceeds cap {DEPTH_CAP}")
+    # Each word goes to the solver as the positions of its 1 bits, which
+    # are valid symbols once the deepest is, so no word is decoded and
+    # validated again, in the pool either.  The auto tol's pilot solve
+    # reads every symbol up to depth, so the check comes first.
+    family.check_index(depth)
 
     if tol is None:
         tol = _auto_tol(family, depth)
@@ -204,11 +207,6 @@ def expand_spectrum(family, depth, base_symbols=(1, 2), tol=None, workers=1) -> 
         _check_tol(tol)
     base_dim = solve_dimension(family, base_symbols, tol=min(1e-10, tol * 16))
 
-    # Each word goes to the solver as the positions of its 1 bits, which
-    # are valid symbols once the deepest is, so no word is decoded and
-    # validated again, in the pool either.
-    if depth > base_symbols[-1]:
-        family.check_index(depth)
     words = _cloud_words(depth, base_symbols)
     size = len(words) >> min(SPLIT_BITS, depth - len(base_symbols))
     jobs = [(family, base_symbols, depth, tol, base_dim.lo, [s for _, s in words[i:i + size]])

@@ -43,6 +43,19 @@ def bisect_root(sum_at, lo=0.0, hi=1.0, prec=PREC, iters=BISECT_ITERS):
         return (a + b) / 2
 
 
+def bracketed_root(sum_at, lo=0.0, hi=1.0, prec=PREC):
+    """The root of sum_at(s) - 1 in (lo, hi), strictly decreasing
+    assumed, by mpmath's Anderson-Bjorck bracketing solver, which
+    converges superlinearly; the signs of sum_at - 1 at 2**-180 either
+    side of it confirm it to that distance."""
+    with mpmath.workprec(prec):
+        root = mpmath.findroot(lambda s: sum_at(s) - 1, (mpmath.mpf(lo), mpmath.mpf(hi)),
+                               solver="anderson")
+        step = mpmath.ldexp(1, -180)
+        assert sum_at(root - step) >= 1 >= sum_at(root + step)
+        return root
+
+
 def sqexp_sum(indices):
     return lambda s: mpmath.fsum(mpmath.power(2, -(a * a) * s) for a in indices)
 
@@ -77,7 +90,7 @@ def ratio_sum(ratios):
 
 
 def sqexp_root(indices):
-    return bisect_root(sqexp_sum(indices))
+    return bracketed_root(sqexp_sum(indices))
 
 
 def ratio_root(ratios):

@@ -170,6 +170,14 @@ def test_enclosure_contains_oracle_root(indices):
     assert iv.lo <= root <= iv.hi
 
 
+@settings(max_examples=20, deadline=None)
+@given(subset_strategy)
+def test_the_bracketed_oracle_root_agrees_with_bisection(indices):
+    subset = tuple(sorted(indices))
+    sums = oracles.sqexp_sum(subset)
+    assert abs(oracles.bracketed_root(sums) - oracles.bisect_root(sums)) <= 2.0**-168
+
+
 # --- solve, then certify ---------------------------------------------------------
 
 FULL_SUMS = {
@@ -324,9 +332,10 @@ def mean_value_cases(draw):
     """(family, subset, tol, interval, at): a named or explicit finite
     selection, or a named full selector, a tol in [1e-40, 1e-14], the
     certified interval of its root at tol, and a point at, an exact
-    dyadic Fraction, within 4 grid steps 2**-g (g as for a cloud at tol)
-    of either end of the interval, 0.01 to 2 above it, or 5% to 95% of
-    the way from 0 to its lower end."""
+    dyadic Fraction, within 4 steps 2**-g of either end of the interval,
+    g = ceil(-log2(tol)/2) + 8 (so 2**-g is about the square root of
+    tol), 0.01 to 2 above it, or 5% to 95% of the way from 0 to its
+    lower end."""
     kind = draw(st.sampled_from(["square-exponent", "geometric", "type-three", "explicit"]))
     if kind == "explicit":
         ratios = draw(st.lists(st.fractions(min_value=Fraction(1, 50), max_value=Fraction(9, 10),
@@ -646,9 +655,10 @@ def _counting_tables(monkeypatch):
 def test_deep_cloud_solves_mostly_certify_from_their_first_evaluation(monkeypatch, depth):
     # Each square-exponent cloud word at the auto tol runs on the mpmath
     # tier and certifies from exactly one fixed-point evaluation, a
-    # table's: at the point its parent certified from, or else at its
-    # double iterate snapped to the grid.  No word reaches its own sums,
-    # and no word tries its parent's point and fails there.
+    # table's: at the point its parent certified from, or else at the
+    # first iterate a single solve takes from its double iterate.  No
+    # word reaches its own sums, and no word tries its parent's point
+    # and fails there.
     steps, own, words, starts = [], [], [], []
     fixed_step, fixed_bounds = solver._fixed_step, solver._fixed_bounds
 
@@ -672,8 +682,7 @@ def test_deep_cloud_solves_mostly_certify_from_their_first_evaluation(monkeypatc
             starts.append(len(steps))
 
         def newton(self, sums, x, indices):
-            point = math.ldexp(round(math.ldexp(x, self.g)), -self.g)
-            words.append((indices, solver._grid(point, self.prec)))
+            words.append((indices, solver._grid(x, self.prec)))
             return super().newton(sums, x, indices)
 
         def inherit(self, parent, indices, lo):

@@ -100,6 +100,10 @@ def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch, cpus, workers, proc
 def test_depth_and_base_validation():
     with pytest.raises(CapExceeded):
         expand_spectrum(SQEXP, DEPTH_CAP + 1)
+    # the depth is checked before the auto tol's pilot solve reads it
+    for tol in (None, 1e-10):
+        with pytest.raises(ConfigError, match="^index 6 out of range"):
+            expand_spectrum(ContractionFamily.explicit(["1/3"] * 4), 6, tol=tol)
     with pytest.raises(ConfigError):
         expand_spectrum(SQEXP, 4, base_symbols=())
     with pytest.raises(ConfigError):
@@ -172,14 +176,13 @@ def test_double_tier_clouds_are_certified_and_do_not_depend_on_the_worker_count(
 
 
 def test_a_table_evaluation_that_does_not_certify_falls_through(monkeypatch):
-    # On a grid of quarters a word's first point lies far from its root,
-    # so the table's evaluation there cannot certify; the solve goes on
-    # from the unsnapped iterate with the word's own sums and ends at the
-    # same endpoints.
-    class Quarters(solver._CloudTables):
-        def __init__(self, *args):
-            super().__init__(*args)
-            self.g = 2
+    # Handed half its double iterate, a word's first table point lies far
+    # left of its root, so the table's evaluation there cannot certify;
+    # the solve goes on from the iterate that step reached with the
+    # word's own sums and ends at the same endpoints.
+    class FarLeft(solver._CloudTables):
+        def newton(self, sums, x, indices):
+            return super().newton(sums, x / 2, indices)
 
     own = []  # evaluations of each solve's own sums, the base's first
     fixed_bounds = solver._fixed_bounds
@@ -196,7 +199,7 @@ def test_a_table_evaluation_that_does_not_certify_falls_through(monkeypatch):
 
     fine = expand_spectrum(SQEXP, 8, tol=1e-20)
     ends = [(p.word, p.interval.lo, p.interval.hi) for p in fine.points]
-    monkeypatch.setattr(spectrum, "_CloudTables", Quarters)
+    monkeypatch.setattr(spectrum, "_CloudTables", FarLeft)
     monkeypatch.setattr(solver, "_fixed_bounds", counted)
     coarse = expand_spectrum(SQEXP, 8, tol=1e-20)
     assert len(own) == len(coarse.points) + 1 and min(own) >= 1
@@ -253,9 +256,9 @@ def test_a_cloud_whose_roots_lie_apart_makes_no_inherited_attempt(monkeypatch, f
                 >= iv.cert_hi >= oracles.ref_sum(family, indices, iv.hi, oracles.PREC))
 
 
-def test_no_table_outlives_its_cloud(monkeypatch):
-    # The cloud's tables live for one expand_spectrum call, so a second
-    # identical call builds them all again: as many exps as the first.
+def _counting_exps(monkeypatch):
+    """Spy on families.power_enclosure (one exp a call) and return the
+    list its calls are appended to."""
     calls = []
     enclosure = families.power_enclosure
 
@@ -264,12 +267,35 @@ def test_no_table_outlives_its_cloud(monkeypatch):
         return enclosure(*args)
 
     monkeypatch.setattr(families, "power_enclosure", counted)
+    return calls
+
+
+def test_no_table_outlives_its_cloud(monkeypatch):
+    # The cloud's tables live for one expand_spectrum call, so a second
+    # identical call builds them all again: as many exps as the first.
+    calls = _counting_exps(monkeypatch)
     counts = []
     for _ in range(2):
         calls.clear()
         expand_spectrum(SQEXP, 10)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("depth,tol,exps", [(10, 2e-13, 16), (12, 5e-14, 32)])
+def test_a_pinned_tol_above_the_double_tier_floor_still_inherits(monkeypatch, depth, tol, exps):
+    # At a pinned tol at or above TOL_MIN_DOUBLE the words that escalate
+    # certify from tables, and their children try the same points, so a
+    # subtree that escalates builds a few tables, not one per escalating
+    # word.  Every certificate lies inside the 200-bit sums.
+    calls = _counting_exps(monkeypatch)
+    cloud = expand_spectrum(SQEXP, depth, tol=tol)
+    assert tol >= solver.TOL_MIN_DOUBLE and len(calls) <= exps
+    assert {p.interval.tier for p in cloud.points} >= {"mpmath"}
+    for point in cloud.points:
+        iv, indices = point.interval, subset_of_word(point.word)
+        assert (oracles.ref_sum(SQEXP, indices, iv.lo, oracles.PREC) >= iv.cert_lo >= 1
+                >= iv.cert_hi >= oracles.ref_sum(SQEXP, indices, iv.hi, oracles.PREC))
 
 
 def test_a_deep_cloud_fills_few_powers_and_decodes_no_word(monkeypatch):
