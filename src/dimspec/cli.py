@@ -27,6 +27,8 @@ import json
 import math
 import sys
 from datetime import datetime, timezone
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 
 import mpmath
@@ -194,8 +196,60 @@ def _timestamp(args):
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
+# json's C encoder, with an item separator no encoded string holds: json
+# escapes every control character inside a string.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=("\x00", ": "))
+
+
 def _render_structured(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """doc as json.dumps(doc, indent=2, sort_keys=True) writes it, plus a
+    newline, byte for byte, through json's C encoder: the indented
+    encoder is json's pure-Python one."""
+    return _render(doc, "\n") + "\n"
+
+
+def _render(value, indent):
+    """value as json.dumps(indent=2, sort_keys=True) writes it at the
+    nesting whose line break and indent are indent.  A list of scalars,
+    or of non-empty lists of scalars (the rows), is one C-encoder pass:
+    its item separators are the only "\\x00"s in the text, and "]\\x00["
+    the only ones between rows, so two replaces indent it.  Dicts and
+    other lists are written item by item."""
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [_ENCODER.encode(key if isinstance(key, str) else _key(key)) + ": "
+                 + _render(item, inner) for key, item in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if not isinstance(value, (list, tuple)):
+        return _ENCODER.encode(value)
+    if not value:
+        return "[]"
+    inner = indent + "  "
+    if _scalars(value):
+        text = _ENCODER.encode(value)[1:-1].replace("\x00", "," + inner)
+    elif (all(issubclass(kind, (list, tuple)) for kind in set(map(type, value))) and all(value)
+          and _scalars(chain.from_iterable(value))):
+        deeper = inner + "  "
+        text = _ENCODER.encode(value)[2:-2].replace("]\x00[", inner + "]," + inner + "[" + deeper)
+        text = "[" + deeper + text.replace("\x00", "," + deeper) + inner + "]"
+    else:
+        text = ("," + inner).join([_render(item, inner) for item in value])
+    return "[" + inner + text + indent + "]"
+
+
+def _scalars(items):
+    """Whether items holds no dict, list or tuple."""
+    return not any(issubclass(kind, (dict, list, tuple)) for kind in set(map(type, items)))
+
+
+def _key(key):
+    """A dict key that is not a str as json writes it, or json's
+    TypeError for a key it cannot write."""
+    if isinstance(key, (int, float)) or key is None:
+        return _ENCODER.encode(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def _render_csv(config, meta, header, rows, timestamp) -> str:
@@ -256,10 +310,8 @@ def _cmd_spectrum(args, config):
         "n_points": len(cloud.points),
     }
     header = ["word", "lo", "hi", "mid", "width"]
-    rows = [
-        [p.word, p.interval.lo, p.interval.hi, p.interval.mid, p.interval.width]
-        for p in cloud.points
-    ]
+    rows = [[word, iv.lo, iv.hi, iv.mid, iv.width]
+            for word, iv in map(attrgetter("word", "interval"), cloud.points)]
     return _emit(args, config, summary, header, rows)
 
 

@@ -74,7 +74,11 @@ step _accept checks the bracket around the new iterate, whose ends are
 rounded to floats exactly, from the evaluation that step was taken at,
 with no further sum, and the first bracket that certifies ends the
 solve; at a settled iterate (a step of 0) the check is the certificate
-step, one-sided sums included.
+step, one-sided sums included.  The one constant a step needs beyond
+its evaluation, the margin 0.4 tol as an exact dyadic at the grid
+2**-q (_margin), is made once per solve by _fixed_newton and once per
+point by _CloudTables; a bracket end is then a shift, an add and one
+rounding to a float (_float_of, itself shifts and an ldexp).
 A finite selection's evaluation also bounds |S'(x)| <= M_hi, which
 bounds the far sides too; _mean_value states and computes every bound
 exactly, in integers.  Where tol is far below the float spacing near the root, lo
@@ -107,8 +111,9 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import islice
-from operator import index, itemgetter, mul
+from operator import index, mul
 
 from .errors import ConfigError, DivergentSum, ToleranceNotReachable, require_int
 from .families import dyadic_mpf, term_table, term_tail
@@ -429,8 +434,8 @@ class _CloudTables:
     A word that reaches the mpmath tier first evaluates at _grid(x,
     prec), x its double Newton iterate, the first iterate of a single
     solve (newton), summed from a table there: the term_table rows of
-    the symbols 1..depth, kept as columns.  Every table is at the same
-    bits, fixed for the whole cloud: _fixed_bits at the cloud's prec,
+    the symbols 1..depth, a list indexed by symbol.  Every table is at
+    the same bits, fixed for the whole cloud: _fixed_bits at the cloud's prec,
     at s = 1 (every root a bracket reports lies in [0, 1]), with the
     largest base ratio's term (the smallest base symbol's, for a named
     family) and depth terms, so that a word's evaluation there is
@@ -439,11 +444,17 @@ class _CloudTables:
     of words it solves, so a double-tier cloud builds a table only
     where a word escalates.
 
-    A word certified from a table records the point and the table, and
-    its child, the word plus one symbol b, first tries that point
-    (inherit): there the child's integer sums are the word's plus row b
-    of the table, so one evaluation and one Newton step decide it, with
-    no double Newton or table of its own.  The losses from a point at
+    A word certified from a table records the point, ((rows, at, q,
+    margin), totals, least): the table, the grid point, the exact
+    margin 0.4 * tol at its grid (_margin, made once per point and
+    shared by every word that certifies there), the word's _totals and
+    its least weight.  Its child, the word plus one symbol b, first
+    tries that point (inherit): there the child's integer sums are the
+    word's plus row b of the table, so one evaluation and one Newton
+    step decide it, with no double Newton, table or sums of its own
+    (it builds its _fixed_bounds only for a settled step's one-sided
+    sum), and its least weight is min(least, weights[b]).  The losses
+    from a point at
     distance D from the root are quadratic in D: over D, |S'| changes by
     a factor within exp(-/+ ln_max * D), so Newton's iterate misses the
     root by at most 2 * ln_max * D**2, and each mean-value bound
@@ -458,7 +469,8 @@ class _CloudTables:
     base's |S'(1)|, which bounds every word's |S'| below on [0, 1], and
     the child tries the point while
     2 * L * D**2 <= max(0.4 * tol, ulp(lo) / 2) / 10, L its largest
-    |ln ratio|.  Correctness never rests on the gate: a bracket a
+    |ln ratio|, -LN2 times the least of the parent's least weight and
+    b's.  Correctness never rests on the gate: a bracket a
     table's evaluation does not certify falls through, from the word's
     first point to Newton with the word's own sums, from its parent's
     point to the word's own solve.
@@ -476,29 +488,29 @@ class _CloudTables:
         """_fixed_newton of the word indices, whose own sums are sums, from
         its double iterate x: its first evaluation is at _grid(x, prec),
         summed from the table of the symbols 0..depth there, _PAD for
-        symbol 0.  A bracket that certifies there records the point and
-        the word's _totals there for its children; one that does not
-        goes on from the iterate that step reached with the word's own
-        sums."""
+        symbol 0.  A bracket that certifies there records the point, with
+        its _margin, and the word's _totals and least weight there for
+        its children; one that does not goes on from the iterate that
+        step reached with the word's own sums."""
         at, q = _grid(x, self.prec)
-        table = tuple(zip(_PAD, *term_table(self.family, (at, q), self.bits,
-                                            range(1, self.depth + 1))))
-        totals = _totals(map(itemgetter(*indices), table))
-        step = _fixed_step(at, q, _sum_rows(totals, self.bits), self.tol, self.prec, sums)
+        rows = [_PAD, *term_table(self.family, (at, q), self.bits, range(1, self.depth + 1))]
+        totals, margin = _totals(zip(*map(rows.__getitem__, indices))), _margin(self.tol, q)
+        step = _fixed_step(at, q, _sum_rows(totals, self.bits), margin, self.tol, self.prec,
+                           partial(_one_sided, sums))
         if step and not isinstance(step[3], str):
-            self.points[indices] = table, at, q, totals
+            least = min(map(self.weights.__getitem__, indices))
+            self.points[indices] = (rows, at, q, margin), totals, least
             return step[3]
         return _fixed_newton(sums, Fraction(step[0] if step else at, 1 << q), self.tol, self.prec)
 
-    def near(self, indices, b, lo):
-        """The gate: whether the word indices, its parent's symbols plus
-        b, lies near enough to its parent's root, whose lo is lo, to try
-        its parent's point."""
+    def near(self, b, lo, least):
+        """The gate: whether a word of least weight least plus the symbol
+        b lies near enough to that word's root, whose lo is lo, to try
+        its point."""
         distance = 2.0 ** (lo * self.weights[b]) / self.slope
         loss, margin = 2 * distance**2 * -LN2, max(0.4 * self.tol, math.ulp(lo) / 2)
-        # |ln ratio(b)| <= L, so b alone turns most words away before L is read
-        return (loss * self.weights[b] <= margin / 10
-                and loss * min(map(self.weights.__getitem__, indices)) <= margin / 10)
+        # the word's largest |ln ratio| is its parent's or b's
+        return loss * self.weights[b] <= margin / 10 and loss * least <= margin / 10
 
     def inherit(self, parent, indices, lo):
         """The mpmath-tier interval of the word indices, the symbols parent
@@ -507,24 +519,28 @@ class _CloudTables:
         parent recorded no point, the gate turns the word away or the
         bracket does not certify.  The word's totals there are its
         parent's plus row b of the point's table: the integers _sum_rows
-        gives over its own symbols.  A word that certifies records the
-        point and its totals."""
-        point = self.points.get(parent)
-        if point is None:
+        gives over its own symbols.  Its own sums (_fixed_bounds) are
+        built only where a settled step takes a one-sided sum.  A word
+        that certifies records the point, its totals and its least
+        weight."""
+        record = self.points.get(parent)
+        if record is None:
             return None
+        point, totals, least = record
         b = sum(indices) - sum(parent)
-        if not self.near(indices, b, lo):
+        if not self.near(b, lo, least):
             return None
-        table, at, q, totals = point
+        rows, at, q, margin = point
         # _totals of the word's rows: the parent's plus row b
         t_lo, t_hi, m_lo, m_hi, l_hi = totals
-        r_lo, r_hi, n_lo, n_hi, k_hi = map(itemgetter(b), table)
+        r_lo, r_hi, n_lo, n_hi, k_hi = rows[b]
         totals = t_lo + r_lo, t_hi + r_hi, m_lo + n_lo, m_hi + n_hi, max(l_hi, k_hi)
-        sums = _fixed_bounds(self.family, indices, self.tol, self.prec)
-        step = _fixed_step(at, q, _sum_rows(totals, self.bits), self.tol, self.prec, sums)
+        family, tol, prec = self.family, self.tol, self.prec
+        step = _fixed_step(at, q, _sum_rows(totals, self.bits), margin, tol, prec,
+                           lambda end: _one_sided(_fixed_bounds(family, indices, tol, prec), end))
         if not step or isinstance(step[3], str):
             return None
-        self.points[indices] = table, at, q, totals
+        self.points[indices] = point, totals, min(least, self.weights[b])
         return step[3]
 
 
@@ -689,15 +705,19 @@ def _near_bounds(lo, hi, at, evaluation):
 
 def _float_of(n, k, up):
     """n * 2**-k, for ints n and k >= 0, rounded to a float exactly: the
-    largest float <= it, or with up the smallest float >= it.  Python's
-    int division rounds to nearest correctly, subnormals included, and
-    one exact comparison turns that into the directed rounding."""
-    f = n / (1 << k)
-    num, den = f.as_integer_ratio()
-    past = (num << k) - n * den  # sign of f - n * 2**-k
-    if past > 0 and not up or past < 0 and up:
-        f = math.nextafter(f, math.inf if up else -math.inf)
-    return f
+    largest float <= it, or with up the smallest float >= it.  The
+    float's bits are n's leading 53, or fewer where it is subnormal, cut
+    off by a shift and raised by one unit where up and bits were cut;
+    ldexp scales them exactly."""
+    if n < 0:
+        return -_float_of(-n, k, not up)
+    cut = max(n.bit_length() - 53, k - 1074)
+    if cut <= 0:
+        return math.ldexp(n, -k)
+    kept = n >> cut
+    if up and kept << cut != n:
+        kept += 1
+    return math.ldexp(kept, cut - k)
 
 
 def _minus(at, q, x):
@@ -705,8 +725,9 @@ def _minus(at, q, x):
     the difference m * 2**-k and k >= q."""
     num, den = x.as_integer_ratio()
     j = den.bit_length() - 1
-    k = max(q, j)
-    return (at << (k - q)) - (num << (k - j)), k
+    if j <= q:
+        return at - (num << (q - j)), q
+    return (at << (j - q)) - num, j
 
 
 def _mean_value(lo, hi, at, q, evaluation):
@@ -775,26 +796,41 @@ def _one_sided(sums, end):
     return _float_of(sum_lo, bits, False), _float_of(sum_hi, bits, True)
 
 
-def _fixed_step(at, q, evaluation, tol, prec, sums):
+def _margin(tol, q):
+    """The margin 0.4 * tol (the float) each end of a bracket keeps, as
+    the exact dyadic offset * 2**-k at the grid 2**-q: (offset, shift,
+    k), k = max(q, the float's own exponent) and shift = k - q, so the
+    bracket around an iterate x (in units of 2**-q) is
+    ((x << shift) -/+ offset) * 2**-k.  _fixed_newton makes it once per
+    solve and _CloudTables once per point, not once per step."""
+    num, den = (0.4 * tol).as_integer_ratio()
+    j = den.bit_length() - 1
+    k = max(q, j)
+    return num << (k - j), k - q, k
+
+
+def _fixed_step(at, q, evaluation, margin, tol, prec, one_sided):
     """One Newton step on S - 1 in fixed point, as the module docstring
     describes, from an evaluation at at * 2**-q: (x, lo, hi, verdict),
     or None where the sum diverges (evaluation None) or its lower moment
     vanishes.  x, in units of 2**-q, is the midpoint of the two sums
     minus 1 over the lower moment, floored onto the grid; [lo, hi] is
     the bracket around it, its ends the floats just outside x -/+ 0.4 tol
-    rounded exactly; verdict is the mpmath-tier DimensionInterval of
-    [lo, hi] if it certifies, else the reason it does not.  _accept
-    decides from the evaluation's mean-value bounds alone, and at a step
-    of 0 (x == at) _certify, which takes sums at an end its bound
-    misses."""
+    rounded exactly, with 0.4 tol read off margin, _margin(tol, q);
+    verdict is the mpmath-tier DimensionInterval of [lo, hi] if it
+    certifies, else the reason it does not.  _accept decides from the
+    evaluation's mean-value bounds alone, and at a step of 0 (x == at)
+    _certify, which calls one_sided(end), the word's (lower, upper) sums
+    at the float end (_one_sided), at an end its bound misses."""
     if evaluation is None or evaluation[2] <= 0:
         return None
     sum_lo, sum_hi, moment, _, _, bits = evaluation
     x = at + ((sum_lo + sum_hi - (2 << bits)) << q) // (2 * moment)
-    lo, hi = _bracket(_float_of(*_minus(x, q, 0.4 * tol), False),
-                      _float_of(*_minus(x, q, -0.4 * tol), True), tol)
+    offset, shift, k = margin
+    lo, hi = _bracket(_float_of((x << shift) - offset, k, False),
+                      _float_of((x << shift) + offset, k, True), tol)
     bounds = _mean_value(lo, hi, at, q, evaluation)
-    verdict = (_certify(lo, hi, bounds, lambda end: _one_sided(sums, end), "mpmath-tier")
+    verdict = (_certify(lo, hi, bounds, one_sided, "mpmath-tier")
                if x == at else _accept(hi, *bounds, "mean-value"))
     if not isinstance(verdict, str):
         verdict = DimensionInterval(lo, hi, tol, *verdict, tier="mpmath", precision_bits=prec)
@@ -811,9 +847,9 @@ def _fixed_newton(sums, x, tol, prec):
     then names the bound that failed last.
     """
     at, q = _grid(x, prec)
-    verdict = None
+    margin, one_sided, verdict = _margin(tol, q), partial(_one_sided, sums), None
     for _ in range(NEWTON_STEPS):
-        step = _fixed_step(at, q, sums((at, q)), tol, prec, sums)
+        step = _fixed_step(at, q, sums((at, q)), margin, tol, prec, one_sided)
         if step is None:
             break
         x, lo, hi, verdict = step

@@ -152,16 +152,17 @@ def Pool(processes):
     return Pool(processes=processes)
 
 
-def _spacing_constant(points, depth: int, base_mid: float) -> float:
-    """Max over adjacent pairs of gap / 2**(-s*(l+1)**2), l = shared
-    prefix length, read off the words as integers: two words of length
-    depth first differ at position depth - (a ^ b).bit_length() + 1.
-    A fitted measurement, not a guarantee: it calibrates the covering
-    radius formula against the realised gaps."""
+def _spacing_constant(words, mids, depth: int, base_mid: float) -> float:
+    """Max over adjacent pairs of the sorted points, their words and
+    midpoints, of gap / 2**(-s*(l+1)**2), l = shared prefix length, read
+    off the words as integers: two words of length depth first differ
+    at position depth - (a ^ b).bit_length() + 1.  A fitted
+    measurement, not a guarantee: it calibrates the covering radius
+    formula against the realised gaps."""
     best = 0.0
-    codes = [int(p.word, 2) for p in points]
-    for p, q, a, b in zip(points, points[1:], codes, codes[1:]):
-        gap = q.interval.mid - p.interval.mid
+    codes = [int(w, 2) for w in words]
+    for lo, hi, a, b in zip(mids, mids[1:], codes, codes[1:]):
+        gap = hi - lo
         if gap <= 0.0:
             continue
         level = depth - (a ^ b).bit_length() + 1
@@ -217,16 +218,18 @@ def expand_spectrum(family, depth, base_symbols=(1, 2), tol=None, workers=1) -> 
     else:
         solved = starmap(_solve_subtree, jobs)
 
-    pts = [SpectrumPoint(word=w, interval=iv)
-           for (w, _), iv in zip(words, chain.from_iterable(solved))]
-    pts.sort(key=lambda p: (p.interval.mid, p.word))
-    spacing = _spacing_constant(pts, depth, base_dim.mid)
+    # (mid, word, interval), sorted by midpoint, then by word: the words
+    # differ, so no interval is compared
+    intervals = list(chain.from_iterable(solved))
+    mids, ordered, intervals = zip(*sorted(zip([iv.mid for iv in intervals],
+                                               [w for w, _ in words], intervals)))
+    spacing = _spacing_constant(ordered, mids, depth, base_dim.mid)
     return SpectrumCloud(
         family=family.describe(),
         base_symbols=base_symbols,
         depth=depth,
         tol=tol,
-        points=tuple(pts),
+        points=tuple(map(SpectrumPoint, ordered, intervals)),
         base_dimension=base_dim,
         spacing_constant=spacing,
     )

@@ -7,6 +7,7 @@ by the same routines at 240 bits and are kept literal so a regression
 in the oracle itself would also be caught.
 """
 
+import json
 import math
 from fractions import Fraction
 
@@ -393,3 +394,62 @@ def full_pressure_slope(kind, s, prec=PREC):
             if term * a * a < mpmath.power(2, -(prec + 60)):
                 return -mpmath.log(2) * num / den
             a += 1
+
+
+def ref_render(doc):
+    """A structured CLI document as json's own indented encoder writes
+    it, plus the newline the CLI ends it with."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# The mpmath tier's step bookkeeping as it was before its exact constants
+# were made once per point: each bracket end re-derives 0.4 * tol as an
+# exact dyadic, every float is rounded by an int division and a multiply,
+# and the mean-value bounds take the two differences to their ends afresh.
+
+
+def ref_float_of(n, k, up):
+    """n * 2**-k rounded to a float down, or with up, up."""
+    f = n / (1 << k)
+    num, den = f.as_integer_ratio()
+    past = (num << k) - n * den  # sign of f - n * 2**-k
+    if past > 0 and not up or past < 0 and up:
+        f = math.nextafter(f, math.inf if up else -math.inf)
+    return f
+
+
+def ref_minus(at, q, x):
+    """at * 2**-q - x for a float x, exactly: (m, k), the difference
+    m * 2**-k, k >= q."""
+    num, den = x.as_integer_ratio()
+    j = den.bit_length() - 1
+    k = max(q, j)
+    return (at << (k - q)) - (num << (k - j)), k
+
+
+def ref_step_ends(x, q, tol):
+    """The floats just outside x * 2**-q -/+ 0.4 tol, before clipping."""
+    return (ref_float_of(*ref_minus(x, q, 0.4 * tol), False),
+            ref_float_of(*ref_minus(x, q, -0.4 * tol), True))
+
+
+def ref_mean_value(lo, hi, at, q, evaluation):
+    """The mean-value (lower bound at lo, upper bound at hi) from one
+    fixed-point evaluation at at * 2**-q, as solver._mean_value states
+    them."""
+    sum_lo, sum_hi, moment, moment_hi, ln_max, bits = evaluation
+    lower, upper = -math.inf, math.inf
+    m, k = ref_minus(at, q, lo)
+    if m >= 0 or moment_hi is not None:
+        lower = ref_float_of((sum_lo << k) + m * (moment if m >= 0 else moment_hi),
+                             bits + k, False)
+    m, k = ref_minus(at, q, hi)
+    one = 1 << (bits + k)
+    if m <= 0:
+        rate, factor = moment, max(0, one + m * ln_max)
+    elif moment_hi is not None and 2 * m * ln_max < one:
+        rate, factor = moment_hi, one + 2 * m * ln_max
+    else:
+        return lower, upper
+    upper = ref_float_of((sum_hi << (bits + 2 * k)) + m * rate * factor, 2 * (bits + k), True)
+    return lower, upper

@@ -1,10 +1,13 @@
 import csv
 import io
 import json
+import math
 import shlex
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from dimspec import acceptance, cli
@@ -178,6 +181,78 @@ def test_metric_documents_match_the_reference_kernels(monkeypatch, capsys):
     reference = [run(argv + ["--no-timestamp"], capsys) for argv in METRIC_COMMANDS]
     assert all(code == 0 for code, _ in fast)
     assert fast == reference
+
+
+# --- the C-encoder renderer keeps every byte ----------------------------------
+
+RENDERED_COMMANDS = (
+    [["spectrum", "--family", "square-exponent", "--depth", str(d)] for d in range(6, 12)]
+    + [["spectrum", "--family", "geometric", "--depth", "8"],
+       ["spectrum", "--ratios", "0.3", "1/4", "0.2", "0.15", "0.1", "--depth", "5"]]
+    + [[cmd, "--family", "cantor-pair", "--depth", "9"]
+       for cmd in ("boxdim", "localdim", "gaps", "classify")]
+    + [["dim", "--family", "square-exponent", "--subset", "1,2"],
+       ["dim", "--family", "square-exponent", "--subset", "1,2", "--tol", "1e-30"],
+       ["perturb", "--family", "square-exponent", "--subset", "1,2", "--b-range", "3:8"],
+       ["construct-k", "--depth", "5"],
+       ["verify", "--criteria", "1"]])
+
+
+def test_documents_match_the_reference_renderer(monkeypatch, capsys):
+    # Every structured document, the spectrum rows included, is the text
+    # json's own indented encoder writes, byte for byte.
+    fast = [run(argv + ["--no-timestamp"], capsys) for argv in RENDERED_COMMANDS]
+    monkeypatch.setattr(cli, "_render_structured", oracles.ref_render)
+    reference = [run(argv + ["--no-timestamp"], capsys) for argv in RENDERED_COMMANDS]
+    assert all(code == 0 for code, _ in fast)
+    assert '"tier": "mpmath"' in fast[5][1] and '"tier": "double"' in fast[0][1]
+    assert fast == reference
+
+
+# Text that json escapes or that the renderer splits and joins at.
+JSON_TEXT = st.lists(st.sampled_from(["\x00", "\x00[", "]\x00[", ",", "[", "]", '"', "\\", "\n",
+                                      " ", "a", "é", "漢", "🙂", "\ud800"]) | st.characters(),
+                     max_size=6).map("".join)
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64)
+                | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308])
+                | JSON_TEXT)
+# lists of scalar lists of unequal lengths, and of equal ones
+SCALAR_ROWS = st.lists(st.lists(JSON_SCALARS, max_size=5), max_size=6) | st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(JSON_SCALARS, min_size=n, max_size=n), min_size=1,
+                       max_size=6))
+UNENCODABLE = st.sampled_from([{1, 2}, b"x", 1j, object()])
+JSON_DOCUMENTS = st.recursive(
+    JSON_SCALARS | SCALAR_ROWS | st.lists(UNENCODABLE | JSON_SCALARS, max_size=3),
+    lambda children: (st.lists(children, max_size=4) | st.tuples(children, children)
+                      | st.dictionaries(JSON_TEXT, children, max_size=4)),
+    max_leaves=24)
+
+
+def _rendered(render, doc):
+    try:
+        return render(doc)
+    except TypeError as exc:
+        return TypeError, str(exc)
+
+
+@settings(max_examples=400)
+@given(JSON_DOCUMENTS)
+@example({"rows": {"data": [["110", 0.5, math.nan], ["111", -0.0, 1e308]], "header": ["w", "a"]}})
+@example([[], [1, "]\x00["], [], ["\x00"]])
+@example({"a": [{}, [], [[]], ()], "b": (1, (2, [3])), "c": 2**70})
+@example({"a": [[1, {1, 2}]]})
+def test_the_renderer_writes_what_json_writes(doc):
+    # _render_structured equals json.dumps(indent=2, sort_keys=True) plus
+    # a newline, and raises json's TypeError where json cannot encode.
+    assert _rendered(cli._render_structured, doc) == _rendered(oracles.ref_render, doc)
+
+
+@pytest.mark.parametrize("keys", [{1: "a", 2.5: "b", True: "c", None: "d"}, {"a": 1, 2: 3},
+                                  {(1,): 2}, {"a": 1, b"b": 2}])
+def test_the_renderer_writes_keys_as_json_does(keys):
+    # json writes int, float, bool and None keys as strings, refuses
+    # other keys, and cannot sort keys of mixed types.
+    assert _rendered(cli._render_structured, keys) == _rendered(oracles.ref_render, keys)
 
 
 # --- error handling -----------------------------------------------------------

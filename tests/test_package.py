@@ -1,7 +1,8 @@
 """The package surface: public names, the deferred numpy and
 multiprocessing imports, the integer contract for counts, no unused
 imports, no unread private names or constants, no statement after an
-unconditional jump and no option without a caller."""
+unconditional jump, no option without a caller and one renderer of
+indented JSON."""
 
 import ast
 import math
@@ -149,6 +150,34 @@ def test_the_double_tier_has_one_term_loop():
                          "c = 2.0 ** (s * 3) + 2.0 ** s + 3.0 ** (s * w)\n") == [1, 2]
     path = Path(dimspec.__file__).parent / "solver.py"
     assert len(_double_terms(path.read_text())) == 1
+
+
+def _indented_json(source):
+    """The lines of the calls in source to json.dumps or json.JSONEncoder,
+    by attribute or by bare name, that pass indent= or **kwargs."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and (getattr(node.func, "attr", None) or getattr(node.func, "id", None))
+            in ("dumps", "JSONEncoder")
+            and any(k.arg in ("indent", None) for k in node.keywords)]
+
+
+def test_the_indented_json_lint_sees_every_form():
+    source = ("import json\nfrom json import JSONEncoder, dumps\n"
+              "a = json.dumps(x, indent=2)\nb = dumps(x, sort_keys=True, indent=None)\n"
+              "c = json.JSONEncoder(indent=4)\nd = JSONEncoder(sort_keys=True)\n"
+              "e = json.dumps(x, separators=(',', ':'))\nf = json.dumps(x, **options)\n"
+              "g = json.loads(x, indent=2)\n")
+    assert _indented_json(source) == [3, 4, 5, 8]
+
+
+def test_structured_documents_have_one_renderer():
+    # json.dumps and json.JSONEncoder given an indent encode in json's
+    # pure-Python encoder; cli._render_structured writes the indented
+    # documents through the C encoder, byte for byte the same text.
+    package = Path(dimspec.__file__).parent
+    assert [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
+            for line in _indented_json(path.read_text())] == []
 
 
 def _unread_parameters(path):

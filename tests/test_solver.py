@@ -637,6 +637,72 @@ def test_dyadics_round_to_floats_exactly(case):
         assert up == to_float(from_man_exp(n, -k), rnd=round_ceiling)
 
 
+@st.composite
+def step_cases(draw):
+    """(x, q, tol, at, evaluation): a grid q >= 53, a tol in [1e-60,
+    1e-3], so that 0.4 tol is often finer than 2**-q, an iterate x and a
+    point at in [0, 2] on the grid, and a fixed-point evaluation of any
+    shape at 24 to 400 bits."""
+    q = draw(st.integers(min_value=53, max_value=700))
+    tol = 10.0 ** draw(st.floats(min_value=-60.0, max_value=-3.0))
+    x, at = (draw(st.integers(min_value=0, max_value=2 << q)) for _ in range(2))
+    bits = draw(st.integers(min_value=24, max_value=400))
+    one = 1 << bits
+    evaluation = (draw(st.integers(min_value=0, max_value=4 * one)),
+                  draw(st.integers(min_value=0, max_value=4 * one)),
+                  draw(st.integers(min_value=0, max_value=8 * one)),
+                  draw(st.one_of(st.none(), st.integers(min_value=0, max_value=8 * one))),
+                  draw(st.integers(min_value=0, max_value=one << 12)), bits)
+    return x, q, tol, at, evaluation
+
+
+@settings(max_examples=300, deadline=None)
+@given(step_cases())
+@example((3 << 51, 53, 1e-60, 1 << 52, (1 << 60, 1 << 61, 1 << 62, None, 1 << 66, 60)))
+@example(((1 << 699) + 12345, 700, 1e-3, 1 << 699, (1 << 30, 3 << 28, 1 << 31, 1 << 32, 5, 30)))
+def test_the_step_bookkeeping_equals_the_reference(case):
+    # The bracket ends a step reads off _margin, made once per point, and
+    # the mean-value bounds equal the bookkeeping that re-derived 0.4 tol
+    # at every step (oracles.ref_step_ends, ref_mean_value), also where
+    # 0.4 tol is finer than the grid 2**-q.  A settled evaluation (both
+    # sums exactly 1) returns the bracket around x itself.
+    x, q, tol, at, evaluation = case
+    one = 1 << 60
+    _, lo, hi, _ = solver._fixed_step(x, q, (one, one, 1, None, 0, 60), solver._margin(tol, q),
+                                      tol, 100, lambda end: (1.0, 1.0))
+    assert (lo, hi) == solver._bracket(*oracles.ref_step_ends(x, q, tol), tol)
+    assert solver._mean_value(lo, hi, at, q, evaluation) == oracles.ref_mean_value(
+        lo, hi, at, q, evaluation)
+
+
+def _reference_step(at, q, evaluation, margin, tol, prec, one_sided):
+    """solver._fixed_step with the bookkeeping of oracles: margin unread."""
+    if evaluation is None or evaluation[2] <= 0:
+        return None
+    sum_lo, sum_hi, moment, _, _, bits = evaluation
+    x = at + ((sum_lo + sum_hi - (2 << bits)) << q) // (2 * moment)
+    lo, hi = solver._bracket(*oracles.ref_step_ends(x, q, tol), tol)
+    bounds = oracles.ref_mean_value(lo, hi, at, q, evaluation)
+    verdict = (solver._certify(lo, hi, bounds, one_sided, "mpmath-tier")
+               if x == at else solver._accept(hi, *bounds, "mean-value"))
+    if not isinstance(verdict, str):
+        verdict = solver.DimensionInterval(lo, hi, tol, *verdict, tier="mpmath",
+                                           precision_bits=prec)
+    return x, lo, hi, verdict
+
+
+@pytest.mark.parametrize("depth", [10, 11])
+def test_clouds_under_the_reference_step_have_the_same_points(monkeypatch, depth):
+    # Every word of the square-exponent cloud at the auto tol is an
+    # mpmath-tier step; with the reference bookkeeping patched in, every
+    # point keeps its word, ends, certificates, tier and precision.
+    fast = spectrum.expand_spectrum(SQEXP, depth)
+    monkeypatch.setattr(solver, "_fixed_step", _reference_step)
+    reference = spectrum.expand_spectrum(SQEXP, depth)
+    assert {p.interval.tier for p in fast.points} == {"mpmath"}
+    assert fast.points == reference.points
+
+
 def _counting_tables(monkeypatch):
     """Spy on solver.term_table and return a list that gets one entry per
     call: the symbols it lists, as a tuple, and the number of rows."""
@@ -686,7 +752,8 @@ def test_deep_cloud_solves_mostly_certify_from_their_first_evaluation(monkeypatc
             return super().newton(sums, x, indices)
 
         def inherit(self, parent, indices, lo):
-            point = self.points.get(parent, (None,) * 4)[1:3]
+            record = self.points.get(parent)  # ((rows, at, q, margin), totals, least)
+            point = record and record[0][1:3]
             interval = super().inherit(parent, indices, lo)
             if interval:
                 words.append((indices, point))

@@ -1,7 +1,9 @@
+import hashlib
+import math
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -213,8 +215,8 @@ def test_a_table_evaluation_that_does_not_certify_falls_through(monkeypatch):
     tries, certified = [], []
 
     class Open(solver._CloudTables):
-        def near(self, indices, b, lo):
-            tries.append(indices)
+        def near(self, b, lo, least):
+            tries.append(b)
             return True
 
         def inherit(self, parent, indices, lo):
@@ -240,8 +242,8 @@ def test_a_cloud_whose_roots_lie_apart_makes_no_inherited_attempt(monkeypatch, f
     gates = []
 
     class Spy(solver._CloudTables):
-        def near(self, indices, b, lo):
-            gates.append(super().near(indices, b, lo))
+        def near(self, b, lo, least):
+            gates.append(super().near(b, lo, least))
             return gates[-1]
 
     monkeypatch.setattr(spectrum, "_CloudTables", Spy)
@@ -296,6 +298,119 @@ def test_a_pinned_tol_above_the_double_tier_floor_still_inherits(monkeypatch, de
         iv, indices = point.interval, subset_of_word(point.word)
         assert (oracles.ref_sum(SQEXP, indices, iv.lo, oracles.PREC) >= iv.cert_lo >= 1
                 >= iv.cert_hi >= oracles.ref_sum(SQEXP, indices, iv.hi, oracles.PREC))
+
+
+@pytest.mark.parametrize("depth,tol,exps,digest", [(10, 2e-13, 16, "e9c143522772b3d0"),
+                                                   (12, 5e-14, 32, "1c05fa68db5713d7"),
+                                                   (12, 1e-13, 32, "11c67b367b9b74e9")])
+def test_a_failed_inherited_attempt_builds_no_sums(monkeypatch, depth, tol, exps, digest):
+    # A word that fails at its parent's point, turned away by the gate
+    # (12, 24 and 24 words here) or, with the gate open, refused by the
+    # bracket its one step reaches, builds none of its own sums: only a
+    # settled step's one-sided sum would read them, and the word's own
+    # solve builds them afterwards.  The cloud keeps its exps and its
+    # endpoints (the sha256 of its (word, lo, hi) rows).
+    calls, built, attempts = _counting_exps(monkeypatch), [], []
+    fixed_bounds = solver._fixed_bounds
+
+    def counted(*args):
+        built.append(args[1])
+        return fixed_bounds(*args)
+
+    class Spy(solver._CloudTables):
+        def inherit(self, parent, indices, lo):
+            before = len(built)
+            interval = super().inherit(parent, indices, lo)
+            attempts.append((interval is None, len(built) - before))
+            return interval
+
+    class Open(Spy):
+        def near(self, b, lo, least):
+            return True
+
+    monkeypatch.setattr(solver, "_fixed_bounds", counted)
+    for tables in (Spy, Open):
+        attempts.clear()
+        monkeypatch.setattr(spectrum, "_CloudTables", tables)
+        cloud = expand_spectrum(SQEXP, depth, tol=tol)
+        assert any(failed for failed, _ in attempts)
+        assert not any(sums for _, sums in attempts)
+        if tables is Spy:
+            assert len(calls) <= exps
+            rows = repr([(p.word, p.interval.lo, p.interval.hi) for p in cloud.points])
+            assert hashlib.sha256(rows.encode()).hexdigest()[:16] == digest
+
+
+def _gate_over_the_word(tables, indices, b, lo):
+    """The gate as the min over the word's own weights states it."""
+    distance = 2.0 ** (lo * tables.weights[b]) / tables.slope
+    loss = 2 * distance**2 * -solver.LN2
+    limit = max(0.4 * tables.tol, math.ulp(lo) / 2) / 10
+    return loss * tables.weights[b] <= limit and loss * min(
+        tables.weights[a] for a in indices) <= limit
+
+
+@pytest.mark.parametrize("depth,tol", [(11, None), (12, 5e-14), (12, 1e-20)])
+def test_the_gate_decides_as_the_least_weight_of_the_word_does(monkeypatch, depth, tol):
+    # A word's point record carries its least weight, so the gate reads
+    # min(parent's, b's) instead of a min over the word's symbols; on
+    # every attempt it decides as the min over the word does.
+    decisions = []
+
+    class Spy(solver._CloudTables):
+        def inherit(self, parent, indices, lo):
+            record = self.points.get(parent)
+            if record is not None:
+                b = sum(indices) - sum(parent)
+                decisions.append((self.near(b, lo, record[2]),
+                                  _gate_over_the_word(self, indices, b, lo)))
+            return super().inherit(parent, indices, lo)
+
+    monkeypatch.setattr(spectrum, "_CloudTables", Spy)
+    expand_spectrum(SQEXP, depth, tol=tol)
+    assert decisions and any(gate for gate, _ in decisions)
+    assert all(gate == word for gate, word in decisions)
+
+
+@st.composite
+def gate_cases(draw):
+    """(kind, depth, tol, lo, parent, b): a named family's cloud of depth
+    3 to 16 at a tol in [1e-40, 1e-3], a parent's lo in [0, 1], its
+    symbols and a symbol b it lacks."""
+    kind = draw(st.sampled_from(["square-exponent", "geometric", "type-three"]))
+    depth = draw(st.integers(min_value=3, max_value=16))
+    tol = 10.0 ** draw(st.floats(min_value=-40.0, max_value=-3.0))
+    lo = draw(st.floats(min_value=0.0, max_value=1.0))
+    parent = draw(st.sets(st.integers(1, depth), min_size=1, max_size=depth - 1))
+    b = draw(st.sampled_from(sorted(set(range(1, depth + 1)) - parent)))
+    return kind, depth, tol, lo, tuple(sorted(parent)), b
+
+
+# Gates that b's weight alone would open and the parent's symbol 8 closes.
+BINDING_GATES = [("square-exponent", 8, 1e-40, 0.905, (1, 8), 6),
+                 ("square-exponent", 8, 1e-40, 0.67, (2, 8), 7)]
+
+
+@settings(max_examples=300)
+@given(gate_cases())
+@example(BINDING_GATES[0])
+@example(BINDING_GATES[1])
+def test_the_gate_reads_the_least_weight_of_the_parent(case):
+    # Where the parent holds a symbol deeper than b, its least weight,
+    # not b's, bounds the word's |ln ratio|: the gate decides from
+    # min(parent's least weight, b's) as from the min over the word.
+    kind, depth, tol, lo, parent, b = case
+    tables = solver._CloudTables(ContractionFamily(kind), (1, 2), depth, tol)
+    least = min(tables.weights[a] for a in parent)
+    assert tables.near(b, lo, least) == _gate_over_the_word(tables, (*parent, b), b, lo)
+
+
+@pytest.mark.parametrize("case", BINDING_GATES)
+def test_a_deeper_parent_symbol_can_close_the_gate(case):
+    kind, depth, tol, lo, parent, b = case
+    tables = solver._CloudTables(ContractionFamily(kind), (1, 2), depth, tol)
+    assert tables.near(b, lo, tables.weights[b])
+    assert not tables.near(b, lo, min(tables.weights[a] for a in parent))
 
 
 def test_a_deep_cloud_fills_few_powers_and_decodes_no_word(monkeypatch):
@@ -399,7 +514,8 @@ def test_cloud_indices_and_levels_match_the_words(depth, data):
         if gap > 0.0:
             level = len(longest_common_prefix(p.word, q.word)) + 1
             best = max(best, gap / 2.0 ** (-base_mid * level * level))
-    assert spectrum._spacing_constant(points, depth, base_mid) == (best if best > 0.0 else 1.0)
+    assert spectrum._spacing_constant([p.word for p in points], [p.interval.mid for p in points],
+                                      depth, base_mid) == (best if best > 0.0 else 1.0)
 
 
 # (1.5, 2) used to run the (1, 2) cloud, and depth 4.7 depth 4
