@@ -156,18 +156,18 @@ def _spacing_constant(words, mids, depth: int, base_mid: float) -> float:
     """Max over adjacent pairs of the sorted points, their words and
     midpoints, of gap / 2**(-s*(l+1)**2), l = shared prefix length, read
     off the words as integers: two words of length depth first differ
-    at position depth - (a ^ b).bit_length() + 1.  A fitted
-    measurement, not a guarantee: it calibrates the covering radius
-    formula against the realised gaps."""
+    at position depth - (a ^ b).bit_length() + 1, a level from 1 to
+    depth, whose denominator is made once.  A fitted measurement, not a
+    guarantee: it calibrates the covering radius formula against the
+    realised gaps."""
     best = 0.0
     codes = [int(w, 2) for w in words]
+    denoms = [2.0 ** (-base_mid * level * level) for level in range(depth + 1)]
     for lo, hi, a, b in zip(mids, mids[1:], codes, codes[1:]):
         gap = hi - lo
         if gap <= 0.0:
             continue
-        level = depth - (a ^ b).bit_length() + 1
-        denom = 2.0 ** (-base_mid * level * level)
-        best = max(best, gap / denom)
+        best = max(best, gap / denoms[depth - (a ^ b).bit_length() + 1])
     return best if best > 0.0 else 1.0
 
 

@@ -3,7 +3,9 @@ from hypothesis import settings
 
 from dimspec.acceptance import CloudCache
 
-settings.register_profile("suite", deadline=None)
+# print_blob: a property that fails once in a log prints the
+# @reproduce_failure decorator that replays its example.
+settings.register_profile("suite", deadline=None, print_blob=True)
 settings.load_profile("suite")
 
 

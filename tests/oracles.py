@@ -239,6 +239,56 @@ def ref_uniform_perfectness_gaps(points):
     return best
 
 
+# The metric glue as it was before its one-pass forms: a set of the
+# points sorted, the Cantor cloud built by list comprehensions and each
+# candidate pair's right neighbour found by binary lifting.
+
+def ref_distinct_sorted(points):
+    from dimspec.errors import ConfigError
+
+    vals = set(float(x) for x in points)
+    if not all(map(math.isfinite, vals)):
+        raise ConfigError("metrics need finite points, got a NaN or infinity")
+    return sorted(vals)
+
+
+def ref_cantor_truncation(depth):
+    pts = [0.0]
+    for _ in range(depth):
+        pts = [p / 3 for p in pts] + [2 / 3 + p / 3 for p in pts]
+    return sorted(pts)
+
+
+def ref_left_pair_bounds(pts, tau, block=2048):
+    import numpy as np
+
+    n = len(pts)
+    last = np.full(n - 1, n)
+    if tau > 0:
+        with np.errstate(over="ignore"):
+            reach = np.maximum(np.diff(pts[:-1]) / tau * (1 + 2.0**-40), 2.0**-1021)
+            last[1:] = np.searchsorted(pts, np.nextafter(pts[1:-1] + reach, np.inf), "right")
+    ends = np.cumsum(np.maximum(last - np.arange(1, n), 0))
+    bound = np.zeros(n)
+    for start in range(0, int(ends[-1]), block):
+        flat = np.arange(start, min(start + block, int(ends[-1])))
+        j = np.searchsorted(ends, flat, "right")
+        i = last[j] - (ends[j] - flat)
+        x = pts[i]
+        a = x - pts[j]
+        pos, step = i, 1 << (n.bit_length() - 1)
+        while step:
+            nxt = np.minimum(pos + step, n - 1)
+            pos = np.where(pts[nxt] - x <= a, nxt, pos)
+            step >>= 1
+        b = np.where(pos < n - 1, pts[np.minimum(pos + 1, n - 1)] - x, np.inf)
+        b = np.where(j > 0, np.minimum(b, x - pts[j - 1]), b)
+        keep = b < np.inf
+        with np.errstate(over="ignore"):
+            np.maximum.at(bound, i[keep], (a[keep] + b[keep]) / 2 / a[keep])
+    return bound
+
+
 def _term_by_term_sums(family, indices, s, tol, max_terms=1 << 20):
     """(total, tail, slope) built from family.term_double one symbol at
     a time, with the solver's truncation rule for the full selector

@@ -157,10 +157,32 @@ def test_localdim_csv_carries_the_series_as_a_json_line(capsys):
 
 METRIC_COMMANDS = [
     [cmd, "--family", "cantor-pair", "--depth", depth]
-    for cmd in ("boxdim", "localdim", "gaps", "classify") for depth in ("9", "10")
+    for cmd in ("boxdim", "localdim", "gaps", "classify") for depth in ("9", "10", "13")
 ] + [
-    ["classify", "--family", fam, "--depth", "9"] for fam in ("geometric", "type-three")
+    ["classify", "--family", fam, "--depth", depth]
+    for fam in ("geometric", "type-three") for depth in ("9", "10")
 ]
+
+
+def _local_profile_without_reuse(points):
+    """local_dimension_profile as it was before the series reused the
+    scalar window: every series radius is profiled."""
+    from dataclasses import replace
+
+    from dimspec import metrics
+
+    pts, centers = metrics._centers(points)
+    out = []
+    for x in centers:
+        record, window, d, hits = metrics._center_scalar(pts, x)
+        series = []
+        for r in metrics._series_radii(d, hits):
+            sel = window(r)
+            prof = metrics._profile(sel, floor_rule="median")
+            if prof is not None:
+                series.append((r, len(sel), prof.slope))
+        out.append(replace(record, series=tuple(series)))
+    return metrics.LocalProfile(n_points=len(pts), centers=tuple(out))
 
 
 def test_metric_documents_match_the_reference_kernels(monkeypatch, capsys):
@@ -168,6 +190,16 @@ def test_metric_documents_match_the_reference_kernels(monkeypatch, capsys):
 
     fast = [run(argv + ["--no-timestamp"], capsys) for argv in METRIC_COMMANDS]
 
+    # The glue: the set-and-sort distinct points, the list-built Cantor
+    # cloud, binary lifting in the gap statistic's pair bounds and a
+    # local profile that measures every series window.
+    monkeypatch.setattr(metrics, "_distinct_sorted", oracles.ref_distinct_sorted)
+    monkeypatch.setattr(cli, "cantor_truncation", oracles.ref_cantor_truncation)
+    monkeypatch.setattr(metrics, "_left_pair_bounds", oracles.ref_left_pair_bounds)
+    monkeypatch.setattr(cli, "local_dimension_profile", _local_profile_without_reuse)
+    glue = [run(argv + ["--no-timestamp"], capsys) for argv in METRIC_COMMANDS]
+
+    # The kernels, with the glue's references still in.
     def reference_gaps(points):
         best = oracles.ref_uniform_perfectness_gaps(points)
         return metrics.GapReport(*best)
@@ -180,7 +212,28 @@ def test_metric_documents_match_the_reference_kernels(monkeypatch, capsys):
     monkeypatch.setattr(cli, "uniform_perfectness_gaps", reference_gaps)
     reference = [run(argv + ["--no-timestamp"], capsys) for argv in METRIC_COMMANDS]
     assert all(code == 0 for code, _ in fast)
-    assert fast == reference
+    assert fast == glue == reference
+
+
+@pytest.mark.parametrize("family, calls", [("cantor-pair", 99), ("geometric", 90)])
+def test_the_local_profile_measures_each_window_once(family, calls, monkeypatch, cloud_cache):
+    # The depth-13 Cantor cloud's scalar windows are half-sample windows
+    # at d[4096], a dyadic series radius too: 108 profiles before the
+    # series reused them.  No geometric scalar window is a series window.
+    from dimspec import metrics
+
+    points = (metrics.cantor_truncation(13) if family == "cantor-pair"
+              else cloud_cache.cloud(family, 13).midpoints())
+    profile = metrics._profile
+    seen = []
+
+    def counted(*args, **kwargs):
+        seen.append(1)
+        return profile(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "_profile", counted)
+    metrics.local_dimension_profile(points)
+    assert len(seen) == calls
 
 
 # --- the C-encoder renderer keeps every byte ----------------------------------

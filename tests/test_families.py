@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -211,23 +211,71 @@ def test_term_enclosures_contain_the_per_kind_formulas(kind, a, s):
         assert hi - lo <= 8 * a * a
 
 
+def _chain_units(k):
+    """A bound, in units of 2**-bits, on how far _Powers rounds y**k up
+    from symbol 1's row at 96 or more bits: 3.01 k.
+
+    The row holds y within 2 + 2**-10 units above (power_enclosure's
+    floor of an exp within 2**-10 units, widened by WIDEN_UNITS = 2).
+    A product of upper bounds X + e and Z + f of X, Z <= one = 2**bits,
+    rounded up, is within e + f + ef / one + 1 of XZ / one.  So by
+    induction over the chain the excess of y**k is at most
+    (3 + 2**-9) k - 1 + (k - 1) * 2**-40, while every ef / one is below
+    2**-40, as it is for k up to 2001**2, the largest head drawn."""
+    return mpmath.mpf(301) * k / 100
+
+
 @settings(deadline=None)
 @given(kinds, st.integers(min_value=1, max_value=2000), powers)
+# 1 - y**5 is 12.04 units of 2**-200 here, and rounding y**5 up leaves
+# one of them: the tail is 12 times the exact majorant, an upper bound
+# as loose as the chain's rounding allows.  At 96 bits it refuses.
+@example("square-exponent", 1, 2.1613796724680702e-60)
 def test_tail_enclosures_majorise_the_per_kind_formulas(kind, n_cut, s):
+    # term_tail is ceil(Y' * one / (one - D')), Y' and D' the powers
+    # y**head and y**step rounded up.  With Y and D the exact y**head
+    # and 1 - y**step in units, Y' <= Y + _chain_units(head) and
+    # one - D' >= D - _chain_units(step), so the tail is at most
+    # (Y + _chain_units(head)) * one / (D - _chain_units(step)) + 1
+    # wherever D exceeds the step's rounding.  It refuses only where
+    # D' rounds up to one, which needs D <= _chain_units(step).
     fam = ContractionFamily(kind)
+    base = NAMED_FAMILIES[kind][0]
+    head, step = fam._tail_exponents(n_cut)
     for bits in (96, 200):
+        one = 1 << bits
         row1 = next(term_table(fam, _pair(s), bits, [1]))
         tail = _outcome(lambda: term_tail(fam, row1, n_cut, bits))
         with mpmath.workprec(bits + 64):
-            step = fam._tail_exponents(n_cut)[1]
-            den = 1 - mpmath.power(NAMED_FAMILIES[kind][0], -step * mpmath.mpf(s))
+            log_y = -mpmath.mpf(s) * mpmath.ln(base)
+            # expm1 keeps 1 - y**step to full relative precision at tiny s
+            den = _units(-mpmath.expm1(step * log_y), bits)
             if tail is ToleranceNotReachable:
-                # only where 1 - base**(-step*s) is within the chain's
-                # rounding, a few units of 2**-bits per factor of y
-                assert _units(den, bits) <= 4 * (step + 2)
+                assert den <= _chain_units(step)
             else:
                 exact = _units(oracles.ref_tail_majorant_mp(kind, n_cut, s), bits)
-                assert exact <= tail <= exact + 16 * (n_cut + 1) ** 2 / den**2
+                assert exact <= tail
+                if den > _chain_units(step):
+                    y_head = _units(mpmath.exp(head * log_y), bits)
+                    rest = den - _chain_units(step)
+                    assert tail <= (y_head + _chain_units(head)) * one / rest + 1
+
+
+def test_no_solve_takes_a_tail_where_its_double_majorant_has_no_denominator(monkeypatch):
+    # At the s above, 1 - 2**(-step * s) is 0.0 in doubles at every cut,
+    # so the full selector's truncation refuses before any row is made
+    # or term_tail is called, at any tol and precision.
+    from dimspec import solver
+
+    def unreachable(*args):
+        raise AssertionError("a solve reached the fixed-point tail")
+
+    monkeypatch.setattr(solver, "term_table", unreachable)
+    monkeypatch.setattr(solver, "term_tail", unreachable)
+    for kind in NAMED:
+        with pytest.raises(ToleranceNotReachable, match="too small for a tail majorant in doubles"):
+            solver.moran_bounds(ContractionFamily(kind), "full", 2.1613796724680702e-60,
+                                tol=1e300, prec=200)
 
 
 def test_power_enclosure_is_tight_and_needs_a_nonnegative_power():

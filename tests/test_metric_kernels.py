@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, target
 from hypothesis import strategies as st
 
 import oracles
@@ -119,6 +119,160 @@ def test_gaps_sort_few_centers_on_a_deep_cantor_cloud(monkeypatch):
     got = metrics.uniform_perfectness_gaps(metrics.cantor_truncation(13))
     assert got.max_ratio > 2.0
     assert len(calls) <= 1024
+
+
+def _same_floats(got, want):
+    """got == want, the sign of every zero included."""
+    got, want = list(got), list(want)
+    assert got == want
+    assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
+
+
+def _walks(pts):
+    """The fix-up walk of _left_pair_bounds for every pair (j < i) of the
+    sorted distinct array pts: the distance from the searchsorted start
+    to the last m with fl(p_m - x_i) <= a, found by counting."""
+    walks = [0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, len(pts)):
+            a = pts[i] - pts[:i]
+            start = np.searchsorted(pts, pts[i] + a, "right") - 1
+            pos = np.sum(pts[None, :] - pts[i] <= a[:, None], axis=1) - 1
+            walks.append(int(np.max(np.abs(start - pos))))
+    return max(walks)
+
+
+def _rounded_across(args):
+    """A cloud with points at and next to fl(x + a) for pairs (j, i) of
+    a base cloud, so that the sum rounds across a point, on both sides."""
+    base, pairs = args
+    pts = sorted(set(base))
+    extra = []
+    for j, i in pairs:
+        j, i = sorted((j % len(pts), i % len(pts)))
+        if j == i:
+            continue
+        x = pts[i]
+        top = x + (x - pts[j])
+        extra += [math.nextafter(top, -math.inf), top, math.nextafter(top, math.inf)]
+    return pts + [p for p in extra if math.isfinite(p)]
+
+
+def _past_the_sum(args):
+    """[p, x, fl(x + a)], a = fl(x - p), and maybe the floats either side
+    of the sum: the center x has one left pair (p at the hull end), so
+    its bound is that pair's ratio, read off the first right distance
+    above a, which the sum or a neighbour of it may or may not be."""
+    p, x, below, above = args
+    p, x = sorted((p, x))
+    top = x + (x - p)
+    return ([p, x, top] + [math.nextafter(top, -math.inf)] * below
+            + [math.nextafter(top, math.inf)] * above)
+
+
+# Floats with all 53 bits random, so that x + a rounds, up or down.
+full_mantissas = st.tuples(st.sampled_from([-1.0, 1.0]), st.integers(2**52, 2**53 - 1),
+                           st.integers(-8, 2)).map(lambda t: t[0] * math.ldexp(t[1], t[2] - 52))
+past_the_sum = st.tuples(full_mantissas, full_mantissas, st.booleans(), st.booleans()).map(
+    _past_the_sum)
+rounded_across = st.tuples(
+    st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=20),
+    st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), min_size=1, max_size=6),
+).map(_rounded_across)
+# A center just left of 0 at distance 1 from its inner point: every
+# point below about ulp(1) / 2 past 0 is within a of it, so its walk
+# passes all of them.
+near_zero_runs = st.tuples(st.integers(1, 120), st.sampled_from([1e-18, 2.0**-60, 5e-324])).map(
+    lambda t: [-2.0, -1.0] + [k * t[1] for k in range(t[0])] + [1.0])
+# Gaps and diameters near the ends of the range the proof of
+# uniform_perfectness_gaps admits, 2**-1022 and 2**1022.
+extreme_spacings = st.one_of(
+    st.lists(st.integers(0, 64), min_size=3, max_size=30).map(
+        lambda ks: [k * 2.0**-1022 for k in ks]),
+    st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=30).map(
+        lambda fs: [f * 2.0**1021 for f in fs]),
+    st.lists(st.integers(-8, 8), min_size=3, max_size=20).map(
+        lambda ks: [1e308 + k * 2.0**972 for k in ks]),
+)
+pair_clouds = st.one_of(
+    gap_sets, past_the_sum, rounded_across, near_zero_runs, extreme_spacings,
+).map(_distinct).filter(lambda p: len(p) >= 3)
+taus = st.one_of(st.floats(-1.0, 1e3), st.sampled_from([0.0, -2.0**-40, 2.0**-40, 1.0, 2.0**1001]))
+
+
+@settings(max_examples=600, deadline=None)
+@given(pair_clouds, taus)
+@example([0.0, 2.0**-1022, 2.0**-1021, 3 * 2.0**-1022], 0.5)
+# x = 1, a = 3 * 2**-53: x + a rounds up onto the next point, whose
+# distance 2**-51 is above a, so the walk steps back to the center.
+@example([1 - 3 * 2.0**-53, 1.0, 1 + 2.0**-51, 2.0], 0.0)
+def test_left_pair_bounds_equal_the_binary_lifting_reference(pts, tau):
+    # Both sides and the mirror, as uniform_perfectness_gaps reads them.
+    # The walk lengths feed hypothesis' targeting, which searches for
+    # long walks and reports the longest (--hypothesis-show-statistics).
+    pts = np.asarray(pts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for side in (pts, -pts[::-1]):
+            _same_floats(metrics._left_pair_bounds(side, tau).tolist(),
+                         oracles.ref_left_pair_bounds(side, tau).tolist())
+    target(float(_walks(pts)), label="longest fix-up walk")
+
+
+def test_left_pair_bounds_walk_a_long_run_past_a_rounded_start():
+    # The center -1 with inner point -2 has a = 1, and fl(p - (-1)) = 1
+    # for every p up to 2**-53: its walk passes the 99 points past 0.
+    pts = np.array([-2.0, -1.0] + [k * 1e-18 for k in range(100)] + [1.0])
+    assert _walks(pts) == 99
+    _same_floats(metrics._left_pair_bounds(pts, 0.0).tolist(),
+                 oracles.ref_left_pair_bounds(pts, 0.0).tolist())
+
+
+# --- distinct sort and the Cantor cloud ----------------------------------------
+
+# Every type the metrics read, with both zeros and repeats.
+mixed_values = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.fractions(max_denominator=10**6),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+    st.sampled_from([0.0, -0.0, np.float64(-0.0), np.float32(-0.0), 0, Fraction(0)]),
+)
+mixed_points = st.lists(mixed_values, max_size=40).flatmap(
+    lambda vs: st.permutations(vs + vs[: len(vs) // 2]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(mixed_points)
+@example([0.0, -0.0, 1, 0.5])
+@example([-0.0, 0.0, 1, 0.5])
+@example([1, np.float32(-0.0), Fraction(1, 3), 0.0])
+def test_distinct_sort_equals_the_set_reference(points):
+    got = metrics._distinct_sorted(points)
+    _same_floats(got, oracles.ref_distinct_sorted(points))
+    assert all(type(x) is float for x in got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(mixed_values, max_size=20),
+       st.lists(st.sampled_from([math.nan, math.inf, -math.inf, np.float64(math.nan),
+                                 np.float32(math.inf)]), min_size=1, max_size=3),
+       st.randoms())
+def test_distinct_sort_rejects_what_the_set_reference_rejects(points, bad, rng):
+    points = points + bad
+    rng.shuffle(points)
+    with pytest.raises(ConfigError) as got:
+        metrics._distinct_sorted(points)
+    with pytest.raises(ConfigError) as want:
+        oracles.ref_distinct_sorted(points)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("depth", range(17))
+def test_cantor_points_equal_the_list_reference(depth):
+    got = metrics.cantor_truncation(depth)
+    assert type(got) is list and all(type(x) is float for x in got)
+    _same_floats(got, oracles.ref_cantor_truncation(depth))
 
 
 # --- local-profile kernels ------------------------------------------------------

@@ -6,6 +6,7 @@ indented JSON."""
 
 import ast
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -458,14 +459,19 @@ def test_passes():
 
 
 def test_a_failing_property_leaves_the_rest_of_the_run_reported(tmp_path):
-    # Under the repo's pytest settings (every warning an error), a failing
-    # @given test must be reported as one failure, not end the whole run
-    # with an INTERNALERROR that hides every later test.
+    # Under the repo's pytest settings (every warning an error) and the
+    # suite's hypothesis profile (its conftest.py), a failing @given test
+    # must be reported as one failure, not end the whole run with an
+    # INTERNALERROR that hides every later test, and print the decorator
+    # that replays its example.
     root = Path(__file__).resolve().parents[1]
     (tmp_path / "test_one_property.py").write_text(ONE_FAILING_PROPERTY)
+    (tmp_path / "conftest.py").write_text((root / "tests" / "conftest.py").read_text())
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "-c", str(root / "pyproject.toml"), "--rootdir", str(tmp_path), str(tmp_path)],
-        capture_output=True, text=True, cwd=tmp_path, timeout=120)
+        capture_output=True, text=True, cwd=tmp_path, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(root / "src")})
     assert "INTERNALERROR" not in run.stdout + run.stderr
     assert "1 failed, 1 passed" in run.stdout
+    assert "@reproduce_failure(" in run.stdout
